@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -90,13 +90,23 @@ def _expect_number(section: str, key: str, value, integral: bool = False) -> flo
 def parse_config(source) -> list[ScenarioConfig]:
     """Validate one configuration document into scenario configs.
 
-    ``source`` may be a dict, a JSON string, or a path to a JSON file.
-    Raises ``ConfigParseError`` naming the offending field on any
-    unknown key, wrong type, or inconsistent setting.
+    ``source`` may be a dict, a JSON string, or a path to a JSON file.  A
+    string whose text starts with ``{`` or ``[`` is a JSON document; any
+    other string, like a ``Path``, names a file.  Raises
+    ``ConfigParseError`` naming the offending field on any unknown key,
+    wrong type, or inconsistent setting, and the path of a file it
+    cannot read.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        doc = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
+    if isinstance(source, Path) or (
+        isinstance(source, str) and not source.lstrip().startswith(("{", "["))
+    ):
+        try:
+            source = Path(source).read_text()
+        except OSError as exc:
+            raise ConfigParseError(
+                f"{source}: cannot read config file: {exc.strerror}"
+            ) from exc
+    if isinstance(source, str):
         try:
             doc = json.loads(source)
         except json.JSONDecodeError as exc:
@@ -289,8 +299,9 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
                         help="run a predefined scenario grid")
     parser.add_argument("--config", type=Path, help="JSON scenario document")
     parser.add_argument("--reps", type=int, help="override replication count")
-    parser.add_argument("--rb-draws", type=int, default=1000,
-                        help="randomization-test draws for table2/custom runs")
+    parser.add_argument("--rb-draws", type=int,
+                        help="randomization-test draws for table2/custom runs "
+                             "(table2 default 1000)")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for replications")
@@ -304,18 +315,19 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
 
     if bool(args.suite) == bool(args.config):
         parser.error("exactly one of --suite or --config is required")
+    if args.reps is not None and args.reps < 1:
+        parser.error(f"--reps must be >= 1, got {args.reps}")
+    if args.rb_draws is not None and args.rb_draws < 0:
+        parser.error(f"--rb-draws must be >= 0, got {args.rb_draws}")
 
     scenarios: list = []
     mixtures: list = []
     seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.config:
-        scenarios = parse_config(args.config)
-        cfg = scenarios[0]
-        if args.seed is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
-        if args.reps is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "n_replications": args.reps})
-        scenarios = [cfg]
+        overrides = {"seed": args.seed, "n_replications": args.reps,
+                     "rb_draws": args.rb_draws}
+        scenarios = [replace(parse_config(args.config)[0],
+                             **{k: v for k, v in overrides.items() if v is not None})]
         seed = scenarios[0].seed
         suite = "custom"
     else:
@@ -327,7 +339,8 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
             reps = args.reps
             if reps is None and not args.paper_scale:
                 reps = 50_000 if table == 1 else 4000
-            scenarios = paper_suite(table, reps=reps, rb_draws=args.rb_draws, seed=seed)
+            rb_draws = 1000 if args.rb_draws is None else args.rb_draws
+            scenarios = paper_suite(table, reps=reps, rb_draws=rb_draws, seed=seed)
     return RunSpec(
         suite=suite,
         scenarios=scenarios,

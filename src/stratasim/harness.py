@@ -174,6 +174,15 @@ def _aggregate_variant(
 ) -> VariantMetrics:
     rows = [getattr(rec, name) for rec in records if rec.valid]
     n = len(rows)
+    if n == 0:
+        nan = float("nan")
+        metrics = dict.fromkeys(
+            ("bias", "mean_estimate", "sd_estimate", "coverage", "mean_se",
+             "reject_rate", "mc_se_bias", "mc_se_coverage", "mc_se_reject"), nan,
+        )
+        if config.rb_enabled:
+            metrics.update(rb_reject_rate=nan, mc_se_rb_reject=nan)
+        return VariantMetrics(strata_used=name, n=0, **metrics)
     est = np.array([v.estimate for v in rows])
     se = np.array([v.se for v in rows])
     covered = np.array([v.covered for v in rows], dtype=float)

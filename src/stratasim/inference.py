@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 from scipy.special import stdtr, stdtrit
 
 from .errors import ConfigurationError, DegenerateDesignError
 
-# relative pivot tolerance for declaring a design column redundant
+# normal equations whose Hadamard ratio is at most this count as singular
 RANK_TOL = 1e-10
 
 
@@ -75,16 +74,60 @@ def _stratum_columns(strata: np.ndarray) -> tuple[list[np.ndarray], list[str]]:
     return cols, names
 
 
-def _arm_columns(treatments: np.ndarray, n_arms: int) -> tuple[list[np.ndarray], list[str]]:
-    counts = np.bincount(treatments, minlength=n_arms)
-    if (counts[:n_arms] == 0).any():
-        empty = int(np.flatnonzero(counts[:n_arms] == 0)[0])
-        raise DegenerateDesignError(f"arm {empty} has no patients")
-    cols, names = [], []
-    for arm in range(1, n_arms):
-        cols.append((treatments == arm).astype(float))
-        names.append(f"treat{arm}")
-    return cols, names
+def _ols_batch(
+    y: np.ndarray,
+    strata_covariate: np.ndarray,
+    treatment_draws: np.ndarray,
+    n_arms: int,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+    """Least squares of the working model for every row of ``treatment_draws``.
+
+    Returns ``(terms, coef, se, df, sigma2, valid)`` with one row of
+    ``coef``, ``se`` and ``sigma2`` per assignment.  A row is invalid when
+    the Hadamard ratio ``det(X'X) / prod(diag(X'X))`` of its normal
+    equations is at most ``RANK_TOL`` (an empty arm gives a zero diagonal,
+    collinear columns a vanishing determinant); its Gram matrix is then
+    replaced by the identity before the one batched inverse, and its
+    numbers are meaningless.
+    """
+    n_draws, n = treatment_draws.shape
+    s_cols, s_names = _stratum_columns(strata_covariate)
+    terms = ("intercept", *s_names, *(f"treat{arm}" for arm in range(1, n_arms)))
+    n_fixed = 1 + len(s_cols)
+    k = len(terms)
+    if n < k:
+        raise DegenerateDesignError(f"{n} observations cannot identify {k} columns")
+
+    # arm columns are disjoint indicators and the rest of the design is
+    # fixed across draws, so the normal equations assemble from one fixed
+    # Gram block plus per-arm counts and cross sums against [fixed | y]
+    fixed_y = np.column_stack([np.ones(n), *s_cols, y])
+    gram = fixed_y.T @ fixed_y
+    arms = np.arange(1, n_arms)
+    masks = (treatment_draws[:, None, :] == arms[:, None]).astype(float)
+    cross = (masks.reshape(-1, n) @ fixed_y).reshape(n_draws, n_arms - 1, n_fixed + 1)
+
+    xtx = np.zeros((n_draws, k, k))
+    xtx[:, :n_fixed, :n_fixed] = gram[:n_fixed, :n_fixed]
+    xtx[:, n_fixed:, :n_fixed] = cross[:, :, :n_fixed]
+    xtx[:, :n_fixed, n_fixed:] = cross[:, :, :n_fixed].transpose(0, 2, 1)
+    arm_cols = n_fixed + arms - 1
+    xtx[:, arm_cols, arm_cols] = cross[:, :, 0]
+    xty = np.empty((n_draws, k))
+    xty[:, :n_fixed] = gram[:n_fixed, -1]
+    xty[:, n_fixed:] = cross[:, :, -1]
+
+    diag = np.einsum("bii->bi", xtx)
+    valid = np.linalg.det(xtx) > RANK_TOL * diag.prod(axis=1)
+    xtx[~valid] = np.eye(k)
+    inv = np.linalg.inv(xtx)
+    coef = (inv @ xty[:, :, None])[:, :, 0]
+
+    df = n - k
+    rss = np.maximum(gram[-1, -1] - np.einsum("bk,bk->b", coef, xty), 0.0)
+    sigma2 = rss / df if df > 0 else np.full(n_draws, np.nan)
+    se = np.sqrt(sigma2[:, None] * np.einsum("bii->bi", inv))
+    return terms, coef, se, df, sigma2, valid
 
 
 def fit_model(
@@ -95,10 +138,10 @@ def fit_model(
 ) -> ModelFit:
     """Fit the homogeneous-variance stratum-adjusted model by least squares.
 
-    Normal equations are solved through a column-pivoted QR of the design
-    matrix; a pivot below ``RANK_TOL`` relative to the largest marks the
-    design rank deficient, which raises ``DegenerateDesignError`` (as does
-    an arm with no patients).
+    A batch of one through the normal-equations kernel.  An arm with no
+    patients, fewer observations than columns, or a Hadamard ratio of
+    the normal equations at most ``RANK_TOL`` (a rank-deficient design)
+    raises ``DegenerateDesignError``.
     """
     y = np.asarray(y, dtype=float)
     treatments = np.asarray(treatments, dtype=np.int64)
@@ -107,40 +150,17 @@ def fit_model(
     if treatments.shape[0] != n or strata_covariate.shape[0] != n:
         raise ConfigurationError("y, treatments, and strata must have equal length")
     arms = int(treatments.max()) + 1 if n_arms is None else n_arms
+    empty = np.flatnonzero(np.bincount(treatments, minlength=arms)[:arms] == 0)
+    if empty.size:
+        raise DegenerateDesignError(f"arm {int(empty[0])} has no patients")
 
-    cols = [np.ones(n)]
-    names = ["intercept"]
-    s_cols, s_names = _stratum_columns(strata_covariate)
-    a_cols, a_names = _arm_columns(treatments, arms)
-    cols += s_cols + a_cols
-    names += s_names + a_names
-
-    x = np.column_stack(cols)
-    k = x.shape[1]
-    if n < k:
-        raise DegenerateDesignError(f"{n} observations cannot identify {k} columns")
-
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size and (diag < RANK_TOL * diag[0]).any():
+    terms, coef, se, df, sigma2, valid = _ols_batch(
+        y, strata_covariate, treatments[None, :], arms
+    )
+    if not valid[0]:
         raise DegenerateDesignError("design matrix is rank deficient after column drops")
-
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
-    rinv = scipy.linalg.solve_triangular(r, np.eye(k))
-    unscaled_piv = rinv @ rinv.T
-
-    inv_piv = np.empty(k, dtype=int)
-    inv_piv[piv] = np.arange(k)
-    beta = beta_piv[inv_piv]
-    unscaled = unscaled_piv[np.ix_(inv_piv, inv_piv)]
-
-    resid = y - x @ beta
-    rss = float(resid @ resid)
-    df = n - k
-    sigma2 = rss / df if df > 0 else float("nan")
-    se = np.sqrt(np.maximum(sigma2, 0.0) * np.diag(unscaled)) if df > 0 else np.full(k, np.nan)
     return ModelFit(
-        terms=tuple(names), coef=beta, se=se, df=df, sigma2=sigma2, n_obs=n
+        terms=terms, coef=coef[0], se=se[0], df=df, sigma2=float(sigma2[0]), n_obs=n
     )
 
 
@@ -195,76 +215,22 @@ def batched_treatment_tstats(
     """t statistics of one arm coefficient across many treatment vectors.
 
     Fits the same model as ``fit_model`` for every row of
-    ``treatment_draws`` at once via batched normal equations.  Returns
+    ``treatment_draws`` through the same kernel.  Returns
     ``(tstats, valid)``; a draw is invalid when an arm is empty or the
     normal equations are numerically singular, and its statistic is NaN.
-    Agrees with ``fit_model`` coefficient by coefficient on valid draws.
     """
     y = np.asarray(y, dtype=float)
     t_draws = np.asarray(treatment_draws)
-    n_draws, n = t_draws.shape
-    if y.shape[0] != n:
+    if y.shape[0] != t_draws.shape[1]:
         raise ConfigurationError("y length does not match treatment draws")
-
-    s_cols, _ = _stratum_columns(np.asarray(strata_covariate))
-    n_fixed = 1 + len(s_cols)
-    k = n_fixed + (n_arms - 1)
-    target_col = n_fixed + (target_arm - 1)
     if not 1 <= target_arm < n_arms:
         raise ConfigurationError(f"target arm {target_arm} outside 1..{n_arms - 1}")
-    if n < k:
-        raise DegenerateDesignError(f"{n} observations cannot identify {k} columns")
 
-    # arm columns are disjoint indicators and the rest of the design is
-    # fixed across draws, so the normal equations assemble from per-arm
-    # counts and cross sums instead of per-draw design matrices
-    fixed = np.column_stack([np.ones(n)] + s_cols)
-    fff = fixed.T @ fixed
-    ffy = fixed.T @ y
-
-    xtx = np.empty((n_draws, k, k))
-    xty = np.empty((n_draws, k))
-    xtx[:, :n_fixed, :n_fixed] = fff
-    xty[:, :n_fixed] = ffy
-    xtx[:, n_fixed:, n_fixed:] = 0.0
-
-    arm_counts = np.empty((n_draws, n_arms - 1))
-    for arm in range(1, n_arms):
-        col = n_fixed + arm - 1
-        mask = (t_draws == arm).astype(float)
-        cross = mask @ fixed
-        arm_counts[:, arm - 1] = cross[:, 0]
-        xtx[:, col, :n_fixed] = cross
-        xtx[:, :n_fixed, col] = cross
-        xtx[:, col, col] = cross[:, 0]
-        xty[:, col] = mask @ y
-
-    control = n - arm_counts.sum(axis=1)
-    valid = (arm_counts >= 1).all(axis=1) & (control >= 1)
-    xtx[~valid] = np.eye(k)
-
-    try:
-        inv = np.linalg.inv(xtx)
-    except np.linalg.LinAlgError:
-        # freak collinearity beyond empty cells: fall back row by row
-        inv = np.empty((n_draws, k, k))
-        singular = np.zeros(n_draws, dtype=bool)
-        for b in range(n_draws):
-            try:
-                inv[b] = np.linalg.inv(xtx[b])
-            except np.linalg.LinAlgError:
-                singular[b] = True
-                inv[b] = np.nan
-        valid &= ~singular
-        inv[~valid] = np.eye(k)
-    beta = (inv @ xty[:, :, None])[:, :, 0]
-
-    df = n - k
-    rss = np.maximum(y @ y - np.einsum("bk,bk->b", beta, xty), 0.0)
-    sigma2 = rss / df if df > 0 else np.full(n_draws, np.nan)
-    var = sigma2 * inv[:, target_col, target_col]
+    terms, coef, se, _, _, valid = _ols_batch(
+        y, np.asarray(strata_covariate), t_draws, n_arms
+    )
+    col = terms.index(f"treat{target_arm}")
     with np.errstate(invalid="ignore", divide="ignore"):
-        tstats = beta[:, target_col] / np.sqrt(var)
+        tstats = coef[:, col] / se[:, col]
     valid &= np.isfinite(tstats)
-    tstats = np.where(valid, tstats, np.nan)
-    return tstats, valid
+    return np.where(valid, tstats, np.nan), valid

@@ -1,6 +1,7 @@
 """Randomization-based inference for the arm-1 treatment effect.
 
-The observed statistic is the model t statistic of the arm-1 coefficient.
+The observed statistic is the model t statistic of the arm-1 coefficient,
+computed by ``inference.batched_treatment_tstats`` like every null draw.
 Null draws re-run the stratified permuted-block assignment within the
 *reported* strata while holding every outcome fixed (the sharp null of no
 treatment effect), and the two-sided p-value uses the add-one convention
@@ -35,21 +36,6 @@ class RandTestResult:
     strata_used: str = ""
 
 
-def null_statistics(
-    y: np.ndarray,
-    analysis_strata: np.ndarray,
-    assignments: np.ndarray,
-    n_arms: int,
-    target_arm: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Statistics of the arm coefficient for an explicit set of assignments.
-
-    Exposed so exhaustive null sets can be evaluated directly; returns
-    ``(stats, valid)`` aligned with the assignment rows.
-    """
-    return batched_treatment_tstats(y, analysis_strata, assignments, n_arms, target_arm)
-
-
 def combine_pvalue(statistic: float, null_stats: np.ndarray) -> float:
     """Add-one two-sided p-value from an observed statistic and null draws."""
     null_stats = np.asarray(null_stats, dtype=float)
@@ -79,9 +65,9 @@ def randomization_pvalue(
     if draws < 1 and null_assignments is None:
         raise ConfigurationError(f"draws must be >= 1, got {draws}")
     n_arms = design.allocation.n_arms
-    # The observed statistic runs through the same kernel as the null draws
-    # so that an exact re-draw of the observed assignment ties exactly.
-    obs_stats, obs_valid = null_statistics(
+    # The observed statistic runs through batched_treatment_tstats like the
+    # null draws, so an exact re-draw of the observed assignment ties exactly.
+    obs_stats, obs_valid = batched_treatment_tstats(
         y, analysis_strata, np.asarray(treatments)[None, :], n_arms, target_arm
     )
     if not obs_valid[0]:
@@ -98,7 +84,9 @@ def randomization_pvalue(
     else:
         t_batch = batch_block_assignments(design, reported_strata, draws, rng)
 
-    stats, valid = null_statistics(y, analysis_strata, t_batch, n_arms, target_arm)
+    stats, valid = batched_treatment_tstats(
+        y, analysis_strata, t_batch, n_arms, target_arm
+    )
     n_requested = t_batch.shape[0]
     n_used = int(valid.sum())
     discarded = n_requested - n_used

@@ -102,6 +102,18 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match=needle):
             parse_config(doc)
 
+    def test_long_json_string_is_parsed_not_opened(self):
+        text = json.dumps(CUSTOM_DOC, indent=8)
+        assert len(text) > 255
+        assert parse_config(text)[0] == parse_config(CUSTOM_DOC)[0]
+        assert parse_config("\n  " + text)[0] == parse_config(CUSTOM_DOC)[0]
+
+    def test_missing_file_names_its_path(self, tmp_path):
+        missing = tmp_path / "absent.json"
+        for source in (missing, str(missing)):
+            with pytest.raises(ConfigParseError, match="absent.json"):
+                parse_config(source)
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigParseError, match="JSON"):
             parse_config("{not json")
@@ -192,6 +204,26 @@ class TestBuildRunSpec:
         assert spec.scenarios[0].n_replications == 40
         assert spec.scenarios[0].seed == 5
         assert spec.seed == 5
+
+    def test_rb_draws_applies_to_config(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(CUSTOM_DOC))
+        assert build_run_spec(["--config", str(path)]).scenarios[0].rb_draws == 20
+        spec = build_run_spec(["--config", str(path), "--rb-draws", "7"])
+        assert spec.scenarios[0].rb_draws == 7
+        assert spec.scenarios[0].n_replications == 250
+        path.write_text("{}")
+        spec = build_run_spec(["--config", str(path), "--rb-draws", "7"])
+        assert spec.scenarios[0].rb_draws == 7
+
+    @pytest.mark.parametrize("flags", [["--reps", "0"], ["--rb-draws", "-1"]])
+    def test_out_of_range_overrides_rejected(self, tmp_path, capsys, flags):
+        path = tmp_path / "run.json"
+        path.write_text("{}")
+        for mode in (["--config", str(path)], ["--suite", "table2"]):
+            with pytest.raises(SystemExit):
+                build_run_spec(mode + flags)
+            assert flags[0] in capsys.readouterr().err
 
     def test_threads_floor_is_one(self):
         assert build_run_spec(["--suite", "table3", "--threads", "0"]).threads == 1

@@ -4,6 +4,7 @@ accounting in the scenario runner."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,30 @@ class TestAggregation:
         assert metrics.n_valid > 0
         assert metrics.warning
         assert metrics.corrected.n == metrics.n_valid
+
+    @pytest.mark.parametrize("rb_draws", [0, 20])
+    def test_all_invalid_scenario_reports_nan_without_warnings(self, rb_draws):
+        # two patients cannot identify intercept, stratum and arm columns
+        config = ScenarioConfig(
+            design=TrialDesign(2, (0.5, 0.5), AllocationRatio((1, 2)), 3),
+            outcome=OutcomeModel(rho=1.0, delta=0.5),
+            misclass=MisclassModel("ignorable", 0.02, 0.02),
+            n_replications=10,
+            rb_draws=rb_draws,
+            seed=7,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = run_scenario(config)
+        assert metrics.n_valid == 0 and metrics.n_invalid == 10
+        assert metrics.warning
+        for variant in (metrics.corrected, metrics.reported):
+            assert variant.n == 0 and variant.rb_flagged == 0
+            assert math.isnan(variant.bias) and math.isnan(variant.coverage)
+            assert math.isnan(variant.mc_se_reject)
+            assert (variant.rb_reject_rate is None) == (rb_draws == 0)
+            if rb_draws:
+                assert math.isnan(variant.rb_reject_rate)
 
     def test_healthy_scenario_raises_no_warning(self):
         metrics = run_scenario(_config(reps=10))

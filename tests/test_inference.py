@@ -12,6 +12,7 @@ from stratasim.errors import ConfigurationError, DegenerateDesignError
 from stratasim.inference import (
     RANK_TOL,
     ModelFit,
+    _ols_batch,
     _t_critical,
     batched_treatment_tstats,
     ci_and_test,
@@ -188,6 +189,39 @@ class TestBatchedKernel:
         fit = fit_model(y, rows[0], strata, 3)
         want = fit.coefficient("treat1") / fit.stderr("treat1")
         assert abs(stats[0] - want) < 1e-10
+
+    def test_batch_matches_oracle_and_flags_degenerate_rows(self):
+        # three strata, so arm 0 == stratum 0 makes the design collinear
+        strata = np.repeat([0, 1, 2], 4)
+        rows = np.array(
+            [
+                [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
+                [0, 1, 1, 0, 1, 0, 2, 2, 0, 2, 1, 2],
+                [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],  # arm 2 empty
+                [0, 0, 0, 0, 1, 2, 1, 2, 2, 1, 1, 2],  # arm 0 is stratum 0
+                [2, 1, 0, 0, 2, 1, 1, 0, 0, 2, 2, 1],
+            ]
+        )
+        terms, coef, se, df, sigma2, valid = _ols_batch(
+            np.array(Y, dtype=float), strata, rows, 3
+        )
+        assert terms == ("intercept", "stratum1", "stratum2", "treat1", "treat2")
+        assert df == 7
+        assert valid.tolist() == [True, True, False, False, True]
+        stats, t_valid = batched_treatment_tstats(Y, strata, rows, 3, 2)
+        assert t_valid.tolist() == valid.tolist()
+        assert np.isnan(stats[~valid]).all()
+        for b in np.flatnonzero(valid):
+            design = [
+                [1, int(s == 1), int(s == 2), int(t == 1), int(t == 2)]
+                for s, t in zip(strata.tolist(), rows[b].tolist())
+            ]
+            beta, rss, unscaled = ols_exact(design, Y)
+            assert np.abs(coef[b] - [float(v) for v in beta]).max() < 1e-10
+            assert abs(sigma2[b] - float(rss) / df) < 1e-10
+            want_se = [math.sqrt(float(rss) / df * float(u)) for u in unscaled]
+            assert np.abs(se[b] - want_se).max() < 1e-10
+            assert abs(stats[b] - float(beta[4]) / want_se[4]) < 1e-10
 
     def test_rank_tolerance_is_strict(self):
         assert RANK_TOL == 1e-10

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from stratasim.errors import ConfigurationError
+from stratasim.inference import batched_treatment_tstats
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from stratasim.rerandomize import (
     FLAG_DISCARD_SHARE,
     combine_pvalue,
-    null_statistics,
     randomization_pvalue,
 )
 from oracles import two_sample_t
@@ -78,7 +78,7 @@ class TestExhaustiveNull:
         y = np.array([0.3, 1.7, -0.4, 2.2, 0.9, -1.1])
         strata = np.zeros(6, dtype=np.int8)
         nulls = _all_assignments(3)
-        stats, valid = null_statistics(y, strata, nulls, n_arms=2)
+        stats, valid = batched_treatment_tstats(y, strata, nulls, n_arms=2)
         assert valid.all()
         for row, got in zip(nulls, stats):
             assert abs(got - two_sample_t(y[row == 0], y[row == 1])) < 1e-10
@@ -102,8 +102,8 @@ class TestSampledDraws:
             y, treatments, analysis, reported, design, draws=150, rng=_rng(77)
         )
         draws = batch_block_assignments(design, reported, 150, _rng(77))
-        stats, valid = null_statistics(y, analysis, draws, n_arms=2)
-        obs_stats, obs_valid = null_statistics(
+        stats, valid = batched_treatment_tstats(y, analysis, draws, n_arms=2)
+        obs_stats, obs_valid = batched_treatment_tstats(
             y, analysis, treatments[None, :], n_arms=2
         )
         assert obs_valid[0]
