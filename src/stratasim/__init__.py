@@ -26,7 +26,7 @@ from .errors import ConfigParseError, ConfigurationError, DegenerateDesignError
 from .harness import ScenarioConfig, ScenarioMetrics, paper_design, paper_suite, run_scenario
 from .inference import AnalysisResult, ModelFit, ci_and_test, fit_model
 from .misclassify import MisclassModel, reported_strata
-from .randomizer import AllocationRatio, BlockState, TrialDesign, randomize_cohort
+from .randomizer import AllocationRatio, TrialDesign, randomize_cohort
 from .rerandomize import RandTestResult, randomization_pvalue
 from .subgroup import (
     SubgroupCounts,
@@ -38,7 +38,6 @@ from .subgroup import (
 __all__ = [
     "AllocationRatio",
     "AnalysisResult",
-    "BlockState",
     "Cohort",
     "ConfigParseError",
     "ConfigurationError",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import OutcomeModel, observed_outcomes, sample_cohort
-from .errors import DegenerateDesignError
+from .errors import ConfigurationError, DegenerateDesignError
 from .inference import ci_and_test, fit_model
 from .misclassify import MisclassModel, reported_strata
 from .randomizer import AllocationRatio, TrialDesign, randomize_cohort
@@ -37,7 +37,8 @@ WARN_INVALID_SHARE = 0.001
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
-    and run sizes.  ``rb_draws = 0`` disables randomization testing."""
+    and run sizes.  ``n_replications`` must be at least 1; ``rb_draws = 0``
+    disables randomization testing."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -48,6 +49,14 @@ class ScenarioConfig:
     alpha: float = 0.05
     analyze_reported: bool = True
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.n_replications < 1:
+            raise ConfigurationError(
+                f"n_replications must be >= 1, got {self.n_replications}"
+            )
+        if self.rb_draws < 0:
+            raise ConfigurationError(f"rb_draws must be >= 0, got {self.rb_draws}")
 
     @property
     def rb_enabled(self) -> bool:

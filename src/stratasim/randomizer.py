@@ -6,15 +6,22 @@ permuted blocks: the next patient in a stratum receives the next unused
 code of that stratum's current block, and a fresh block is opened when
 the current one is exhausted.  The final block of a stratum may end up
 partially used, which is the only source of imbalance.
+
+One vectorized sampler, ``batch_block_assignments``, draws every
+assignment: the observed one is a batch of one (``randomize_cohort``)
+and the re-randomization null draws are a larger batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+# fills the slots of a block shorter than the longest admissible length
+_PAD = -1
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,9 @@ class TrialDesign:
     """Enrollment size, strata mix, and block randomization settings.
 
     ``block_sizes`` optionally lists admissible block lengths; when set,
-    every new block draws its length uniformly from the list.  Otherwise
-    all blocks have length ``block_size``.
+    every block draws its length uniformly from the list, in the observed
+    assignment and in every re-randomization draw alike.  Otherwise all
+    blocks have length ``block_size``.
     """
 
     n_patients: int
@@ -112,55 +120,61 @@ def block_pattern(allocation: AllocationRatio, block_size: int) -> np.ndarray:
     return np.repeat(np.arange(allocation.n_arms, dtype=np.int8), counts)
 
 
-def new_block(design: TrialDesign, rng: np.random.Generator) -> np.ndarray:
-    """Draw one freshly permuted block of treatment codes."""
-    if design.block_sizes is not None:
-        size = design.block_sizes[int(rng.integers(len(design.block_sizes)))]
-    else:
-        size = design.block_size
-    return rng.permutation(block_pattern(design.allocation, size))
+def batch_block_assignments(
+    design: TrialDesign,
+    reported_strata: np.ndarray,
+    n_draws: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``n_draws`` independent stratified block assignments at once.
 
+    In every draw, a stratum of ``m`` patients takes ``ceil(m / shortest
+    block length)`` iid blocks, each with a length drawn uniformly from
+    ``design.block_sizes`` (always ``block_size`` when that is unset) and
+    its pattern uniformly permuted, and deals their first ``m`` codes to
+    its patients in enrollment order.  That is the law of opening a fresh
+    block whenever the current one runs out.
 
-@dataclass
-class BlockState:
-    """Mutable per-stratum block queues plus a full assignment audit log.
-
-    ``audit`` records one ``(patient_index, reported_stratum, code)`` tuple
-    per assignment, in enrollment order.
+    Stream layout: strata in order; per stratum, one uniform sort key per
+    slot of ``(n_draws, n_blocks, longest length)`` and then, only when
+    there is a length menu, one length pick per block.
     """
-
-    design: TrialDesign
-    _queues: list[list[int]] = field(default_factory=list)
-    _cursors: list[int] = field(default_factory=list)
-    audit: list[tuple[int, int, int]] = field(default_factory=list)
-    n_assigned: int = 0
-
-    def __post_init__(self) -> None:
-        if not self._queues:
-            self._queues = [[] for _ in range(self.design.n_strata)]
-            self._cursors = [0] * self.design.n_strata
-
-    def codes_issued(self, stratum: int) -> list[int]:
-        """Codes dealt so far in one stratum, in assignment order."""
-        return self._queues[stratum][: self._cursors[stratum]]
-
-
-def assign_next(state: BlockState, reported_stratum: int, rng: np.random.Generator) -> int:
-    """Deal the next available treatment code in the reported stratum."""
-    stratum = int(reported_stratum)
-    if not 0 <= stratum < state.design.n_strata:
+    reported = np.asarray(reported_strata)
+    if reported.shape != (design.n_patients,):
         raise ConfigurationError(
-            f"reported stratum {stratum} outside 0..{state.design.n_strata - 1}"
+            f"reported_strata has shape {reported.shape}, expected ({design.n_patients},)"
         )
-    queue = state._queues[stratum]
-    cursor = state._cursors[stratum]
-    if cursor == len(queue):
-        queue.extend(int(c) for c in new_block(state.design, rng))
-    code = queue[cursor]
-    state._cursors[stratum] = cursor + 1
-    state.audit.append((state.n_assigned, stratum, code))
-    state.n_assigned += 1
-    return code
+    members = [np.flatnonzero(reported == s) for s in range(design.n_strata)]
+    if sum(idx.size for idx in members) != design.n_patients:
+        stray = reported[~np.isin(reported, np.arange(design.n_strata))]
+        raise ConfigurationError(
+            f"reported stratum {stray[0]} outside 0..{design.n_strata - 1}"
+        )
+    sizes = design.block_sizes or (design.block_size,)
+    # one sorted pattern per admissible length, padded out to the longest
+    table = np.full((len(sizes), max(sizes)), _PAD, dtype=np.int8)
+    for row, size in zip(table, sizes):
+        row[:size] = block_pattern(design.allocation, size)
+    out = np.empty((n_draws, design.n_patients), dtype=np.int8)
+    for idx in members:
+        if idx.size == 0:
+            continue
+        n_blocks = -(-idx.size // min(sizes))
+        # argsort of iid uniforms along the last axis is a uniform permutation
+        order = np.argsort(rng.random((n_draws, n_blocks, table.shape[1])), axis=-1)
+        if len(sizes) == 1:
+            codes = table[0][order].reshape(n_draws, -1)
+        else:
+            picks = rng.integers(len(sizes), size=(n_draws, n_blocks, 1))
+            codes = table[picks, order].reshape(n_draws, -1)
+            # striking the padding from a uniformly permuted padded block
+            # leaves a uniform permutation of its pattern; every row keeps
+            # at least idx.size codes
+            keep = codes != _PAD
+            keep &= keep.cumsum(axis=1) <= idx.size
+            codes = codes[keep].reshape(n_draws, idx.size)
+        out[:, idx] = codes[:, : idx.size]
+    return out
 
 
 def randomize_cohort(
@@ -170,52 +184,6 @@ def randomize_cohort(
 ) -> np.ndarray:
     """Assign all patients in enrollment order, returning treatment codes.
 
-    The assignment of a patient depends only on the sequence of earlier
-    arrivals in the same reported stratum, never on later arrivals or on
-    other strata.
+    A batch of one from ``batch_block_assignments``.
     """
-    reported = np.asarray(reported_strata)
-    if reported.shape != (design.n_patients,):
-        raise ConfigurationError(
-            f"reported_strata has shape {reported.shape}, expected ({design.n_patients},)"
-        )
-    state = BlockState(design)
-    out = np.empty(design.n_patients, dtype=np.int8)
-    for i, stratum in enumerate(reported.tolist()):
-        out[i] = assign_next(state, stratum, rng)
-    return out
-
-
-def batch_block_assignments(
-    design: TrialDesign,
-    reported_strata: np.ndarray,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw ``n_draws`` independent stratified block assignments at once.
-
-    Vectorized re-randomization for a fixed reported-strata vector: each
-    draw concatenates freshly permuted blocks per stratum and deals them
-    to that stratum's patients in enrollment order, exactly as the
-    sequential path does.  Requires a fixed block size.
-    """
-    if design.block_sizes is not None:
-        raise ConfigurationError("batch assignment supports fixed block sizes only")
-    reported = np.asarray(reported_strata)
-    if reported.shape != (design.n_patients,):
-        raise ConfigurationError(
-            f"reported_strata has shape {reported.shape}, expected ({design.n_patients},)"
-        )
-    pattern = block_pattern(design.allocation, design.block_size)
-    block = len(pattern)
-    out = np.empty((n_draws, design.n_patients), dtype=np.int8)
-    for stratum in range(design.n_strata):
-        idx = np.flatnonzero(reported == stratum)
-        if idx.size == 0:
-            continue
-        n_blocks = -(-idx.size // block)
-        # argsort of iid uniforms along the last axis is a uniform permutation
-        u = rng.random((n_draws, n_blocks, block))
-        codes = pattern[np.argsort(u, axis=-1)].reshape(n_draws, n_blocks * block)
-        out[:, idx] = codes[:, : idx.size]
-    return out
+    return batch_block_assignments(design, reported_strata, 1, rng)[0]

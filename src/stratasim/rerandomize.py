@@ -1,10 +1,12 @@
 """Randomization-based inference for the arm-1 treatment effect.
 
 The observed statistic is the model t statistic of the arm-1 coefficient,
-computed by ``inference.batched_treatment_tstats`` like every null draw.
-Null draws re-run the stratified permuted-block assignment within the
-*reported* strata while holding every outcome fixed (the sharp null of no
-treatment effect), and the two-sided p-value uses the add-one convention
+computed by ``inference.batched_treatment_tstats`` in one call with every
+null draw.  Null draws re-run the stratified permuted-block assignment,
+fixed or random block lengths alike, through
+``randomizer.batch_block_assignments`` within the *reported* strata while
+holding every outcome fixed (the sharp null of no treatment effect), and
+the two-sided p-value uses the add-one convention
 
     p = (1 + #{ |stat*| >= |stat_obs| }) / (1 + draws).
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateDesignError
 from .inference import batched_treatment_tstats
-from .randomizer import TrialDesign, batch_block_assignments, randomize_cohort
+from .randomizer import TrialDesign, batch_block_assignments
 
 FLAG_DISCARD_SHARE = 0.01
 
@@ -64,37 +66,26 @@ def randomization_pvalue(
     """
     if draws < 1 and null_assignments is None:
         raise ConfigurationError(f"draws must be >= 1, got {draws}")
-    n_arms = design.allocation.n_arms
-    # The observed statistic runs through batched_treatment_tstats like the
-    # null draws, so an exact re-draw of the observed assignment ties exactly.
-    obs_stats, obs_valid = batched_treatment_tstats(
-        y, analysis_strata, np.asarray(treatments)[None, :], n_arms, target_arm
-    )
-    if not obs_valid[0]:
-        raise DegenerateDesignError("observed assignment gives a degenerate fit")
-    stat_obs = float(obs_stats[0])
-
-    if null_assignments is not None:
-        t_batch = np.asarray(null_assignments)
-    elif design.block_sizes is not None:
-        # random block lengths have no vectorized path; draw sequentially
-        t_batch = np.stack(
-            [randomize_cohort(design, reported_strata, rng) for _ in range(draws)]
-        )
-    else:
-        t_batch = batch_block_assignments(design, reported_strata, draws, rng)
-
+    if null_assignments is None:
+        null_assignments = batch_block_assignments(design, reported_strata, draws, rng)
+    # the observed row rides in the same kernel call as the null draws, so
+    # an exact re-draw of the observed assignment ties exactly
+    t_batch = np.vstack([treatments, null_assignments])
     stats, valid = batched_treatment_tstats(
-        y, analysis_strata, t_batch, n_arms, target_arm
+        y, analysis_strata, t_batch, design.allocation.n_arms, target_arm
     )
-    n_requested = t_batch.shape[0]
+    if not valid[0]:
+        raise DegenerateDesignError("observed assignment gives a degenerate fit")
+    stat_obs = float(stats[0])
+    stats, valid = stats[1:], valid[1:]
+    n_requested = stats.shape[0]
     n_used = int(valid.sum())
     discarded = n_requested - n_used
     if n_used == 0:
         raise ConfigurationError("all null draws degenerated; cannot form a p-value")
     return RandTestResult(
-        statistic=float(stat_obs),
-        p_value=combine_pvalue(float(stat_obs), stats[valid]),
+        statistic=stat_obs,
+        p_value=combine_pvalue(stat_obs, stats[valid]),
         draws_requested=n_requested,
         draws_used=n_used,
         discarded=discarded,

@@ -85,6 +85,28 @@ def subgroup_proportion_draws(
     return out
 
 
+def sequential_block_assignment(design, reported_strata, rng) -> np.ndarray:
+    """Deal treatment codes one patient at a time in enrollment order.
+
+    Each reported stratum keeps its own queue of codes; when the queue runs
+    dry it opens a freshly permuted block whose length is drawn uniformly
+    from ``design.block_sizes`` (``block_size`` when that is unset).  This
+    is the textbook permuted-block procedure the vectorized sampler must
+    match in law."""
+    from stratasim.randomizer import block_pattern
+
+    sizes = design.block_sizes or (design.block_size,)
+    queues: dict[int, list[int]] = {}
+    out = np.empty(len(reported_strata), dtype=np.int8)
+    for i, stratum in enumerate(np.asarray(reported_strata).tolist()):
+        queue = queues.setdefault(stratum, [])
+        if not queue:
+            size = sizes[int(rng.integers(len(sizes)))]
+            queue.extend(rng.permutation(block_pattern(design.allocation, size)).tolist())
+        out[i] = queue.pop(0)
+    return out
+
+
 # ------------------------------------------------------------- regression
 
 def _invert_exact(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -17,9 +17,7 @@ from stratasim.misclassify import MisclassModel, apply_ignorable, apply_nonignor
 from stratasim.cohort import Cohort
 from stratasim.randomizer import (
     AllocationRatio,
-    BlockState,
     TrialDesign,
-    assign_next,
     batch_block_assignments,
     block_pattern,
     randomize_cohort,
@@ -44,21 +42,18 @@ def check_block_balance(seed: int = 7, n_patients: int = 200) -> None:
     )
     rng = _rng(seed)
     reported = (rng.random(n_patients) >= 0.4).astype(np.int8)
-    state = BlockState(design)
-    for i, stratum in enumerate(reported.tolist()):
-        assign_next(state, stratum, rng)
+    codes = randomize_cohort(design, reported, rng)
+    assert codes.shape == (n_patients,)
     pattern_counts = np.bincount(block_pattern(design.allocation, 10), minlength=3)
     for stratum in (0, 1):
-        codes = np.asarray(state.codes_issued(stratum))
+        stream = codes[reported == stratum]
         block = design.block_size
-        for start in range(0, codes.size - block + 1, block):
-            counts = np.bincount(codes[start:start + block], minlength=3)
+        for start in range(0, stream.size - block + 1, block):
+            counts = np.bincount(stream[start:start + block], minlength=3)
             assert (counts == pattern_counts).all(), (stratum, start, counts)
-        tail = codes[codes.size - codes.size % block:]
+        tail = stream[stream.size - stream.size % block:]
         tail_counts = np.bincount(tail, minlength=3)
         assert (tail_counts <= pattern_counts).all(), (stratum, tail_counts)
-    assert state.n_assigned == n_patients
-    assert len(state.audit) == n_patients
 
 
 def check_propensity_constancy(seed: int = 11, n_draws: int = 20_000) -> None:

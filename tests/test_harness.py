@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stratasim.cohort import OutcomeModel
+from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
     ScenarioConfig,
@@ -34,6 +36,19 @@ def _config(reps=20, rb_draws=0, rho=1.0, delta=0.5, seed=123, **kw):
         seed=seed,
         **kw,
     )
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("field,value", [("n_replications", 0),
+                                             ("n_replications", -3),
+                                             ("rb_draws", -1)])
+    def test_bad_run_sizes_name_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            run_scenario(replace(_config(), **{field: value}))
+
+    def test_smallest_run_sizes_run(self):
+        metrics = run_scenario(_config(reps=1, rb_draws=0))
+        assert metrics.n_valid + metrics.n_invalid == 1
 
 
 class TestMcSeRate:
@@ -167,6 +182,37 @@ class TestAggregation:
 
     def test_thread_count_never_changes_results(self):
         check_thread_determinism()
+
+
+class TestRandomBlockSizes:
+    """Random block lengths through the whole replication path."""
+
+    @staticmethod
+    def _varblock_config():
+        return ScenarioConfig(
+            design=TrialDesign(20, (0.2, 0.8), AllocationRatio((1, 2, 2)), 10,
+                               block_sizes=(5, 10)),
+            outcome=OutcomeModel(rho=1.0, delta=0.5),
+            misclass=MisclassModel("ignorable", 0.15, 0.30),
+            n_replications=6,
+            rb_draws=40,
+            seed=29,
+        )
+
+    def test_rerun_and_thread_count_reproduce(self):
+        config = self._varblock_config()
+        serial = run_scenario(config, threads=1)
+        assert serial == run_scenario(config, threads=1)
+        assert serial == run_scenario(config, threads=2)
+
+    def test_rb_pvalues_in_unit_interval(self):
+        config = self._varblock_config()
+        records = [run_replication(config, r) for r in range(config.n_replications)]
+        assert any(rec.valid for rec in records)
+        for rec in records:
+            if rec.valid:
+                for variant in (rec.corrected, rec.reported):
+                    assert 0.0 < variant.rb_p <= 1.0
 
 
 class TestPaperSuite:

@@ -1,5 +1,6 @@
-"""Block pattern construction, sequential assignment, and the vectorized
-batch path."""
+"""Block pattern construction and the vectorized block sampler, for the
+observed assignment (a batch of one) and for batches of null draws, checked
+in law against the sequential dealer in ``oracles``."""
 
 from __future__ import annotations
 
@@ -11,15 +12,13 @@ import pytest
 from stratasim.errors import ConfigurationError
 from stratasim.randomizer import (
     AllocationRatio,
-    BlockState,
     TrialDesign,
-    assign_next,
     batch_block_assignments,
     block_pattern,
-    new_block,
     randomize_cohort,
 )
-from properties import check_block_balance, check_propensity_constancy
+from oracles import sequential_block_assignment
+from properties import Z_BAND, check_block_balance, check_propensity_constancy
 
 
 def _rng(seed=0):
@@ -75,65 +74,72 @@ class TestBlockPattern:
 
 
 class TestSequentialAssignment:
+    """The observed assignment: one cohort dealt in enrollment order."""
+
     def test_completed_blocks_balanced(self):
         check_block_balance()
 
-    def test_audit_matches_assignments(self):
-        design = _design()
-        rng = _rng(3)
-        reported = (rng.random(design.n_patients) >= 0.4).astype(np.int8)
-        state = BlockState(design)
-        codes = [assign_next(state, s, rng) for s in reported.tolist()]
-        assert state.n_assigned == design.n_patients
-        for i, (idx, stratum, code) in enumerate(state.audit):
-            assert idx == i
-            assert stratum == reported[i]
-            assert code == codes[i]
-
     def test_codes_issued_equals_stratum_stream(self):
+        # a stratum's patients receive its code stream in enrollment order,
+        # however the other stratum's arrivals interleave with them
         design = _design()
-        rng = _rng(4)
-        reported = (rng.random(design.n_patients) >= 0.4).astype(np.int8)
-        state = BlockState(design)
-        codes = np.array([assign_next(state, s, rng) for s in reported.tolist()])
+        reported = (_rng(4).random(design.n_patients) >= 0.4).astype(np.int8)
+        regrouped = np.sort(reported)
+        codes = randomize_cohort(design, reported, _rng(41))
+        grouped = randomize_cohort(design, regrouped, _rng(41))
         for stratum in (0, 1):
-            assert state.codes_issued(stratum) == codes[reported == stratum].tolist()
+            assert (codes[reported == stratum] == grouped[regrouped == stratum]).all()
 
     def test_rejects_unknown_stratum(self):
-        state = BlockState(_design())
-        with pytest.raises(ConfigurationError, match="stratum"):
-            assign_next(state, 2, _rng())
+        design = _design(n=10)
+        reported = np.array([0, 1, 2, 2, 2, 0, 1, 0, 1, 5], dtype=np.int8)
+        with pytest.raises(ConfigurationError, match="stratum 2 outside 0..1"):
+            batch_block_assignments(design, reported, 5, _rng())
+        with pytest.raises(ConfigurationError, match="stratum -1 outside"):
+            randomize_cohort(design, np.full(10, -1, dtype=np.int8), _rng())
 
     def test_prefix_assignments_do_not_depend_on_later_arrivals(self):
-        design_short = _design(n=10)
-        design_long = _design(n=12)
-        rng_a, rng_b = _rng(9), _rng(9)
+        # in law: the first 10 codes of a 12-patient cohort are distributed
+        # as a 10-patient cohort, position by position and pair by pair
         reported = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0], dtype=np.int8)
-        short = randomize_cohort(design_short, reported[:10], rng_a)
-        long = randomize_cohort(design_long, reported, rng_b)
-        assert short.tolist() == long[:10].tolist()
+        n = 20_000
+        short = batch_block_assignments(_design(n=10), reported[:10], n, _rng(9))
+        long = batch_block_assignments(_design(n=12), reported, n, _rng(10))[:, :10]
+        for arm in range(3):
+            share = (short == arm).mean(axis=0), (long == arm).mean(axis=0)
+            p = (share[0] + share[1]) / 2
+            band = Z_BAND * np.sqrt(p * (1 - p) * 2 / n)
+            assert (np.abs(share[0] - share[1]) <= band).all(), arm
+        same = [(a[:, :, None] == a[:, None, :]).mean(axis=0) for a in (short, long)]
+        p = (same[0] + same[1]) / 2
+        band = Z_BAND * np.sqrt(p * (1 - p) * 2 / n)
+        assert (np.abs(same[0] - same[1]) <= band).all()
 
 
 class TestNewBlock:
+    """Each freshly opened block is a uniform ordering of its pattern, with
+    its length drawn uniformly from the menu."""
+
     def test_every_ordering_equally_likely(self):
-        design = _design(weights=(1, 2), block=3)
-        rng = _rng(5)
+        design = _design(n=3, probs=(1.0, 0.0), weights=(1, 2), block=3)
         n = 30_000
-        seen = {}
-        for _ in range(n):
-            key = tuple(new_block(design, rng).tolist())
-            seen[key] = seen.get(key, 0) + 1
+        codes = batch_block_assignments(design, np.zeros(3, dtype=np.int8), n, _rng(5))
+        keys, counts = np.unique(codes, axis=0, return_counts=True)
         # 3 distinct orderings of [0, 1, 1]
-        assert sorted(seen) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-        band = 4.5 * math.sqrt((1 / 3) * (2 / 3) / n)
-        for count in seen.values():
+        assert [tuple(k) for k in keys.tolist()] == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        band = Z_BAND * math.sqrt((1 / 3) * (2 / 3) / n)
+        for count in counts:
             assert abs(count / n - 1 / 3) < band
 
     def test_random_block_size_menu(self):
-        design = _design(weights=(1, 1), block=2, block_sizes=(2, 4))
-        rng = _rng(6)
-        sizes = {len(new_block(design, rng)) for _ in range(200)}
-        assert sizes == {2, 4}
+        # a pair of codes is unbalanced only inside a block of 4, where it is
+        # [0, 0] or [1, 1] in 2 of the 6 orderings: rate (1/2) * (1/3)
+        design = _design(n=2, probs=(1.0, 0.0), weights=(1, 1), block=2,
+                         block_sizes=(2, 4))
+        n = 30_000
+        codes = batch_block_assignments(design, np.zeros(2, dtype=np.int8), n, _rng(6))
+        rate = float((codes[:, 0] == codes[:, 1]).mean())
+        assert abs(rate - 1 / 6) < Z_BAND * math.sqrt((1 / 6) * (5 / 6) / n)
 
 
 class TestBatchAssignments:
@@ -156,27 +162,51 @@ class TestBatchAssignments:
                 tail = stream[stream.size - stream.size % block:]
                 assert (np.bincount(tail, minlength=3) <= pattern_counts).all()
 
-    def test_marginals_match_sequential_path(self):
-        design = _design(n=20)
-        rng = _rng(8)
-        reported = (rng.random(design.n_patients) >= 0.4).astype(np.int8)
+    @staticmethod
+    def _assert_marginals_match_oracle(design, seed):
+        reported = (_rng(seed).random(design.n_patients) >= 0.4).astype(np.int8)
         n_batch, n_seq = 30_000, 6000
-        batch = batch_block_assignments(design, reported, n_batch, _rng(81))
-        rng_seq = _rng(82)
-        seq = np.stack([randomize_cohort(design, reported, rng_seq) for _ in range(n_seq)])
+        batch = batch_block_assignments(design, reported, n_batch, _rng(10 * seed + 1))
+        rng_seq = _rng(10 * seed + 2)
+        seq = np.stack([sequential_block_assignment(design, reported, rng_seq)
+                        for _ in range(n_seq)])
         for arm in range(3):
             share = design.allocation.target_share(arm)
-            band = 4.5 * math.sqrt(share * (1 - share) * (1 / n_batch + 1 / n_seq))
+            band = Z_BAND * math.sqrt(share * (1 - share) * (1 / n_batch + 1 / n_seq))
             gap = np.abs((batch == arm).mean(axis=0) - (seq == arm).mean(axis=0))
-            assert float(gap.max()) < band
+            assert float(gap.max()) < band, arm
+
+    def test_marginals_match_sequential_path(self):
+        self._assert_marginals_match_oracle(_design(n=20), 8)
+
+    def test_random_block_sizes_match_sequential_path(self):
+        design = _design(n=20, block=10, block_sizes=(5, 10))
+        self._assert_marginals_match_oracle(design, 12)
+
+    def test_random_block_sizes_obey_block_structure(self):
+        # each stratum's stream splits into whole blocks of 5 or 10, then a
+        # tail that fits inside one block of 10
+        design = _design(n=30, block=10, block_sizes=(5, 10))
+        reported = (_rng(13).random(design.n_patients) >= 0.4).astype(np.int8)
+        codes = batch_block_assignments(design, reported, 200, _rng(14))
+        small, large = (np.bincount(block_pattern(design.allocation, b), minlength=3)
+                        for b in (5, 10))
+        for row in codes:
+            for stratum in (0, 1):
+                stream = row[reported == stratum]
+                start = 0
+                while start < stream.size:
+                    counts = np.bincount(stream[start:start + 5], minlength=3)
+                    if start + 5 <= stream.size and (counts == small).all():
+                        start += 5
+                        continue
+                    counts = np.bincount(stream[start:start + 10], minlength=3)
+                    assert (counts <= large).all()
+                    assert start + 10 >= stream.size or (counts == large).all()
+                    start += 10
 
     def test_propensities_constant_across_positions(self):
         check_propensity_constancy()
-
-    def test_requires_fixed_block_size(self):
-        design = _design(weights=(1, 1), block=2, block_sizes=(2, 4))
-        with pytest.raises(ConfigurationError, match="fixed block"):
-            batch_block_assignments(design, np.zeros(20, dtype=np.int8), 5, _rng())
 
     def test_rejects_wrong_strata_shape(self):
         design = _design()

@@ -167,7 +167,7 @@ class TestDegenerateDraws:
 
 
 class TestRandomBlockSizes:
-    def test_sequential_fallback_runs(self):
+    def test_random_lengths_use_batch_sampler(self):
         design = TrialDesign(
             n_patients=12,
             strata_probs=(1.0, 0.0),
@@ -178,10 +178,14 @@ class TestRandomBlockSizes:
         rng = _rng(52)
         strata = np.zeros(12, dtype=np.int8)
         y = rng.standard_normal(12)
-        from stratasim.randomizer import randomize_cohort
+        treatments = batch_block_assignments(design, strata, 1, rng)[0]
 
-        treatments = randomize_cohort(design, strata, rng)
         res = randomization_pvalue(y, treatments, strata, strata, design,
-                                   draws=60, rng=rng)
+                                   draws=60, rng=_rng(78))
+        draws = batch_block_assignments(design, strata, 60, _rng(78))
+        stats, valid = batched_treatment_tstats(
+            y, strata, np.vstack([treatments, draws]), n_arms=2
+        )
         assert 0.0 < res.p_value <= 1.0
+        assert res.p_value == combine_pvalue(float(stats[0]), stats[1:][valid[1:]])
         assert res.draws_requested == 60
