@@ -3,8 +3,10 @@
 Within a reported stratum the population is a two-component mixture:
 patients kept from the matching true stratum plus patients flipped in
 from the other one.  For the nonignorable models each component is a
-normal truncated on its trigger outcome; the moments of the *other*
-arms follow from the bivariate normal regression
+normal truncated on its trigger outcome: flipped patients to the
+interval of ``misclassify.flip_interval``, the same rule that labels
+simulated cohorts, and kept patients to its complement.  The moments of
+the *other* arms follow from the bivariate normal regression
 
     E[y_a | y_b in I] = mu_a + rho * (E[y_b | I] - mu_b)
     var(y_a | y_b in I) = rho^2 * var(y_b | I) + (1 - rho^2) * sigma^2
@@ -22,7 +24,7 @@ from scipy.stats import nct, norm
 
 from .cohort import OutcomeModel
 from .errors import ConfigurationError
-from .misclassify import HIGH, LOW, MisclassModel
+from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
 from .randomizer import TrialDesign
 
 _MIN_MASS = 1e-12
@@ -95,24 +97,6 @@ class StrataMixtureSummary:
         return self.cells[(reported, arm)]
 
 
-def _flip_interval(kind: str, stratum: int, model: MisclassModel, outcome: OutcomeModel):
-    """(flip interval, kept interval) on the trigger outcome of a stratum."""
-    sigma = outcome.sigma
-    if stratum == LOW:
-        center = outcome.mean(LOW, 0)
-        rate = model.gamma_low
-        upper_tail = kind == "nonignorable1"
-    else:
-        center = outcome.mean(HIGH, 1)
-        rate = model.gamma_high
-        upper_tail = kind == "nonignorable2"
-    if upper_tail:
-        cut = center + sigma * norm.ppf(1.0 - rate)
-        return (cut, inf), (-inf, cut)
-    cut = center + sigma * norm.ppf(rate)
-    return (-inf, cut), (cut, inf)
-
-
 def _component_moments(
     origin: int,
     arm: int,
@@ -125,7 +109,7 @@ def _component_moments(
     sigma2 = outcome.sigma**2
     if interval is None:
         return mu_arm, sigma2
-    trigger_arm = 0 if origin == LOW else 1
+    trigger_arm = TRIGGER_ARM[origin]
     mu_trig = outcome.mean(origin, trigger_arm)
     tm = truncnorm_moments(mu_trig, outcome.sigma, *interval)
     if arm == trigger_arm:
@@ -156,14 +140,13 @@ def reported_strata_mixture(
         if w < _MIN_MASS:
             raise ConfigurationError(f"reported stratum {reported} has weight {w} < {_MIN_MASS}")
 
-    ignorable = model.kind == "ignorable"
     intervals: dict[int, tuple | None] = {LOW: None, HIGH: None}
     kept_ivs: dict[int, tuple | None] = {LOW: None, HIGH: None}
-    if not ignorable:
+    if model.kind != "ignorable":
         for s in (LOW, HIGH):
-            flip_iv, kept_iv = _flip_interval(model.kind, s, model, outcome)
-            intervals[s] = flip_iv
-            kept_ivs[s] = kept_iv
+            lower, upper = flip_interval(model, outcome, s)
+            intervals[s] = (lower, upper)
+            kept_ivs[s] = (upper, inf) if lower == -inf else (-inf, lower)
 
     cells: dict[tuple[int, int], CellSummary] = {}
     for reported in (LOW, HIGH):

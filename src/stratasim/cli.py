@@ -239,6 +239,7 @@ def metrics_rows(results: list[ScenarioMetrics]) -> list[dict]:
                 "mc_se_reject": variant.mc_se_reject,
                 "mc_se_rb_reject": variant.mc_se_rb_reject,
                 "invalid": res.n_invalid,
+                "rb_flagged": variant.rb_flagged,
                 "warning": res.warning,
             }
             for key in ("bias", "coverage", "mean_se", "level", "power",

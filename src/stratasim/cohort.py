@@ -12,7 +12,7 @@ the arm difference is the same constant ``delta`` for every patient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +45,6 @@ class OutcomeModel:
 
 
 @dataclass
-class Patient:
-    """Read-only view of one cohort row."""
-
-    index: int
-    true_stratum: int
-    potentials: tuple[float, ...]
-    reported_stratum: int | None = None
-    treatment: int | None = None
-    observed: float | None = None
-
-
-@dataclass
 class Cohort:
     """Array-backed cohort in enrollment order.
 
@@ -79,16 +67,6 @@ class Cohort:
     @property
     def n_arms(self) -> int:
         return self.potentials.shape[1]
-
-    def patient(self, i: int) -> Patient:
-        return Patient(
-            index=i,
-            true_stratum=int(self.true_strata[i]),
-            potentials=tuple(float(v) for v in self.potentials[i]),
-            reported_stratum=None if self.reported is None else int(self.reported[i]),
-            treatment=None if self.treatments is None else int(self.treatments[i]),
-            observed=None if self.observed is None else float(self.observed[i]),
-        )
 
 
 def sample_strata(design: TrialDesign, rng: np.random.Generator) -> np.ndarray:
@@ -124,7 +102,6 @@ def sample_cohort(
     design: TrialDesign,
     model: OutcomeModel,
     rng: np.random.Generator,
-    n_arms: int | None = None,
 ) -> Cohort:
     """Draw strata and potential outcomes for a full cohort."""
     if len(model.strata_means) != design.n_strata:
@@ -132,9 +109,8 @@ def sample_cohort(
             f"outcome model has {len(model.strata_means)} strata means, "
             f"design has {design.n_strata} strata"
         )
-    arms = design.allocation.n_arms if n_arms is None else n_arms
     strata = sample_strata(design, rng)
-    potentials = sample_potential_outcomes(strata, model, rng, arms)
+    potentials = sample_potential_outcomes(strata, model, rng, design.allocation.n_arms)
     return Cohort(true_strata=strata, potentials=potentials, outcome=model)
 
 

@@ -30,8 +30,9 @@ DEFAULT_SEED = 2014
 CORRECTED = "corrected"
 REPORTED = "reported"
 
-# flag a scenario when more than this share of replications failed
-WARN_INVALID_SHARE = 0.001
+# flag a scenario when more than this share of its replications failed, or
+# of one variant's randomization tests discarded too many null draws
+WARN_SHARE = 0.001
 
 
 @dataclass(frozen=True)
@@ -151,21 +152,18 @@ def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord
                             design.allocation.n_arms)
             res = ci_and_test(fit, alpha=config.alpha, strata_used=name)
             covered = res.ci_low <= config.outcome.delta <= res.ci_high
+            rb_fields = {}
             if config.rb_enabled:
                 rb = randomization_pvalue(
                     cohort.observed, cohort.treatments, strata, cohort.reported,
                     design, config.rb_draws, _generator(rb_seed), strata_used=name,
                 )
-                variants[name] = VariantRecord(
-                    estimate=res.estimate, se=res.se, covered=bool(covered),
-                    p_value=res.p_value, rb_p=rb.p_value,
-                    rb_discarded=rb.discarded, rb_flagged=rb.flagged,
-                )
-            else:
-                variants[name] = VariantRecord(
-                    estimate=res.estimate, se=res.se, covered=bool(covered),
-                    p_value=res.p_value,
-                )
+                rb_fields = dict(rb_p=rb.p_value, rb_discarded=rb.discarded,
+                                 rb_flagged=rb.flagged)
+            variants[name] = VariantRecord(
+                estimate=res.estimate, se=res.se, covered=bool(covered),
+                p_value=res.p_value, **rb_fields,
+            )
     except DegenerateDesignError as exc:
         return ReplicationRecord(rep_index=rep_index, valid=False, error=str(exc))
     return ReplicationRecord(
@@ -246,12 +244,14 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     reported = (
         _aggregate_variant(config, REPORTED, records) if config.analyze_reported else None
     )
-    flagged = n_invalid + corrected.rb_flagged + (reported.rb_flagged if reported else 0)
+    warning = n_invalid > WARN_SHARE * n or any(
+        v.rb_flagged > WARN_SHARE * v.n for v in (corrected, reported) if v is not None
+    )
     return ScenarioMetrics(
         config=config,
         n_valid=n - n_invalid,
         n_invalid=n_invalid,
-        warning=flagged > WARN_INVALID_SHARE * n,
+        warning=warning,
         corrected=corrected,
         reported=reported,
     )

@@ -9,24 +9,31 @@ a fraction ``gamma_high`` of the upper stratum downward.  They differ in
   outcomes and the upper patients with the smallest arm-1 outcomes;
 - nonignorable2: the same construction with both tails reversed.
 
-The nonignorable cutoffs are quantiles of the model marginals, so the
-flip fractions equal the nominal rates exactly.  Reported labels depend
-only on strata and potential outcomes, never on treatment assignment:
-they are computed before randomization.
+Both nonignorable models follow one rule, ``flip_interval``: a patient
+flips when the trigger outcome of the true stratum (``TRIGGER_ARM``)
+falls in one tail of its marginal, cut at the quantile of the nominal
+rate, so the flip fractions equal the nominal rates exactly.  The
+closed-form mixture in :mod:`.analytic` conditions on the same
+intervals.  Reported labels depend only on strata and potential
+outcomes, never on treatment assignment: they are computed before
+randomization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .cohort import Cohort
+from .cohort import Cohort, OutcomeModel
 from .errors import ConfigurationError
 
 KINDS = ("ignorable", "nonignorable1", "nonignorable2")
 LOW, HIGH = 0, 1
+# arm whose potential outcome triggers a nonignorable flip, by true stratum
+TRIGGER_ARM = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -60,56 +67,44 @@ def apply_ignorable(
     return np.where(u < rate, HIGH - strata, strata).astype(np.int8)
 
 
-def _nonignorable_cutoffs(cohort: Cohort, model: MisclassModel) -> tuple[float, float]:
-    out = cohort.outcome
-    low_mean = out.mean(LOW, 0)
-    high_mean = out.mean(HIGH, 1)
-    return low_mean, high_mean
+def flip_interval(
+    model: MisclassModel, outcome: OutcomeModel, stratum: int
+) -> tuple[float, float]:
+    """Closed interval ``(lower, upper)`` of the trigger outcome in which a
+    patient of true ``stratum`` flips under a nonignorable model.
 
-
-def apply_nonignorable1(cohort: Cohort, model: MisclassModel) -> np.ndarray:
-    """Flip the top of the lower stratum and the bottom of the upper one.
-
-    Lower patients flip when the control-arm outcome reaches its upper
-    ``gamma_low`` tail; upper patients flip when the arm-1 outcome falls
-    in its lower ``gamma_high`` tail.
+    The trigger outcome is arm ``TRIGGER_ARM[stratum]``.  nonignorable1
+    takes the upper tail in the lower stratum and the lower tail in the
+    upper one; nonignorable2 takes the opposite tails.  The cutoff is the
+    quantile of the trigger marginal at the stratum's nominal rate.
     """
-    strata = _require_two_strata(cohort.true_strata)
-    low_mean, high_mean = _nonignorable_cutoffs(cohort, model)
-    sigma = cohort.outcome.sigma
-    q_low = low_mean + sigma * norm.ppf(1.0 - model.gamma_low)
-    q_high = high_mean + sigma * norm.ppf(model.gamma_high)
-    flip = np.where(
-        strata == LOW,
-        cohort.potentials[:, 0] >= q_low,
-        cohort.potentials[:, 1] <= q_high,
-    )
-    return np.where(flip, HIGH - strata, strata).astype(np.int8)
+    if model.kind == "ignorable":
+        raise ConfigurationError("ignorable misclassification has no flip interval")
+    rate = model.gamma_low if stratum == LOW else model.gamma_high
+    upper_tail = (stratum == LOW) == (model.kind == "nonignorable1")
+    center = outcome.mean(stratum, TRIGGER_ARM[stratum])
+    cut = center + outcome.sigma * ndtri(1.0 - rate if upper_tail else rate)
+    return (cut, inf) if upper_tail else (-inf, cut)
 
 
-def apply_nonignorable2(cohort: Cohort, model: MisclassModel) -> np.ndarray:
-    """Flip the bottom of the lower stratum and the top of the upper one."""
+def apply_nonignorable(cohort: Cohort, model: MisclassModel) -> np.ndarray:
+    """Flip every patient whose trigger outcome lies in the flip interval
+    of their true stratum."""
     strata = _require_two_strata(cohort.true_strata)
-    low_mean, high_mean = _nonignorable_cutoffs(cohort, model)
-    sigma = cohort.outcome.sigma
-    q_low = low_mean + sigma * norm.ppf(model.gamma_low)
-    q_high = high_mean + sigma * norm.ppf(1.0 - model.gamma_high)
-    flip = np.where(
-        strata == LOW,
-        cohort.potentials[:, 0] <= q_low,
-        cohort.potentials[:, 1] >= q_high,
-    )
+    bounds = np.array([flip_interval(model, cohort.outcome, s) for s in (LOW, HIGH)])
+    lower, upper = bounds[strata].T
+    y = cohort.potentials[np.arange(strata.shape[0]), np.take(TRIGGER_ARM, strata)]
+    flip = (lower <= y) & (y <= upper)
     return np.where(flip, HIGH - strata, strata).astype(np.int8)
 
 
 def reported_strata(
     cohort: Cohort, model: MisclassModel, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Dispatch to the model-specific flip rule."""
-    if model.kind == "ignorable":
-        if rng is None:
-            raise ConfigurationError("ignorable misclassification needs an rng")
-        return apply_ignorable(cohort.true_strata, model, rng)
-    if model.kind == "nonignorable1":
-        return apply_nonignorable1(cohort, model)
-    return apply_nonignorable2(cohort, model)
+    """Reported labels: ignorable flips draw from ``rng``; nonignorable
+    flips are a deterministic function of the cohort."""
+    if model.kind != "ignorable":
+        return apply_nonignorable(cohort, model)
+    if rng is None:
+        raise ConfigurationError("ignorable misclassification needs an rng")
+    return apply_ignorable(cohort.true_strata, model, rng)

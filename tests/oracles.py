@@ -185,6 +185,39 @@ def noncentral_t_power_sim(effect: float, se: float, df: int, alpha: float,
     return float((np.abs(z / denom) > tcrit).mean())
 
 
+# ------------------------------------------------------ misclassification
+
+def nonignorable_reported(cohort, model) -> np.ndarray:
+    """Reported labels under a nonignorable model from the quantile
+    cutoffs written out per model: nonignorable1 moves lower patients whose
+    control outcome reaches its upper ``gamma_low`` quantile and upper
+    patients whose arm-1 outcome falls to its lower ``gamma_high``
+    quantile; nonignorable2 reverses both tails."""
+    from scipy.stats import norm
+
+    strata = cohort.true_strata
+    low_mean = cohort.outcome.mean(0, 0)
+    high_mean = cohort.outcome.mean(1, 1)
+    sigma = cohort.outcome.sigma
+    if model.kind == "nonignorable1":
+        q_low = low_mean + sigma * norm.ppf(1.0 - model.gamma_low)
+        q_high = high_mean + sigma * norm.ppf(model.gamma_high)
+        flip = np.where(
+            strata == 0,
+            cohort.potentials[:, 0] >= q_low,
+            cohort.potentials[:, 1] <= q_high,
+        )
+    else:
+        q_low = low_mean + sigma * norm.ppf(model.gamma_low)
+        q_high = high_mean + sigma * norm.ppf(1.0 - model.gamma_high)
+        flip = np.where(
+            strata == 0,
+            cohort.potentials[:, 0] <= q_low,
+            cohort.potentials[:, 1] >= q_high,
+        )
+    return np.where(flip, 1 - strata, strata).astype(np.int8)
+
+
 # ------------------------------------------------------------ truncation
 
 def truncnorm_moments_quad(mu: float, sigma: float, lower: float, upper: float):

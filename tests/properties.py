@@ -13,7 +13,7 @@ import numpy as np
 
 from stratasim.cohort import OutcomeModel, sample_potential_outcomes
 from stratasim.harness import ScenarioConfig, paper_design, run_scenario
-from stratasim.misclassify import MisclassModel, apply_ignorable, apply_nonignorable1
+from stratasim.misclassify import MisclassModel, apply_ignorable, apply_nonignorable
 from stratasim.cohort import Cohort
 from stratasim.randomizer import (
     AllocationRatio,
@@ -98,7 +98,7 @@ def check_ignorable_conditional_independence(seed: int = 17, n: int = 400_000) -
         band = Z_BAND * math.sqrt(1.0 / f.sum() + 1.0 / (~f).sum())
         assert gap < band, (s, gap, band)
     cohort = Cohort(true_strata=strata, potentials=pot, outcome=outcome)
-    rep1 = apply_nonignorable1(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
+    rep1 = apply_nonignorable(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
     sel = rep1 != strata
     y_low = pot[strata == 0, 0]
     f_low = sel[strata == 0]

@@ -107,27 +107,9 @@ class TestSampling:
         assert cohort.treatments is None
         assert cohort.observed is None
 
-    def test_patient_view(self):
-        design = _design(50)
-        cohort = sample_cohort(design, OutcomeModel(), _rng(25))
-        view = cohort.patient(7)
-        assert view.index == 7
-        assert view.true_stratum == cohort.true_strata[7]
-        assert view.potentials == tuple(cohort.potentials[7])
-        assert view.treatment is None
-
 
 class TestObservedOutcomes:
     def test_gathers_assigned_column(self):
         potentials = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
         treatments = np.array([2, 0, 1])
         assert observed_outcomes(potentials, treatments).tolist() == [3.0, 4.0, 8.0]
-
-    def test_consistency_with_patient_view(self):
-        design = _design(30)
-        cohort = sample_cohort(design, OutcomeModel(), _rng(26))
-        cohort.treatments = np.tile([0, 1, 2], 10).astype(np.int8)
-        cohort.observed = observed_outcomes(cohort.potentials, cohort.treatments)
-        for i in (0, 7, 29):
-            view = cohort.patient(i)
-            assert view.observed == view.potentials[view.treatment]

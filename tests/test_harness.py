@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stratasim.cli import metrics_rows
 from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
@@ -150,6 +151,27 @@ class TestAggregation:
         assert metrics.n_valid > 0
         assert metrics.warning
         assert metrics.corrected.n == metrics.n_valid
+
+    def test_rb_flagged_tests_are_reported_apart_from_invalid_replications(self):
+        # 10 patients in blocks of 6: some null draws leave an arm empty in
+        # the analysis, but every observed fit is valid
+        config = ScenarioConfig(
+            design=TrialDesign(10, (0.5, 0.5), AllocationRatio((1, 1)), 6),
+            outcome=OutcomeModel(rho=1.0, delta=0.5),
+            misclass=MisclassModel("ignorable", 0.15, 0.30),
+            n_replications=20,
+            rb_draws=50,
+            seed=7,
+        )
+        metrics = run_scenario(config)
+        assert metrics.n_invalid == 0
+        assert metrics.corrected.rb_flagged > 0
+        assert metrics.warning
+        rows = metrics_rows([metrics])
+        assert [row["invalid"] for row in rows] == [0, 0]
+        assert [row["rb_flagged"] for row in rows] == [
+            metrics.corrected.rb_flagged, metrics.reported.rb_flagged,
+        ]
 
     @pytest.mark.parametrize("rb_draws", [0, 20])
     def test_all_invalid_scenario_reports_nan_without_warnings(self, rb_draws):

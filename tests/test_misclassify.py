@@ -13,10 +13,11 @@ from stratasim.misclassify import (
     KINDS,
     MisclassModel,
     apply_ignorable,
-    apply_nonignorable1,
-    apply_nonignorable2,
+    apply_nonignorable,
+    flip_interval,
     reported_strata,
 )
+from oracles import nonignorable_reported
 from properties import check_ignorable_conditional_independence
 
 
@@ -24,8 +25,8 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _cohort(n=200_000, rho=1.0, seed=31, sigma=1.0):
-    outcome = OutcomeModel(rho=rho, delta=0.5, sigma=sigma)
+def _cohort(n=200_000, rho=1.0, seed=31, sigma=1.0, strata_means=(0.0, 1.0)):
+    outcome = OutcomeModel(rho=rho, delta=0.5, sigma=sigma, strata_means=strata_means)
     rng = _rng(seed)
     strata = (rng.random(n) >= 0.4).astype(np.int8)
     pot = sample_potential_outcomes(strata, outcome, rng)
@@ -80,7 +81,7 @@ class TestIgnorable:
 class TestNonignorableSelection:
     def test_model1_rates_exact_in_expectation(self):
         cohort = _cohort(seed=33)
-        reported = apply_nonignorable1(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
+        reported = apply_nonignorable(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
         low_rate, high_rate = _flip_rates(cohort.true_strata, reported)
         n_low = int((cohort.true_strata == 0).sum())
         n_high = cohort.n_patients - n_low
@@ -90,7 +91,7 @@ class TestNonignorableSelection:
     def test_model1_flips_are_the_extreme_tails(self):
         cohort = _cohort(n=50_000, seed=34)
         strata = cohort.true_strata
-        reported = apply_nonignorable1(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
+        reported = apply_nonignorable(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
         flipped = reported != strata
         y0_low = cohort.potentials[strata == 0, 0]
         f_low = flipped[strata == 0]
@@ -104,7 +105,7 @@ class TestNonignorableSelection:
     def test_model2_flips_are_the_opposite_tails(self):
         cohort = _cohort(n=50_000, seed=35)
         strata = cohort.true_strata
-        reported = apply_nonignorable2(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
+        reported = apply_nonignorable(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
         flipped = reported != strata
         y0_low = cohort.potentials[strata == 0, 0]
         f_low = flipped[strata == 0]
@@ -115,12 +116,29 @@ class TestNonignorableSelection:
 
     def test_cutoffs_scale_with_sigma_and_means(self):
         cohort = _cohort(n=100_000, seed=36, sigma=2.0)
-        reported = apply_nonignorable2(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
+        reported = apply_nonignorable(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
         low_rate, high_rate = _flip_rates(cohort.true_strata, reported)
         n_low = int((cohort.true_strata == 0).sum())
         n_high = cohort.n_patients - n_low
         assert abs(low_rate - 0.15) < 4.5 * math.sqrt(0.15 * 0.85 / n_low)
         assert abs(high_rate - 0.30) < 4.5 * math.sqrt(0.30 * 0.70 / n_high)
+
+
+class TestSharedFlipRule:
+    @pytest.mark.parametrize("kind", ["nonignorable1", "nonignorable2"])
+    @pytest.mark.parametrize("rates", [(0.0, 0.0), (0.02, 0.02), (0.15, 0.30), (0.5, 0.0)])
+    @pytest.mark.parametrize("sigma,means", [(1.0, (0.0, 1.0)), (2.0, (-0.3, 2.5))])
+    def test_labels_bit_equal_to_quantile_oracle(self, kind, rates, sigma, means):
+        cohort = _cohort(n=20_000, rho=0.5, seed=38, sigma=sigma, strata_means=means)
+        model = MisclassModel(kind, *rates)
+        reported = reported_strata(cohort, model)
+        expected = nonignorable_reported(cohort, model)
+        assert reported.dtype == expected.dtype
+        assert np.array_equal(reported, expected)
+
+    def test_ignorable_has_no_flip_interval(self):
+        with pytest.raises(ConfigurationError, match="flip interval"):
+            flip_interval(MisclassModel("ignorable", 0.1, 0.1), OutcomeModel(), 0)
 
 
 class TestDispatch:
