@@ -3,11 +3,13 @@
 A configuration document is JSON with four optional sections::
 
     {
-      "design":   {"n": 80, "block_size": 10, "allocation": [1, 2, 2],
-                   "strata_probs": [0.4, 0.6]},
-      "outcome":  {"rho": 1.0, "delta": 0.5},
+      "design":   {"n": 80, "block_size": 10, "block_sizes": null,
+                   "allocation": [1, 2, 2], "strata_probs": [0.4, 0.6]},
+      "outcome":  {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0],
+                   "sigma": 1.0},
       "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-      "run":      {"reps": 50000, "rb_draws": 0, "seed": 2014}
+      "run":      {"reps": 50000, "rb_draws": 0, "seed": 2014, "alpha": 0.05,
+                   "analyze_reported": true}
     }
 
 Missing keys take the defaults above; unknown keys are rejected with the
@@ -22,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -42,11 +45,12 @@ from .misclassify import MisclassModel
 from .randomizer import AllocationRatio, TrialDesign
 
 _DEFAULTS = {
-    "design": {"n": 80, "block_size": 10, "allocation": [1, 2, 2],
+    "design": {"n": 80, "block_size": 10, "block_sizes": None, "allocation": [1, 2, 2],
                "strata_probs": [0.4, 0.6]},
-    "outcome": {"rho": 1.0, "delta": 0.5},
+    "outcome": {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0], "sigma": 1.0},
     "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED},
+    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05,
+            "analyze_reported": True},
 }
 
 ROUND_DIGITS = 3
@@ -82,9 +86,18 @@ def _section(doc: dict, name: str) -> dict:
 def _expect_number(section: str, key: str, value, integral: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigParseError(f"{section}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigParseError(f"{section}.{key}: expected a finite number, got {value!r}")
     if integral and int(value) != value:
         raise ConfigParseError(f"{section}.{key}: expected an integer, got {value!r}")
     return value
+
+
+def _expect_numbers(section: str, key: str, values, integral: bool = False) -> tuple:
+    """Check each element of a list as ``section.key[i]``; ints or floats out."""
+    cast = int if integral else float
+    return tuple(cast(_expect_number(section, f"{key}[{i}]", v, integral))
+                 for i, v in enumerate(values))
 
 
 def parse_config(source) -> list[ScenarioConfig]:
@@ -135,16 +148,29 @@ def parse_config(source) -> list[ScenarioConfig]:
     probs = design_doc["strata_probs"]
     if not isinstance(probs, (list, tuple)) or len(probs) != 2:
         raise ConfigParseError("design.strata_probs: expected exactly two probabilities")
+    block_sizes = design_doc["block_sizes"]
+    if block_sizes is not None:
+        if not isinstance(block_sizes, (list, tuple)):
+            raise ConfigParseError("design.block_sizes: expected null or a list of sizes")
+        block_sizes = _expect_numbers("design", "block_sizes", block_sizes, integral=True)
+    means = outcome_doc["strata_means"]
+    if not isinstance(means, (list, tuple)) or len(means) != 2:
+        raise ConfigParseError("outcome.strata_means: expected exactly two means")
     try:
         design = TrialDesign(
             n_patients=n,
-            strata_probs=tuple(float(p) for p in probs),
-            allocation=AllocationRatio(tuple(int(w) for w in allocation)),
+            strata_probs=_expect_numbers("design", "strata_probs", probs),
+            allocation=AllocationRatio(
+                _expect_numbers("design", "allocation", allocation, integral=True)
+            ),
             block_size=block_size,
+            block_sizes=block_sizes,
         )
         outcome = OutcomeModel(
             rho=float(_expect_number("outcome", "rho", outcome_doc["rho"])),
             delta=float(_expect_number("outcome", "delta", outcome_doc["delta"])),
+            strata_means=_expect_numbers("outcome", "strata_means", means),
+            sigma=float(_expect_number("outcome", "sigma", outcome_doc["sigma"])),
         )
         kind = mis_doc["kind"]
         if not isinstance(kind, str):
@@ -162,10 +188,20 @@ def parse_config(source) -> list[ScenarioConfig]:
     reps = int(_expect_number("run", "reps", run_doc["reps"], integral=True))
     rb_draws = int(_expect_number("run", "rb_draws", run_doc["rb_draws"], integral=True))
     seed = int(_expect_number("run", "seed", run_doc["seed"], integral=True))
+    alpha = float(_expect_number("run", "alpha", run_doc["alpha"]))
+    analyze_reported = run_doc["analyze_reported"]
     if reps < 1:
         raise ConfigParseError(f"run.reps: must be >= 1, got {reps}")
     if rb_draws < 0:
         raise ConfigParseError(f"run.rb_draws: must be >= 0, got {rb_draws}")
+    if seed < 0:
+        raise ConfigParseError(f"run.seed: must be >= 0, got {seed}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigParseError(f"run.alpha: must lie in (0, 1), got {alpha}")
+    if not isinstance(analyze_reported, bool):
+        raise ConfigParseError(
+            f"run.analyze_reported: expected true or false, got {analyze_reported!r}"
+        )
 
     return [
         ScenarioConfig(
@@ -175,6 +211,8 @@ def parse_config(source) -> list[ScenarioConfig]:
             n_replications=reps,
             rb_draws=rb_draws,
             seed=seed,
+            alpha=alpha,
+            analyze_reported=analyze_reported,
             label="custom",
         )
     ]
@@ -182,14 +220,21 @@ def parse_config(source) -> list[ScenarioConfig]:
 
 def scenario_to_doc(config: ScenarioConfig) -> dict:
     """Inverse of ``parse_config`` for the metadata echo."""
+    design, outcome = config.design, config.outcome
     return {
         "design": {
-            "n": config.design.n_patients,
-            "block_size": config.design.block_size,
-            "allocation": list(config.design.allocation.weights),
-            "strata_probs": list(config.design.strata_probs),
+            "n": design.n_patients,
+            "block_size": design.block_size,
+            "block_sizes": None if design.block_sizes is None else list(design.block_sizes),
+            "allocation": list(design.allocation.weights),
+            "strata_probs": list(design.strata_probs),
         },
-        "outcome": {"rho": config.outcome.rho, "delta": config.outcome.delta},
+        "outcome": {
+            "rho": outcome.rho,
+            "delta": outcome.delta,
+            "strata_means": list(outcome.strata_means),
+            "sigma": outcome.sigma,
+        },
         "misclass": {
             "kind": config.misclass.kind,
             "gamma_low": config.misclass.gamma_low,
@@ -199,6 +244,8 @@ def scenario_to_doc(config: ScenarioConfig) -> dict:
             "reps": config.n_replications,
             "rb_draws": config.rb_draws,
             "seed": config.seed,
+            "alpha": config.alpha,
+            "analyze_reported": config.analyze_reported,
         },
     }
 
@@ -320,6 +367,22 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
         parser.error(f"--reps must be >= 1, got {args.reps}")
     if args.rb_draws is not None and args.rb_draws < 0:
         parser.error(f"--rb-draws must be >= 0, got {args.rb_draws}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
+    # a flag the selected run would not read is an error, never a silent no-op
+    given = {"--reps": args.reps is not None, "--rb-draws": args.rb_draws is not None,
+             "--seed": args.seed is not None, "--paper-scale": args.paper_scale}
+    unread = {"table1": ("--rb-draws",), "table2": (),
+              "table3": ("--reps", "--rb-draws", "--seed", "--paper-scale"),
+              None: ("--paper-scale",)}
+    mode = f"--suite {args.suite}" if args.suite else "--config"
+    for flag in unread[args.suite]:
+        if given[flag]:
+            parser.error(f"{flag} has no effect with {mode}")
+    if args.paper_scale and args.reps is not None:
+        parser.error("--reps and --paper-scale both set the replication count; pass one")
 
     scenarios: list = []
     mixtures: list = []
@@ -348,7 +411,7 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
         mixtures=mixtures,
         out=args.out,
         fmt=args.format,
-        threads=max(1, args.threads),
+        threads=args.threads,
         strict=args.strict,
         seed=seed,
     )

@@ -12,6 +12,7 @@ the arm difference is the same constant ``delta`` for every patient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,14 @@ class OutcomeModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.sigma <= 0.0:
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "strata_means", tuple(float(m) for m in self.strata_means))
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.delta):
+            raise ConfigurationError(f"delta must be finite, got {self.delta}")
+        means = tuple(float(m) for m in self.strata_means)
+        if not all(map(math.isfinite, means)):
+            raise ConfigurationError(f"strata_means must be finite, got {means!r}")
+        object.__setattr__(self, "strata_means", means)
 
     def mean(self, stratum: int, arm: int) -> float:
         """Mean outcome for a stratum/arm cell."""

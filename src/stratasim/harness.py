@@ -23,7 +23,7 @@ from .cohort import OutcomeModel, observed_outcomes, sample_cohort
 from .errors import ConfigurationError, DegenerateDesignError
 from .inference import ci_and_test, fit_model
 from .misclassify import MisclassModel, reported_strata
-from .randomizer import AllocationRatio, TrialDesign, randomize_cohort
+from .randomizer import AllocationRatio, TrialDesign, batch_block_assignments, randomize_cohort
 from .rerandomize import randomization_pvalue
 
 DEFAULT_SEED = 2014
@@ -38,8 +38,8 @@ WARN_SHARE = 0.001
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
-    and run sizes.  ``n_replications`` must be at least 1; ``rb_draws = 0``
-    disables randomization testing."""
+    and run sizes.  ``n_replications`` must be at least 1 and ``seed``
+    nonnegative; ``rb_draws = 0`` disables randomization testing."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -58,6 +58,8 @@ class ScenarioConfig:
             )
         if self.rb_draws < 0:
             raise ConfigurationError(f"rb_draws must be >= 0, got {self.rb_draws}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def rb_enabled(self) -> bool:
@@ -131,33 +133,35 @@ def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord
     """Simulate and analyze one trial replication.
 
     Stream layout per replication: cohort draw, misclassification,
-    randomization, and one randomization-test stream per strata variant.
+    randomization, and one randomization-test null batch shared by both
+    strata variants, which both re-randomize within the reported strata.
     """
     ss = np.random.SeedSequence(config.seed, spawn_key=(rep_index,))
-    kids = ss.spawn(5)
+    kids = ss.spawn(4)
     design = config.design
+    n_arms = design.allocation.n_arms
     cohort = sample_cohort(design, config.outcome, _generator(kids[0]))
     rng_mis = _generator(kids[1]) if config.misclass.kind == "ignorable" else None
     cohort.reported = reported_strata(cohort, config.misclass, rng_mis)
     cohort.treatments = randomize_cohort(design, cohort.reported, _generator(kids[2]))
     cohort.observed = observed_outcomes(cohort.potentials, cohort.treatments)
+    if config.rb_enabled:
+        nulls = batch_block_assignments(design, cohort.reported, config.rb_draws,
+                                        _generator(kids[3]))
 
     variants: dict[str, VariantRecord | None] = {CORRECTED: None, REPORTED: None}
-    pairs = [(CORRECTED, cohort.true_strata, kids[3])]
+    pairs = [(CORRECTED, cohort.true_strata)]
     if config.analyze_reported:
-        pairs.append((REPORTED, cohort.reported, kids[4]))
+        pairs.append((REPORTED, cohort.reported))
     try:
-        for name, strata, rb_seed in pairs:
-            fit = fit_model(cohort.observed, cohort.treatments, strata,
-                            design.allocation.n_arms)
+        for name, strata in pairs:
+            fit = fit_model(cohort.observed, cohort.treatments, strata, n_arms)
             res = ci_and_test(fit, alpha=config.alpha, strata_used=name)
             covered = res.ci_low <= config.outcome.delta <= res.ci_high
             rb_fields = {}
             if config.rb_enabled:
-                rb = randomization_pvalue(
-                    cohort.observed, cohort.treatments, strata, cohort.reported,
-                    design, config.rb_draws, _generator(rb_seed), strata_used=name,
-                )
+                rb = randomization_pvalue(cohort.observed, cohort.treatments, strata,
+                                          nulls, n_arms)
                 rb_fields = dict(rb_p=rb.p_value, rb_discarded=rb.discarded,
                                  rb_flagged=rb.flagged)
             variants[name] = VariantRecord(

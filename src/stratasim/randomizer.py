@@ -14,6 +14,7 @@ and the re-randomization null draws are a larger batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,10 @@ class TrialDesign:
         if self.n_patients < 1:
             raise ConfigurationError(f"n_patients must be >= 1, got {self.n_patients}")
         probs = tuple(float(p) for p in self.strata_probs)
-        if len(probs) < 1 or any(p < 0 for p in probs):
-            raise ConfigurationError(f"strata_probs must be nonnegative, got {probs!r}")
+        if len(probs) < 1 or not all(math.isfinite(p) and p >= 0 for p in probs):
+            raise ConfigurationError(
+                f"strata_probs must be nonnegative and finite, got {probs!r}"
+            )
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ConfigurationError(
                 f"strata_probs must sum to 1 within 1e-12, got sum {sum(probs)!r}"

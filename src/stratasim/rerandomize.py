@@ -2,11 +2,12 @@
 
 The observed statistic is the model t statistic of the arm-1 coefficient,
 computed by ``inference.batched_treatment_tstats`` in one call with every
-null draw.  Null draws re-run the stratified permuted-block assignment,
-fixed or random block lengths alike, through
-``randomizer.batch_block_assignments`` within the *reported* strata while
-holding every outcome fixed (the sharp null of no treatment effect), and
-the two-sided p-value uses the add-one convention
+null draw.  The caller supplies the null draws: re-runs of the stratified
+permuted-block assignment within the *reported* strata, with every outcome
+held fixed (the sharp null of no treatment effect).  The harness draws
+one batch per replication with ``randomizer.batch_block_assignments`` and
+tests both strata variants against it.  The two-sided p-value uses the
+add-one convention
 
     p = (1 + #{ |stat*| >= |stat_obs| }) / (1 + draws).
 
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateDesignError
 from .inference import batched_treatment_tstats
-from .randomizer import TrialDesign, batch_block_assignments
 
 FLAG_DISCARD_SHARE = 0.01
 
@@ -35,7 +35,6 @@ class RandTestResult:
     draws_used: int
     discarded: int
     flagged: bool
-    strata_used: str = ""
 
 
 def combine_pvalue(statistic: float, null_stats: np.ndarray) -> float:
@@ -49,30 +48,23 @@ def randomization_pvalue(
     y: np.ndarray,
     treatments: np.ndarray,
     analysis_strata: np.ndarray,
-    reported_strata: np.ndarray,
-    design: TrialDesign,
-    draws: int,
-    rng: np.random.Generator,
+    null_assignments: np.ndarray,
+    n_arms: int,
     target_arm: int = 1,
-    strata_used: str = "",
-    null_assignments: np.ndarray | None = None,
 ) -> RandTestResult:
     """Re-randomization test of the sharp null of no treatment effect.
 
-    ``analysis_strata`` enters the refitted model; ``reported_strata``
-    drives the re-randomization, which always uses the strata labels the
-    original assignment actually saw.  Passing ``null_assignments``
-    replaces sampling with an explicit (e.g. exhaustive) null set.
+    ``analysis_strata`` enters the refitted model; ``null_assignments``
+    is the ``(draws, n)`` null set, sampled or exhaustive, drawn within
+    the strata labels the original assignment actually saw.
     """
-    if draws < 1 and null_assignments is None:
-        raise ConfigurationError(f"draws must be >= 1, got {draws}")
-    if null_assignments is None:
-        null_assignments = batch_block_assignments(design, reported_strata, draws, rng)
+    if len(null_assignments) == 0:
+        raise ConfigurationError("null_assignments has no rows; need at least one draw")
     # the observed row rides in the same kernel call as the null draws, so
     # an exact re-draw of the observed assignment ties exactly
     t_batch = np.vstack([treatments, null_assignments])
     stats, valid = batched_treatment_tstats(
-        y, analysis_strata, t_batch, design.allocation.n_arms, target_arm
+        y, analysis_strata, t_batch, n_arms, target_arm
     )
     if not valid[0]:
         raise DegenerateDesignError("observed assignment gives a degenerate fit")
@@ -90,5 +82,4 @@ def randomization_pvalue(
         draws_used=n_used,
         discarded=discarded,
         flagged=discarded > FLAG_DISCARD_SHARE * n_requested,
-        strata_used=strata_used,
     )

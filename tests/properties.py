@@ -122,8 +122,9 @@ def check_rb_superuniformity(seed: int = 19, n_reps: int = 300,
     for rep in range(n_reps):
         y = rng.standard_normal(design.n_patients)
         treatments = randomize_cohort(design, strata, rng)
-        res = randomization_pvalue(y, treatments, strata, strata, design,
-                                   draws, rng)
+        nulls = batch_block_assignments(design, strata, draws, rng)
+        res = randomization_pvalue(y, treatments, strata, nulls,
+                                   design.allocation.n_arms)
         pvals[rep] = res.p_value
     for alpha in (0.01, 0.05, 0.10):
         rate = float((pvals <= alpha).mean())

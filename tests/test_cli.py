@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratasim.cli import (
     build_run_spec,
@@ -16,24 +19,66 @@ from stratasim.cli import (
     scenario_to_doc,
 )
 from stratasim.analytic import reported_strata_mixture
+from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigParseError
-from stratasim.harness import DEFAULT_SEED
+from stratasim.harness import DEFAULT_SEED, ScenarioConfig
+from stratasim.misclassify import KINDS, MisclassModel
+from stratasim.randomizer import AllocationRatio, TrialDesign
 
 DEFAULT_DOC = {
-    "design": {"n": 80, "block_size": 10, "allocation": [1, 2, 2],
+    "design": {"n": 80, "block_size": 10, "block_sizes": None, "allocation": [1, 2, 2],
                "strata_probs": [0.4, 0.6]},
-    "outcome": {"rho": 1.0, "delta": 0.5},
+    "outcome": {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0], "sigma": 1.0},
     "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED},
+    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05,
+            "analyze_reported": True},
 }
 
 CUSTOM_DOC = {
-    "design": {"n": 40, "block_size": 4, "allocation": [1, 1],
+    "design": {"n": 40, "block_size": 4, "block_sizes": [2, 4], "allocation": [1, 1],
                "strata_probs": [0.3, 0.7]},
-    "outcome": {"rho": 0.5, "delta": 0.0},
+    "outcome": {"rho": 0.5, "delta": 0.0, "strata_means": [0.0, 2.0], "sigma": 2.0},
     "misclass": {"kind": "nonignorable2", "gamma_low": 0.1, "gamma_high": 0.2},
-    "run": {"reps": 250, "rb_draws": 20, "seed": 99},
+    "run": {"reps": 250, "rb_draws": 20, "seed": 99, "alpha": 0.1,
+            "analyze_reported": False},
 }
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Every config the document format can express: two strata, integer
+    weights, block sizes that are multiples of the weight total."""
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    multiples = st.integers(1, 4).map(lambda k: k * sum(weights))
+    p = draw(st.floats(0.0, 1.0))
+    design = TrialDesign(
+        n_patients=draw(st.integers(1, 500)),
+        strata_probs=(p, 1.0 - p),
+        allocation=AllocationRatio(weights),
+        block_size=draw(multiples),
+        block_sizes=draw(st.none() | st.lists(multiples, min_size=1, max_size=3).map(tuple)),
+    )
+    outcome = OutcomeModel(
+        rho=draw(st.floats(0.0, 1.0)),
+        delta=draw(_finite),
+        strata_means=(draw(_finite), draw(_finite)),
+        sigma=draw(st.floats(1e-6, 1e6)),
+    )
+    return ScenarioConfig(
+        design=design,
+        outcome=outcome,
+        misclass=MisclassModel(draw(st.sampled_from(KINDS)), draw(_unit), draw(_unit)),
+        n_replications=draw(st.integers(1, 10**6)),
+        rb_draws=draw(st.integers(0, 10**4)),
+        seed=draw(st.integers(0, 2**63)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        analyze_reported=draw(st.booleans()),
+        label=draw(st.text(max_size=8)),
+    )
 
 
 class TestParseConfig:
@@ -41,25 +86,35 @@ class TestParseConfig:
         (config,) = parse_config({})
         assert config.design.n_patients == 80
         assert config.design.block_size == 10
+        assert config.design.block_sizes is None
         assert config.design.allocation.weights == (1, 2, 2)
         assert config.design.strata_probs == (0.4, 0.6)
         assert config.outcome.rho == 1.0
         assert config.outcome.delta == 0.5
+        assert config.outcome.strata_means == (0.0, 1.0)
+        assert config.outcome.sigma == 1.0
         assert config.misclass.kind == "ignorable"
         assert config.n_replications == 50_000
         assert config.rb_draws == 0
         assert config.seed == DEFAULT_SEED
+        assert config.alpha == 0.05
+        assert config.analyze_reported is True
         assert config.label == "custom"
 
     def test_overrides_apply(self):
         (config,) = parse_config(CUSTOM_DOC)
         assert config.design.n_patients == 40
         assert config.design.allocation.weights == (1, 1)
+        assert config.design.block_sizes == (2, 4)
         assert config.outcome.delta == 0.0
+        assert config.outcome.strata_means == (0.0, 2.0)
+        assert config.outcome.sigma == 2.0
         assert config.misclass.kind == "nonignorable2"
         assert config.n_replications == 250
         assert config.rb_draws == 20
         assert config.seed == 99
+        assert config.alpha == 0.1
+        assert config.analyze_reported is False
 
     def test_accepts_string_and_path(self, tmp_path):
         from_dict = parse_config(CUSTOM_DOC)[0]
@@ -96,6 +151,20 @@ class TestParseConfig:
             ({"misclass": {"gamma_low": 1.5}}, "gamma"),
             ({"misclass": {"kind": "other"}}, "kind"),
             ({"outcome": {"rho": 1.5}}, "rho"),
+            ({"design": {"allocation": [1, 2.5, 2]}}, r"design\.allocation\[1\]"),
+            ({"design": {"allocation": [1, "2", 2]}}, r"design\.allocation\[1\]"),
+            ({"design": {"allocation": [1, "x", 2]}}, r"design\.allocation\[1\]"),
+            ({"design": {"strata_probs": ["0.4", 0.6]}}, r"design\.strata_probs\[0\]"),
+            ({"design": {"block_sizes": [10, 7.5]}}, r"design\.block_sizes\[1\]"),
+            ({"design": {"block_sizes": 10}}, r"design\.block_sizes"),
+            ({"outcome": {"strata_means": [0.0]}}, r"outcome\.strata_means"),
+            ({"outcome": {"strata_means": [0.0, "1"]}}, r"outcome\.strata_means\[1\]"),
+            ({"outcome": {"sigma": 0}}, "sigma"),
+            ('{"outcome": {"delta": NaN}}', r"outcome\.delta"),
+            ('{"run": {"reps": Infinity}}', r"run\.reps"),
+            ({"run": {"seed": -1}}, r"run\.seed"),
+            ({"run": {"alpha": 1.0}}, r"run\.alpha"),
+            ({"run": {"analyze_reported": 1}}, r"run\.analyze_reported"),
         ],
     )
     def test_invalid_settings_surface_as_parse_errors(self, doc, needle):
@@ -125,6 +194,13 @@ class TestParseConfig:
         assert scenario_to_doc(config) == CUSTOM_DOC
         assert parse_config(scenario_to_doc(config))[0] == config
         assert scenario_to_doc(parse_config({})[0]) == DEFAULT_DOC
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=scenario_configs())
+    def test_every_valid_config_roundtrips(self, config):
+        doc = scenario_to_doc(config)
+        assert parse_config(doc)[0] == replace(config, label="custom")
+        assert parse_config(json.dumps(doc))[0] == replace(config, label="custom")
 
 
 class TestEmitTable:
@@ -225,8 +301,25 @@ class TestBuildRunSpec:
                 build_run_spec(mode + flags)
             assert flags[0] in capsys.readouterr().err
 
-    def test_threads_floor_is_one(self):
-        assert build_run_spec(["--suite", "table3", "--threads", "0"]).threads == 1
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--suite", "table3", "--reps", "10"], "--reps"),
+            (["--suite", "table3", "--rb-draws", "10"], "--rb-draws"),
+            (["--suite", "table3", "--paper-scale"], "--paper-scale"),
+            (["--suite", "table3", "--seed", "3"], "--seed"),
+            (["--suite", "table1", "--rb-draws", "10"], "--rb-draws"),
+            (["--config", "{}", "--paper-scale"], "--paper-scale"),
+            (["--suite", "table2", "--reps", "10", "--paper-scale"], "--paper-scale"),
+            (["--suite", "table3", "--threads", "0"], "--threads"),
+            (["--suite", "table2", "--threads", "-4"], "--threads"),
+            (["--suite", "table2", "--seed", "-3"], "--seed"),
+        ],
+    )
+    def test_ignored_or_invalid_flags_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit):
+            build_run_spec(argv)
+        assert flag in capsys.readouterr().err
 
     def test_exactly_one_input_mode(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -50,6 +50,15 @@ class TestOutcomeModel:
         with pytest.raises(ConfigurationError):
             OutcomeModel(sigma=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("delta", math.nan), ("delta", math.inf), ("sigma", math.nan),
+        ("sigma", math.inf), ("strata_means", (0.0, math.nan)),
+        ("strata_means", (-math.inf, 1.0)),
+    ])
+    def test_non_finite_values_name_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            OutcomeModel(**{field: value})
+
 
 class TestPotentialOutcomes:
     def test_unit_correlation_gives_exact_shifts(self):

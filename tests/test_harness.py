@@ -11,19 +11,26 @@ import numpy as np
 import pytest
 
 from stratasim.cli import metrics_rows
-from stratasim.cohort import OutcomeModel
+from stratasim.cohort import OutcomeModel, observed_outcomes, sample_cohort
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
     ScenarioConfig,
+    _generator,
     mc_se_rate,
     paper_design,
     paper_suite,
     run_replication,
     run_scenario,
 )
-from stratasim.misclassify import MisclassModel
-from stratasim.randomizer import AllocationRatio, TrialDesign
+from stratasim.misclassify import MisclassModel, reported_strata
+from stratasim.randomizer import (
+    AllocationRatio,
+    TrialDesign,
+    batch_block_assignments,
+    randomize_cohort,
+)
+from stratasim.rerandomize import randomization_pvalue
 from properties import check_thread_determinism
 
 
@@ -42,7 +49,8 @@ def _config(reps=20, rb_draws=0, rho=1.0, delta=0.5, seed=123, **kw):
 class TestScenarioConfig:
     @pytest.mark.parametrize("field,value", [("n_replications", 0),
                                              ("n_replications", -3),
-                                             ("rb_draws", -1)])
+                                             ("rb_draws", -1),
+                                             ("seed", -1)])
     def test_bad_run_sizes_name_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be"):
             run_scenario(replace(_config(), **{field: value}))
@@ -95,6 +103,29 @@ class TestRunReplication:
         rec = run_replication(_config(analyze_reported=False), 2)
         assert rec.corrected is not None
         assert rec.reported is None
+
+
+def test_variants_share_one_null_batch():
+    # both variants re-randomize within the reported strata: one null batch
+    # per replication, drawn from child 3 of the replication's seed
+    config = replace(_config(rb_draws=60),
+                     misclass=MisclassModel("ignorable", 0.15, 0.30))
+    design = config.design
+    for rep in range(4):
+        kids = np.random.SeedSequence(config.seed, spawn_key=(rep,)).spawn(4)
+        cohort = sample_cohort(design, config.outcome, _generator(kids[0]))
+        reported = reported_strata(cohort, config.misclass, _generator(kids[1]))
+        treatments = randomize_cohort(design, reported, _generator(kids[2]))
+        y = observed_outcomes(cohort.potentials, treatments)
+        nulls = batch_block_assignments(design, reported, config.rb_draws,
+                                        _generator(kids[3]))
+        rec = run_replication(config, rep)
+        for strata, variant in ((cohort.true_strata, rec.corrected),
+                                (reported, rec.reported)):
+            want = randomization_pvalue(y, treatments, strata, nulls,
+                                        design.allocation.n_arms)
+            assert variant.rb_p == want.p_value, (rep, strata is reported)
+            assert variant.rb_discarded == want.discarded
 
 
 class TestAggregation:

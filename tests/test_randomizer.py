@@ -72,6 +72,12 @@ class TestBlockPattern:
         with pytest.raises(ConfigurationError):
             _design(block=4)
 
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan),
+                                       (math.inf, -math.inf)])
+    def test_non_finite_strata_probs_rejected(self, probs):
+        with pytest.raises(ConfigurationError, match="strata_probs"):
+            _design(probs=probs)
+
 
 class TestSequentialAssignment:
     """The observed assignment: one cohort dealt in enrollment order."""

@@ -24,15 +24,6 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _two_arm_design(n=6, block=2):
-    return TrialDesign(
-        n_patients=n,
-        strata_probs=(1.0, 0.0),
-        allocation=AllocationRatio((1, 1)),
-        block_size=block,
-    )
-
-
 def _all_assignments(n_blocks):
     """Every 1:1 block sequence: each block is [0, 1] or [1, 0]."""
     rows = []
@@ -52,7 +43,6 @@ class TestCombinePvalue:
 
 class TestExhaustiveNull:
     def test_pvalue_matches_hand_enumeration(self):
-        design = _two_arm_design()
         y = np.array([0.3, 1.7, -0.4, 2.2, 0.9, -1.1])
         strata = np.zeros(6, dtype=np.int8)
         nulls = _all_assignments(3)
@@ -65,10 +55,7 @@ class TestExhaustiveNull:
         )
         want = (1 + count) / (1 + len(nulls))
 
-        res = randomization_pvalue(
-            y, observed, strata, strata, design, draws=0, rng=_rng(),
-            null_assignments=nulls,
-        )
+        res = randomization_pvalue(y, observed, strata, nulls, n_arms=2)
         assert abs(res.statistic - t_obs) < 1e-10
         assert res.p_value == want
         assert res.draws_used == len(nulls)
@@ -98,10 +85,8 @@ class TestSampledDraws:
         y = rng.standard_normal(12)
         treatments = batch_block_assignments(design, reported, 1, rng)[0]
 
-        res = randomization_pvalue(
-            y, treatments, analysis, reported, design, draws=150, rng=_rng(77)
-        )
         draws = batch_block_assignments(design, reported, 150, _rng(77))
+        res = randomization_pvalue(y, treatments, analysis, draws, n_arms=2)
         stats, valid = batched_treatment_tstats(y, analysis, draws, n_arms=2)
         obs_stats, obs_valid = batched_treatment_tstats(
             y, analysis, treatments[None, :], n_arms=2
@@ -119,19 +104,10 @@ class TestDegenerateDraws:
     def test_discards_counted_and_flagged(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
         strata = np.zeros(6, dtype=np.int8)
-        design = TrialDesign(
-            n_patients=6,
-            strata_probs=(1.0, 0.0),
-            allocation=AllocationRatio((1, 1, 1)),
-            block_size=3,
-        )
         good = np.array([0, 1, 2, 0, 1, 2], dtype=np.int8)
         bad = np.array([0, 2, 2, 0, 2, 2], dtype=np.int8)  # arm 1 missing
         nulls = np.vstack([np.tile(good, (80, 1)), np.tile(bad, (20, 1))])
-        res = randomization_pvalue(
-            y, good, strata, strata, design, draws=0, rng=_rng(),
-            null_assignments=nulls,
-        )
+        res = randomization_pvalue(y, good, strata, nulls, n_arms=3)
         assert res.draws_requested == 100
         assert res.draws_used == 80
         assert res.discarded == 20
@@ -141,29 +117,17 @@ class TestDegenerateDraws:
     def test_all_degenerate_raises(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
         strata = np.zeros(6, dtype=np.int8)
-        design = TrialDesign(
-            n_patients=6,
-            strata_probs=(1.0, 0.0),
-            allocation=AllocationRatio((1, 1, 1)),
-            block_size=3,
-        )
         good = np.array([0, 1, 2, 0, 1, 2], dtype=np.int8)
         bad = np.tile([0, 2, 2, 0, 2, 2], (5, 1)).astype(np.int8)
         with pytest.raises(ConfigurationError, match="degenerate"):
-            randomization_pvalue(
-                y, good, strata, strata, design, draws=0, rng=_rng(),
-                null_assignments=bad,
-            )
+            randomization_pvalue(y, good, strata, bad, n_arms=3)
 
-    def test_zero_draws_without_explicit_nulls_raises(self):
-        design = _two_arm_design()
-        y = np.zeros(6)
+    def test_empty_null_set_raises(self):
+        y = np.array([0.3, 1.7, -0.4, 2.2, 0.9, -1.1])
         strata = np.zeros(6, dtype=np.int8)
-        with pytest.raises(ConfigurationError, match="draws"):
-            randomization_pvalue(
-                y, np.array([0, 1, 0, 1, 0, 1]), strata, strata, design,
-                draws=0, rng=_rng(),
-            )
+        empty = np.empty((0, 6), dtype=np.int8)
+        with pytest.raises(ConfigurationError, match="null_assignments"):
+            randomization_pvalue(y, np.array([0, 1, 0, 1, 0, 1]), strata, empty, n_arms=2)
 
 
 class TestRandomBlockSizes:
@@ -180,9 +144,8 @@ class TestRandomBlockSizes:
         y = rng.standard_normal(12)
         treatments = batch_block_assignments(design, strata, 1, rng)[0]
 
-        res = randomization_pvalue(y, treatments, strata, strata, design,
-                                   draws=60, rng=_rng(78))
         draws = batch_block_assignments(design, strata, 60, _rng(78))
+        res = randomization_pvalue(y, treatments, strata, draws, n_arms=2)
         stats, valid = batched_treatment_tstats(
             y, strata, np.vstack([treatments, draws]), n_arms=2
         )
