@@ -15,7 +15,9 @@ A configuration document is JSON with four optional sections::
 Missing keys take the defaults above; unknown keys are rejected with the
 offending dotted path.  Output (CSV or JSON) embeds a metadata block with
 the package version, the seed, and a config echo that parses back to the
-same scenarios, so a results file fully identifies its run.
+same scenarios, so a results file fully identifies its run.  The thread
+count describes the environment, not the results: it goes to stderr, and
+the results file is the same for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -351,8 +353,8 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
                         help="randomization-test draws for table2/custom runs "
                              "(table2 default 1000)")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for replications")
+    parser.add_argument("--threads", type=int,
+                        help="worker processes for replications (default 1)")
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the published replication counts")
     parser.add_argument("--out", type=Path, help="output file (default stdout)")
@@ -369,13 +371,15 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
         parser.error(f"--rb-draws must be >= 0, got {args.rb_draws}")
     if args.seed is not None and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     # a flag the selected run would not read is an error, never a silent no-op
     given = {"--reps": args.reps is not None, "--rb-draws": args.rb_draws is not None,
-             "--seed": args.seed is not None, "--paper-scale": args.paper_scale}
+             "--seed": args.seed is not None, "--paper-scale": args.paper_scale,
+             "--threads": args.threads is not None, "--strict": args.strict}
     unread = {"table1": ("--rb-draws",), "table2": (),
-              "table3": ("--reps", "--rb-draws", "--seed", "--paper-scale"),
+              "table3": ("--reps", "--rb-draws", "--seed", "--paper-scale", "--threads",
+                         "--strict"),
               None: ("--paper-scale",)}
     mode = f"--suite {args.suite}" if args.suite else "--config"
     for flag in unread[args.suite]:
@@ -383,6 +387,11 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
             parser.error(f"{flag} has no effect with {mode}")
     if args.paper_scale and args.reps is not None:
         parser.error("--reps and --paper-scale both set the replication count; pass one")
+    # fail before the run, not after hours of replications
+    if args.out is not None and not args.out.parent.is_dir():
+        raise ConfigParseError(f"--out: directory {args.out.parent} does not exist")
+    if args.out is not None and args.out.is_dir():
+        raise ConfigParseError(f"--out: {args.out} is a directory")
 
     scenarios: list = []
     mixtures: list = []
@@ -411,7 +420,7 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
         mixtures=mixtures,
         out=args.out,
         fmt=args.format,
-        threads=args.threads,
+        threads=1 if args.threads is None else args.threads,
         strict=args.strict,
         seed=seed,
     )
@@ -428,7 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         "version": __version__,
         "suite": spec.suite,
         "seed": spec.seed,
-        "threads": spec.threads,
     }
     warnings = 0
     if spec.mixtures:
@@ -439,6 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = mixture_rows(spec.mixtures, summaries)
         meta["cases"] = [case.label for case in spec.mixtures]
     else:
+        print(f"stratasim: threads={spec.threads}", file=sys.stderr)
         results = [run_scenario(cfg, threads=spec.threads) for cfg in spec.scenarios]
         warnings = sum(res.warning for res in results)
         rows = metrics_rows(results)

@@ -21,10 +21,10 @@ import numpy as np
 
 from .cohort import OutcomeModel, observed_outcomes, sample_cohort
 from .errors import ConfigurationError, DegenerateDesignError
-from .inference import ci_and_test, fit_model
+from .inference import fit_batch
 from .misclassify import MisclassModel, reported_strata
 from .randomizer import AllocationRatio, TrialDesign, batch_block_assignments, randomize_cohort
-from .rerandomize import randomization_pvalue
+from .rerandomize import randomization_result
 
 DEFAULT_SEED = 2014
 CORRECTED = "corrected"
@@ -135,6 +135,7 @@ def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord
     Stream layout per replication: cohort draw, misclassification,
     randomization, and one randomization-test null batch shared by both
     strata variants, which both re-randomize within the reported strata.
+    Both variants' fits, observed and null, come from one kernel call.
     """
     ss = np.random.SeedSequence(config.seed, spawn_key=(rep_index,))
     kids = ss.spawn(4)
@@ -145,23 +146,26 @@ def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord
     cohort.reported = reported_strata(cohort, config.misclass, rng_mis)
     cohort.treatments = randomize_cohort(design, cohort.reported, _generator(kids[2]))
     cohort.observed = observed_outcomes(cohort.potentials, cohort.treatments)
+    rows = cohort.treatments[None, :]
     if config.rb_enabled:
         nulls = batch_block_assignments(design, cohort.reported, config.rb_draws,
                                         _generator(kids[3]))
+        rows = np.vstack([rows, nulls])
 
     variants: dict[str, VariantRecord | None] = {CORRECTED: None, REPORTED: None}
     pairs = [(CORRECTED, cohort.true_strata)]
     if config.analyze_reported:
         pairs.append((REPORTED, cohort.reported))
     try:
-        for name, strata in pairs:
-            fit = fit_model(cohort.observed, cohort.treatments, strata, n_arms)
-            res = ci_and_test(fit, alpha=config.alpha, strata_used=name)
+        # one kernel call: row 0 is the observed assignment, the rest the
+        # null batch; every variant is fit against the same rows
+        fits = fit_batch(cohort.observed, [strata for _, strata in pairs], rows, n_arms)
+        for (name, _), batch in zip(pairs, fits):
+            res = batch.analysis(0, alpha=config.alpha, strata_used=name)
             covered = res.ci_low <= config.outcome.delta <= res.ci_high
             rb_fields = {}
             if config.rb_enabled:
-                rb = randomization_pvalue(cohort.observed, cohort.treatments, strata,
-                                          nulls, n_arms)
+                rb = randomization_result(*batch.tstats())
                 rb_fields = dict(rb_p=rb.p_value, rb_discarded=rb.discarded,
                                  rb_flagged=rb.flagged)
             variants[name] = VariantRecord(

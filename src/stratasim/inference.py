@@ -59,75 +59,232 @@ class AnalysisResult:
     strata_used: str = ""
 
 
-def _stratum_columns(strata: np.ndarray) -> tuple[list[np.ndarray], list[str]]:
-    """Indicator columns for every non-baseline stratum present.
+@dataclass(frozen=True)
+class BatchFit:
+    """One strata variant's least-squares fits, one per assignment row.
 
-    A stratum with no patients contributes no column, so a cohort that
-    happens to land entirely in one stratum is fit without the stratum
-    term (one fewer model degree of freedom).
+    Arrays are laid out draws-last.  ``arm_coef`` and ``arm_se`` hold the
+    arm terms, ``(n_arms - 1, rows)``; ``sigma2`` and ``valid`` one entry
+    per row.  ``model_fit`` adds a row's intercept and stratum terms by
+    back-substitution from ``count`` (patients per stratum, arm and row),
+    the stratum sizes ``n_s`` and outcome sums ``sum_y``, and
+    ``inv_factor``, the inverse ``W`` of the Cholesky factor of each row's
+    Schur complement.  The numbers of an invalid row are meaningless.
     """
-    levels = np.unique(strata)
-    cols, names = [], []
-    for level in levels[1:]:
-        cols.append((strata == level).astype(float))
-        names.append(f"stratum{int(level)}")
-    return cols, names
+
+    terms: tuple[str, ...]
+    df: int
+    arm_coef: np.ndarray
+    arm_se: np.ndarray
+    sigma2: np.ndarray
+    valid: np.ndarray
+    count: np.ndarray
+    n_s: np.ndarray
+    sum_y: np.ndarray
+    inv_factor: np.ndarray
+
+    def _check(self, row: int) -> None:
+        if not self.valid[row]:
+            treated = self.count[:, :, row].sum(axis=0)
+            counts = [self.n_s.sum() - treated.sum(), *treated]
+            empty = [arm for arm, count in enumerate(counts) if count == 0]
+            if empty:
+                raise DegenerateDesignError(f"arm {empty[0]} has no patients")
+            raise DegenerateDesignError("design matrix is rank deficient after column drops")
+
+    def analysis(self, row: int = 0, alpha: float = 0.05, target_arm: int = 1,
+                 strata_used: str = "") -> AnalysisResult:
+        """``ci_and_test`` of one arm coefficient of one row, which must be valid."""
+        self._check(row)
+        return t_analysis(self.arm_coef[target_arm - 1, row], self.arm_se[target_arm - 1, row],
+                          self.df, alpha, term=f"treat{target_arm}", strata_used=strata_used)
+
+    def model_fit(self, row: int = 0) -> ModelFit:
+        """The full fit of one row; a degenerate row raises ``DegenerateDesignError``."""
+        self._check(row)
+        # contiguous copies, so a row computes alike in any batch
+        beta = np.ascontiguousarray(self.arm_coef[:, row])
+        count = np.ascontiguousarray(self.count[:, :, row])
+        factor = np.ascontiguousarray(self.inv_factor[:, :, row])
+        inv_n = 1.0 / self.n_s
+        means = (self.sum_y - count @ beta) * inv_n
+        means[1:] -= means[0]
+        # a stratum term's unscaled variance: 1/n_s (+ 1/n_0 for a contrast)
+        # plus h' S^-1 h = |W h|^2 for its arm shares h
+        shares = count * inv_n[:, None]
+        shares[1:] -= shares[0]
+        unscaled = inv_n.copy()
+        unscaled[1:] += inv_n[0]
+        unscaled += ((shares @ factor.T) ** 2).sum(axis=1)
+        return ModelFit(
+            terms=self.terms, coef=np.concatenate([means, beta]),
+            se=np.concatenate([np.sqrt(self.sigma2[row] * unscaled), self.arm_se[:, row]]),
+            df=self.df, sigma2=float(self.sigma2[row]), n_obs=int(self.n_s.sum()),
+        )
+
+    def tstats(self, target_arm: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """``(tstats, valid)`` of one arm coefficient; NaN where invalid."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            stats = self.arm_coef[target_arm - 1] / self.arm_se[target_arm - 1]
+        valid = self.valid & np.isfinite(stats)
+        return np.where(valid, stats, np.nan), valid
 
 
-def _ols_batch(
+def fit_batch(
     y: np.ndarray,
-    strata_covariate: np.ndarray,
+    strata_variants: list[np.ndarray],
     treatment_draws: np.ndarray,
     n_arms: int,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """Least squares of the working model for every row of ``treatment_draws``.
+) -> list[BatchFit]:
+    """Least squares of the working model for every row of ``treatment_draws``
+    under every entry of ``strata_variants``, all sharing ``y``.
 
-    Returns ``(terms, coef, se, df, sigma2, valid)`` with one row of
-    ``coef``, ``se`` and ``sigma2`` per assignment.  A row is invalid when
-    the Hadamard ratio ``det(X'X) / prod(diag(X'X))`` of its normal
-    equations is at most ``RANK_TOL`` (an empty arm gives a zero diagonal,
-    collinear columns a vanishing determinant); its Gram matrix is then
-    replaced by the identity before the one batched inverse, and its
-    numbers are meaningless.
+    Returns one ``BatchFit`` per strata variant.  A stratum with no
+    patients contributes no column, so a variant whose patients all share
+    one stratum is fit without a stratum term (one more residual degree of
+    freedom).
+
+    Frisch-Waugh: with one mean per present stratum the stratum block of
+    the normal equations is ``diag(n_s)``, so each row reduces to the
+    ``(n_arms - 1)``-square Schur complement
+
+        S = diag(c) - C diag(1 / n_s) C'
+
+    of its exact arm-by-stratum counts ``C`` (arm totals ``c``), solved by
+    a Cholesky factor ``L`` computed in loops over arms on vectors laid out
+    draws-last.  A row is invalid when the Hadamard ratio ``det(X'X) /
+    prod(diag(X'X))`` of the original normal equations, which equals
+    ``(n_0 / n) prod(L_jj^2) / prod(c_j)`` with ``n_0`` the size of the
+    first present stratum, is at most ``RANK_TOL`` (an empty arm zeroes a
+    pivot, collinear columns shrink one), or a pivot is not positive.
+
+    Counts are exact and every floating-point sum runs in a fixed order per
+    row, so a row's numbers depend on neither the other rows nor the other
+    variants.
     """
-    n_draws, n = treatment_draws.shape
-    s_cols, s_names = _stratum_columns(strata_covariate)
-    terms = ("intercept", *s_names, *(f"treat{arm}" for arm in range(1, n_arms)))
-    n_fixed = 1 + len(s_cols)
-    k = len(terms)
-    if n < k:
-        raise DegenerateDesignError(f"{n} observations cannot identify {k} columns")
+    y = np.asarray(y, dtype=float)
+    draws = np.asarray(treatment_draws)
+    if draws.ndim != 2:
+        raise ConfigurationError("treatment draws must be a (rows, patients) array")
+    if n_arms < 2:
+        raise ConfigurationError(f"n_arms must be >= 2, got {n_arms}")
+    n_rows, n = draws.shape
+    if y.shape != (n,):
+        raise ConfigurationError("y length does not match treatment draws")
+    levels, codes = [], []
+    for strata in strata_variants:
+        if np.shape(strata) != (n,):
+            raise ConfigurationError("y, treatments, and strata must have equal length")
+        level = np.unique(strata)
+        levels.append(level)
+        codes.append(np.searchsorted(level, strata))
+    sizes = [level.size for level in levels]
+    n_var, n_strata, n_free = len(sizes), max(sizes), n_arms - 1
+    if n < n_strata + n_free:
+        raise DegenerateDesignError(
+            f"{n} observations cannot identify {n_strata + n_free} columns"
+        )
 
-    # arm columns are disjoint indicators and the rest of the design is
-    # fixed across draws, so the normal equations assemble from one fixed
-    # Gram block plus per-arm counts and cross sums against [fixed | y]
-    fixed_y = np.column_stack([np.ones(n), *s_cols, y])
-    gram = fixed_y.T @ fixed_y
-    arms = np.arange(1, n_arms)
-    masks = (treatment_draws[:, None, :] == arms[:, None]).astype(float)
-    cross = (masks.reshape(-1, n) @ fixed_y).reshape(n_draws, n_arms - 1, n_fixed + 1)
+    # column v * n_strata + s is stratum s of variant v; a variant with
+    # fewer strata is padded with empty ones, whose inv_n is 0
+    n_cols = n_var * n_strata
+    column = np.concatenate([code + v * n_strata for v, code in enumerate(codes)])
+    n_s = np.bincount(column, minlength=n_cols)
+    col_y = np.bincount(column, np.concatenate([y] * n_var), n_cols)
+    indicators = np.zeros((n, n_cols))
+    indicators[np.arange(n_var * n) % n, column] = 1.0
 
-    xtx = np.zeros((n_draws, k, k))
-    xtx[:, :n_fixed, :n_fixed] = gram[:n_fixed, :n_fixed]
-    xtx[:, n_fixed:, :n_fixed] = cross[:, :, :n_fixed]
-    xtx[:, :n_fixed, n_fixed:] = cross[:, :, :n_fixed].transpose(0, 2, 1)
-    arm_cols = n_fixed + arms - 1
-    xtx[:, arm_cols, arm_cols] = cross[:, :, 0]
-    xty = np.empty((n_draws, k))
-    xty[:, :n_fixed] = gram[:n_fixed, -1]
-    xty[:, n_fixed:] = cross[:, :, -1]
+    # one matmul of 0/1 arm masks against the indicators counts patients
+    # per arm, row and column exactly; einsum sums each row's outcomes per
+    # arm in the same order for any batch
+    masks = np.empty((n_free, n_rows, n))
+    for j in range(n_free):
+        np.equal(draws, j + 1, out=masks[j], casting="unsafe")
+    count = (masks.reshape(-1, n) @ indicators).reshape(n_free, n_rows, n_var, n_strata)
+    arm_y = np.einsum("arn,n->ar", masks, y)
 
-    diag = np.einsum("bii->bi", xtx)
-    valid = np.linalg.det(xtx) > RANK_TOL * diag.prod(axis=1)
-    xtx[~valid] = np.eye(k)
-    inv = np.linalg.inv(xtx)
-    coef = (inv @ xty[:, :, None])[:, :, 0]
+    # one lane per (variant, row), variant-major and draws last: count is
+    # (stratum, arm, lane), and per-stratum constants are gathered per lane
+    lanes = n_var * n_rows
+    count = count.transpose(3, 0, 2, 1).reshape(n_strata, n_free, lanes)
+    n_s, col_y = n_s.reshape(n_var, n_strata), col_y.reshape(n_var, n_strata)
+    inv_n = np.divide(1.0, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
+    inv_n = np.repeat(inv_n.T, n_rows, axis=1)
+    sum_y = np.repeat(col_y.T, n_rows, axis=1)
+    arm_total = count.sum(axis=0)
+    share = count * inv_n[:, None]  # C_js / n_s
 
-    df = n - k
-    rss = np.maximum(gram[-1, -1] - np.einsum("bk,bk->b", coef, xty), 0.0)
-    sigma2 = rss / df if df > 0 else np.full(n_draws, np.nan)
-    se = np.sqrt(sigma2[:, None] * np.einsum("bii->bi", inv))
-    return terms, coef, se, df, sigma2, valid
+    within = y @ y - sum_y[0] * sum_y[0] * inv_n[0]
+    schur = -(count[0][:, None] * share[0])
+    arm_xy = np.concatenate([arm_y] * n_var, axis=1) - share[0] * sum_y[0]
+    for s in range(1, n_strata):
+        within -= sum_y[s] * sum_y[s] * inv_n[s]
+        schur -= count[s][:, None] * share[s]
+        arm_xy -= share[s] * sum_y[s]
+    for j in range(n_free):
+        schur[j, j] += arm_total[j]
+
+    # S = L L' and W = L^-1.  A pivot that is not positive zeroes the
+    # product of pivots, so its lane is invalid, and is replaced by 1 so
+    # the arithmetic stays finite
+    chol = [[None] * n_free for _ in range(n_free)]
+    pivots = 1.0
+    for j in range(n_free):
+        for i in range(j + 1):
+            acc = schur[j, i]
+            for m in range(i):
+                acc = acc - chol[j][m] * chol[i][m]
+            if i < j:
+                chol[j][i] = acc / chol[i][i]
+            else:
+                pivots = pivots * np.maximum(acc, 0.0)
+                chol[j][j] = np.sqrt(np.where(acc > 0.0, acc, 1.0))
+    valid = np.repeat(n_s[:, 0], n_rows) * pivots > RANK_TOL * n * arm_total.prod(axis=0)
+    inv = np.zeros((n_free, n_free, lanes))
+    for j in range(n_free):
+        inv[j, j] = 1.0 / chol[j][j]
+        for i in range(j):
+            acc = chol[j][i] * inv[i, i]
+            for m in range(i + 1, j):
+                acc = acc + chol[j][m] * inv[m, i]
+            inv[j, i] = -acc * inv[j, j]
+
+    # beta = S^-1 r = W' (W r); diag(S^-1) are W's squared column norms
+    z = []
+    for j in range(n_free):
+        acc = inv[j, 0] * arm_xy[0]
+        for m in range(1, j + 1):
+            acc = acc + inv[j, m] * arm_xy[m]
+        z.append(acc)
+    beta = np.empty((n_free, lanes))
+    unscaled = np.empty((n_free, lanes))
+    for j in range(n_free):
+        acc = inv[j, j] * z[j]
+        var = inv[j, j] * inv[j, j]
+        for m in range(j + 1, n_free):
+            acc = acc + inv[m, j] * z[m]
+            var = var + inv[m, j] * inv[m, j]
+        beta[j] = acc
+        unscaled[j] = var
+    rss = within - beta[0] * arm_xy[0]
+    for j in range(1, n_free):
+        rss -= beta[j] * arm_xy[j]
+    df = n - np.array(sizes) - n_free
+    sigma2 = np.maximum(rss, 0.0) / np.repeat(np.where(df > 0, df, np.nan), n_rows)
+    se = np.sqrt(sigma2 * unscaled)
+
+    arm_terms = tuple(f"treat{arm}" for arm in range(1, n_arms))
+    fits = []
+    for v, (level, size) in enumerate(zip(levels, sizes)):
+        lane = slice(v * n_rows, (v + 1) * n_rows)
+        terms = ("intercept", *(f"stratum{int(lv)}" for lv in level[1:]), *arm_terms)
+        fits.append(BatchFit(
+            terms=terms, df=int(df[v]),
+            arm_coef=beta[:, lane], arm_se=se[:, lane], sigma2=sigma2[lane],
+            valid=valid[lane], count=count[:size, :, lane], n_s=n_s[v, :size],
+            sum_y=col_y[v, :size], inv_factor=inv[:, :, lane],
+        ))
+    return fits
 
 
 def fit_model(
@@ -138,30 +295,15 @@ def fit_model(
 ) -> ModelFit:
     """Fit the homogeneous-variance stratum-adjusted model by least squares.
 
-    A batch of one through the normal-equations kernel.  An arm with no
-    patients, fewer observations than columns, or a Hadamard ratio of
-    the normal equations at most ``RANK_TOL`` (a rank-deficient design)
-    raises ``DegenerateDesignError``.
+    A batch of one through ``fit_batch``.  An arm with no patients, fewer
+    observations than columns, or a Hadamard ratio of the normal
+    equations at most ``RANK_TOL`` (a rank-deficient design) raises
+    ``DegenerateDesignError``.
     """
-    y = np.asarray(y, dtype=float)
-    treatments = np.asarray(treatments, dtype=np.int64)
-    strata_covariate = np.asarray(strata_covariate)
-    n = y.shape[0]
-    if treatments.shape[0] != n or strata_covariate.shape[0] != n:
-        raise ConfigurationError("y, treatments, and strata must have equal length")
+    treatments = np.asarray(treatments)
     arms = int(treatments.max()) + 1 if n_arms is None else n_arms
-    empty = np.flatnonzero(np.bincount(treatments, minlength=arms)[:arms] == 0)
-    if empty.size:
-        raise DegenerateDesignError(f"arm {int(empty[0])} has no patients")
-
-    terms, coef, se, df, sigma2, valid = _ols_batch(
-        y, strata_covariate, treatments[None, :], arms
-    )
-    if not valid[0]:
-        raise DegenerateDesignError("design matrix is rank deficient after column drops")
-    return ModelFit(
-        terms=terms, coef=coef[0], se=se[0], df=df, sigma2=float(sigma2[0]), n_obs=n
-    )
+    (fit,) = fit_batch(y, [strata_covariate], treatments[None, :], arms)
+    return fit.model_fit(0)
 
 
 @lru_cache(maxsize=64)
@@ -177,16 +319,29 @@ def ci_and_test(
     strata_used: str = "",
 ) -> AnalysisResult:
     """Two-sided CI and t test for one coefficient of the fit."""
+    return t_analysis(fit.coefficient(term), fit.stderr(term), fit.df, alpha,
+                      null_value, term, strata_used)
+
+
+def t_analysis(
+    estimate: float,
+    se: float,
+    df: int,
+    alpha: float = 0.05,
+    null_value: float = 0.0,
+    term: str = "treat1",
+    strata_used: str = "",
+) -> AnalysisResult:
+    """Two-sided t interval and test from an estimate, its SE and df."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    if fit.df < 1:
+    if df < 1:
         raise DegenerateDesignError("no residual degrees of freedom for a t interval")
-    estimate = fit.coefficient(term)
-    se = fit.stderr(term)
-    crit = _t_critical(alpha, fit.df)
+    estimate, se = float(estimate), float(se)
+    crit = _t_critical(alpha, df)
     if se > 0.0:
         stat = (estimate - null_value) / se
-        p = float(2.0 * stdtr(fit.df, -abs(stat)))
+        p = float(2.0 * stdtr(df, -abs(stat)))
     else:
         stat = 0.0 if estimate == null_value else float("inf") * np.sign(estimate - null_value)
         p = 1.0 if estimate == null_value else 0.0
@@ -194,7 +349,7 @@ def ci_and_test(
         term=term,
         estimate=estimate,
         se=se,
-        df=fit.df,
+        df=df,
         ci_low=estimate - crit * se,
         ci_high=estimate + crit * se,
         statistic=float(stat),
@@ -219,18 +374,7 @@ def batched_treatment_tstats(
     ``(tstats, valid)``; a draw is invalid when an arm is empty or the
     normal equations are numerically singular, and its statistic is NaN.
     """
-    y = np.asarray(y, dtype=float)
-    t_draws = np.asarray(treatment_draws)
-    if y.shape[0] != t_draws.shape[1]:
-        raise ConfigurationError("y length does not match treatment draws")
     if not 1 <= target_arm < n_arms:
         raise ConfigurationError(f"target arm {target_arm} outside 1..{n_arms - 1}")
-
-    terms, coef, se, _, _, valid = _ols_batch(
-        y, np.asarray(strata_covariate), t_draws, n_arms
-    )
-    col = terms.index(f"treat{target_arm}")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tstats = coef[:, col] / se[:, col]
-    valid &= np.isfinite(tstats)
-    return np.where(valid, tstats, np.nan), valid
+    (fit,) = fit_batch(y, [strata_covariate], treatment_draws, n_arms)
+    return fit.tstats(target_arm)

@@ -9,13 +9,18 @@ partially used, which is the only source of imbalance.
 
 One vectorized sampler, ``batch_block_assignments``, draws every
 assignment: the observed one is a batch of one (``randomize_cohort``)
-and the re-randomization null draws are a larger batch.
+and the re-randomization null draws are a larger batch.  A uniformly
+permuted block is a uniform pick among the distinct arrangements of its
+pattern, so the sampler deals each block as one integer index into a
+cached table of those arrangements.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +28,9 @@ from .errors import ConfigurationError
 
 # fills the slots of a block shorter than the longest admissible length
 _PAD = -1
+# blocks with more distinct arrangements than this are permuted by sorting
+# uniform keys instead of indexing a table (1:2:2 in 10 has 3,150)
+MAX_TABLE_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,57 @@ def block_pattern(allocation: AllocationRatio, block_size: int) -> np.ndarray:
     return np.repeat(np.arange(allocation.n_arms, dtype=np.int8), counts)
 
 
+def _orderings(counts: np.ndarray) -> np.ndarray:
+    """Every distinct ordering of a block holding ``counts[a]`` copies of
+    arm ``a``, one per row: arm 0 goes into every choice of slots, then arm
+    1 into every choice of the slots left, and so on; the last arm fills
+    the rest."""
+    size = int(counts.sum())
+    table = np.full((1, size), len(counts) - 1, dtype=np.int8)
+    free = np.arange(size)[None, :]  # unfilled slots of each row
+    for arm, count in enumerate(counts[:-1]):
+        width = free.shape[1]
+        chosen = np.array(list(itertools.combinations(range(width), count)), dtype=np.intp)
+        left = np.ones((len(chosen), width), dtype=bool)
+        left[np.arange(len(chosen))[:, None], chosen] = False
+        rest = np.nonzero(left)[1].reshape(len(chosen), width - count)
+        table = np.repeat(table, len(chosen), axis=0)
+        slots = free[:, chosen].reshape(len(table), count)
+        table[np.arange(len(table))[:, None], slots] = arm
+        free = free[:, rest].reshape(len(table), width - count)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _arrangement_table(
+    weights: tuple[int, ...], sizes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The distinct orderings of a block of each admissible length, stacked.
+
+    Returns ``(table, first_row, n_rows)``: the ``n_rows[i]`` rows from
+    ``first_row[i]`` on are the orderings of length ``sizes[i]``, padded
+    to the longest length.  None when a length has more than
+    ``MAX_TABLE_ROWS`` orderings.
+    """
+    parts = []
+    for size in sizes:
+        counts = np.bincount(block_pattern(AllocationRatio(weights), size))
+        n_rows = math.factorial(size)
+        for count in counts:
+            n_rows //= math.factorial(int(count))
+        if n_rows > MAX_TABLE_ROWS:
+            return None
+        parts.append(_orderings(counts))
+    n_rows = np.array([len(part) for part in parts])
+    first_row = np.concatenate([[0], n_rows.cumsum()[:-1]])
+    table = np.full((n_rows.sum(), max(sizes)), _PAD, dtype=np.int8)
+    for part, start in zip(parts, first_row):
+        table[start:start + len(part), :part.shape[1]] = part
+    for array in (table, first_row, n_rows):
+        array.flags.writeable = False
+    return table, first_row, n_rows
+
+
 def batch_block_assignments(
     design: TrialDesign,
     reported_strata: np.ndarray,
@@ -138,7 +197,13 @@ def batch_block_assignments(
     its patients in enrollment order.  That is the law of opening a fresh
     block whenever the current one runs out.
 
-    Stream layout: strata in order; per stratum, one uniform sort key per
+    A block is a uniform row of its length's arrangement table.  When a
+    length has more than ``MAX_TABLE_ROWS`` arrangements, every block is
+    instead its sorted pattern permuted by the argsort of iid uniforms.
+
+    Stream layout: strata in order; per stratum, with tables, one length
+    pick per block of ``(n_draws, n_blocks)`` when there is a length menu,
+    then one row pick per block; without tables, one uniform sort key per
     slot of ``(n_draws, n_blocks, longest length)`` and then, only when
     there is a length menu, one length pick per block.
     """
@@ -154,30 +219,41 @@ def batch_block_assignments(
             f"reported stratum {stray[0]} outside 0..{design.n_strata - 1}"
         )
     sizes = design.block_sizes or (design.block_size,)
-    # one sorted pattern per admissible length, padded out to the longest
-    table = np.full((len(sizes), max(sizes)), _PAD, dtype=np.int8)
-    for row, size in zip(table, sizes):
-        row[:size] = block_pattern(design.allocation, size)
-    out = np.empty((n_draws, design.n_patients), dtype=np.int8)
+    tables = _arrangement_table(design.allocation.weights, sizes)
+    if tables is None:
+        # one sorted pattern per admissible length, padded out to the longest
+        patterns = np.full((len(sizes), max(sizes)), _PAD, dtype=np.int8)
+        for row, size in zip(patterns, sizes):
+            row[:size] = block_pattern(design.allocation, size)
+    streams = []
     for idx in members:
         if idx.size == 0:
             continue
-        n_blocks = -(-idx.size // min(sizes))
-        # argsort of iid uniforms along the last axis is a uniform permutation
-        order = np.argsort(rng.random((n_draws, n_blocks, table.shape[1])), axis=-1)
-        if len(sizes) == 1:
-            codes = table[0][order].reshape(n_draws, -1)
+        shape = (n_draws, -(-idx.size // min(sizes)))
+        if tables is not None:
+            table, first_row, n_rows = tables
+            lengths = rng.integers(len(sizes), size=shape) if len(sizes) > 1 else 0
+            picks = first_row[lengths] + rng.integers(n_rows[lengths], size=shape)
+            codes = np.take(table, picks, axis=0)
         else:
-            picks = rng.integers(len(sizes), size=(n_draws, n_blocks, 1))
-            codes = table[picks, order].reshape(n_draws, -1)
-            # striking the padding from a uniformly permuted padded block
-            # leaves a uniform permutation of its pattern; every row keeps
-            # at least idx.size codes
+            # argsort of iid uniforms along the last axis is a uniform permutation
+            order = np.argsort(rng.random((*shape, patterns.shape[1])), axis=-1)
+            if len(sizes) == 1:
+                codes = patterns[0][order]
+            else:
+                codes = patterns[rng.integers(len(sizes), size=(*shape, 1)), order]
+        codes = codes.reshape(n_draws, -1)
+        if len(sizes) > 1:
+            # striking the padding from a uniformly ordered padded block
+            # leaves a uniform ordering of its pattern; every row keeps at
+            # least idx.size codes
             keep = codes != _PAD
             keep &= keep.cumsum(axis=1) <= idx.size
             codes = codes[keep].reshape(n_draws, idx.size)
-        out[:, idx] = codes[:, : idx.size]
-    return out
+        streams.append(codes[:, : idx.size])
+    # each stratum's code stream back into enrollment order
+    enrolled = np.argsort(np.concatenate(members))
+    return np.take(np.concatenate(streams, axis=1), enrolled, axis=1)
 
 
 def randomize_cohort(

@@ -1,13 +1,14 @@
 """Randomization-based inference for the arm-1 treatment effect.
 
 The observed statistic is the model t statistic of the arm-1 coefficient,
-computed by ``inference.batched_treatment_tstats`` in one call with every
-null draw.  The caller supplies the null draws: re-runs of the stratified
-permuted-block assignment within the *reported* strata, with every outcome
-held fixed (the sharp null of no treatment effect).  The harness draws
-one batch per replication with ``randomizer.batch_block_assignments`` and
-tests both strata variants against it.  The two-sided p-value uses the
-add-one convention
+computed in one kernel call with every null draw.  The caller supplies
+the null draws: re-runs of the stratified permuted-block assignment
+within the *reported* strata, with every outcome held fixed (the sharp
+null of no treatment effect).  The harness draws one batch per
+replication with ``randomizer.batch_block_assignments`` and tests both
+strata variants against it, reading their statistics from one
+``inference.fit_batch`` call through ``randomization_result``.  The
+two-sided p-value uses the add-one convention
 
     p = (1 + #{ |stat*| >= |stat_obs| }) / (1 + draws).
 
@@ -25,6 +26,11 @@ from .errors import ConfigurationError, DegenerateDesignError
 from .inference import batched_treatment_tstats
 
 FLAG_DISCARD_SHARE = 0.01
+# a null statistic this close to the observed one, relative to its size,
+# ties with it: a draw that mirrors the observed assignment (arm labels
+# swapped) has the same |t| in exact arithmetic, but its sums run over
+# other patients and can round to either side
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,9 +44,10 @@ class RandTestResult:
 
 
 def combine_pvalue(statistic: float, null_stats: np.ndarray) -> float:
-    """Add-one two-sided p-value from an observed statistic and null draws."""
+    """Add-one two-sided p-value from an observed statistic and null draws;
+    ties, within ``TIE_RTOL``, count against the observed statistic."""
     null_stats = np.asarray(null_stats, dtype=float)
-    count = int((np.abs(null_stats) >= abs(statistic)).sum())
+    count = int((np.abs(null_stats) >= abs(statistic) * (1.0 - TIE_RTOL)).sum())
     return (1.0 + count) / (1.0 + null_stats.shape[0])
 
 
@@ -63,9 +70,14 @@ def randomization_pvalue(
     # the observed row rides in the same kernel call as the null draws, so
     # an exact re-draw of the observed assignment ties exactly
     t_batch = np.vstack([treatments, null_assignments])
-    stats, valid = batched_treatment_tstats(
-        y, analysis_strata, t_batch, n_arms, target_arm
+    return randomization_result(
+        *batched_treatment_tstats(y, analysis_strata, t_batch, n_arms, target_arm)
     )
+
+
+def randomization_result(stats: np.ndarray, valid: np.ndarray) -> RandTestResult:
+    """The test from one kernel call's t statistics and validity flags:
+    row 0 is the observed assignment, the other rows its null draws."""
     if not valid[0]:
         raise DegenerateDesignError("observed assignment gives a degenerate fit")
     stat_obs = float(stats[0])

@@ -312,6 +312,8 @@ class TestBuildRunSpec:
             (["--config", "{}", "--paper-scale"], "--paper-scale"),
             (["--suite", "table2", "--reps", "10", "--paper-scale"], "--paper-scale"),
             (["--suite", "table3", "--threads", "0"], "--threads"),
+            (["--suite", "table3", "--threads", "2"], "--threads"),
+            (["--suite", "table3", "--strict"], "--strict"),
             (["--suite", "table2", "--threads", "-4"], "--threads"),
             (["--suite", "table2", "--seed", "-3"], "--seed"),
         ],
@@ -360,6 +362,27 @@ class TestMain:
         assert main(["--config", str(cfg), "--out", str(first)]) == 0
         assert main(["--config", str(cfg), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_results_file_does_not_depend_on_thread_count(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, reps=40)
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(["--config", str(cfg), "--threads", "1", "--out", str(one)]) == 0
+        assert main(["--config", str(cfg), "--threads", "2", "--out", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        assert b"threads" not in one.read_bytes()
+        assert "threads=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_fails_before_any_replication(self, tmp_path, capsys,
+                                                        monkeypatch, target):
+        cfg = self._write_config(tmp_path)
+        ran = []
+        monkeypatch.setattr("stratasim.cli.run_scenario",
+                            lambda *args, **kw: ran.append(args))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert ran == []
 
     def test_mixture_suite_prints_analytic_cells(self, capsys):
         assert main(["--suite", "table3"]) == 0

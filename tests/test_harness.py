@@ -10,12 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stratasim import harness
 from stratasim.cli import metrics_rows
 from stratasim.cohort import OutcomeModel, observed_outcomes, sample_cohort
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
+    ReplicationRecord,
     ScenarioConfig,
+    VariantRecord,
     _generator,
     mc_se_rate,
     paper_design,
@@ -23,6 +26,7 @@ from stratasim.harness import (
     run_replication,
     run_scenario,
 )
+from stratasim.inference import fit_batch
 from stratasim.misclassify import MisclassModel, reported_strata
 from stratasim.randomizer import (
     AllocationRatio,
@@ -105,6 +109,22 @@ class TestRunReplication:
         assert rec.reported is None
 
 
+@pytest.mark.parametrize("rb_draws,analyze_reported", [(0, True), (60, True), (60, False)])
+def test_one_kernel_call_per_replication(monkeypatch, rb_draws, analyze_reported):
+    # rows [observed; null batch] x variants [corrected, reported]
+    calls = []
+
+    def counting(y, strata_variants, rows, n_arms):
+        calls.append((len(strata_variants), rows.shape[0]))
+        return fit_batch(y, strata_variants, rows, n_arms)
+
+    monkeypatch.setattr(harness, "fit_batch", counting)
+    config = _config(rb_draws=rb_draws, analyze_reported=analyze_reported)
+    rec = run_replication(config, 1)
+    assert rec.valid
+    assert calls == [(1 + analyze_reported, 1 + rb_draws)]
+
+
 def test_variants_share_one_null_batch():
     # both variants re-randomize within the reported strata: one null batch
     # per replication, drawn from child 3 of the replication's seed
@@ -183,20 +203,29 @@ class TestAggregation:
         assert metrics.warning
         assert metrics.corrected.n == metrics.n_valid
 
-    def test_rb_flagged_tests_are_reported_apart_from_invalid_replications(self):
-        # 10 patients in blocks of 6: some null draws leave an arm empty in
-        # the analysis, but every observed fit is valid
-        config = ScenarioConfig(
-            design=TrialDesign(10, (0.5, 0.5), AllocationRatio((1, 1)), 6),
-            outcome=OutcomeModel(rho=1.0, delta=0.5),
-            misclass=MisclassModel("ignorable", 0.15, 0.30),
-            n_replications=20,
-            rb_draws=50,
-            seed=7,
-        )
-        metrics = run_scenario(config)
+    def test_rb_flagged_tests_are_reported_apart_from_invalid_replications(self, monkeypatch):
+        # a constructed case: every replication is valid, and every corrected
+        # test loses 20 of its 100 null draws to an empty arm, so each one is
+        # flagged while the reported tests lose none
+        y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
+        strata = np.zeros(6, dtype=np.int8)
+        good = np.array([0, 1, 2, 0, 1, 2], dtype=np.int8)
+        bad = np.array([0, 2, 2, 0, 2, 2], dtype=np.int8)  # arm 1 empty
+        nulls = np.vstack([np.tile(good, (80, 1)), np.tile(bad, (20, 1))])
+        flagged = randomization_pvalue(y, good, strata, nulls, 3)
+        clean = randomization_pvalue(y, good, strata, nulls[:80], 3)
+
+        def record(rb):
+            return VariantRecord(estimate=0.5, se=0.2, covered=True, p_value=0.01,
+                                 rb_p=rb.p_value, rb_discarded=rb.discarded,
+                                 rb_flagged=rb.flagged)
+
+        monkeypatch.setattr(harness, "run_replication", lambda config, rep: ReplicationRecord(
+            rep_index=rep, valid=True, corrected=record(flagged), reported=record(clean)))
+        metrics = run_scenario(_config(reps=20, rb_draws=100))
         assert metrics.n_invalid == 0
         assert metrics.corrected.rb_flagged > 0
+        assert (metrics.corrected.rb_flagged, metrics.reported.rb_flagged) == (20, 0)
         assert metrics.warning
         rows = metrics_rows([metrics])
         assert [row["invalid"] for row in rows] == [0, 0]

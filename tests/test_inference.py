@@ -12,10 +12,10 @@ from stratasim.errors import ConfigurationError, DegenerateDesignError
 from stratasim.inference import (
     RANK_TOL,
     ModelFit,
-    _ols_batch,
     _t_critical,
     batched_treatment_tstats,
     ci_and_test,
+    fit_batch,
     fit_model,
 )
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
@@ -102,6 +102,10 @@ class TestFitModel:
     def test_more_columns_than_rows_raises(self):
         with pytest.raises(DegenerateDesignError):
             fit_model(np.ones(3), np.array([0, 1, 2]), np.array([0, 1, 1]))
+
+    def test_single_arm_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_arms"):
+            fit_model(np.array(Y, dtype=float), np.zeros(12, dtype=int), STRATA)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError, match="length"):
@@ -202,26 +206,112 @@ class TestBatchedKernel:
                 [2, 1, 0, 0, 2, 1, 1, 0, 0, 2, 2, 1],
             ]
         )
-        terms, coef, se, df, sigma2, valid = _ols_batch(
-            np.array(Y, dtype=float), strata, rows, 3
-        )
-        assert terms == ("intercept", "stratum1", "stratum2", "treat1", "treat2")
-        assert df == 7
-        assert valid.tolist() == [True, True, False, False, True]
+        (batch,) = fit_batch(np.array(Y, dtype=float), [strata], rows, 3)
+        assert batch.terms == ("intercept", "stratum1", "stratum2", "treat1", "treat2")
+        assert batch.df == 7
+        assert batch.valid.tolist() == [True, True, False, False, True]
         stats, t_valid = batched_treatment_tstats(Y, strata, rows, 3, 2)
-        assert t_valid.tolist() == valid.tolist()
-        assert np.isnan(stats[~valid]).all()
-        for b in np.flatnonzero(valid):
+        assert t_valid.tolist() == batch.valid.tolist()
+        assert np.isnan(stats[~batch.valid]).all()
+        for b in np.flatnonzero(batch.valid):
+            fit = batch.model_fit(b)
             design = [
                 [1, int(s == 1), int(s == 2), int(t == 1), int(t == 2)]
                 for s, t in zip(strata.tolist(), rows[b].tolist())
             ]
             beta, rss, unscaled = ols_exact(design, Y)
-            assert np.abs(coef[b] - [float(v) for v in beta]).max() < 1e-10
-            assert abs(sigma2[b] - float(rss) / df) < 1e-10
-            want_se = [math.sqrt(float(rss) / df * float(u)) for u in unscaled]
-            assert np.abs(se[b] - want_se).max() < 1e-10
+            assert np.abs(fit.coef - [float(v) for v in beta]).max() < 1e-10
+            assert abs(fit.sigma2 - float(rss) / 7) < 1e-10
+            want_se = [math.sqrt(float(rss) / 7 * float(u)) for u in unscaled]
+            assert np.abs(fit.se - want_se).max() < 1e-10
             assert abs(stats[b] - float(beta[4]) / want_se[4]) < 1e-10
 
     def test_rank_tolerance_is_strict(self):
         assert RANK_TOL == 1e-10
+
+
+class TestStackedKernel:
+    """Several strata variants fit against one set of rows in one call."""
+
+    # variant 0 uses three strata; variant 1 leaves stratum 1 absent, so it
+    # has one term fewer and one more residual degree of freedom
+    STRATA = (np.repeat([0, 1, 2], 4), np.array([0, 2, 2, 0, 2, 0, 0, 2, 2, 0, 2, 0]))
+    ROWS = np.array(
+        [
+            [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
+            [0, 1, 1, 0, 1, 0, 2, 2, 0, 2, 1, 2],
+            [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],  # arm 2 empty
+            [0, 0, 0, 0, 1, 2, 1, 2, 2, 1, 1, 2],  # arm 0 is stratum 0 of variant 0
+            [2, 1, 0, 0, 2, 1, 1, 0, 0, 2, 2, 1],
+        ]
+    )
+
+    def test_each_variant_matches_exact_oracle(self):
+        fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
+        assert [f.terms for f in fits] == [
+            ("intercept", "stratum1", "stratum2", "treat1", "treat2"),
+            ("intercept", "stratum2", "treat1", "treat2"),
+        ]
+        assert [f.df for f in fits] == [7, 8]
+        assert fits[0].valid.tolist() == [True, True, False, False, True]
+        assert fits[1].valid.tolist() == [True, True, False, True, True]
+        for strata, batch in zip(self.STRATA, fits):
+            levels = sorted(set(strata.tolist()))[1:]
+            for b in range(len(self.ROWS)):
+                if not batch.valid[b]:
+                    with pytest.raises(DegenerateDesignError):
+                        batch.model_fit(b)
+                    continue
+                design = [[1, *(int(s == lv) for lv in levels), int(t == 1), int(t == 2)]
+                          for s, t in zip(strata.tolist(), self.ROWS[b].tolist())]
+                beta, rss, unscaled = ols_exact(design, Y)
+                fit = batch.model_fit(b)
+                assert np.abs(fit.coef - [float(v) for v in beta]).max() < 1e-10
+                assert abs(fit.sigma2 - float(rss) / batch.df) < 1e-10
+                want_se = [math.sqrt(float(rss) / batch.df * float(u)) for u in unscaled]
+                assert np.abs(fit.se - want_se).max() < 1e-10
+
+    def test_invalid_rows_name_their_fault(self):
+        fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
+        with pytest.raises(DegenerateDesignError, match="arm 2 has no patients"):
+            fits[1].model_fit(2)
+        with pytest.raises(DegenerateDesignError, match="rank deficient"):
+            fits[0].analysis(3)
+
+    def test_analysis_matches_ci_and_test_of_the_full_fit(self):
+        fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
+        for batch in fits:
+            for target in (1, 2):
+                got = batch.analysis(4, alpha=0.1, target_arm=target, strata_used="x")
+                want = ci_and_test(batch.model_fit(4), alpha=0.1, term=f"treat{target}",
+                                   strata_used="x")
+                assert got == want
+
+    @pytest.mark.parametrize("n_arms", [2, 3, 4])
+    def test_row_zero_bit_identical_alone_and_in_a_large_batch(self, n_arms):
+        # randomization_pvalue's ties rest on this: an exact re-draw of the
+        # observed assignment must reproduce its statistic bit for bit
+        design = TrialDesign(
+            n_patients=80, strata_probs=(0.4, 0.6),
+            allocation=AllocationRatio((1,) * n_arms), block_size=2 * n_arms,
+        )
+        rng = _rng(61)
+        reported = (rng.random(80) >= 0.4).astype(np.int8)
+        true = np.where(rng.random(80) < 0.15, 1 - reported, reported)
+        y = 3.0 * rng.standard_normal(80) + true
+        rows = batch_block_assignments(design, reported, 1001, rng)
+        rows[500] = rows[0]
+        batch = fit_batch(y, [true, reported], rows, n_arms)
+        alone = fit_batch(y, [true, reported], rows[:1], n_arms)
+        single = [fit_batch(y, [strata], rows, n_arms)[0] for strata in (true, reported)]
+        for big, one, own in zip(batch, alone, single):
+            for name in ("arm_coef", "arm_se", "sigma2", "valid"):
+                got = getattr(big, name)
+                assert np.array_equal(got[..., 0], getattr(one, name)[..., 0])
+                assert np.array_equal(got[..., 0], got[..., 500])
+                assert np.array_equal(got, getattr(own, name))
+            fit, fit_alone = big.model_fit(0), one.model_fit(0)
+            assert np.array_equal(fit.coef, fit_alone.coef)
+            assert np.array_equal(fit.se, fit_alone.se)
+            stats, _ = big.tstats()
+            assert stats[0] == stats[500] == one.tstats()[0][0]

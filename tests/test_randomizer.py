@@ -11,8 +11,10 @@ import pytest
 
 from stratasim.errors import ConfigurationError
 from stratasim.randomizer import (
+    MAX_TABLE_ROWS,
     AllocationRatio,
     TrialDesign,
+    _arrangement_table,
     batch_block_assignments,
     block_pattern,
     randomize_cohort,
@@ -77,6 +79,48 @@ class TestBlockPattern:
     def test_non_finite_strata_probs_rejected(self, probs):
         with pytest.raises(ConfigurationError, match="strata_probs"):
             _design(probs=probs)
+
+
+class TestArrangementTable:
+    """Each block is one uniform row of the table of its distinct orderings."""
+
+    @pytest.mark.parametrize("weights,size,rows", [((1, 2, 2), 10, 3150),
+                                                   ((1, 2, 2), 5, 30),
+                                                   ((1, 1), 6, 20),
+                                                   ((2, 1, 1), 8, 420)])
+    def test_rows_are_every_distinct_ordering(self, weights, size, rows):
+        pattern = block_pattern(AllocationRatio(weights), size)
+        counts = np.bincount(pattern)
+        multinomial = math.factorial(size)
+        for count in counts:
+            multinomial //= math.factorial(int(count))
+        assert multinomial == rows
+        table, first_row, n_rows = _arrangement_table(weights, (size,))
+        assert table.shape == (rows, size)
+        assert (first_row.tolist(), n_rows.tolist()) == ([0], [rows])
+        assert len(np.unique(table, axis=0)) == rows
+        assert (np.sort(table, axis=1) == pattern).all()
+        assert not table.flags.writeable
+
+    def test_oversize_block_has_no_table(self):
+        # 20! / (4! 8! 8!) = 62,355,150 orderings of the 1:2:2 block of 20
+        assert _arrangement_table((1, 2, 2), (20,)) is None
+        assert _arrangement_table((1, 2, 2), (5, 20)) is None
+        assert MAX_TABLE_ROWS < 62_355_150
+
+    def test_lengths_stack_padded(self):
+        table, first_row, n_rows = _arrangement_table((1, 2, 2), (5, 10))
+        assert (first_row.tolist(), n_rows.tolist()) == ([0, 30], [30, 3150])
+        assert (table[:30, 5:] == -1).all() and (table[30:] >= 0).all()
+
+    def test_every_row_equally_likely(self):
+        design = _design(n=5, probs=(1.0, 0.0), block=5)
+        n = 60_000
+        codes = batch_block_assignments(design, np.zeros(5, dtype=np.int8), n, _rng(15))
+        keys, counts = np.unique(codes, axis=0, return_counts=True)
+        assert len(keys) == 30
+        band = Z_BAND * math.sqrt((1 / 30) * (29 / 30) / n)
+        assert np.abs(counts / n - 1 / 30).max() < band
 
 
 class TestSequentialAssignment:
@@ -188,6 +232,14 @@ class TestBatchAssignments:
     def test_random_block_sizes_match_sequential_path(self):
         design = _design(n=20, block=10, block_sizes=(5, 10))
         self._assert_marginals_match_oracle(design, 12)
+
+    def test_argsort_fallback_matches_sequential_path(self):
+        # no table for the block of 20: uniforms are sorted instead
+        self._assert_marginals_match_oracle(_design(n=20, block=20), 16)
+
+    def test_argsort_fallback_with_random_sizes_matches_sequential_path(self):
+        design = _design(n=20, block=10, block_sizes=(10, 20))
+        self._assert_marginals_match_oracle(design, 17)
 
     def test_random_block_sizes_obey_block_structure(self):
         # each stratum's stream splits into whole blocks of 5 or 10, then a

@@ -37,6 +37,11 @@ class TestCombinePvalue:
         assert combine_pvalue(2.0, np.array([1.0, -3.0, 2.0, 0.5])) == 3 / 5
         assert combine_pvalue(0.0, np.array([1.0, -1.0])) == 1.0
 
+    def test_rounding_ties_count(self):
+        # a mirrored draw's |t| may round a few ulps below the observed one
+        assert combine_pvalue(1.0, np.array([-(1.0 - 1e-14), 0.5])) == 2 / 3
+        assert combine_pvalue(1.0, np.array([1.0 - 1e-6, 0.5])) == 1 / 3
+
     def test_never_below_one_over_draws_plus_one(self):
         assert combine_pvalue(50.0, np.zeros(99)) == 1 / 100
 
