@@ -24,7 +24,7 @@ from .analytic import (
 from .cohort import Cohort, OutcomeModel, sample_cohort
 from .errors import ConfigParseError, ConfigurationError, DegenerateDesignError
 from .harness import ScenarioConfig, ScenarioMetrics, paper_design, paper_suite, run_scenario
-from .inference import AnalysisResult, ModelFit, ci_and_test, fit_model
+from .inference import AnalysisResult, ci_and_test, fit_model
 from .misclassify import MisclassModel, reported_strata
 from .randomizer import AllocationRatio, TrialDesign, randomize_cohort
 from .rerandomize import RandTestResult, randomization_pvalue
@@ -43,7 +43,6 @@ __all__ = [
     "ConfigurationError",
     "DegenerateDesignError",
     "MisclassModel",
-    "ModelFit",
     "OutcomeModel",
     "RandTestResult",
     "ScenarioConfig",

@@ -182,6 +182,8 @@ def expected_se(design: TrialDesign, sigma: float = 1.0, arm: int = 1) -> float:
     the arm-versus-control coefficient has SE sigma * sqrt(1/n_0 + 1/n_a).
     """
     alloc = design.allocation
+    if not 1 <= arm < alloc.n_arms:
+        raise ConfigurationError(f"arm must lie in 1..{alloc.n_arms - 1}, got {arm}")
     n0 = design.n_patients * alloc.target_share(0)
     na = design.n_patients * alloc.target_share(arm)
     return sigma * sqrt(1.0 / n0 + 1.0 / na)
@@ -214,6 +216,8 @@ def noncentral_t_power(
     """
     if se <= 0.0 or df < 1:
         raise ConfigurationError("power needs a positive SE and df >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     from .inference import _t_critical
 
     crit = _t_critical(alpha, df)

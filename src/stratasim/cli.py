@@ -324,8 +324,13 @@ def mixture_rows(cases: list[MixtureCase],
 
 
 def emit_table(rows: list[dict], meta: dict, fmt: str = "csv") -> str:
-    """Render rows plus a metadata block as CSV (commented header) or JSON."""
+    """Render rows plus a metadata block as CSV (commented header) or JSON.
+
+    JSON has no NaN or infinity, so an undefined metric is written as null.
+    """
     if fmt == "json":
+        rows = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
+                 for key, value in row.items()} for row in rows]
         return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
     if fmt != "csv":
         raise ConfigParseError(f"format must be csv or json, got {fmt!r}")

@@ -14,14 +14,16 @@ runs over records held in replication order.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohort import OutcomeModel, observed_outcomes, sample_cohort
-from .errors import ConfigurationError, DegenerateDesignError
-from .inference import fit_batch
+from .errors import ConfigurationError, DegenerateDesignError, as_int
+from .inference import ci_and_test, fit_batch
 from .misclassify import MisclassModel, reported_strata
 from .randomizer import AllocationRatio, TrialDesign, batch_block_assignments, randomize_cohort
 from .rerandomize import randomization_result
@@ -39,7 +41,8 @@ WARN_SHARE = 0.001
 class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
     and run sizes.  ``n_replications`` must be at least 1 and ``seed``
-    nonnegative; ``rb_draws = 0`` disables randomization testing."""
+    nonnegative, all three counts integers; ``rb_draws = 0`` disables
+    randomization testing; ``alpha`` lies in (0, 1)."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -52,6 +55,8 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for field in ("n_replications", "rb_draws", "seed"):
+            object.__setattr__(self, field, as_int(field, getattr(self, field)))
         if self.n_replications < 1:
             raise ConfigurationError(
                 f"n_replications must be >= 1, got {self.n_replications}"
@@ -60,6 +65,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"rb_draws must be >= 0, got {self.rb_draws}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
     @property
     def rb_enabled(self) -> bool:
@@ -161,7 +168,7 @@ def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord
         # null batch; every variant is fit against the same rows
         fits = fit_batch(cohort.observed, [strata for _, strata in pairs], rows, n_arms)
         for (name, _), batch in zip(pairs, fits):
-            res = batch.analysis(0, alpha=config.alpha, strata_used=name)
+            res = ci_and_test(batch, alpha=config.alpha, strata_used=name)
             covered = res.ci_low <= config.outcome.delta <= res.ci_high
             rb_fields = {}
             if config.rb_enabled:
@@ -229,17 +236,18 @@ def _aggregate_variant(
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     """Run every replication of a scenario and aggregate.
 
-    With ``threads > 1`` replications run in process chunks; per-record
-    results and all aggregates are identical to the serial run because
-    every replication is seeded independently and records are reduced in
-    replication order.
+    With ``threads > 1`` replications run in process chunks, on at most
+    one worker per CPU; per-record results and all aggregates are
+    identical to the serial run because every replication is seeded
+    independently and records are reduced in replication order.
     """
     n = config.n_replications
     if threads <= 1 or n < 2 * threads:
         records = _replication_range(config, 0, n)
     else:
         bounds = np.linspace(0, n, threads * 4 + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_replication_range, config, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:])

@@ -6,8 +6,11 @@ stratum indicator, and one indicator per active arm:
     y ~ 1 + 1{stratum high} + 1{T = 1} + ... + 1{T = t}
 
 with a single residual variance.  The target quantity is the arm-1
-coefficient (treatment effect versus control).  Confidence intervals
-and tests use the t distribution on the residual degrees of freedom.
+coefficient (treatment effect versus control).  One kernel,
+``fit_batch``, fits many assignment rows at once; its ``BatchFit``
+carries only the arm terms, and ``fit_model`` is its one-row case.
+Confidence intervals and tests use the t distribution on the residual
+degrees of freedom.
 """
 
 from __future__ import annotations
@@ -22,24 +25,6 @@ from .errors import ConfigurationError, DegenerateDesignError
 
 # normal equations whose Hadamard ratio is at most this count as singular
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ModelFit:
-    """Coefficients, standard errors, and residual variance of one fit."""
-
-    terms: tuple[str, ...]
-    coef: np.ndarray
-    se: np.ndarray
-    df: int
-    sigma2: float
-    n_obs: int
-
-    def coefficient(self, term: str) -> float:
-        return float(self.coef[self.terms.index(term)])
-
-    def stderr(self, term: str) -> float:
-        return float(self.se[self.terms.index(term)])
 
 
 @dataclass(frozen=True)
@@ -65,67 +50,37 @@ class BatchFit:
 
     Arrays are laid out draws-last.  ``arm_coef`` and ``arm_se`` hold the
     arm terms, ``(n_arms - 1, rows)``; ``sigma2`` and ``valid`` one entry
-    per row.  ``model_fit`` adds a row's intercept and stratum terms by
-    back-substitution from ``count`` (patients per stratum, arm and row),
-    the stratum sizes ``n_s`` and outcome sums ``sum_y``, and
-    ``inv_factor``, the inverse ``W`` of the Cholesky factor of each row's
-    Schur complement.  The numbers of an invalid row are meaningless.
+    per row; ``arm_count`` the patients per arm, ``(n_arms, rows)``, so an
+    invalid row can name its empty arm.  The intercept and stratum terms
+    are partialled out and never formed.  The numbers of an invalid row
+    are meaningless.
     """
 
-    terms: tuple[str, ...]
     df: int
     arm_coef: np.ndarray
     arm_se: np.ndarray
     sigma2: np.ndarray
     valid: np.ndarray
-    count: np.ndarray
-    n_s: np.ndarray
-    sum_y: np.ndarray
-    inv_factor: np.ndarray
+    arm_count: np.ndarray
 
     def _check(self, row: int) -> None:
         if not self.valid[row]:
-            treated = self.count[:, :, row].sum(axis=0)
-            counts = [self.n_s.sum() - treated.sum(), *treated]
-            empty = [arm for arm, count in enumerate(counts) if count == 0]
-            if empty:
+            empty = np.flatnonzero(self.arm_count[:, row] == 0)
+            if empty.size:
                 raise DegenerateDesignError(f"arm {empty[0]} has no patients")
             raise DegenerateDesignError("design matrix is rank deficient after column drops")
 
-    def analysis(self, row: int = 0, alpha: float = 0.05, target_arm: int = 1,
-                 strata_used: str = "") -> AnalysisResult:
-        """``ci_and_test`` of one arm coefficient of one row, which must be valid."""
-        self._check(row)
-        return t_analysis(self.arm_coef[target_arm - 1, row], self.arm_se[target_arm - 1, row],
-                          self.df, alpha, term=f"treat{target_arm}", strata_used=strata_used)
-
-    def model_fit(self, row: int = 0) -> ModelFit:
-        """The full fit of one row; a degenerate row raises ``DegenerateDesignError``."""
-        self._check(row)
-        # contiguous copies, so a row computes alike in any batch
-        beta = np.ascontiguousarray(self.arm_coef[:, row])
-        count = np.ascontiguousarray(self.count[:, :, row])
-        factor = np.ascontiguousarray(self.inv_factor[:, :, row])
-        inv_n = 1.0 / self.n_s
-        means = (self.sum_y - count @ beta) * inv_n
-        means[1:] -= means[0]
-        # a stratum term's unscaled variance: 1/n_s (+ 1/n_0 for a contrast)
-        # plus h' S^-1 h = |W h|^2 for its arm shares h
-        shares = count * inv_n[:, None]
-        shares[1:] -= shares[0]
-        unscaled = inv_n.copy()
-        unscaled[1:] += inv_n[0]
-        unscaled += ((shares @ factor.T) ** 2).sum(axis=1)
-        return ModelFit(
-            terms=self.terms, coef=np.concatenate([means, beta]),
-            se=np.concatenate([np.sqrt(self.sigma2[row] * unscaled), self.arm_se[:, row]]),
-            df=self.df, sigma2=float(self.sigma2[row]), n_obs=int(self.n_s.sum()),
-        )
+    def _arm_index(self, target_arm: int) -> int:
+        n_arms = self.arm_count.shape[0]
+        if not 1 <= target_arm < n_arms:
+            raise ConfigurationError(f"target arm {target_arm} outside 1..{n_arms - 1}")
+        return target_arm - 1
 
     def tstats(self, target_arm: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """``(tstats, valid)`` of one arm coefficient; NaN where invalid."""
+        arm = self._arm_index(target_arm)
         with np.errstate(invalid="ignore", divide="ignore"):
-            stats = self.arm_coef[target_arm - 1] / self.arm_se[target_arm - 1]
+            stats = self.arm_coef[arm] / self.arm_se[arm]
         valid = self.valid & np.isfinite(stats)
         return np.where(valid, stats, np.nan), valid
 
@@ -171,14 +126,13 @@ def fit_batch(
     n_rows, n = draws.shape
     if y.shape != (n,):
         raise ConfigurationError("y length does not match treatment draws")
-    levels, codes = [], []
+    sizes, codes = [], []
     for strata in strata_variants:
         if np.shape(strata) != (n,):
             raise ConfigurationError("y, treatments, and strata must have equal length")
         level = np.unique(strata)
-        levels.append(level)
+        sizes.append(level.size)
         codes.append(np.searchsorted(level, strata))
-    sizes = [level.size for level in levels]
     n_var, n_strata, n_free = len(sizes), max(sizes), n_arms - 1
     if n < n_strata + n_free:
         raise DegenerateDesignError(
@@ -273,16 +227,13 @@ def fit_batch(
     sigma2 = np.maximum(rss, 0.0) / np.repeat(np.where(df > 0, df, np.nan), n_rows)
     se = np.sqrt(sigma2 * unscaled)
 
-    arm_terms = tuple(f"treat{arm}" for arm in range(1, n_arms))
+    arm_count = np.concatenate([n - arm_total.sum(axis=0, keepdims=True), arm_total])
     fits = []
-    for v, (level, size) in enumerate(zip(levels, sizes)):
+    for v in range(n_var):
         lane = slice(v * n_rows, (v + 1) * n_rows)
-        terms = ("intercept", *(f"stratum{int(lv)}" for lv in level[1:]), *arm_terms)
         fits.append(BatchFit(
-            terms=terms, df=int(df[v]),
-            arm_coef=beta[:, lane], arm_se=se[:, lane], sigma2=sigma2[lane],
-            valid=valid[lane], count=count[:size, :, lane], n_s=n_s[v, :size],
-            sum_y=col_y[v, :size], inv_factor=inv[:, :, lane],
+            df=int(df[v]), arm_coef=beta[:, lane], arm_se=se[:, lane], sigma2=sigma2[lane],
+            valid=valid[lane], arm_count=arm_count[:, lane],
         ))
     return fits
 
@@ -292,18 +243,19 @@ def fit_model(
     treatments: np.ndarray,
     strata_covariate: np.ndarray,
     n_arms: int | None = None,
-) -> ModelFit:
-    """Fit the homogeneous-variance stratum-adjusted model by least squares.
+) -> BatchFit:
+    """Fit the homogeneous-variance stratum-adjusted model to one trial.
 
-    A batch of one through ``fit_batch``.  An arm with no patients, fewer
-    observations than columns, or a Hadamard ratio of the normal
-    equations at most ``RANK_TOL`` (a rank-deficient design) raises
-    ``DegenerateDesignError``.
+    A batch of one through ``fit_batch``, returned as its one-row
+    ``BatchFit``.  An arm with no patients, fewer observations than
+    columns, or a Hadamard ratio of the normal equations at most
+    ``RANK_TOL`` (a rank-deficient design) raises ``DegenerateDesignError``.
     """
     treatments = np.asarray(treatments)
     arms = int(treatments.max()) + 1 if n_arms is None else n_arms
     (fit,) = fit_batch(y, [strata_covariate], treatments[None, :], arms)
-    return fit.model_fit(0)
+    fit._check(0)
+    return fit
 
 
 @lru_cache(maxsize=64)
@@ -312,32 +264,23 @@ def _t_critical(alpha: float, df: int) -> float:
 
 
 def ci_and_test(
-    fit: ModelFit,
+    fit: BatchFit,
     alpha: float = 0.05,
     null_value: float = 0.0,
-    term: str = "treat1",
+    target_arm: int = 1,
     strata_used: str = "",
+    row: int = 0,
 ) -> AnalysisResult:
-    """Two-sided CI and t test for one coefficient of the fit."""
-    return t_analysis(fit.coefficient(term), fit.stderr(term), fit.df, alpha,
-                      null_value, term, strata_used)
-
-
-def t_analysis(
-    estimate: float,
-    se: float,
-    df: int,
-    alpha: float = 0.05,
-    null_value: float = 0.0,
-    term: str = "treat1",
-    strata_used: str = "",
-) -> AnalysisResult:
-    """Two-sided t interval and test from an estimate, its SE and df."""
+    """Two-sided t interval and test for the ``target_arm`` coefficient of
+    one row of a fit; a degenerate row raises ``DegenerateDesignError``."""
+    arm = fit._arm_index(target_arm)
+    fit._check(row)
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    df = fit.df
     if df < 1:
         raise DegenerateDesignError("no residual degrees of freedom for a t interval")
-    estimate, se = float(estimate), float(se)
+    estimate, se = float(fit.arm_coef[arm, row]), float(fit.arm_se[arm, row])
     crit = _t_critical(alpha, df)
     if se > 0.0:
         stat = (estimate - null_value) / se
@@ -346,7 +289,7 @@ def t_analysis(
         stat = 0.0 if estimate == null_value else float("inf") * np.sign(estimate - null_value)
         p = 1.0 if estimate == null_value else 0.0
     return AnalysisResult(
-        term=term,
+        term=f"treat{target_arm}",
         estimate=estimate,
         se=se,
         df=df,
@@ -358,23 +301,3 @@ def t_analysis(
         null_value=null_value,
         strata_used=strata_used,
     )
-
-
-def batched_treatment_tstats(
-    y: np.ndarray,
-    strata_covariate: np.ndarray,
-    treatment_draws: np.ndarray,
-    n_arms: int,
-    target_arm: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """t statistics of one arm coefficient across many treatment vectors.
-
-    Fits the same model as ``fit_model`` for every row of
-    ``treatment_draws`` through the same kernel.  Returns
-    ``(tstats, valid)``; a draw is invalid when an arm is empty or the
-    normal equations are numerically singular, and its statistic is NaN.
-    """
-    if not 1 <= target_arm < n_arms:
-        raise ConfigurationError(f"target arm {target_arm} outside 1..{n_arms - 1}")
-    (fit,) = fit_batch(y, [strata_covariate], treatment_draws, n_arms)
-    return fit.tstats(target_arm)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int
 
 # fills the slots of a block shorter than the longest admissible length
 _PAD = -1
@@ -81,6 +82,8 @@ class TrialDesign:
     block_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_patients", as_int("n_patients", self.n_patients))
+        object.__setattr__(self, "block_size", as_int("block_size", self.block_size))
         if self.n_patients < 1:
             raise ConfigurationError(f"n_patients must be >= 1, got {self.n_patients}")
         probs = tuple(float(p) for p in self.strata_probs)
@@ -96,7 +99,12 @@ class TrialDesign:
         object.__setattr__(self, "allocation", _coerce_allocation(self.allocation))
         block_pattern(self.allocation, self.block_size)
         if self.block_sizes is not None:
-            sizes = tuple(int(b) for b in self.block_sizes)
+            if not isinstance(self.block_sizes, Iterable):
+                raise ConfigurationError(
+                    f"block_sizes must be a nonempty list when given, got {self.block_sizes!r}"
+                )
+            sizes = tuple(as_int(f"block_sizes[{i}]", size)
+                          for i, size in enumerate(self.block_sizes))
             if not sizes:
                 raise ConfigurationError("block_sizes must be a nonempty list when given")
             for size in sizes:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDesignError
-from .inference import batched_treatment_tstats
+from .inference import fit_batch
 
 FLAG_DISCARD_SHARE = 0.01
 # a null statistic this close to the observed one, relative to its size,
@@ -70,9 +70,8 @@ def randomization_pvalue(
     # the observed row rides in the same kernel call as the null draws, so
     # an exact re-draw of the observed assignment ties exactly
     t_batch = np.vstack([treatments, null_assignments])
-    return randomization_result(
-        *batched_treatment_tstats(y, analysis_strata, t_batch, n_arms, target_arm)
-    )
+    (fit,) = fit_batch(y, [analysis_strata], t_batch, n_arms)
+    return randomization_result(*fit.tstats(target_arm))
 
 
 def randomization_result(stats: np.ndarray, valid: np.ndarray) -> RandTestResult:

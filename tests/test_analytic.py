@@ -187,6 +187,11 @@ class TestExpectedSe:
             math.sqrt(1.0 / 20 + 1.0 / 40), abs=1e-15
         )
 
+    @pytest.mark.parametrize("arm", [0, 3, 5, -1])
+    def test_arm_outside_active_arms_rejected(self, arm):
+        with pytest.raises(ConfigurationError, match=rf"arm must lie in 1\.\.2, got {arm}"):
+            expected_se(_design(), arm=arm)
+
 
 class TestPooledResidualSd:
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -239,3 +244,8 @@ class TestNoncentralTPower:
             noncentral_t_power(0.5, 0.0, 76)
         with pytest.raises(ConfigurationError, match="df"):
             noncentral_t_power(0.5, 0.3, 0)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            noncentral_t_power(0.5, 0.306, 76, alpha=alpha)

@@ -356,6 +356,19 @@ class TestMain:
         assert row["level"] is None and row["power"] is not None
         assert row["rb_power"] is None  # rb_draws = 0 in the config
 
+    def test_undefined_metrics_are_json_null(self, tmp_path):
+        # one replication leaves the SD-based metrics undefined
+        cfg = self._write_config(tmp_path, reps=1)
+        out = tmp_path / "res.json"
+        assert main(["--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert [row["mc_se_bias"] for row in doc["rows"]] == [None, None]
+        assert doc["rows"][0]["reps"] == 1
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path, reps=150)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,7 +4,9 @@ accounting in the scenario runner."""
 from __future__ import annotations
 
 import math
+import re
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +64,79 @@ class TestScenarioConfig:
     def test_smallest_run_sizes_run(self):
         metrics = run_scenario(_config(reps=1, rb_draws=0))
         assert metrics.n_valid + metrics.n_invalid == 1
+
+
+def _design(**fields):
+    base = dict(n_patients=80, strata_probs=(0.4, 0.6), allocation=(1, 2, 2), block_size=10)
+    return TrialDesign(**{**base, **fields})
+
+
+def _scenario(**fields):
+    return replace(_config(reps=2), **fields)
+
+
+@pytest.mark.parametrize("build,fields,rejected", [
+    (_design, {"n_patients": 80.5}, "n_patients"),
+    (_design, {"n_patients": True}, "n_patients"),
+    (_design, {"block_size": 10.5}, "block_size"),
+    (_design, {"block_sizes": (5.5, 10)}, "block_sizes[0]"),
+    (_design, {"block_sizes": (5, "10")}, "block_sizes[1]"),
+    (_design, {"block_sizes": 10}, "block_sizes"),
+    (_scenario, {"n_replications": 2.5}, "n_replications"),
+    (_scenario, {"rb_draws": 1.5}, "rb_draws"),
+    (_scenario, {"seed": 1.5}, "seed"),
+    (_scenario, {"alpha": 1.5}, "alpha"),
+    (_scenario, {"alpha": 0.0}, "alpha"),
+    (_scenario, {"alpha": "0.05"}, "alpha"),
+    (_design, {"n_patients": np.int64(20), "block_size": 10.0,
+               "block_sizes": (np.int32(5), 10.0)}, None),
+    (_scenario, {"n_replications": 2.0, "rb_draws": np.int64(20), "seed": np.uint8(7),
+                 "design": _design(n_patients=20.0, block_size=np.int16(5))}, None),
+])
+def test_config_counts_coerced_or_rejected_by_field(build, fields, rejected):
+    if rejected is not None:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(rejected)} must"):
+            build(**fields)
+        return
+    built = build(**fields)
+    for name, value in fields.items():
+        if isinstance(value, TrialDesign):
+            continue
+        want = tuple(int(v) for v in value) if isinstance(value, tuple) else int(value)
+        assert repr(getattr(built, name)) == repr(want)
+    config = _scenario(design=built) if isinstance(built, TrialDesign) else built
+    assert run_scenario(config).n_valid == config.n_replications
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count and
+    runs each chunk in this process."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
+def test_pool_capped_at_cpu_count(monkeypatch, cpus, workers):
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    config = _config(reps=12)
+    assert run_scenario(config, threads=6) == run_scenario(config, threads=1)
+    assert _InlinePool.max_workers == [workers]
 
 
 class TestMcSeRate:

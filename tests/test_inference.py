@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +10,8 @@ import pytest
 from stratasim.errors import ConfigurationError, DegenerateDesignError
 from stratasim.inference import (
     RANK_TOL,
-    ModelFit,
+    BatchFit,
     _t_critical,
-    batched_treatment_tstats,
     ci_and_test,
     fit_batch,
     fit_model,
@@ -39,18 +37,31 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _tstats(y, strata, rows, n_arms, target_arm=1):
+    (fit,) = fit_batch(y, [strata], rows, n_arms)
+    return fit.tstats(target_arm)
+
+
+def _assert_matches_oracle(fit, row, design, y):
+    """Arm coefficients, arm SEs and sigma2 of one row against the exact
+    rational solution; the arm columns are the design's last ones."""
+    beta, rss, unscaled = ols_exact(design, y)
+    n_free = fit.arm_coef.shape[0]
+    sigma2 = float(rss) / fit.df
+    assert abs(fit.sigma2[row] - sigma2) < 1e-10
+    for j in range(n_free):
+        k = len(beta) - n_free + j
+        assert abs(fit.arm_coef[j, row] - float(beta[k])) < 1e-10
+        assert abs(fit.arm_se[j, row] - math.sqrt(sigma2 * float(unscaled[k]))) < 1e-10
+
+
 class TestFitModel:
     def test_matches_exact_rational_solution(self):
-        beta, rss, unscaled = ols_exact(_design_rows(), Y)
         fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
-        assert fit.terms == ("intercept", "stratum1", "treat1", "treat2")
         assert fit.df == 8
-        for got, want in zip(fit.coef, beta):
-            assert abs(got - float(want)) < 1e-10
-        assert abs(fit.sigma2 - float(rss) / 8) < 1e-10
-        for got, diag in zip(fit.se, unscaled):
-            want = math.sqrt(float(rss) / 8 * float(diag))
-            assert abs(got - want) < 1e-10
+        assert fit.arm_coef.shape == fit.arm_se.shape == (2, 1)
+        assert fit.arm_count[:, 0].tolist() == [4, 4, 4]
+        _assert_matches_oracle(fit, 0, _design_rows(), Y)
 
     def test_row_permutation_invariance(self):
         rng = _rng(41)
@@ -59,8 +70,8 @@ class TestFitModel:
         shuffled = fit_model(
             np.array(Y, dtype=float)[perm], TREATMENTS[perm], STRATA[perm]
         )
-        assert np.abs(base.coef - shuffled.coef).max() < 1e-12
-        assert np.abs(base.se - shuffled.se).max() < 1e-12
+        assert np.abs(base.arm_coef - shuffled.arm_coef).max() < 1e-12
+        assert np.abs(base.arm_se - shuffled.arm_se).max() < 1e-12
 
     def test_residuals_orthogonal_to_design(self):
         rng = _rng(42)
@@ -68,23 +79,24 @@ class TestFitModel:
         treatments = np.tile([0, 1, 2], 20)
         strata = (rng.random(60) >= 0.4).astype(np.int8)
         fit = fit_model(y, treatments, strata)
-        x = np.column_stack(
-            [np.ones(60), strata == 1, treatments == 1, treatments == 2]
-        ).astype(float)
-        resid = y - x @ fit.coef
+        arms = np.column_stack([treatments == 1, treatments == 2]).astype(float)
+        # given the arm terms, each stratum's term is its mean of what remains
+        partial = y - arms @ fit.arm_coef[:, 0]
+        resid = partial.copy()
+        for s in (0, 1):
+            resid[strata == s] -= partial[strata == s].mean()
+        x = np.column_stack([np.ones(60), strata == 1, arms])
         assert np.abs(x.T @ resid).max() < 1e-8
+        assert abs(resid @ resid / fit.df - fit.sigma2[0]) < 1e-12
 
     def test_empty_stratum_column_dropped(self):
         y = np.array(Y, dtype=float)
         ones = np.ones_like(STRATA)
         fit = fit_model(y, TREATMENTS, ones)
-        assert fit.terms == ("intercept", "treat1", "treat2")
         assert fit.df == 9
-        beta, rss, unscaled = ols_exact(
-            [[1, int(t == 1), int(t == 2)] for t in TREATMENTS.tolist()], Y
+        _assert_matches_oracle(
+            fit, 0, [[1, int(t == 1), int(t == 2)] for t in TREATMENTS.tolist()], Y
         )
-        for got, want in zip(fit.coef, beta):
-            assert abs(got - float(want)) < 1e-10
 
     def test_empty_arm_raises(self):
         y = np.array(Y, dtype=float)
@@ -117,7 +129,7 @@ class TestCiAndTest:
         fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
         for alpha in (0.05, 0.01):
             res = ci_and_test(fit, alpha=alpha)
-            stat = fit.coefficient("treat1") / fit.stderr("treat1")
+            stat = fit.arm_coef[0, 0] / fit.arm_se[0, 0]
             assert abs(res.statistic - stat) < 1e-12
             assert abs(res.p_value - t_two_sided_p(stat, fit.df)) < 1e-8
             tcrit = t_critical_bisect(alpha, fit.df)
@@ -129,25 +141,31 @@ class TestCiAndTest:
 
     def test_reports_requested_term_and_strata_label(self):
         fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
-        res = ci_and_test(fit, term="treat2", strata_used="corrected")
+        res = ci_and_test(fit, target_arm=2, strata_used="corrected")
         assert res.term == "treat2"
         assert res.strata_used == "corrected"
-        assert res.estimate == fit.coefficient("treat2")
+        assert res.estimate == fit.arm_coef[1, 0]
+        assert res.se == fit.arm_se[1, 0]
+
+    @pytest.mark.parametrize("target_arm", [0, 3, -1])
+    def test_target_arm_outside_active_arms_rejected(self, target_arm):
+        fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
+        with pytest.raises(ConfigurationError, match=f"target arm {target_arm} outside 1..2"):
+            ci_and_test(fit, target_arm=target_arm)
+        with pytest.raises(ConfigurationError, match=f"target arm {target_arm} outside 1..2"):
+            fit.tstats(target_arm)
 
     def test_zero_se_edge(self):
-        terms = ("intercept", "treat1")
-        null_fit = ModelFit(
-            terms=terms, coef=np.array([2.0, 0.0]), se=np.zeros(2),
-            df=8, sigma2=0.0, n_obs=10,
-        )
-        res = ci_and_test(null_fit)
+        def one_row(estimate):
+            return BatchFit(
+                df=8, arm_coef=np.array([[estimate]]), arm_se=np.zeros((1, 1)),
+                sigma2=np.zeros(1), valid=np.array([True]), arm_count=np.array([[5], [5]]),
+            )
+
+        res = ci_and_test(one_row(0.0))
         assert res.p_value == 1.0  # estimate equals the null exactly
         assert res.ci_low == res.ci_high == 0.0
-        effect_fit = ModelFit(
-            terms=terms, coef=np.array([2.0, 0.5]), se=np.zeros(2),
-            df=8, sigma2=0.0, n_obs=10,
-        )
-        res_eff = ci_and_test(effect_fit)
+        res_eff = ci_and_test(one_row(0.5))
         assert res_eff.p_value == 0.0
         assert res_eff.ci_low == res_eff.ci_high == 0.5
 
@@ -169,12 +187,11 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("target_arm", [1, 2])
     def test_matches_single_fits(self, target_arm):
         y, strata, draws = self._trial(43)
-        stats, valid = batched_treatment_tstats(y, strata, draws, 3, target_arm)
+        stats, valid = _tstats(y, strata, draws, 3, target_arm)
         assert valid.all()
-        term = f"treat{target_arm}"
         for row, got in zip(draws, stats):
             fit = fit_model(y, row, strata, 3)
-            want = fit.coefficient(term) / fit.stderr(term)
+            want = fit.arm_coef[target_arm - 1, 0] / fit.arm_se[target_arm - 1, 0]
             assert abs(got - want) < 1e-10
 
     def test_degenerate_rows_flagged_not_raised(self):
@@ -187,11 +204,11 @@ class TestBatchedKernel:
                 [1, 1, 2, 1, 1, 2],  # control missing
             ]
         )
-        stats, valid = batched_treatment_tstats(y, strata, rows, 3)
+        stats, valid = _tstats(y, strata, rows, 3)
         assert valid.tolist() == [True, False, False]
         assert np.isnan(stats[1]) and np.isnan(stats[2])
         fit = fit_model(y, rows[0], strata, 3)
-        want = fit.coefficient("treat1") / fit.stderr("treat1")
+        want = fit.arm_coef[0, 0] / fit.arm_se[0, 0]
         assert abs(stats[0] - want) < 1e-10
 
     def test_batch_matches_oracle_and_flags_degenerate_rows(self):
@@ -207,24 +224,20 @@ class TestBatchedKernel:
             ]
         )
         (batch,) = fit_batch(np.array(Y, dtype=float), [strata], rows, 3)
-        assert batch.terms == ("intercept", "stratum1", "stratum2", "treat1", "treat2")
         assert batch.df == 7
         assert batch.valid.tolist() == [True, True, False, False, True]
-        stats, t_valid = batched_treatment_tstats(Y, strata, rows, 3, 2)
+        stats, t_valid = _tstats(Y, strata, rows, 3, 2)
         assert t_valid.tolist() == batch.valid.tolist()
         assert np.isnan(stats[~batch.valid]).all()
         for b in np.flatnonzero(batch.valid):
-            fit = batch.model_fit(b)
             design = [
                 [1, int(s == 1), int(s == 2), int(t == 1), int(t == 2)]
                 for s, t in zip(strata.tolist(), rows[b].tolist())
             ]
+            _assert_matches_oracle(batch, b, design, Y)
             beta, rss, unscaled = ols_exact(design, Y)
-            assert np.abs(fit.coef - [float(v) for v in beta]).max() < 1e-10
-            assert abs(fit.sigma2 - float(rss) / 7) < 1e-10
-            want_se = [math.sqrt(float(rss) / 7 * float(u)) for u in unscaled]
-            assert np.abs(fit.se - want_se).max() < 1e-10
-            assert abs(stats[b] - float(beta[4]) / want_se[4]) < 1e-10
+            want_se = math.sqrt(float(rss) / 7 * float(unscaled[4]))
+            assert abs(stats[b] - float(beta[4]) / want_se) < 1e-10
 
     def test_rank_tolerance_is_strict(self):
         assert RANK_TOL == 1e-10
@@ -248,10 +261,6 @@ class TestStackedKernel:
 
     def test_each_variant_matches_exact_oracle(self):
         fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
-        assert [f.terms for f in fits] == [
-            ("intercept", "stratum1", "stratum2", "treat1", "treat2"),
-            ("intercept", "stratum2", "treat1", "treat2"),
-        ]
         assert [f.df for f in fits] == [7, 8]
         assert fits[0].valid.tolist() == [True, True, False, False, True]
         assert fits[1].valid.tolist() == [True, True, False, True, True]
@@ -260,31 +269,27 @@ class TestStackedKernel:
             for b in range(len(self.ROWS)):
                 if not batch.valid[b]:
                     with pytest.raises(DegenerateDesignError):
-                        batch.model_fit(b)
+                        ci_and_test(batch, row=b)
                     continue
                 design = [[1, *(int(s == lv) for lv in levels), int(t == 1), int(t == 2)]
                           for s, t in zip(strata.tolist(), self.ROWS[b].tolist())]
-                beta, rss, unscaled = ols_exact(design, Y)
-                fit = batch.model_fit(b)
-                assert np.abs(fit.coef - [float(v) for v in beta]).max() < 1e-10
-                assert abs(fit.sigma2 - float(rss) / batch.df) < 1e-10
-                want_se = [math.sqrt(float(rss) / batch.df * float(u)) for u in unscaled]
-                assert np.abs(fit.se - want_se).max() < 1e-10
+                _assert_matches_oracle(batch, b, design, Y)
 
     def test_invalid_rows_name_their_fault(self):
         fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
         with pytest.raises(DegenerateDesignError, match="arm 2 has no patients"):
-            fits[1].model_fit(2)
+            ci_and_test(fits[1], row=2)
         with pytest.raises(DegenerateDesignError, match="rank deficient"):
-            fits[0].analysis(3)
+            ci_and_test(fits[0], row=3)
 
-    def test_analysis_matches_ci_and_test_of_the_full_fit(self):
-        fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
-        for batch in fits:
+    def test_batch_row_analysis_equals_one_trial_fit(self):
+        y = np.array(Y, dtype=float)
+        fits = fit_batch(y, list(self.STRATA), self.ROWS, 3)
+        for strata, batch in zip(self.STRATA, fits):
+            one = fit_model(y, self.ROWS[4], strata, 3)
             for target in (1, 2):
-                got = batch.analysis(4, alpha=0.1, target_arm=target, strata_used="x")
-                want = ci_and_test(batch.model_fit(4), alpha=0.1, term=f"treat{target}",
-                                   strata_used="x")
+                got = ci_and_test(batch, alpha=0.1, target_arm=target, strata_used="x", row=4)
+                want = ci_and_test(one, alpha=0.1, target_arm=target, strata_used="x")
                 assert got == want
 
     @pytest.mark.parametrize("n_arms", [2, 3, 4])
@@ -310,8 +315,6 @@ class TestStackedKernel:
                 assert np.array_equal(got[..., 0], getattr(one, name)[..., 0])
                 assert np.array_equal(got[..., 0], got[..., 500])
                 assert np.array_equal(got, getattr(own, name))
-            fit, fit_alone = big.model_fit(0), one.model_fit(0)
-            assert np.array_equal(fit.coef, fit_alone.coef)
-            assert np.array_equal(fit.se, fit_alone.se)
+            assert ci_and_test(big) == ci_and_test(one) == ci_and_test(big, row=500)
             stats, _ = big.tstats()
             assert stats[0] == stats[500] == one.tstats()[0][0]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stratasim.errors import ConfigurationError
-from stratasim.inference import batched_treatment_tstats
+from stratasim.inference import fit_batch
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from stratasim.rerandomize import (
     FLAG_DISCARD_SHARE,
@@ -22,6 +22,11 @@ from properties import check_rb_superuniformity
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _tstats(y, strata, rows, n_arms):
+    (fit,) = fit_batch(y, [strata], rows, n_arms)
+    return fit.tstats()
 
 
 def _all_assignments(n_blocks):
@@ -70,7 +75,7 @@ class TestExhaustiveNull:
         y = np.array([0.3, 1.7, -0.4, 2.2, 0.9, -1.1])
         strata = np.zeros(6, dtype=np.int8)
         nulls = _all_assignments(3)
-        stats, valid = batched_treatment_tstats(y, strata, nulls, n_arms=2)
+        stats, valid = _tstats(y, strata, nulls, n_arms=2)
         assert valid.all()
         for row, got in zip(nulls, stats):
             assert abs(got - two_sample_t(y[row == 0], y[row == 1])) < 1e-10
@@ -92,8 +97,8 @@ class TestSampledDraws:
 
         draws = batch_block_assignments(design, reported, 150, _rng(77))
         res = randomization_pvalue(y, treatments, analysis, draws, n_arms=2)
-        stats, valid = batched_treatment_tstats(y, analysis, draws, n_arms=2)
-        obs_stats, obs_valid = batched_treatment_tstats(
+        stats, valid = _tstats(y, analysis, draws, n_arms=2)
+        obs_stats, obs_valid = _tstats(
             y, analysis, treatments[None, :], n_arms=2
         )
         assert obs_valid[0]
@@ -151,7 +156,7 @@ class TestRandomBlockSizes:
 
         draws = batch_block_assignments(design, strata, 60, _rng(78))
         res = randomization_pvalue(y, treatments, strata, draws, n_arms=2)
-        stats, valid = batched_treatment_tstats(
+        stats, valid = _tstats(
             y, strata, np.vstack([treatments, draws]), n_arms=2
         )
         assert 0.0 < res.p_value <= 1.0
