@@ -34,7 +34,7 @@ from pathlib import Path
 from . import __version__
 from .analytic import StrataMixtureSummary, reported_strata_mixture
 from .cohort import OutcomeModel
-from .errors import ConfigParseError
+from .errors import ConfigParseError, ConfigurationError
 from .harness import (
     DEFAULT_SEED,
     MixtureCase,
@@ -55,6 +55,8 @@ _DEFAULTS = {
             "analyze_reported": True},
 }
 
+# ScenarioConfig field -> key of the "run" section
+_RUN_KEYS = {"n_replications": "reps"}
 ROUND_DIGITS = 3
 MIXTURE_ROUND_DIGITS = 2
 
@@ -187,37 +189,28 @@ def parse_config(source) -> list[ScenarioConfig]:
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
 
-    reps = int(_expect_number("run", "reps", run_doc["reps"], integral=True))
-    rb_draws = int(_expect_number("run", "rb_draws", run_doc["rb_draws"], integral=True))
-    seed = int(_expect_number("run", "seed", run_doc["seed"], integral=True))
-    alpha = float(_expect_number("run", "alpha", run_doc["alpha"]))
     analyze_reported = run_doc["analyze_reported"]
-    if reps < 1:
-        raise ConfigParseError(f"run.reps: must be >= 1, got {reps}")
-    if rb_draws < 0:
-        raise ConfigParseError(f"run.rb_draws: must be >= 0, got {rb_draws}")
-    if seed < 0:
-        raise ConfigParseError(f"run.seed: must be >= 0, got {seed}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigParseError(f"run.alpha: must lie in (0, 1), got {alpha}")
     if not isinstance(analyze_reported, bool):
         raise ConfigParseError(
             f"run.analyze_reported: expected true or false, got {analyze_reported!r}"
         )
-
-    return [
-        ScenarioConfig(
+    try:
+        config = ScenarioConfig(
             design=design,
             outcome=outcome,
             misclass=misclass,
-            n_replications=reps,
-            rb_draws=rb_draws,
-            seed=seed,
-            alpha=alpha,
+            n_replications=run_doc["reps"],
+            rb_draws=run_doc["rb_draws"],
+            seed=run_doc["seed"],
+            alpha=run_doc["alpha"],
             analyze_reported=analyze_reported,
             label="custom",
         )
-    ]
+    except ConfigurationError as exc:
+        # the library names its field; the document names the dotted path
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigParseError(f"run.{_RUN_KEYS.get(field, field)}: {rest}") from exc
+    return [config]
 
 
 def scenario_to_doc(config: ScenarioConfig) -> dict:

@@ -75,11 +75,28 @@ class Cohort:
         return self.potentials.shape[1]
 
 
-def sample_strata(design: TrialDesign, rng: np.random.Generator) -> np.ndarray:
-    """Draw true stratum labels iid from the design's strata probabilities."""
+def strata_labels(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
+    """True stratum labels from one uniform per patient, any leading shape."""
     cum = np.cumsum(design.strata_probs)
-    labels = np.searchsorted(cum, rng.random(design.n_patients), side="right")
+    labels = np.searchsorted(cum, uniforms, side="right")
     return np.minimum(labels, design.n_strata - 1).astype(np.int8)
+
+
+def potential_outcomes(strata: np.ndarray, model: OutcomeModel,
+                       normals: np.ndarray) -> np.ndarray:
+    """The ``(..., n_patients, n_arms)`` potential outcomes from labels
+    ``(..., n_patients)`` and ``(..., n_patients, 1 + n_arms)`` standard
+    normals: column 0 is the shared factor ``u``, the rest the ``e_a``."""
+    strata = np.asarray(strata)
+    if strata.size and int(strata.max()) >= len(model.strata_means):
+        raise ConfigurationError(
+            f"stratum label {int(strata.max())} has no mean in {model.strata_means!r}"
+        )
+    n_arms = normals.shape[-1] - 1
+    noise = math.sqrt(model.rho) * normals[..., :1] + math.sqrt(1.0 - model.rho) * normals[..., 1:]
+    means = np.array([[model.mean(s, arm) for arm in range(n_arms)]
+                      for s in range(len(model.strata_means))])
+    return means[strata] + model.sigma * noise
 
 
 def sample_potential_outcomes(
@@ -89,19 +106,32 @@ def sample_potential_outcomes(
     n_arms: int = 3,
 ) -> np.ndarray:
     """Draw the (n_patients, n_arms) matrix of potential outcomes."""
-    strata = np.asarray(strata)
-    if strata.size and int(strata.max()) >= len(model.strata_means):
+    normals = rng.standard_normal((np.shape(strata)[0], 1 + n_arms))
+    return potential_outcomes(strata, model, normals)
+
+
+def draw_cohort(design: TrialDesign, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Every draw of one cohort, in stream order: one uniform per patient
+    for the stratum, then ``1 + n_arms`` standard normals per patient."""
+    n = design.n_patients
+    return rng.random(n), rng.standard_normal((n, 1 + design.allocation.n_arms))
+
+
+def cohort_arrays(
+    design: TrialDesign,
+    model: OutcomeModel,
+    uniforms: np.ndarray,
+    normals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """True strata and potential outcomes of a stack of cohorts from their
+    ``draw_cohort`` draws, stacked along leading axes."""
+    if len(model.strata_means) != design.n_strata:
         raise ConfigurationError(
-            f"stratum label {int(strata.max())} has no mean in {model.strata_means!r}"
+            f"outcome model has {len(model.strata_means)} strata means, "
+            f"design has {design.n_strata} strata"
         )
-    n = strata.shape[0]
-    shared = rng.standard_normal(n)
-    own = rng.standard_normal((n, n_arms))
-    noise = np.sqrt(model.rho) * shared[:, None] + np.sqrt(1.0 - model.rho) * own
-    means = np.asarray(model.strata_means)[strata][:, None] + model.delta * (
-        np.arange(n_arms) >= 1
-    )
-    return means + model.sigma * noise
+    strata = strata_labels(design, uniforms)
+    return strata, potential_outcomes(strata, model, normals)
 
 
 def sample_cohort(
@@ -110,17 +140,12 @@ def sample_cohort(
     rng: np.random.Generator,
 ) -> Cohort:
     """Draw strata and potential outcomes for a full cohort."""
-    if len(model.strata_means) != design.n_strata:
-        raise ConfigurationError(
-            f"outcome model has {len(model.strata_means)} strata means, "
-            f"design has {design.n_strata} strata"
-        )
-    strata = sample_strata(design, rng)
-    potentials = sample_potential_outcomes(strata, model, rng, design.allocation.n_arms)
+    strata, potentials = cohort_arrays(design, model, *draw_cohort(design, rng))
     return Cohort(true_strata=strata, potentials=potentials, outcome=model)
 
 
 def observed_outcomes(potentials: np.ndarray, treatments: np.ndarray) -> np.ndarray:
-    """Select each patient's outcome under the assigned arm."""
-    treatments = np.asarray(treatments)
-    return potentials[np.arange(len(treatments)), treatments]
+    """Select each patient's outcome under the assigned arm; any leading
+    shape shared by ``potentials`` and ``treatments``."""
+    treatments = np.asarray(treatments, dtype=np.intp)
+    return np.take_along_axis(potentials, treatments[..., None], axis=-1)[..., 0]

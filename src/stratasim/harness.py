@@ -5,10 +5,23 @@ within the reported strata, and analyzes the observed outcomes twice:
 once adjusting for the true ("corrected") strata and once for the
 reported ones.  Randomization-based p-values are optional per scenario.
 
-Reproducibility: replication ``r`` of a scenario seeds every stream from
-``SeedSequence(seed, spawn_key=(r,))`` with one child per purpose, so
-results are independent of chunking and thread count, and aggregation
-runs over records held in replication order.
+Streams: replication ``r`` keys one ``Philox`` generator with
+``SeedSequence(seed, spawn_key=(r,))`` and draws each stage from a fixed
+counter offset, ``stage * STAGE_STRIDE`` blocks: the cohort
+(``COHORT``), the misclassification uniforms, drawn only under the
+ignorable model (``MISCLASSIFICATION``), the observed randomization
+(``RANDOMIZATION``) and the randomization-test null batch
+(``NULL_BATCH``).  Fixed offsets keep the cohort and the assignments
+common across misclassification kinds.
+
+Chunks: a chunk holds ``CHUNK_CELLS // ((1 + rb_draws) * n_patients)``
+replications (at least one), so its arrays stay the same size whatever
+the design.  The only per-replication loop is the draws; every stage
+after it runs once per chunk on ``(replications, patients)`` arrays, and
+one kernel call fits every row of the chunk.  A replication's numbers do
+not depend on its chunk, so results are independent of chunking and
+thread count, and aggregation runs over arrays held in replication
+order.
 """
 
 from __future__ import annotations
@@ -16,17 +29,18 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cohort import OutcomeModel, observed_outcomes, sample_cohort
-from .errors import ConfigurationError, DegenerateDesignError, as_int
-from .inference import ci_and_test, fit_batch
-from .misclassify import MisclassModel, reported_strata
-from .randomizer import AllocationRatio, TrialDesign, batch_block_assignments, randomize_cohort
-from .rerandomize import randomization_result
+from .cohort import OutcomeModel, cohort_arrays, draw_cohort, observed_outcomes
+from .errors import ConfigurationError, as_int
+from .inference import NO_RESIDUAL_DF, fit_batch, t_interval
+from .misclassify import MisclassModel, draw_flips, misclassify
+from .randomizer import AllocationRatio, TrialDesign, deal_blocks, draw_blocks
+from .rerandomize import DEGENERATE_OBSERVED, randomization_batch
 
 DEFAULT_SEED = 2014
 CORRECTED = "corrected"
@@ -36,8 +50,14 @@ REPORTED = "reported"
 # of one variant's randomization tests discarded too many null draws
 WARN_SHARE = 0.001
 
+# patient assignments per kernel call, observed and null: the chunk size
+CHUNK_CELLS = 1024 * 80
+# Philox counter blocks between the first draws of consecutive stages
+STAGE_STRIDE = 1 << 64
+COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
     and run sizes.  ``n_replications`` must be at least 1 and ``seed``
@@ -95,9 +115,11 @@ class ReplicationRecord:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariantMetrics:
-    """Aggregates for one strata variant across valid replications."""
+    """Aggregates for one strata variant across valid replications;
+    ``rb_flagged`` and ``rb_discarded`` sum over their randomization
+    tests."""
 
     strata_used: str
     n: int
@@ -113,16 +135,45 @@ class VariantMetrics:
     rb_reject_rate: float | None = None
     mc_se_rb_reject: float | None = None
     rb_flagged: int = 0
+    rb_discarded: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioMetrics:
+    """A scenario's aggregates; ``invalid_reasons`` counts the invalid
+    replications by error, as ``(reason, count)`` pairs sorted by reason."""
+
     config: ScenarioConfig
     n_valid: int
     n_invalid: int
     warning: bool
     corrected: VariantMetrics
     reported: VariantMetrics | None
+    invalid_reasons: tuple[tuple[str, int], ...] = ()
+
+
+@dataclass(frozen=True)
+class Outcomes:
+    """Results of consecutive replications, in replication order.
+
+    ``error`` holds one string per replication, empty when it is valid.
+    The other arrays are ``(variants, replications)``, corrected strata
+    first, and meaningless where the replication is invalid.
+    """
+
+    error: np.ndarray
+    estimate: np.ndarray
+    se: np.ndarray
+    covered: np.ndarray
+    p_value: np.ndarray
+    rb_p: np.ndarray
+    rb_discarded: np.ndarray
+    rb_flagged: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: list[Outcomes]) -> Outcomes:
+        return cls(*(np.concatenate([getattr(part, f.name) for part in parts], axis=-1)
+                     for f in fields(cls)))
 
 
 def mc_se_rate(rate: float, n: int) -> float:
@@ -132,70 +183,113 @@ def mc_se_rate(rate: float, n: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
 
 
-def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _draw_chunk(config: ScenarioConfig, start: int, stop: int) -> tuple[list, ...]:
+    """Every draw of replications ``start`` to ``stop``: the only loop over
+    replications.  One Philox is re-keyed per replication and reset to each
+    stage's counter offset."""
+    design, misclass = config.design, config.misclass
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    counter, key = state["state"]["counter"], state["state"]["key"]
+
+    def at(stage: int) -> np.random.Generator:
+        counter[1] = stage  # word 1 of the 256-bit counter: stage * STAGE_STRIDE
+        bits.state = state
+        return rng
+
+    cohorts, flips, blocks, nulls = [], [], [], []
+    ignorable = misclass.kind == "ignorable"
+    for rep in range(start, stop):
+        # the key Philox(SeedSequence(seed, spawn_key=(rep,))) would take
+        key[:] = np.random.SeedSequence(config.seed, spawn_key=(rep,)).generate_state(2, np.uint64)
+        cohorts.append(draw_cohort(design, at(COHORT)))
+        if ignorable:
+            flips.append(draw_flips(misclass, design.n_patients, at(MISCLASSIFICATION)))
+        blocks.append(draw_blocks(design, 1, at(RANDOMIZATION)))
+        if config.rb_enabled:
+            nulls.append(draw_blocks(design, config.rb_draws, at(NULL_BATCH)))
+    return cohorts, flips, blocks, nulls
 
 
-def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord:
-    """Simulate and analyze one trial replication.
+def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
+    """Simulate and analyze replications ``start`` to ``stop`` as one chunk.
 
-    Stream layout per replication: cohort draw, misclassification,
-    randomization, and one randomization-test null batch shared by both
-    strata variants, which both re-randomize within the reported strata.
-    Both variants' fits, observed and null, come from one kernel call.
+    Both strata variants re-randomize within the reported strata, so they
+    share one null batch per replication.  Every variant's fits, observed
+    and null, of every replication come from one kernel call: row 0 of a
+    replication is its observed assignment, the rest its null batch.
     """
-    ss = np.random.SeedSequence(config.seed, spawn_key=(rep_index,))
-    kids = ss.spawn(4)
-    design = config.design
-    n_arms = design.allocation.n_arms
-    cohort = sample_cohort(design, config.outcome, _generator(kids[0]))
-    rng_mis = _generator(kids[1]) if config.misclass.kind == "ignorable" else None
-    cohort.reported = reported_strata(cohort, config.misclass, rng_mis)
-    cohort.treatments = randomize_cohort(design, cohort.reported, _generator(kids[2]))
-    cohort.observed = observed_outcomes(cohort.potentials, cohort.treatments)
-    rows = cohort.treatments[None, :]
-    if config.rb_enabled:
-        nulls = batch_block_assignments(design, cohort.reported, config.rb_draws,
-                                        _generator(kids[3]))
-        rows = np.vstack([rows, nulls])
+    design, outcome = config.design, config.outcome
+    cohorts, flips, blocks, nulls = _draw_chunk(config, start, stop)
+    n_reps = stop - start
+    strata, potentials = cohort_arrays(design, outcome, *map(np.stack, zip(*cohorts)))
+    reported = misclassify(config.misclass, outcome, strata, potentials,
+                           np.stack(flips) if flips else None)
+    blocks = np.concatenate([np.stack(blocks), *([np.stack(nulls)] if nulls else [])], axis=1)
+    rows = deal_blocks(design, reported, blocks)
+    y = observed_outcomes(potentials, rows[:, 0])
+    variants = [strata, reported] if config.analyze_reported else [strata]
+    fit = fit_batch(y, variants, rows, design.allocation.n_arms)
 
-    variants: dict[str, VariantRecord | None] = {CORRECTED: None, REPORTED: None}
-    pairs = [(CORRECTED, cohort.true_strata)]
-    if config.analyze_reported:
-        pairs.append((REPORTED, cohort.reported))
-    try:
-        # one kernel call: row 0 is the observed assignment, the rest the
-        # null batch; every variant is fit against the same rows
-        fits = fit_batch(cohort.observed, [strata for _, strata in pairs], rows, n_arms)
-        for (name, _), batch in zip(pairs, fits):
-            res = ci_and_test(batch, alpha=config.alpha, strata_used=name)
-            covered = res.ci_low <= config.outcome.delta <= res.ci_high
-            rb_fields = {}
-            if config.rb_enabled:
-                rb = randomization_result(*batch.tstats())
-                rb_fields = dict(rb_p=rb.p_value, rb_discarded=rb.discarded,
-                                 rb_flagged=rb.flagged)
-            variants[name] = VariantRecord(
-                estimate=res.estimate, se=res.se, covered=bool(covered),
-                p_value=res.p_value, **rb_fields,
-            )
-    except DegenerateDesignError as exc:
-        return ReplicationRecord(rep_index=rep_index, valid=False, error=str(exc))
-    return ReplicationRecord(
-        rep_index=rep_index, valid=True,
-        corrected=variants[CORRECTED], reported=variants[REPORTED],
+    # (variant, replication) arrays from row 0, the observed assignment
+    estimate, se = fit.arm_coef[0, ..., 0], fit.arm_se[0, ..., 0]
+    ci_low, ci_high, _, p_value = t_interval(estimate, se, fit.df, config.alpha)
+    failed = ~fit.valid[..., 0] | (fit.df < 1)
+    shape = estimate.shape
+    rb_p, discarded, flagged = np.full(shape, np.nan), np.zeros(shape, int), np.zeros(shape, bool)
+    if config.rb_enabled:
+        stats, usable = fit.tstats()
+        rb_p, discarded, flagged = (a.reshape(shape) for a in randomization_batch(
+            stats.reshape(-1, stats.shape[-1]), usable.reshape(-1, usable.shape[-1])))
+        failed |= ~usable[..., 0]
+    error = np.full(n_reps, "", dtype=object)
+    if failed.any():
+        fault = fit.faults()[..., 0]
+        fault[(fault == "") & (fit.df < 1)] = NO_RESIDUAL_DF
+        fault[(fault == "") & failed] = DEGENERATE_OBSERVED
+        # the first failing variant names a replication's error
+        for variant_fault in fault:
+            error = np.where(error == "", variant_fault, error)
+    return Outcomes(
+        error=error, estimate=estimate, se=se, p_value=p_value,
+        covered=(ci_low <= outcome.delta) & (outcome.delta <= ci_high),
+        rb_p=rb_p, rb_discarded=discarded, rb_flagged=flagged,
     )
 
 
-def _replication_range(config: ScenarioConfig, start: int, stop: int) -> list[ReplicationRecord]:
-    return [run_replication(config, r) for r in range(start, stop)]
+def _replication_range(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
+    step = max(1, CHUNK_CELLS // ((1 + config.rb_draws) * config.design.n_patients))
+    return Outcomes.concat([_run_chunk(config, a, min(a + step, stop))
+                            for a in range(start, stop, step)])
+
+
+def _record(outcomes: Outcomes, i: int, rep_index: int) -> ReplicationRecord:
+    """Replication ``i`` of ``outcomes`` as a record."""
+    if outcomes.error[i]:
+        return ReplicationRecord(rep_index=rep_index, valid=False, error=outcomes.error[i])
+    variants = {
+        name: VariantRecord(
+            estimate=float(outcomes.estimate[v, i]), se=float(outcomes.se[v, i]),
+            covered=bool(outcomes.covered[v, i]), p_value=float(outcomes.p_value[v, i]),
+            rb_p=float(outcomes.rb_p[v, i]), rb_discarded=int(outcomes.rb_discarded[v, i]),
+            rb_flagged=bool(outcomes.rb_flagged[v, i]),
+        )
+        for v, name in enumerate((CORRECTED, REPORTED)[:len(outcomes.estimate)])
+    }
+    return ReplicationRecord(rep_index=rep_index, valid=True, **variants)
+
+
+def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord:
+    """Simulate and analyze one trial replication: a chunk of one."""
+    return _record(_run_chunk(config, rep_index, rep_index + 1), 0, rep_index)
 
 
 def _aggregate_variant(
-    config: ScenarioConfig, name: str, records: list[ReplicationRecord]
+    config: ScenarioConfig, name: str, outcomes: Outcomes, v: int, valid: np.ndarray
 ) -> VariantMetrics:
-    rows = [getattr(rec, name) for rec in records if rec.valid]
-    n = len(rows)
+    est = outcomes.estimate[v, valid]
+    n = est.size
     if n == 0:
         nan = float("nan")
         metrics = dict.fromkeys(
@@ -205,10 +299,9 @@ def _aggregate_variant(
         if config.rb_enabled:
             metrics.update(rb_reject_rate=nan, mc_se_rb_reject=nan)
         return VariantMetrics(strata_used=name, n=0, **metrics)
-    est = np.array([v.estimate for v in rows])
-    se = np.array([v.se for v in rows])
-    covered = np.array([v.covered for v in rows], dtype=float)
-    reject = np.array([v.p_value <= config.alpha for v in rows], dtype=float)
+    se = outcomes.se[v, valid]
+    covered = outcomes.covered[v, valid].astype(float)
+    reject = (outcomes.p_value[v, valid] <= config.alpha).astype(float)
     coverage = float(covered.mean())
     reject_rate = float(reject.mean())
     sd_est = float(est.std(ddof=1)) if n > 1 else float("nan")
@@ -226,24 +319,46 @@ def _aggregate_variant(
         mc_se_reject=mc_se_rate(reject_rate, n),
     )
     if config.rb_enabled:
-        rb_reject = np.array([v.rb_p <= config.alpha for v in rows], dtype=float)
+        rb_reject = (outcomes.rb_p[v, valid] <= config.alpha).astype(float)
         metrics["rb_reject_rate"] = float(rb_reject.mean())
         metrics["mc_se_rb_reject"] = mc_se_rate(float(rb_reject.mean()), n)
-        metrics["rb_flagged"] = int(sum(v.rb_flagged for v in rows))
+        metrics["rb_flagged"] = int(outcomes.rb_flagged[v, valid].sum())
+        metrics["rb_discarded"] = int(outcomes.rb_discarded[v, valid].sum())
     return VariantMetrics(**metrics)
+
+
+def _summarize(config: ScenarioConfig, outcomes: Outcomes) -> ScenarioMetrics:
+    """Aggregate a whole scenario's outcomes."""
+    valid = outcomes.error == ""
+    n_invalid = int((~valid).sum())
+    corrected = _aggregate_variant(config, CORRECTED, outcomes, 0, valid)
+    reported = (_aggregate_variant(config, REPORTED, outcomes, 1, valid)
+                if config.analyze_reported else None)
+    warning = n_invalid > WARN_SHARE * config.n_replications or any(
+        v.rb_flagged > WARN_SHARE * v.n for v in (corrected, reported) if v is not None
+    )
+    return ScenarioMetrics(
+        config=config,
+        n_valid=config.n_replications - n_invalid,
+        n_invalid=n_invalid,
+        warning=warning,
+        corrected=corrected,
+        reported=reported,
+        invalid_reasons=tuple(sorted(Counter(outcomes.error[~valid]).items())),
+    )
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     """Run every replication of a scenario and aggregate.
 
     With ``threads > 1`` replications run in process chunks, on at most
-    one worker per CPU; per-record results and all aggregates are
+    one worker per CPU; per-replication results and all aggregates are
     identical to the serial run because every replication is seeded
-    independently and records are reduced in replication order.
+    independently and outcomes are reduced in replication order.
     """
     n = config.n_replications
     if threads <= 1 or n < 2 * threads:
-        records = _replication_range(config, 0, n)
+        outcomes = _replication_range(config, 0, n)
     else:
         bounds = np.linspace(0, n, threads * 4 + 1, dtype=int)
         # a fork pool starts all its workers at the first submit
@@ -253,24 +368,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if a < b
             ]
-            records = [rec for fut in futures for rec in fut.result()]
-
-    n_invalid = sum(not rec.valid for rec in records)
-    corrected = _aggregate_variant(config, CORRECTED, records)
-    reported = (
-        _aggregate_variant(config, REPORTED, records) if config.analyze_reported else None
-    )
-    warning = n_invalid > WARN_SHARE * n or any(
-        v.rb_flagged > WARN_SHARE * v.n for v in (corrected, reported) if v is not None
-    )
-    return ScenarioMetrics(
-        config=config,
-        n_valid=n - n_invalid,
-        n_invalid=n_invalid,
-        warning=warning,
-        corrected=corrected,
-        reported=reported,
-    )
+            outcomes = Outcomes.concat([fut.result() for fut in futures])
+    return _summarize(config, outcomes)
 
 
 PAPER_RATES = ((0.02, 0.02), (0.15, 0.30))

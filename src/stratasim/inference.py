@@ -7,10 +7,11 @@ stratum indicator, and one indicator per active arm:
 
 with a single residual variance.  The target quantity is the arm-1
 coefficient (treatment effect versus control).  One kernel,
-``fit_batch``, fits many assignment rows at once; its ``BatchFit``
-carries only the arm terms, and ``fit_model`` is its one-row case.
-Confidence intervals and tests use the t distribution on the residual
-degrees of freedom.
+``fit_batch``, fits many assignment rows of many trials at once; its
+``BatchFit`` carries only the arm terms, and ``fit_model`` is its
+one-row case.  Confidence intervals and tests use the t distribution on
+the residual degrees of freedom, elementwise in ``t_interval``, of which
+``ci_and_test`` takes one entry.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import ConfigurationError, DegenerateDesignError
 
 # normal equations whose Hadamard ratio is at most this count as singular
 RANK_TOL = 1e-10
+NO_RESIDUAL_DF = "no residual degrees of freedom for a t interval"
 
 
 @dataclass(frozen=True)
@@ -46,29 +48,44 @@ class AnalysisResult:
 
 @dataclass(frozen=True)
 class BatchFit:
-    """One strata variant's least-squares fits, one per assignment row.
+    """Least-squares fits of every assignment row of every group under
+    every strata variant.
 
-    Arrays are laid out draws-last.  ``arm_coef`` and ``arm_se`` hold the
-    arm terms, ``(n_arms - 1, rows)``; ``sigma2`` and ``valid`` one entry
-    per row; ``arm_count`` the patients per arm, ``(n_arms, rows)``, so an
-    invalid row can name its empty arm.  The intercept and stratum terms
-    are partialled out and never formed.  The numbers of an invalid row
-    are meaningless.
+    Arrays are laid out draws-last, ``(variants, groups, rows)`` after any
+    leading axis.  ``arm_coef`` and ``arm_se`` hold the arm terms,
+    ``(n_arms - 1, variants, groups, rows)``; ``sigma2`` and ``valid`` one
+    entry per row; ``arm_count`` the patients per arm, ``(n_arms,
+    variants, groups, rows)``, so an invalid row can name its empty arm;
+    ``df`` the residual degrees of freedom, ``(variants, groups)``,
+    negative where the observations cannot identify the columns.  The
+    intercept and stratum terms are partialled out and never formed.  The
+    numbers of an invalid row are meaningless.
     """
 
-    df: int
+    df: np.ndarray
     arm_coef: np.ndarray
     arm_se: np.ndarray
     sigma2: np.ndarray
     valid: np.ndarray
     arm_count: np.ndarray
 
-    def _check(self, row: int) -> None:
-        if not self.valid[row]:
-            empty = np.flatnonzero(self.arm_count[:, row] == 0)
-            if empty.size:
-                raise DegenerateDesignError(f"arm {empty[0]} has no patients")
-            raise DegenerateDesignError("design matrix is rank deficient after column drops")
+    def faults(self) -> np.ndarray:
+        """Why each row is invalid, ``""`` where it is valid: an object
+        array shaped like ``valid``."""
+        out = np.full(self.valid.shape, "", dtype=object)
+        out[~self.valid] = "design matrix is rank deficient after column drops"
+        empty = (self.arm_count == 0) & ~self.valid
+        first = np.argmax(empty, axis=0)
+        for arm in range(len(empty)):
+            out[empty[arm] & (first == arm)] = f"arm {arm} has no patients"
+        n = int(self.arm_count.reshape(len(empty), -1)[:, 0].sum()) if self.valid.size else 0
+        for df in np.unique(self.df[self.df < 0]):
+            out[self.df == df] = f"{n} observations cannot identify {n - df} columns"
+        return out
+
+    def _check(self, variant: int, group: int, row: int) -> None:
+        if not self.valid[variant, group, row]:
+            raise DegenerateDesignError(self.faults()[variant, group, row])
 
     def _arm_index(self, target_arm: int) -> int:
         n_arms = self.arm_count.shape[0]
@@ -77,7 +94,8 @@ class BatchFit:
         return target_arm - 1
 
     def tstats(self, target_arm: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """``(tstats, valid)`` of one arm coefficient; NaN where invalid."""
+        """``(tstats, valid)`` of one arm coefficient, ``(variants, groups,
+        rows)``; NaN where invalid."""
         arm = self._arm_index(target_arm)
         with np.errstate(invalid="ignore", divide="ignore"):
             stats = self.arm_coef[arm] / self.arm_se[arm]
@@ -90,14 +108,17 @@ def fit_batch(
     strata_variants: list[np.ndarray],
     treatment_draws: np.ndarray,
     n_arms: int,
-) -> list[BatchFit]:
-    """Least squares of the working model for every row of ``treatment_draws``
-    under every entry of ``strata_variants``, all sharing ``y``.
+) -> BatchFit:
+    """Least squares of the working model for every row of every group of
+    ``treatment_draws``, ``(groups, rows, n)``, under every entry of
+    ``strata_variants``, each ``(groups, n)``; the rows of a group share
+    its outcomes ``y[group]``.
 
-    Returns one ``BatchFit`` per strata variant.  A stratum with no
-    patients contributes no column, so a variant whose patients all share
-    one stratum is fit without a stratum term (one more residual degree of
-    freedom).
+    Returns one ``BatchFit``, variants first.  A stratum with no
+    patients in a group contributes no column there, so a group whose
+    patients all share one stratum is fit without a stratum term (one more
+    residual degree of freedom).  A group with fewer observations than
+    columns has invalid rows.
 
     Frisch-Waugh: with one mean per present stratum the stratum block of
     the normal equations is ``diag(n_s)``, so each row reduces to the
@@ -114,64 +135,59 @@ def fit_batch(
     pivot, collinear columns shrink one), or a pivot is not positive.
 
     Counts are exact and every floating-point sum runs in a fixed order per
-    row, so a row's numbers depend on neither the other rows nor the other
-    variants.
+    row, so a row's numbers depend on neither the other rows, the other
+    groups nor the other variants.
     """
     y = np.asarray(y, dtype=float)
     draws = np.asarray(treatment_draws)
-    if draws.ndim != 2:
-        raise ConfigurationError("treatment draws must be a (rows, patients) array")
+    if draws.ndim != 3:
+        raise ConfigurationError("treatment draws must be a (groups, rows, patients) array")
     if n_arms < 2:
         raise ConfigurationError(f"n_arms must be >= 2, got {n_arms}")
-    n_rows, n = draws.shape
-    if y.shape != (n,):
+    n_groups, n_rows, n = draws.shape
+    if y.shape != (n_groups, n):
         raise ConfigurationError("y length does not match treatment draws")
-    sizes, codes = [], []
-    for strata in strata_variants:
-        if np.shape(strata) != (n,):
-            raise ConfigurationError("y, treatments, and strata must have equal length")
-        level = np.unique(strata)
-        sizes.append(level.size)
-        codes.append(np.searchsorted(level, strata))
-    n_var, n_strata, n_free = len(sizes), max(sizes), n_arms - 1
-    if n < n_strata + n_free:
-        raise DegenerateDesignError(
-            f"{n} observations cannot identify {n_strata + n_free} columns"
-        )
+    strata = np.asarray(strata_variants)
+    if strata.ndim != 3 or strata.shape[1:] != (n_groups, n):
+        raise ConfigurationError("y, treatments, and strata must have equal length")
+    levels, codes = np.unique(strata, return_inverse=True)
+    n_lev, codes = levels.size, codes.reshape(strata.shape)
+    n_var, n_free = len(strata), n_arms - 1
 
-    # column v * n_strata + s is stratum s of variant v; a variant with
-    # fewer strata is padded with empty ones, whose inv_n is 0
-    n_cols = n_var * n_strata
-    column = np.concatenate([code + v * n_strata for v, code in enumerate(codes)])
-    n_s = np.bincount(column, minlength=n_cols)
-    col_y = np.bincount(column, np.concatenate([y] * n_var), n_cols)
-    indicators = np.zeros((n, n_cols))
-    indicators[np.arange(n_var * n) % n, column] = 1.0
+    # column v * n_lev + s of a group is level s of variant v; a level
+    # absent from a group has n_s = 0 there, and inv_n = 0
+    n_cols = n_var * n_lev
+    column = codes + (np.arange(n_var) * n_lev)[:, None, None]
+    bins = (column.transpose(1, 0, 2) + (np.arange(n_groups) * n_cols)[:, None, None]).ravel()
+    n_s = np.bincount(bins, minlength=n_groups * n_cols).reshape(n_groups, n_var, n_lev)
+    # bincount adds each bin's outcomes in patient order
+    col_y = np.bincount(bins, np.repeat(y, n_var, axis=0).ravel(), n_groups * n_cols)
+    col_y = col_y.reshape(n_groups, n_var, n_lev)
+    indicators = np.concatenate([code[..., None] == np.arange(n_lev) for code in codes],
+                                axis=-1).astype(float)
 
-    # one matmul of 0/1 arm masks against the indicators counts patients
-    # per arm, row and column exactly; einsum sums each row's outcomes per
-    # arm in the same order for any batch
-    masks = np.empty((n_free, n_rows, n))
+    # one matmul per group of 0/1 arm masks against its indicators counts
+    # patients per arm, row and column exactly; einsum sums each row's
+    # outcomes per arm in the same order for any batch
+    masks = np.empty((n_free, n_groups, n_rows, n))
     for j in range(n_free):
         np.equal(draws, j + 1, out=masks[j], casting="unsafe")
-    count = (masks.reshape(-1, n) @ indicators).reshape(n_free, n_rows, n_var, n_strata)
-    arm_y = np.einsum("arn,n->ar", masks, y)
+    count = (masks @ indicators[None]).reshape(n_free, n_groups, n_rows, n_var, n_lev)
+    arm_y = np.einsum("jgrn,gn->jgr", masks, y)
 
-    # one lane per (variant, row), variant-major and draws last: count is
-    # (stratum, arm, lane), and per-stratum constants are gathered per lane
-    lanes = n_var * n_rows
-    count = count.transpose(3, 0, 2, 1).reshape(n_strata, n_free, lanes)
-    n_s, col_y = n_s.reshape(n_var, n_strata), col_y.reshape(n_var, n_strata)
+    # lanes (variant, group, row), draws last: count is (level, arm, lane);
+    # per-(variant, group) constants broadcast over rows
+    count = np.ascontiguousarray(count.transpose(4, 0, 3, 1, 2))
     inv_n = np.divide(1.0, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
-    inv_n = np.repeat(inv_n.T, n_rows, axis=1)
-    sum_y = np.repeat(col_y.T, n_rows, axis=1)
+    inv_n = inv_n.transpose(2, 1, 0)[..., None]
+    sum_y = col_y.transpose(2, 1, 0)[..., None]
     arm_total = count.sum(axis=0)
     share = count * inv_n[:, None]  # C_js / n_s
 
-    within = y @ y - sum_y[0] * sum_y[0] * inv_n[0]
+    within = np.einsum("gn,gn->g", y, y)[:, None] - sum_y[0] * sum_y[0] * inv_n[0]
     schur = -(count[0][:, None] * share[0])
-    arm_xy = np.concatenate([arm_y] * n_var, axis=1) - share[0] * sum_y[0]
-    for s in range(1, n_strata):
+    arm_xy = arm_y[:, None] - share[0] * sum_y[0]
+    for s in range(1, n_lev):
         within -= sum_y[s] * sum_y[s] * inv_n[s]
         schur -= count[s][:, None] * share[s]
         arm_xy -= share[s] * sum_y[s]
@@ -193,8 +209,12 @@ def fit_batch(
             else:
                 pivots = pivots * np.maximum(acc, 0.0)
                 chol[j][j] = np.sqrt(np.where(acc > 0.0, acc, 1.0))
-    valid = np.repeat(n_s[:, 0], n_rows) * pivots > RANK_TOL * n * arm_total.prod(axis=0)
-    inv = np.zeros((n_free, n_free, lanes))
+    # per (variant, group): residual df and the first present stratum's size
+    present = n_s > 0
+    df = n - present.sum(axis=2).T - n_free
+    n_first = np.where(df >= 0, (n_s * (present.cumsum(axis=2) == 1)).max(axis=2).T, 0)
+    valid = n_first[..., None] * pivots > RANK_TOL * n * arm_total.prod(axis=0)
+    inv = np.zeros((n_free, n_free, *valid.shape))
     for j in range(n_free):
         inv[j, j] = 1.0 / chol[j][j]
         for i in range(j):
@@ -210,8 +230,8 @@ def fit_batch(
         for m in range(1, j + 1):
             acc = acc + inv[j, m] * arm_xy[m]
         z.append(acc)
-    beta = np.empty((n_free, lanes))
-    unscaled = np.empty((n_free, lanes))
+    beta = np.empty((n_free, *valid.shape))
+    unscaled = np.empty((n_free, *valid.shape))
     for j in range(n_free):
         acc = inv[j, j] * z[j]
         var = inv[j, j] * inv[j, j]
@@ -223,19 +243,12 @@ def fit_batch(
     rss = within - beta[0] * arm_xy[0]
     for j in range(1, n_free):
         rss -= beta[j] * arm_xy[j]
-    df = n - np.array(sizes) - n_free
-    sigma2 = np.maximum(rss, 0.0) / np.repeat(np.where(df > 0, df, np.nan), n_rows)
+    sigma2 = np.maximum(rss, 0.0) / np.where(df > 0, df, np.nan)[..., None]
     se = np.sqrt(sigma2 * unscaled)
 
     arm_count = np.concatenate([n - arm_total.sum(axis=0, keepdims=True), arm_total])
-    fits = []
-    for v in range(n_var):
-        lane = slice(v * n_rows, (v + 1) * n_rows)
-        fits.append(BatchFit(
-            df=int(df[v]), arm_coef=beta[:, lane], arm_se=se[:, lane], sigma2=sigma2[lane],
-            valid=valid[lane], arm_count=arm_count[:, lane],
-        ))
-    return fits
+    return BatchFit(df=df, arm_coef=beta, arm_se=se, sigma2=sigma2, valid=valid,
+                    arm_count=arm_count)
 
 
 def fit_model(
@@ -247,20 +260,46 @@ def fit_model(
     """Fit the homogeneous-variance stratum-adjusted model to one trial.
 
     A batch of one through ``fit_batch``, returned as its one-row
-    ``BatchFit``.  An arm with no patients, fewer observations than
-    columns, or a Hadamard ratio of the normal equations at most
-    ``RANK_TOL`` (a rank-deficient design) raises ``DegenerateDesignError``.
+    ``BatchFit``: one variant, one group, one row.  An arm with no
+    patients, fewer observations than columns, or a Hadamard ratio of the
+    normal equations at most ``RANK_TOL`` (a rank-deficient design) raises
+    ``DegenerateDesignError``.
     """
     treatments = np.asarray(treatments)
     arms = int(treatments.max()) + 1 if n_arms is None else n_arms
-    (fit,) = fit_batch(y, [strata_covariate], treatments[None, :], arms)
-    fit._check(0)
+    fit = fit_batch(np.asarray(y, dtype=float)[None], [np.asarray(strata_covariate)[None]],
+                    treatments[None, None], arms)
+    fit._check(0, 0, 0)
     return fit
 
 
 @lru_cache(maxsize=64)
 def _t_critical(alpha: float, df: int) -> float:
-    return float(stdtrit(df, 1.0 - alpha / 2.0))
+    return float(stdtrit(df, 1.0 - alpha / 2.0)) if df >= 1 else np.nan
+
+
+def t_interval(
+    estimate: np.ndarray,
+    se: np.ndarray,
+    df: np.ndarray,
+    alpha: float,
+    null_value: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided t intervals and tests, elementwise over broadcast arrays:
+    ``(ci_low, ci_high, statistic, p_value)``.  A zero SE gives statistic 0
+    and p = 1 when the estimate equals the null value, else an infinite
+    statistic and p = 0.  Entries with ``df < 1`` are NaN."""
+    df = np.asarray(df)
+    crit = np.reshape([_t_critical(alpha, d) for d in df.ravel().tolist()], df.shape)
+    gap = estimate - null_value
+    zero = se == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        stat = gap / se
+        p = 2.0 * stdtr(df, -np.abs(stat))
+        if zero.any():
+            stat = np.where(zero, np.where(gap == 0.0, 0.0, np.inf * np.sign(gap)), stat)
+            p = np.where(zero & (df >= 1), np.where(gap == 0.0, 1.0, 0.0), p)
+    return estimate - crit * se, estimate + crit * se, stat, p
 
 
 def ci_and_test(
@@ -270,33 +309,30 @@ def ci_and_test(
     target_arm: int = 1,
     strata_used: str = "",
     row: int = 0,
+    group: int = 0,
+    variant: int = 0,
 ) -> AnalysisResult:
     """Two-sided t interval and test for the ``target_arm`` coefficient of
-    one row of a fit; a degenerate row raises ``DegenerateDesignError``."""
+    one row of a fit; a degenerate row raises ``DegenerateDesignError``.
+    One entry of ``t_interval``."""
     arm = fit._arm_index(target_arm)
-    fit._check(row)
+    fit._check(variant, group, row)
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    df = fit.df
+    df = int(fit.df[variant, group])
     if df < 1:
-        raise DegenerateDesignError("no residual degrees of freedom for a t interval")
-    estimate, se = float(fit.arm_coef[arm, row]), float(fit.arm_se[arm, row])
-    crit = _t_critical(alpha, df)
-    if se > 0.0:
-        stat = (estimate - null_value) / se
-        p = float(2.0 * stdtr(df, -abs(stat)))
-    else:
-        stat = 0.0 if estimate == null_value else float("inf") * np.sign(estimate - null_value)
-        p = 1.0 if estimate == null_value else 0.0
+        raise DegenerateDesignError(NO_RESIDUAL_DF)
+    estimate, se = fit.arm_coef[arm, variant, group, row], fit.arm_se[arm, variant, group, row]
+    ci_low, ci_high, stat, p = t_interval(estimate, se, df, alpha, null_value)
     return AnalysisResult(
         term=f"treat{target_arm}",
-        estimate=estimate,
-        se=se,
+        estimate=float(estimate),
+        se=float(se),
         df=df,
-        ci_low=estimate - crit * se,
-        ci_high=estimate + crit * se,
+        ci_low=float(ci_low),
+        ci_high=float(ci_high),
         statistic=float(stat),
-        p_value=p,
+        p_value=float(p),
         alpha=alpha,
         null_value=null_value,
         strata_used=strata_used,

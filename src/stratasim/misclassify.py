@@ -61,10 +61,13 @@ def apply_ignorable(
     strata: np.ndarray, model: MisclassModel, rng: np.random.Generator
 ) -> np.ndarray:
     """Flip labels at the nominal rates, independently of outcomes."""
+    return _flip_ignorable(strata, model, rng.random(np.shape(strata)[0]))
+
+
+def _flip_ignorable(strata: np.ndarray, model: MisclassModel, uniforms: np.ndarray) -> np.ndarray:
     strata = _require_two_strata(strata)
-    u = rng.random(strata.shape[0])
     rate = np.where(strata == LOW, model.gamma_low, model.gamma_high)
-    return np.where(u < rate, HIGH - strata, strata).astype(np.int8)
+    return np.where(uniforms < rate, HIGH - strata, strata).astype(np.int8)
 
 
 def flip_interval(
@@ -90,12 +93,40 @@ def flip_interval(
 def apply_nonignorable(cohort: Cohort, model: MisclassModel) -> np.ndarray:
     """Flip every patient whose trigger outcome lies in the flip interval
     of their true stratum."""
-    strata = _require_two_strata(cohort.true_strata)
-    bounds = np.array([flip_interval(model, cohort.outcome, s) for s in (LOW, HIGH)])
-    lower, upper = bounds[strata].T
-    y = cohort.potentials[np.arange(strata.shape[0]), np.take(TRIGGER_ARM, strata)]
-    flip = (lower <= y) & (y <= upper)
+    return _flip_nonignorable(cohort.true_strata, cohort.potentials, model, cohort.outcome)
+
+
+def _flip_nonignorable(strata: np.ndarray, potentials: np.ndarray, model: MisclassModel,
+                       outcome: OutcomeModel) -> np.ndarray:
+    strata = _require_two_strata(strata)
+    low = strata == LOW
+    (low_lo, low_hi), (high_lo, high_hi) = (flip_interval(model, outcome, s) for s in (LOW, HIGH))
+    y = np.where(low, potentials[..., TRIGGER_ARM[LOW]], potentials[..., TRIGGER_ARM[HIGH]])
+    flip = np.where(low, (low_lo <= y) & (y <= low_hi), (high_lo <= y) & (y <= high_hi))
     return np.where(flip, HIGH - strata, strata).astype(np.int8)
+
+
+def draw_flips(model: MisclassModel, n_patients: int,
+               rng: np.random.Generator) -> np.ndarray | None:
+    """The draws of one cohort's misclassification: one uniform per
+    patient under the ignorable model, none under the others."""
+    return rng.random(n_patients) if model.kind == "ignorable" else None
+
+
+def misclassify(
+    model: MisclassModel,
+    outcome: OutcomeModel,
+    strata: np.ndarray,
+    potentials: np.ndarray,
+    uniforms: np.ndarray | None,
+) -> np.ndarray:
+    """Reported labels of a stack of cohorts (any leading shape) from their
+    true strata, potential outcomes and ``draw_flips`` draws."""
+    if model.kind != "ignorable":
+        return _flip_nonignorable(strata, potentials, model, outcome)
+    if uniforms is None:
+        raise ConfigurationError("ignorable misclassification needs an rng")
+    return _flip_ignorable(strata, model, uniforms)
 
 
 def reported_strata(
@@ -103,8 +134,5 @@ def reported_strata(
 ) -> np.ndarray:
     """Reported labels: ignorable flips draw from ``rng``; nonignorable
     flips are a deterministic function of the cohort."""
-    if model.kind != "ignorable":
-        return apply_nonignorable(cohort, model)
-    if rng is None:
-        raise ConfigurationError("ignorable misclassification needs an rng")
-    return apply_ignorable(cohort.true_strata, model, rng)
+    uniforms = None if rng is None else draw_flips(model, cohort.n_patients, rng)
+    return misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials, uniforms)

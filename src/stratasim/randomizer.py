@@ -7,12 +7,14 @@ code of that stratum's current block, and a fresh block is opened when
 the current one is exhausted.  The final block of a stratum may end up
 partially used, which is the only source of imbalance.
 
-One vectorized sampler, ``batch_block_assignments``, draws every
-assignment: the observed one is a batch of one (``randomize_cohort``)
-and the re-randomization null draws are a larger batch.  A uniformly
-permuted block is a uniform pick among the distinct arrangements of its
-pattern, so the sampler deals each block as one integer index into a
-cached table of those arrangements.
+One sampler draws every assignment in two steps.  ``draw_blocks`` draws
+one cohort's blocks from its generator: a uniformly permuted block is a
+uniform pick among the distinct arrangements of its pattern, so each
+block is one integer index into a cached table of those arrangements.
+``deal_blocks`` then deals the blocks of any stack of cohorts at once.
+The observed assignment is a batch of one (``randomize_cohort``) and the
+re-randomization null draws a larger batch
+(``batch_block_assignments``).
 """
 
 from __future__ import annotations
@@ -190,78 +192,124 @@ def _arrangement_table(
     return table, first_row, n_rows
 
 
+def _padded_patterns(allocation: AllocationRatio, sizes: tuple[int, ...]) -> np.ndarray:
+    """One sorted pattern per admissible length, padded out to the longest."""
+    patterns = np.full((len(sizes), max(sizes)), _PAD, dtype=np.int8)
+    for row, size in zip(patterns, sizes):
+        row[:size] = block_pattern(allocation, size)
+    return patterns
+
+
+def draw_blocks(design: TrialDesign, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Every block that ``n_draws`` assignments of one cohort can open.
+
+    Each draw gets one sequence of ``ceil(n_patients / shortest block
+    length) + n_strata - 1`` iid blocks, enough for every stratum whatever
+    the stratum counts turn out to be: ``deal_blocks`` shares them out to
+    the strata in order.  A block draws its length uniformly from
+    ``design.block_sizes`` (always ``block_size`` when that is unset) and
+    its ordering uniformly.
+
+    Returns the ``(n_draws, n_blocks)`` arrangement-table rows of the
+    blocks or, when a length has more than ``MAX_TABLE_ROWS`` orderings,
+    their ``(n_draws, n_blocks, longest length)`` padded codes: each padded
+    pattern permuted by the argsort of iid uniforms.
+
+    Stream layout: with tables, one length pick per block when there is a
+    length menu, then one row pick per block; without tables, one uniform
+    sort key per slot and then, only when there is a length menu, one
+    length pick per block.
+    """
+    sizes = design.block_sizes or (design.block_size,)
+    shape = (n_draws, -(-design.n_patients // min(sizes)) + design.n_strata - 1)
+    tables = _arrangement_table(design.allocation.weights, sizes)
+    if tables is not None:
+        _, first_row, n_rows = tables
+        if len(sizes) == 1:
+            return rng.integers(n_rows[0], size=shape)
+        lengths = rng.integers(len(sizes), size=shape)
+        return first_row[lengths] + rng.integers(n_rows[lengths])
+    # argsort of iid uniforms along the last axis is a uniform permutation
+    order = np.argsort(rng.random((*shape, max(sizes))), axis=-1)
+    lengths = (rng.integers(len(sizes), size=shape) if len(sizes) > 1
+               else np.zeros(shape, dtype=np.intp))
+    patterns = _padded_patterns(design.allocation, sizes)
+    return np.take_along_axis(patterns[lengths], order, axis=-1)
+
+
+def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Deal drawn blocks to cohorts: ``(..., n_draws, n_patients)`` codes.
+
+    ``reported`` holds ``(..., n_patients)`` stratum labels and ``blocks``
+    the matching ``(..., n_draws, ...)`` stack of ``draw_blocks`` output.
+    Stratum ``s`` of ``m_s`` patients takes the next ``ceil(m_s / shortest
+    length)`` blocks of the sequence and deals their codes, padding struck
+    out, to its patients in enrollment order: with a fixed length ``B``,
+    the patient of rank ``k`` within stratum ``s`` gets code
+    ``table[blocks[..., first_s + k // B], k % B]``, where ``first_s`` sums
+    the blocks of the strata before ``s``.  Striking the padding from a
+    uniformly ordered padded block leaves a uniform ordering of its
+    pattern, so that is the law of opening a fresh block, of a random
+    length, whenever the current one runs out.
+    """
+    reported = np.asarray(reported)
+    n_strata = design.n_strata
+    stray = reported[(reported < 0) | (reported >= n_strata)]
+    if stray.size:
+        raise ConfigurationError(f"reported stratum {stray[0]} outside 0..{n_strata - 1}")
+    sizes = design.block_sizes or (design.block_size,)
+    tables = _arrangement_table(design.allocation.weights, sizes)
+    cohorts = reported.reshape(-1, design.n_patients)
+    n_cohorts, n_draws = len(cohorts), blocks.shape[reported.ndim - 1]
+    # draws outermost, so one index along the last axis serves every draw
+    blocks = blocks.reshape(n_cohorts, n_draws, *blocks.shape[reported.ndim:]).swapaxes(0, 1)
+    codes = blocks if tables is None else np.take(tables[0], blocks, axis=0)
+    n_blocks, longest = codes.shape[2:]
+    # each patient's rank within its stratum, and its stratum's first block
+    rank = np.zeros(cohorts.shape, dtype=np.intp)
+    first = np.zeros(cohorts.shape, dtype=np.intp)
+    opened = np.zeros(n_cohorts, dtype=np.intp)
+    for s in range(n_strata):
+        member = cohorts == s
+        counted = member.cumsum(axis=-1)
+        rank += np.where(member, counted - 1, 0)
+        first += np.where(member, opened[:, None], 0)
+        opened += -(-counted[:, -1] // min(sizes))
+    # one code stream per (draw, cohort)
+    codes = codes.reshape(n_draws, n_cohorts * n_blocks * longest)
+    cohort_start = np.arange(n_cohorts)[:, None] * (n_blocks * longest)
+    if len(sizes) == 1:
+        dealt = codes.take((cohort_start + first * longest + rank).ravel(), axis=1)
+    else:
+        # strike the padding: each stream's codes move to its front, in
+        # order, and a stratum's codes start after its earlier blocks' codes
+        codes = codes.reshape(n_draws, n_cohorts, n_blocks * longest)
+        keep = codes != _PAD
+        struck = np.empty_like(codes)
+        struck[(*np.nonzero(keep)[:-1], (keep.cumsum(axis=-1) - 1)[keep])] = codes[keep]
+        length = keep.reshape(n_draws, n_cohorts, n_blocks, longest).sum(axis=-1)
+        before = (length.cumsum(axis=-1) - length).reshape(n_draws, -1)
+        skipped = before.take((np.arange(n_cohorts)[:, None] * n_blocks + first).ravel(), axis=1)
+        dealt = np.take_along_axis(struck.reshape(n_draws, -1),
+                                   skipped + (cohort_start + rank).ravel(), axis=1)
+    dealt = dealt.reshape(n_draws, n_cohorts, design.n_patients).swapaxes(0, 1)
+    return dealt.reshape(*reported.shape[:-1], n_draws, design.n_patients)
+
+
 def batch_block_assignments(
     design: TrialDesign,
     reported_strata: np.ndarray,
     n_draws: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``n_draws`` independent stratified block assignments at once.
-
-    In every draw, a stratum of ``m`` patients takes ``ceil(m / shortest
-    block length)`` iid blocks, each with a length drawn uniformly from
-    ``design.block_sizes`` (always ``block_size`` when that is unset) and
-    its pattern uniformly permuted, and deals their first ``m`` codes to
-    its patients in enrollment order.  That is the law of opening a fresh
-    block whenever the current one runs out.
-
-    A block is a uniform row of its length's arrangement table.  When a
-    length has more than ``MAX_TABLE_ROWS`` arrangements, every block is
-    instead its sorted pattern permuted by the argsort of iid uniforms.
-
-    Stream layout: strata in order; per stratum, with tables, one length
-    pick per block of ``(n_draws, n_blocks)`` when there is a length menu,
-    then one row pick per block; without tables, one uniform sort key per
-    slot of ``(n_draws, n_blocks, longest length)`` and then, only when
-    there is a length menu, one length pick per block.
-    """
+    """Draw ``n_draws`` independent stratified block assignments of one
+    cohort: ``draw_blocks`` from ``rng``, then ``deal_blocks``."""
     reported = np.asarray(reported_strata)
     if reported.shape != (design.n_patients,):
         raise ConfigurationError(
             f"reported_strata has shape {reported.shape}, expected ({design.n_patients},)"
         )
-    members = [np.flatnonzero(reported == s) for s in range(design.n_strata)]
-    if sum(idx.size for idx in members) != design.n_patients:
-        stray = reported[~np.isin(reported, np.arange(design.n_strata))]
-        raise ConfigurationError(
-            f"reported stratum {stray[0]} outside 0..{design.n_strata - 1}"
-        )
-    sizes = design.block_sizes or (design.block_size,)
-    tables = _arrangement_table(design.allocation.weights, sizes)
-    if tables is None:
-        # one sorted pattern per admissible length, padded out to the longest
-        patterns = np.full((len(sizes), max(sizes)), _PAD, dtype=np.int8)
-        for row, size in zip(patterns, sizes):
-            row[:size] = block_pattern(design.allocation, size)
-    streams = []
-    for idx in members:
-        if idx.size == 0:
-            continue
-        shape = (n_draws, -(-idx.size // min(sizes)))
-        if tables is not None:
-            table, first_row, n_rows = tables
-            lengths = rng.integers(len(sizes), size=shape) if len(sizes) > 1 else 0
-            picks = first_row[lengths] + rng.integers(n_rows[lengths], size=shape)
-            codes = np.take(table, picks, axis=0)
-        else:
-            # argsort of iid uniforms along the last axis is a uniform permutation
-            order = np.argsort(rng.random((*shape, patterns.shape[1])), axis=-1)
-            if len(sizes) == 1:
-                codes = patterns[0][order]
-            else:
-                codes = patterns[rng.integers(len(sizes), size=(*shape, 1)), order]
-        codes = codes.reshape(n_draws, -1)
-        if len(sizes) > 1:
-            # striking the padding from a uniformly ordered padded block
-            # leaves a uniform ordering of its pattern; every row keeps at
-            # least idx.size codes
-            keep = codes != _PAD
-            keep &= keep.cumsum(axis=1) <= idx.size
-            codes = codes[keep].reshape(n_draws, idx.size)
-        streams.append(codes[:, : idx.size])
-    # each stratum's code stream back into enrollment order
-    enrolled = np.argsort(np.concatenate(members))
-    return np.take(np.concatenate(streams, axis=1), enrolled, axis=1)
+    return deal_blocks(design, reported, draw_blocks(design, n_draws, rng))
 
 
 def randomize_cohort(

@@ -5,15 +5,17 @@ computed in one kernel call with every null draw.  The caller supplies
 the null draws: re-runs of the stratified permuted-block assignment
 within the *reported* strata, with every outcome held fixed (the sharp
 null of no treatment effect).  The harness draws one batch per
-replication with ``randomizer.batch_block_assignments`` and tests both
-strata variants against it, reading their statistics from one
-``inference.fit_batch`` call through ``randomization_result``.  The
+replication and tests both strata variants against it, reading the
+statistics of a whole chunk of replications from one
+``inference.fit_batch`` call through ``randomization_batch``.  The
 two-sided p-value uses the add-one convention
 
     p = (1 + #{ |stat*| >= |stat_obs| }) / (1 + draws).
 
 Draws whose refit degenerates (an empty arm, a singular design) are
 discarded but counted; losing more than 1% of draws flags the result.
+When every draw degenerates the p-value is the add-one value over no
+draws, 1, and the result is flagged.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ FLAG_DISCARD_SHARE = 0.01
 # swapped) has the same |t| in exact arithmetic, but its sums run over
 # other patients and can round to either side
 TIE_RTOL = 1e-9
+DEGENERATE_OBSERVED = "observed assignment gives a degenerate fit"
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,10 @@ class RandTestResult:
 
 def combine_pvalue(statistic: float, null_stats: np.ndarray) -> float:
     """Add-one two-sided p-value from an observed statistic and null draws;
-    ties, within ``TIE_RTOL``, count against the observed statistic."""
-    null_stats = np.asarray(null_stats, dtype=float)
-    count = int((np.abs(null_stats) >= abs(statistic) * (1.0 - TIE_RTOL)).sum())
-    return (1.0 + count) / (1.0 + null_stats.shape[0])
+    ties, within ``TIE_RTOL``, count against the observed statistic.
+    One group of ``randomization_batch`` whose draws are all usable."""
+    stats = np.concatenate([[statistic], np.asarray(null_stats, dtype=float)])[None]
+    return float(randomization_batch(stats, np.ones(stats.shape, dtype=bool))[0][0])
 
 
 def randomization_pvalue(
@@ -70,27 +73,46 @@ def randomization_pvalue(
     # the observed row rides in the same kernel call as the null draws, so
     # an exact re-draw of the observed assignment ties exactly
     t_batch = np.vstack([treatments, null_assignments])
-    (fit,) = fit_batch(y, [analysis_strata], t_batch, n_arms)
-    return randomization_result(*fit.tstats(target_arm))
+    fit = fit_batch(np.asarray(y, dtype=float)[None], [np.asarray(analysis_strata)[None]],
+                    t_batch[None], n_arms)
+    stats, valid = fit.tstats(target_arm)
+    return randomization_result(stats[0, 0], valid[0, 0])
+
+
+def randomization_batch(
+    stats: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tests of many groups from one kernel call's ``(groups, rows)``
+    t statistics and validity flags: row 0 of a group is its observed
+    assignment, the other rows its null draws.
+
+    Returns ``(p_value, discarded, flagged)`` per group.  A group whose
+    null draws all degenerate gets the add-one p-value over no draws,
+    ``p = 1``, and is flagged.  The observed row's validity is the
+    caller's to check.
+    """
+    observed = np.abs(stats[:, :1]) * (1.0 - TIE_RTOL)
+    null, usable = stats[:, 1:], valid[:, 1:]
+    count = ((np.abs(null) >= observed) & usable).sum(axis=1)
+    n_used = usable.sum(axis=1)
+    discarded = null.shape[1] - n_used
+    return ((1.0 + count) / (1.0 + n_used), discarded,
+            discarded > FLAG_DISCARD_SHARE * null.shape[1])
 
 
 def randomization_result(stats: np.ndarray, valid: np.ndarray) -> RandTestResult:
     """The test from one kernel call's t statistics and validity flags:
-    row 0 is the observed assignment, the other rows its null draws."""
+    row 0 is the observed assignment, the other rows its null draws.
+    One group of ``randomization_batch``."""
     if not valid[0]:
-        raise DegenerateDesignError("observed assignment gives a degenerate fit")
-    stat_obs = float(stats[0])
-    stats, valid = stats[1:], valid[1:]
-    n_requested = stats.shape[0]
-    n_used = int(valid.sum())
-    discarded = n_requested - n_used
-    if n_used == 0:
-        raise ConfigurationError("all null draws degenerated; cannot form a p-value")
+        raise DegenerateDesignError(DEGENERATE_OBSERVED)
+    (p_value,), (discarded,), (flagged,) = randomization_batch(stats[None], valid[None])
+    n_requested = stats.shape[0] - 1
     return RandTestResult(
-        statistic=stat_obs,
-        p_value=combine_pvalue(stat_obs, stats[valid]),
+        statistic=float(stats[0]),
+        p_value=float(p_value),
         draws_requested=n_requested,
-        draws_used=n_used,
-        discarded=discarded,
-        flagged=discarded > FLAG_DISCARD_SHARE * n_requested,
+        draws_used=n_requested - int(discarded),
+        discarded=int(discarded),
+        flagged=bool(flagged),
     )

@@ -13,7 +13,6 @@ from stratasim.cohort import (
     observed_outcomes,
     sample_cohort,
     sample_potential_outcomes,
-    sample_strata,
 )
 from stratasim.errors import ConfigurationError
 from stratasim.randomizer import AllocationRatio, TrialDesign
@@ -101,7 +100,7 @@ class TestPotentialOutcomes:
 class TestSampling:
     def test_strata_proportions(self):
         design = _design(100_000)
-        strata = sample_strata(design, _rng(23))
+        strata = sample_cohort(design, OutcomeModel(), _rng(23)).true_strata
         assert set(np.unique(strata)) <= {0, 1}
         share = float((strata == 0).mean())
         assert abs(share - 0.4) < 4.5 * math.sqrt(0.24 / design.n_patients)

@@ -4,6 +4,7 @@ accounting in the scenario runner."""
 from __future__ import annotations
 
 import math
+import pickle
 import re
 import warnings
 from concurrent.futures import Future
@@ -18,10 +19,9 @@ from stratasim.cohort import OutcomeModel, observed_outcomes, sample_cohort
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
-    ReplicationRecord,
     ScenarioConfig,
-    VariantRecord,
-    _generator,
+    Outcomes,
+    VariantMetrics,
     mc_se_rate,
     paper_design,
     paper_suite,
@@ -29,7 +29,7 @@ from stratasim.harness import (
     run_scenario,
 )
 from stratasim.inference import fit_batch
-from stratasim.misclassify import MisclassModel, reported_strata
+from stratasim.misclassify import KINDS, MisclassModel, reported_strata
 from stratasim.randomizer import (
     AllocationRatio,
     TrialDesign,
@@ -185,35 +185,48 @@ class TestRunReplication:
 
 
 @pytest.mark.parametrize("rb_draws,analyze_reported", [(0, True), (60, True), (60, False)])
-def test_one_kernel_call_per_replication(monkeypatch, rb_draws, analyze_reported):
-    # rows [observed; null batch] x variants [corrected, reported]
+def test_one_kernel_call_per_chunk(monkeypatch, rb_draws, analyze_reported):
+    # rows [observed; null batch] of every replication in the chunk x
+    # variants [corrected, reported]
     calls = []
 
     def counting(y, strata_variants, rows, n_arms):
-        calls.append((len(strata_variants), rows.shape[0]))
+        calls.append((len(strata_variants), *rows.shape[:2]))
         return fit_batch(y, strata_variants, rows, n_arms)
 
     monkeypatch.setattr(harness, "fit_batch", counting)
-    config = _config(rb_draws=rb_draws, analyze_reported=analyze_reported)
-    rec = run_replication(config, 1)
-    assert rec.valid
-    assert calls == [(1 + analyze_reported, 1 + rb_draws)]
+    config = _config(reps=40, rb_draws=rb_draws, analyze_reported=analyze_reported)
+    assert run_replication(config, 1).valid
+    run_scenario(config)
+    per_chunk = harness.CHUNK_CELLS // ((1 + rb_draws) * config.design.n_patients)
+    chunks = [min(per_chunk, 40 - start) for start in range(0, 40, per_chunk)]
+    variants = 1 + analyze_reported
+    assert calls == [(variants, 1, 1 + rb_draws)] + [(variants, c, 1 + rb_draws) for c in chunks]
+
+
+def _stage_rng(config, rep, stage):
+    """Replication ``rep``'s generator for one stage, from public names only."""
+    bits = np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(rep,)))
+    bits.advance(stage * harness.STAGE_STRIDE)
+    return np.random.Generator(bits)
 
 
 def test_variants_share_one_null_batch():
     # both variants re-randomize within the reported strata: one null batch
-    # per replication, drawn from child 3 of the replication's seed
+    # per replication, drawn at the replication's NULL_BATCH counter offset
     config = replace(_config(rb_draws=60),
                      misclass=MisclassModel("ignorable", 0.15, 0.30))
     design = config.design
-    for rep in range(4):
-        kids = np.random.SeedSequence(config.seed, spawn_key=(rep,)).spawn(4)
-        cohort = sample_cohort(design, config.outcome, _generator(kids[0]))
-        reported = reported_strata(cohort, config.misclass, _generator(kids[1]))
-        treatments = randomize_cohort(design, reported, _generator(kids[2]))
+    # replication indices are arbitrary nonnegative integers
+    for rep in (0, 1, 2, 3, 2**32, 2**70 + 5):
+        cohort = sample_cohort(design, config.outcome, _stage_rng(config, rep, harness.COHORT))
+        reported = reported_strata(cohort, config.misclass,
+                                   _stage_rng(config, rep, harness.MISCLASSIFICATION))
+        treatments = randomize_cohort(design, reported,
+                                      _stage_rng(config, rep, harness.RANDOMIZATION))
         y = observed_outcomes(cohort.potentials, treatments)
         nulls = batch_block_assignments(design, reported, config.rb_draws,
-                                        _generator(kids[3]))
+                                        _stage_rng(config, rep, harness.NULL_BATCH))
         rec = run_replication(config, rep)
         for strata, variant in ((cohort.true_strata, rec.corrected),
                                 (reported, rec.reported)):
@@ -221,6 +234,70 @@ def test_variants_share_one_null_batch():
                                         design.allocation.n_arms)
             assert variant.rb_p == want.p_value, (rep, strata is reported)
             assert variant.rb_discarded == want.discarded
+
+
+def test_chunk_size_bounds_cells(monkeypatch):
+    # a chunk holds about CHUNK_CELLS patient assignments whatever the design
+    sizes = []
+    run_chunk = harness._run_chunk
+
+    def recording(config, start, stop):
+        sizes.append(stop - start)
+        return run_chunk(config, start, stop)
+
+    monkeypatch.setattr(harness, "_run_chunk", recording)
+    big = TrialDesign(8000, (0.4, 0.6), AllocationRatio((1, 2, 2)), 10)
+    run_scenario(replace(_config(reps=25), design=big))
+    assert sizes == [10, 10, 5]
+    sizes.clear()
+    run_scenario(replace(_config(reps=25, rb_draws=4), design=big))
+    assert sizes == [2] * 12 + [1]
+    sizes.clear()
+    run_scenario(_config(reps=1100))
+    assert sizes == [1024, 76]
+
+
+def _tiny_design():
+    # 4 patients in three arms: chunks mix valid and invalid replications
+    return TrialDesign(4, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3)
+
+
+def _varblock_design():
+    return TrialDesign(20, (0.2, 0.8), AllocationRatio((1, 2, 2)), 10, block_sizes=(5, 10))
+
+
+@pytest.mark.parametrize("design,kind,rb_draws", [
+    *[(paper_design(), kind, 0) for kind in KINDS],
+    (_tiny_design(), "ignorable", 5),
+    (_varblock_design(), "nonignorable1", 30),
+])
+def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
+    config = ScenarioConfig(
+        design=design, outcome=OutcomeModel(rho=0.5, delta=0.5),
+        misclass=MisclassModel(kind, 0.15, 0.30), n_replications=12, rb_draws=rb_draws,
+        seed=31,
+    )
+    alone = [run_replication(config, r) for r in range(12)]
+    chunk = harness._run_chunk(config, 0, 12)
+    full_chunk = [harness._record(chunk, r, r) for r in range(12)]
+    # repr keeps every float digit, and NaN fields compare
+    assert repr(full_chunk) == repr(alone)
+    # small chunks in two worker processes: the parent reduces what they return
+    seen = []
+    summarize = harness._summarize
+
+    def capture(config, outcomes):
+        seen.append(outcomes)
+        return summarize(config, outcomes)
+
+    monkeypatch.setattr(harness, "_summarize", capture)
+    monkeypatch.setattr(harness, "CHUNK_CELLS", 3 * (1 + rb_draws) * design.n_patients)
+    threaded = run_scenario(config, threads=2)
+    pooled = [harness._record(seen[0], r, r) for r in range(12)]
+    assert repr(pooled) == repr(alone)
+    assert repr(threaded) == repr(run_scenario(config, threads=1))
+    if design.n_patients == 4:
+        assert 0 < threaded.n_invalid < 12
 
 
 class TestAggregation:
@@ -290,23 +367,71 @@ class TestAggregation:
         flagged = randomization_pvalue(y, good, strata, nulls, 3)
         clean = randomization_pvalue(y, good, strata, nulls[:80], 3)
 
-        def record(rb):
-            return VariantRecord(estimate=0.5, se=0.2, covered=True, p_value=0.01,
-                                 rb_p=rb.p_value, rb_discarded=rb.discarded,
-                                 rb_flagged=rb.flagged)
+        def chunk(config, start, stop):
+            n = stop - start
 
-        monkeypatch.setattr(harness, "run_replication", lambda config, rep: ReplicationRecord(
-            rep_index=rep, valid=True, corrected=record(flagged), reported=record(clean)))
+            def column(a, b):
+                return np.repeat(np.array([[a], [b]]), n, axis=1)
+
+            return Outcomes(
+                error=np.full(n, "", dtype=object), estimate=column(0.5, 0.5),
+                se=column(0.2, 0.2), covered=column(True, True), p_value=column(0.01, 0.01),
+                rb_p=column(flagged.p_value, clean.p_value),
+                rb_discarded=column(flagged.discarded, clean.discarded),
+                rb_flagged=column(flagged.flagged, clean.flagged),
+            )
+
+        monkeypatch.setattr(harness, "_run_chunk", chunk)
         metrics = run_scenario(_config(reps=20, rb_draws=100))
         assert metrics.n_invalid == 0
-        assert metrics.corrected.rb_flagged > 0
         assert (metrics.corrected.rb_flagged, metrics.reported.rb_flagged) == (20, 0)
+        assert (metrics.corrected.rb_discarded, metrics.reported.rb_discarded) == (400, 0)
         assert metrics.warning
         rows = metrics_rows([metrics])
         assert [row["invalid"] for row in rows] == [0, 0]
         assert [row["rb_flagged"] for row in rows] == [
             metrics.corrected.rb_flagged, metrics.reported.rb_flagged,
         ]
+        assert not any("rb_discarded" in row or "invalid_reasons" in row for row in rows)
+
+    def test_degenerate_null_batch_finishes_the_scenario(self):
+        # one null draw per replication: where it degenerates the test has
+        # no usable draw, gets p = 1 and is flagged, and the run goes on
+        config = ScenarioConfig(
+            design=TrialDesign(5, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3),
+            outcome=OutcomeModel(rho=1.0, delta=0.5),
+            misclass=MisclassModel("ignorable", 0.02, 0.02),
+            n_replications=300,
+            rb_draws=1,
+            seed=5,
+        )
+        metrics = run_scenario(config)
+        assert metrics.n_invalid == 0 and metrics.warning
+        assert metrics.corrected.rb_flagged == metrics.corrected.rb_discarded > 0
+        hits = [rec.corrected for rec in map(lambda r: run_replication(config, r), range(300))
+                if rec.corrected.rb_discarded]
+        assert len(hits) == metrics.corrected.rb_flagged
+        assert all(v.rb_p == 1.0 and v.rb_flagged for v in hits)
+
+    def test_invalid_replications_tallied_by_reason(self):
+        config = _scenario(design=_tiny_design(), n_replications=200, rb_draws=5, seed=7)
+        metrics = run_scenario(config)
+        records = [run_replication(config, r) for r in range(200)]
+        errors = sorted(rec.error for rec in records if not rec.valid)
+        assert metrics.invalid_reasons == tuple(
+            (reason, errors.count(reason)) for reason in sorted(set(errors)))
+        assert sum(count for _, count in metrics.invalid_reasons) == metrics.n_invalid > 0
+        for name in ("corrected", "reported"):
+            assert getattr(metrics, name).rb_discarded == sum(
+                getattr(rec, name).rb_discarded for rec in records if rec.valid)
+        assert run_scenario(_config(reps=5)).invalid_reasons == ()
+
+    def test_metrics_hold_no_instance_dict_and_pickle(self):
+        metrics = run_scenario(_config(reps=5, rb_draws=10))
+        for obj in (metrics, metrics.config, metrics.corrected):
+            assert not hasattr(obj, "__dict__")
+        assert pickle.loads(pickle.dumps(metrics)) == metrics
+        assert isinstance(metrics.reported, VariantMetrics)
 
     @pytest.mark.parametrize("rb_draws", [0, 20])
     def test_all_invalid_scenario_reports_nan_without_warnings(self, rb_draws):

@@ -15,6 +15,7 @@ from stratasim.inference import (
     ci_and_test,
     fit_batch,
     fit_model,
+    t_interval,
 )
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from oracles import ols_exact, t_critical_bisect, t_two_sided_p
@@ -37,9 +38,24 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _one_group(y, strata_variants, rows, n_arms):
+    """``fit_batch`` on a single group, one trial's outcomes and strata,
+    split into one fit per strata variant (each keeps a variant axis)."""
+    fit = fit_batch(np.asarray(y, dtype=float)[None],
+                    [np.asarray(s)[None] for s in strata_variants], np.asarray(rows)[None], n_arms)
+    return [_variant(fit, v) for v in range(len(strata_variants))]
+
+
+def _variant(fit, v):
+    return BatchFit(df=fit.df[v:v + 1], arm_coef=fit.arm_coef[:, v:v + 1],
+                    arm_se=fit.arm_se[:, v:v + 1], sigma2=fit.sigma2[v:v + 1],
+                    valid=fit.valid[v:v + 1], arm_count=fit.arm_count[:, v:v + 1])
+
+
 def _tstats(y, strata, rows, n_arms, target_arm=1):
-    (fit,) = fit_batch(y, [strata], rows, n_arms)
-    return fit.tstats(target_arm)
+    (fit,) = _one_group(y, [strata], rows, n_arms)
+    stats, valid = fit.tstats(target_arm)
+    return stats[0, 0], valid[0, 0]
 
 
 def _assert_matches_oracle(fit, row, design, y):
@@ -47,20 +63,20 @@ def _assert_matches_oracle(fit, row, design, y):
     rational solution; the arm columns are the design's last ones."""
     beta, rss, unscaled = ols_exact(design, y)
     n_free = fit.arm_coef.shape[0]
-    sigma2 = float(rss) / fit.df
-    assert abs(fit.sigma2[row] - sigma2) < 1e-10
+    sigma2 = float(rss) / fit.df[0, 0]
+    assert abs(fit.sigma2[0, 0, row] - sigma2) < 1e-10
     for j in range(n_free):
         k = len(beta) - n_free + j
-        assert abs(fit.arm_coef[j, row] - float(beta[k])) < 1e-10
-        assert abs(fit.arm_se[j, row] - math.sqrt(sigma2 * float(unscaled[k]))) < 1e-10
+        assert abs(fit.arm_coef[j, 0, 0, row] - float(beta[k])) < 1e-10
+        assert abs(fit.arm_se[j, 0, 0, row] - math.sqrt(sigma2 * float(unscaled[k]))) < 1e-10
 
 
 class TestFitModel:
     def test_matches_exact_rational_solution(self):
         fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
-        assert fit.df == 8
-        assert fit.arm_coef.shape == fit.arm_se.shape == (2, 1)
-        assert fit.arm_count[:, 0].tolist() == [4, 4, 4]
+        assert fit.df.tolist() == [[8]]
+        assert fit.arm_coef.shape == fit.arm_se.shape == (2, 1, 1, 1)
+        assert fit.arm_count[:, 0, 0, 0].tolist() == [4, 4, 4]
         _assert_matches_oracle(fit, 0, _design_rows(), Y)
 
     def test_row_permutation_invariance(self):
@@ -81,22 +97,29 @@ class TestFitModel:
         fit = fit_model(y, treatments, strata)
         arms = np.column_stack([treatments == 1, treatments == 2]).astype(float)
         # given the arm terms, each stratum's term is its mean of what remains
-        partial = y - arms @ fit.arm_coef[:, 0]
+        partial = y - arms @ fit.arm_coef[:, 0, 0, 0]
         resid = partial.copy()
         for s in (0, 1):
             resid[strata == s] -= partial[strata == s].mean()
         x = np.column_stack([np.ones(60), strata == 1, arms])
         assert np.abs(x.T @ resid).max() < 1e-8
-        assert abs(resid @ resid / fit.df - fit.sigma2[0]) < 1e-12
+        assert abs(resid @ resid / fit.df[0, 0] - fit.sigma2[0, 0, 0]) < 1e-12
 
     def test_empty_stratum_column_dropped(self):
         y = np.array(Y, dtype=float)
         ones = np.ones_like(STRATA)
         fit = fit_model(y, TREATMENTS, ones)
-        assert fit.df == 9
+        assert fit.df.tolist() == [[9]]
         _assert_matches_oracle(
             fit, 0, [[1, int(t == 1), int(t == 2)] for t in TREATMENTS.tolist()], Y
         )
+
+    def test_any_stratum_labels_fit_alike(self):
+        # labels outside 0..255 take the sorting path to their ranks
+        y = np.array(Y, dtype=float)
+        for labels in (np.where(STRATA == 1, 7, -5), STRATA + 0.5, STRATA * 1000):
+            fit = fit_model(y, TREATMENTS, labels)
+            assert np.array_equal(fit.arm_coef, fit_model(y, TREATMENTS, STRATA).arm_coef)
 
     def test_empty_arm_raises(self):
         y = np.array(Y, dtype=float)
@@ -129,10 +152,10 @@ class TestCiAndTest:
         fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
         for alpha in (0.05, 0.01):
             res = ci_and_test(fit, alpha=alpha)
-            stat = fit.arm_coef[0, 0] / fit.arm_se[0, 0]
+            stat = fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]
             assert abs(res.statistic - stat) < 1e-12
-            assert abs(res.p_value - t_two_sided_p(stat, fit.df)) < 1e-8
-            tcrit = t_critical_bisect(alpha, fit.df)
+            assert abs(res.p_value - t_two_sided_p(stat, fit.df[0, 0])) < 1e-8
+            tcrit = t_critical_bisect(alpha, fit.df[0, 0])
             assert abs(res.ci_low - (res.estimate - tcrit * res.se)) < 1e-6
             assert abs(res.ci_high - (res.estimate + tcrit * res.se)) < 1e-6
 
@@ -144,8 +167,8 @@ class TestCiAndTest:
         res = ci_and_test(fit, target_arm=2, strata_used="corrected")
         assert res.term == "treat2"
         assert res.strata_used == "corrected"
-        assert res.estimate == fit.arm_coef[1, 0]
-        assert res.se == fit.arm_se[1, 0]
+        assert res.estimate == fit.arm_coef[1, 0, 0, 0]
+        assert res.se == fit.arm_se[1, 0, 0, 0]
 
     @pytest.mark.parametrize("target_arm", [0, 3, -1])
     def test_target_arm_outside_active_arms_rejected(self, target_arm):
@@ -158,8 +181,9 @@ class TestCiAndTest:
     def test_zero_se_edge(self):
         def one_row(estimate):
             return BatchFit(
-                df=8, arm_coef=np.array([[estimate]]), arm_se=np.zeros((1, 1)),
-                sigma2=np.zeros(1), valid=np.array([True]), arm_count=np.array([[5], [5]]),
+                df=np.array([[8]]), arm_coef=np.full((1, 1, 1, 1), estimate),
+                arm_se=np.zeros((1, 1, 1, 1)), sigma2=np.zeros((1, 1, 1)),
+                valid=np.ones((1, 1, 1), dtype=bool), arm_count=np.full((2, 1, 1, 1), 5),
             )
 
         res = ci_and_test(one_row(0.0))
@@ -191,7 +215,7 @@ class TestBatchedKernel:
         assert valid.all()
         for row, got in zip(draws, stats):
             fit = fit_model(y, row, strata, 3)
-            want = fit.arm_coef[target_arm - 1, 0] / fit.arm_se[target_arm - 1, 0]
+            want = fit.arm_coef[target_arm - 1, 0, 0, 0] / fit.arm_se[target_arm - 1, 0, 0, 0]
             assert abs(got - want) < 1e-10
 
     def test_degenerate_rows_flagged_not_raised(self):
@@ -208,7 +232,7 @@ class TestBatchedKernel:
         assert valid.tolist() == [True, False, False]
         assert np.isnan(stats[1]) and np.isnan(stats[2])
         fit = fit_model(y, rows[0], strata, 3)
-        want = fit.arm_coef[0, 0] / fit.arm_se[0, 0]
+        want = fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]
         assert abs(stats[0] - want) < 1e-10
 
     def test_batch_matches_oracle_and_flags_degenerate_rows(self):
@@ -223,13 +247,13 @@ class TestBatchedKernel:
                 [2, 1, 0, 0, 2, 1, 1, 0, 0, 2, 2, 1],
             ]
         )
-        (batch,) = fit_batch(np.array(Y, dtype=float), [strata], rows, 3)
-        assert batch.df == 7
-        assert batch.valid.tolist() == [True, True, False, False, True]
+        (batch,) = _one_group(Y, [strata], rows, 3)
+        assert batch.df.tolist() == [[7]]
+        assert batch.valid[0, 0].tolist() == [True, True, False, False, True]
         stats, t_valid = _tstats(Y, strata, rows, 3, 2)
-        assert t_valid.tolist() == batch.valid.tolist()
-        assert np.isnan(stats[~batch.valid]).all()
-        for b in np.flatnonzero(batch.valid):
+        assert t_valid.tolist() == batch.valid[0, 0].tolist()
+        assert np.isnan(stats[~batch.valid[0, 0]]).all()
+        for b in np.flatnonzero(batch.valid[0, 0]):
             design = [
                 [1, int(s == 1), int(s == 2), int(t == 1), int(t == 2)]
                 for s, t in zip(strata.tolist(), rows[b].tolist())
@@ -260,14 +284,14 @@ class TestStackedKernel:
     )
 
     def test_each_variant_matches_exact_oracle(self):
-        fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
-        assert [f.df for f in fits] == [7, 8]
-        assert fits[0].valid.tolist() == [True, True, False, False, True]
-        assert fits[1].valid.tolist() == [True, True, False, True, True]
+        fits = _one_group(Y, self.STRATA, self.ROWS, 3)
+        assert [f.df.tolist() for f in fits] == [[[7]], [[8]]]
+        assert fits[0].valid[0, 0].tolist() == [True, True, False, False, True]
+        assert fits[1].valid[0, 0].tolist() == [True, True, False, True, True]
         for strata, batch in zip(self.STRATA, fits):
             levels = sorted(set(strata.tolist()))[1:]
             for b in range(len(self.ROWS)):
-                if not batch.valid[b]:
+                if not batch.valid[0, 0, b]:
                     with pytest.raises(DegenerateDesignError):
                         ci_and_test(batch, row=b)
                     continue
@@ -276,7 +300,7 @@ class TestStackedKernel:
                 _assert_matches_oracle(batch, b, design, Y)
 
     def test_invalid_rows_name_their_fault(self):
-        fits = fit_batch(np.array(Y, dtype=float), list(self.STRATA), self.ROWS, 3)
+        fits = _one_group(Y, self.STRATA, self.ROWS, 3)
         with pytest.raises(DegenerateDesignError, match="arm 2 has no patients"):
             ci_and_test(fits[1], row=2)
         with pytest.raises(DegenerateDesignError, match="rank deficient"):
@@ -284,7 +308,7 @@ class TestStackedKernel:
 
     def test_batch_row_analysis_equals_one_trial_fit(self):
         y = np.array(Y, dtype=float)
-        fits = fit_batch(y, list(self.STRATA), self.ROWS, 3)
+        fits = _one_group(y, self.STRATA, self.ROWS, 3)
         for strata, batch in zip(self.STRATA, fits):
             one = fit_model(y, self.ROWS[4], strata, 3)
             for target in (1, 2):
@@ -306,9 +330,9 @@ class TestStackedKernel:
         y = 3.0 * rng.standard_normal(80) + true
         rows = batch_block_assignments(design, reported, 1001, rng)
         rows[500] = rows[0]
-        batch = fit_batch(y, [true, reported], rows, n_arms)
-        alone = fit_batch(y, [true, reported], rows[:1], n_arms)
-        single = [fit_batch(y, [strata], rows, n_arms)[0] for strata in (true, reported)]
+        batch = _one_group(y, [true, reported], rows, n_arms)
+        alone = _one_group(y, [true, reported], rows[:1], n_arms)
+        single = [_one_group(y, [strata], rows, n_arms)[0] for strata in (true, reported)]
         for big, one, own in zip(batch, alone, single):
             for name in ("arm_coef", "arm_se", "sigma2", "valid"):
                 got = getattr(big, name)
@@ -317,4 +341,66 @@ class TestStackedKernel:
                 assert np.array_equal(got, getattr(own, name))
             assert ci_and_test(big) == ci_and_test(one) == ci_and_test(big, row=500)
             stats, _ = big.tstats()
-            assert stats[0] == stats[500] == one.tstats()[0][0]
+            assert stats[0, 0, 0] == stats[0, 0, 500] == one.tstats()[0][0, 0, 0]
+
+
+class TestGroupAxis:
+    """Many trials in one kernel call: each group has its own outcomes and
+    strata, and its numbers never depend on the other groups."""
+
+    @staticmethod
+    def _groups(seed, n_groups=6, n_rows=5, n=30):
+        rng = _rng(seed)
+        y = rng.standard_normal((n_groups, n))
+        true = (rng.random((n_groups, n)) >= 0.4).astype(np.int8)
+        reported = (rng.random((n_groups, n)) >= 0.4).astype(np.int8)
+        true[0] = 0  # one stratum only: the chunk's levels differ by group
+        reported[1] = 1
+        draws = np.tile(np.arange(3), (n_groups, n_rows, n // 3 + 1))[..., :n]
+        draws = rng.permuted(draws, axis=-1)
+        return y, [true, reported], draws
+
+    def test_each_group_bit_identical_alone(self):
+        y, variants, draws = self._groups(71)
+        fit = fit_batch(y, variants, draws, 3)
+        for g in range(len(y)):
+            alone = fit_batch(y[g:g + 1], [v[g:g + 1] for v in variants], draws[g:g + 1], 3)
+            assert np.array_equal(fit.df[:, g], alone.df[:, 0])
+            for name in ("arm_coef", "arm_se", "sigma2", "valid", "arm_count"):
+                assert np.array_equal(getattr(fit, name)[..., g, :],
+                                      getattr(alone, name)[..., 0, :], equal_nan=True)
+        assert fit.df[0, 0] == fit.df[0, 2] + 1  # no stratum column in group 0
+
+    def test_each_group_matches_one_trial_fits(self):
+        y, variants, draws = self._groups(72)
+        fit = fit_batch(y, variants, draws, 3)
+        for v, strata in enumerate(variants):
+            for g in range(len(y)):
+                for r in range(draws.shape[1]):
+                    one = fit_model(y[g], draws[g, r], strata[g], 3)
+                    assert abs(fit.arm_coef[0, v, g, r] - one.arm_coef[0, 0, 0, 0]) < 1e-10
+                    assert abs(fit.arm_se[1, v, g, r] - one.arm_se[1, 0, 0, 0]) < 1e-10
+
+    def test_unidentified_group_is_invalid_alone(self):
+        # three patients: with both strata present they cannot identify the
+        # intercept, the stratum and two arm columns; with one stratum they can
+        y = np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0]])
+        strata = np.array([[0, 1, 1], [1, 1, 1]])
+        draws = np.array([[[0, 1, 2]], [[0, 1, 2]]])
+        fit = fit_batch(y, [strata], draws, 3)
+        assert fit.df.tolist() == [[-1, 0]]
+        assert fit.valid.tolist() == [[[False], [True]]]
+        assert fit.faults().tolist() == [[["3 observations cannot identify 4 columns"], [""]]]
+        with pytest.raises(DegenerateDesignError, match="3 observations cannot identify 4"):
+            ci_and_test(fit, group=0)
+        with pytest.raises(DegenerateDesignError, match="no residual degrees of freedom"):
+            ci_and_test(fit, group=1)
+
+    def test_t_interval_entry_equals_ci_and_test(self):
+        y, variants, draws = self._groups(73)
+        fit = fit_batch(y, variants, draws, 3)
+        low, high, stat, p = t_interval(fit.arm_coef[1], fit.arm_se[1], fit.df[..., None], 0.1)
+        for v, g, r in ((0, 0, 0), (1, 3, 4)):
+            res = ci_and_test(fit, alpha=0.1, target_arm=2, row=r, group=g, variant=v)
+            assert (res.ci_low, res.ci_high, res.statistic, res.p_value) == (
+                low[v, g, r], high[v, g, r], stat[v, g, r], p[v, g, r])

@@ -8,13 +8,16 @@ import itertools
 import numpy as np
 import pytest
 
-from stratasim.errors import ConfigurationError
+from stratasim.errors import ConfigurationError, DegenerateDesignError
 from stratasim.inference import fit_batch
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from stratasim.rerandomize import (
     FLAG_DISCARD_SHARE,
+    RandTestResult,
     combine_pvalue,
+    randomization_batch,
     randomization_pvalue,
+    randomization_result,
 )
 from oracles import two_sample_t
 from properties import check_rb_superuniformity
@@ -25,8 +28,9 @@ def _rng(seed=0):
 
 
 def _tstats(y, strata, rows, n_arms):
-    (fit,) = fit_batch(y, [strata], rows, n_arms)
-    return fit.tstats()
+    fit = fit_batch(np.asarray(y, dtype=float)[None], [strata[None]], rows[None], n_arms)
+    stats, valid = fit.tstats()
+    return stats[0, 0], valid[0, 0]
 
 
 def _all_assignments(n_blocks):
@@ -124,13 +128,37 @@ class TestDegenerateDraws:
         assert res.flagged  # 20% > the 1% share
         assert FLAG_DISCARD_SHARE == 0.01
 
-    def test_all_degenerate_raises(self):
+    def test_all_degenerate_gives_one_and_flags(self):
+        # the add-one p-value over no usable draws, not an error
         y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
         strata = np.zeros(6, dtype=np.int8)
         good = np.array([0, 1, 2, 0, 1, 2], dtype=np.int8)
         bad = np.tile([0, 2, 2, 0, 2, 2], (5, 1)).astype(np.int8)
-        with pytest.raises(ConfigurationError, match="degenerate"):
-            randomization_pvalue(y, good, strata, bad, n_arms=3)
+        res = randomization_pvalue(y, good, strata, bad, n_arms=3)
+        assert (res.p_value, res.draws_requested, res.draws_used) == (1.0, 5, 0)
+        assert res.discarded == 5 and res.flagged
+
+    def test_result_over_no_usable_draws(self):
+        stats = np.array([2.5, np.nan, np.nan, np.nan])
+        valid = np.array([True, False, False, False])
+        res = randomization_result(stats, valid)
+        assert res == RandTestResult(statistic=2.5, p_value=1.0, draws_requested=3,
+                                     draws_used=0, discarded=3, flagged=True)
+        with pytest.raises(DegenerateDesignError, match="observed"):
+            randomization_result(stats, ~valid)
+
+    def test_batch_matches_one_group_results(self):
+        rng = _rng(53)
+        stats = rng.standard_normal((6, 41))
+        valid = rng.random((6, 41)) > 0.2
+        valid[:, 0] = True
+        valid[4, 1:] = False
+        p_value, discarded, flagged = randomization_batch(stats, valid)
+        for g in range(6):
+            one = randomization_result(stats[g], valid[g])
+            assert (one.p_value, one.discarded, one.flagged) == (
+                p_value[g], discarded[g], flagged[g])
+        assert p_value[4] == 1.0 and discarded[4] == 40 and flagged[4]
 
     def test_empty_null_set_raises(self):
         y = np.array([0.3, 1.7, -0.4, 2.2, 0.9, -1.1])
