@@ -189,11 +189,6 @@ def parse_config(source) -> list[ScenarioConfig]:
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
 
-    analyze_reported = run_doc["analyze_reported"]
-    if not isinstance(analyze_reported, bool):
-        raise ConfigParseError(
-            f"run.analyze_reported: expected true or false, got {analyze_reported!r}"
-        )
     try:
         config = ScenarioConfig(
             design=design,
@@ -203,7 +198,7 @@ def parse_config(source) -> list[ScenarioConfig]:
             rb_draws=run_doc["rb_draws"],
             seed=run_doc["seed"],
             alpha=run_doc["alpha"],
-            analyze_reported=analyze_reported,
+            analyze_reported=run_doc["analyze_reported"],
             label="custom",
         )
     except ConfigurationError as exc:

@@ -16,9 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_real
 from .randomizer import TrialDesign
+
+# the smallest positive value of ``Generator.random``
+_SMALLEST_UNIFORM = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class OutcomeModel:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in ("rho", "delta", "sigma"):
+            object.__setattr__(self, field, as_real(field, getattr(self, field)))
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must lie in [0, 1], got {self.rho}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -110,28 +116,34 @@ def sample_potential_outcomes(
     return potential_outcomes(strata, model, normals)
 
 
-def draw_cohort(design: TrialDesign, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Every draw of one cohort, in stream order: one uniform per patient
-    for the stratum, then ``1 + n_arms`` standard normals per patient."""
-    n = design.n_patients
-    return rng.random(n), rng.standard_normal((n, 1 + design.allocation.n_arms))
+def cohort_width(design: TrialDesign) -> int:
+    """Uniforms per cohort: one per patient for the stratum, then ``1 +
+    n_arms`` per patient for the standard normals."""
+    return design.n_patients * (2 + design.allocation.n_arms)
 
 
-def cohort_arrays(
+def draw_cohort(
     design: TrialDesign,
     model: OutcomeModel,
     uniforms: np.ndarray,
-    normals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """True strata and potential outcomes of a stack of cohorts from their
-    ``draw_cohort`` draws, stacked along leading axes."""
+    """True strata and potential outcomes of cohorts from ``(...,
+    cohort_width(design))`` uniforms, one cohort per row.
+
+    The first ``n_patients`` uniforms of a row pick the strata; the rest
+    are the ``(n_patients, 1 + n_arms)`` standard normals, by inversion
+    with ``u = 0`` clamped to the smallest positive uniform so every
+    normal is finite.
+    """
     if len(model.strata_means) != design.n_strata:
         raise ConfigurationError(
             f"outcome model has {len(model.strata_means)} strata means, "
             f"design has {design.n_strata} strata"
         )
-    strata = strata_labels(design, uniforms)
-    return strata, potential_outcomes(strata, model, normals)
+    n = design.n_patients
+    normals = ndtri(np.maximum(uniforms[..., n:], _SMALLEST_UNIFORM))
+    strata = strata_labels(design, uniforms[..., :n])
+    return strata, potential_outcomes(strata, model, normals.reshape(*strata.shape, -1))
 
 
 def sample_cohort(
@@ -139,8 +151,9 @@ def sample_cohort(
     model: OutcomeModel,
     rng: np.random.Generator,
 ) -> Cohort:
-    """Draw strata and potential outcomes for a full cohort."""
-    strata, potentials = cohort_arrays(design, model, *draw_cohort(design, rng))
+    """Draw strata and potential outcomes for a full cohort: exactly
+    ``cohort_width(design)`` uniforms from ``rng``."""
+    strata, potentials = draw_cohort(design, model, rng.random(cohort_width(design)))
     return Cohort(true_strata=strata, potentials=potentials, outcome=model)
 
 

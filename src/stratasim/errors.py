@@ -1,5 +1,5 @@
-"""Exception types, and the integer check of config fields, shared
-across the package."""
+"""Exception types, and the integer and number checks of config fields,
+shared across the package."""
 
 from __future__ import annotations
 
@@ -31,3 +31,12 @@ def as_int(field: str, value) -> int:
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
     raise ConfigurationError(f"{field} must be an integer, got {value!r}")
+
+
+def as_real(field: str, value) -> float:
+    """``value`` as a ``float``: Python and numpy reals.  Anything else,
+    booleans and numeric strings included, raises a
+    ``ConfigurationError`` naming ``field``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigurationError(f"{field} must be a number, got {value!r}")

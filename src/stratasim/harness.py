@@ -5,23 +5,26 @@ within the reported strata, and analyzes the observed outcomes twice:
 once adjusting for the true ("corrected") strata and once for the
 reported ones.  Randomization-based p-values are optional per scenario.
 
-Streams: replication ``r`` keys one ``Philox`` generator with
-``SeedSequence(seed, spawn_key=(r,))`` and draws each stage from a fixed
-counter offset, ``stage * STAGE_STRIDE`` blocks: the cohort
-(``COHORT``), the misclassification uniforms, drawn only under the
-ignorable model (``MISCLASSIFICATION``), the observed randomization
-(``RANDOMIZATION``) and the randomization-test null batch
-(``NULL_BATCH``).  Fixed offsets keep the cohort and the assignments
-common across misclassification kinds.
+Streams: one ``Philox`` key per scenario,
+``SeedSequence(seed).generate_state(2, np.uint64)``.  Each stage takes a
+fixed number of uniforms, ``width``, per replication: the cohort
+(``COHORT``, ``cohort_width``), the misclassification (``MISCLASSIFICATION``,
+one per patient, ignorable model only), the observed randomization
+(``RANDOMIZATION``, ``block_width``) and the randomization-test null batch
+(``NULL_BATCH``, ``rb_draws * block_width``).  Stage ``s`` of replication
+``r`` starts at counter block ``r * ceil(width / 4)`` (a Philox4x64 block
+gives four uniforms), a 128-bit offset in counter words 0 and 1, with
+``s`` in word 2.  So one draw call gives a stage's uniforms for a whole
+chunk, replication ``r`` depends only on ``(seed, r)``, and the cohort
+and the assignment picks are common across misclassification kinds.
 
 Chunks: a chunk holds ``CHUNK_CELLS // ((1 + rb_draws) * n_patients)``
 replications (at least one), so its arrays stay the same size whatever
-the design.  The only per-replication loop is the draws; every stage
-after it runs once per chunk on ``(replications, patients)`` arrays, and
-one kernel call fits every row of the chunk.  A replication's numbers do
-not depend on its chunk, so results are independent of chunking and
-thread count, and aggregation runs over arrays held in replication
-order.
+the design.  Every stage runs once per chunk on ``(replications, ...)``
+arrays, with no loop over replications, and one kernel call fits every
+row of the chunk.  A replication's numbers do not depend on its chunk,
+so results are independent of chunking and thread count, and
+aggregation runs over arrays held in replication order.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cohort import OutcomeModel, cohort_arrays, draw_cohort, observed_outcomes
+from .cohort import OutcomeModel, cohort_width, draw_cohort, observed_outcomes
 from .errors import ConfigurationError, as_int
 from .inference import NO_RESIDUAL_DF, fit_batch, t_interval
-from .misclassify import MisclassModel, draw_flips, misclassify
-from .randomizer import AllocationRatio, TrialDesign, deal_blocks, draw_blocks
+from .misclassify import MisclassModel, misclassify
+from .randomizer import AllocationRatio, TrialDesign, block_width, deal_blocks, draw_blocks
 from .rerandomize import DEGENERATE_OBSERVED, randomization_batch
 
 DEFAULT_SEED = 2014
@@ -52,8 +55,7 @@ WARN_SHARE = 0.001
 
 # patient assignments per kernel call, observed and null: the chunk size
 CHUNK_CELLS = 1024 * 80
-# Philox counter blocks between the first draws of consecutive stages
-STAGE_STRIDE = 1 << 64
+# the stages, by Philox counter word 2
 COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 
 
@@ -62,7 +64,8 @@ class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
     and run sizes.  ``n_replications`` must be at least 1 and ``seed``
     nonnegative, all three counts integers; ``rb_draws = 0`` disables
-    randomization testing; ``alpha`` lies in (0, 1)."""
+    randomization testing; ``alpha`` lies in (0, 1); ``analyze_reported``
+    is a bool."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -87,6 +90,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if not isinstance(self.analyze_reported, bool):
+            raise ConfigurationError(
+                f"analyze_reported must be true or false, got {self.analyze_reported!r}"
+            )
 
     @property
     def rb_enabled(self) -> bool:
@@ -183,33 +190,17 @@ def mc_se_rate(rate: float, n: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
 
 
-def _draw_chunk(config: ScenarioConfig, start: int, stop: int) -> tuple[list, ...]:
-    """Every draw of replications ``start`` to ``stop``: the only loop over
-    replications.  One Philox is re-keyed per replication and reset to each
-    stage's counter offset."""
-    design, misclass = config.design, config.misclass
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    state = bits.state
-    counter, key = state["state"]["counter"], state["state"]["key"]
-
-    def at(stage: int) -> np.random.Generator:
-        counter[1] = stage  # word 1 of the 256-bit counter: stage * STAGE_STRIDE
-        bits.state = state
-        return rng
-
-    cohorts, flips, blocks, nulls = [], [], [], []
-    ignorable = misclass.kind == "ignorable"
-    for rep in range(start, stop):
-        # the key Philox(SeedSequence(seed, spawn_key=(rep,))) would take
-        key[:] = np.random.SeedSequence(config.seed, spawn_key=(rep,)).generate_state(2, np.uint64)
-        cohorts.append(draw_cohort(design, at(COHORT)))
-        if ignorable:
-            flips.append(draw_flips(misclass, design.n_patients, at(MISCLASSIFICATION)))
-        blocks.append(draw_blocks(design, 1, at(RANDOMIZATION)))
-        if config.rb_enabled:
-            nulls.append(draw_blocks(design, config.rb_draws, at(NULL_BATCH)))
-    return cohorts, flips, blocks, nulls
+def _stage_uniforms(key: np.ndarray, stage: int, width: int, start: int, stop: int) -> np.ndarray:
+    """The ``(stop - start, width)`` uniforms of one stage for replications
+    ``start`` to ``stop``, from one draw call."""
+    blocks = -(-width // 4)  # a Philox4x64 block gives four uniforms
+    if start < 0 or stop * blocks >= 1 << 128:
+        raise ConfigurationError(
+            f"replications {start} to {stop - 1} do not fit the 128-bit counter")
+    offset = start * blocks
+    counter = np.array([offset & (1 << 64) - 1, offset >> 64, stage, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return rng.random((stop - start, 4 * blocks))[:, :width]
 
 
 def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
@@ -221,13 +212,22 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     replication is its observed assignment, the rest its null batch.
     """
     design, outcome = config.design, config.outcome
-    cohorts, flips, blocks, nulls = _draw_chunk(config, start, stop)
     n_reps = stop - start
-    strata, potentials = cohort_arrays(design, outcome, *map(np.stack, zip(*cohorts)))
-    reported = misclassify(config.misclass, outcome, strata, potentials,
-                           np.stack(flips) if flips else None)
-    blocks = np.concatenate([np.stack(blocks), *([np.stack(nulls)] if nulls else [])], axis=1)
-    rows = deal_blocks(design, reported, blocks)
+    key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+
+    def draw(stage: int, width: int) -> np.ndarray:
+        return _stage_uniforms(key, stage, width, start, stop)
+
+    strata, potentials = draw_cohort(design, outcome, draw(COHORT, cohort_width(design)))
+    ignorable = config.misclass.kind == "ignorable"
+    flips = draw(MISCLASSIFICATION, design.n_patients) if ignorable else None
+    reported = misclassify(config.misclass, outcome, strata, potentials, flips)
+    width = block_width(design)
+    picks = draw(RANDOMIZATION, width)[:, None]
+    if config.rb_enabled:
+        nulls = draw(NULL_BATCH, config.rb_draws * width).reshape(n_reps, config.rb_draws, width)
+        picks = np.concatenate([picks, nulls], axis=1)
+    rows = deal_blocks(design, reported, draw_blocks(design, picks))
     y = observed_outcomes(potentials, rows[:, 0])
     variants = [strata, reported] if config.analyze_reported else [strata]
     fit = fit_batch(y, variants, rows, design.allocation.n_arms)

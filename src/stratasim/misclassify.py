@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cohort import Cohort, OutcomeModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_real
 
 KINDS = ("ignorable", "nonignorable1", "nonignorable2")
 LOW, HIGH = 0, 1
@@ -45,7 +45,9 @@ class MisclassModel:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown misclassification kind {self.kind!r}")
-        for name, rate in (("gamma_low", self.gamma_low), ("gamma_high", self.gamma_high)):
+        for name in ("gamma_low", "gamma_high"):
+            rate = as_real(name, getattr(self, name))
+            object.__setattr__(self, name, rate)
             if not 0.0 <= rate < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {rate}")
 
@@ -106,13 +108,6 @@ def _flip_nonignorable(strata: np.ndarray, potentials: np.ndarray, model: Miscla
     return np.where(flip, HIGH - strata, strata).astype(np.int8)
 
 
-def draw_flips(model: MisclassModel, n_patients: int,
-               rng: np.random.Generator) -> np.ndarray | None:
-    """The draws of one cohort's misclassification: one uniform per
-    patient under the ignorable model, none under the others."""
-    return rng.random(n_patients) if model.kind == "ignorable" else None
-
-
 def misclassify(
     model: MisclassModel,
     outcome: OutcomeModel,
@@ -121,7 +116,9 @@ def misclassify(
     uniforms: np.ndarray | None,
 ) -> np.ndarray:
     """Reported labels of a stack of cohorts (any leading shape) from their
-    true strata, potential outcomes and ``draw_flips`` draws."""
+    true strata and potential outcomes.  The ignorable model also takes
+    one uniform per patient, shaped like ``strata``; the others take
+    none."""
     if model.kind != "ignorable":
         return _flip_nonignorable(strata, potentials, model, outcome)
     if uniforms is None:
@@ -132,7 +129,9 @@ def misclassify(
 def reported_strata(
     cohort: Cohort, model: MisclassModel, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Reported labels: ignorable flips draw from ``rng``; nonignorable
-    flips are a deterministic function of the cohort."""
-    uniforms = None if rng is None else draw_flips(model, cohort.n_patients, rng)
+    """Reported labels: ignorable flips draw exactly one uniform per
+    patient from ``rng``; nonignorable flips draw nothing, a deterministic
+    function of the cohort."""
+    ignorable = rng is not None and model.kind == "ignorable"
+    uniforms = rng.random(cohort.n_patients) if ignorable else None
     return misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials, uniforms)

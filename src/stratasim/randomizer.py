@@ -7,10 +7,11 @@ code of that stratum's current block, and a fresh block is opened when
 the current one is exhausted.  The final block of a stratum may end up
 partially used, which is the only source of imbalance.
 
-One sampler draws every assignment in two steps.  ``draw_blocks`` draws
-one cohort's blocks from its generator: a uniformly permuted block is a
-uniform pick among the distinct arrangements of its pattern, so each
-block is one integer index into a cached table of those arrangements.
+One sampler draws every assignment in two steps.  ``draw_blocks`` turns
+a fixed number of uniforms per assignment, ``block_width``, into one
+cohort's blocks: a uniformly permuted block is a uniform pick among the
+distinct arrangements of its pattern, so each block is one integer index
+into a cached table of those arrangements.
 ``deal_blocks`` then deals the blocks of any stack of cohorts at once.
 The observed assignment is a batch of one (``randomize_cohort``) and the
 re-randomization null draws a larger batch
@@ -200,38 +201,55 @@ def _padded_patterns(allocation: AllocationRatio, sizes: tuple[int, ...]) -> np.
     return patterns
 
 
-def draw_blocks(design: TrialDesign, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Every block that ``n_draws`` assignments of one cohort can open.
+def _block_layout(design: TrialDesign) -> tuple[tuple[int, ...], int, tuple | None]:
+    """The admissible lengths, the blocks per assignment and the
+    arrangement tables (None past ``MAX_TABLE_ROWS``)."""
+    sizes = design.block_sizes or (design.block_size,)
+    n_blocks = -(-design.n_patients // min(sizes)) + design.n_strata - 1
+    return sizes, n_blocks, _arrangement_table(design.allocation.weights, sizes)
 
-    Each draw gets one sequence of ``ceil(n_patients / shortest block
+
+def block_width(design: TrialDesign) -> int:
+    """Uniforms per assignment: per block, one row pick (or, without
+    tables, one sort key per slot of the longest length), plus one length
+    pick when there is a length menu."""
+    sizes, n_blocks, tables = _block_layout(design)
+    return n_blocks * ((1 if tables is not None else max(sizes)) + (len(sizes) > 1))
+
+
+def draw_blocks(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
+    """Every block that assignments of one cohort can open, one assignment
+    per ``block_width(design)`` row of ``uniforms``.
+
+    An assignment gets one sequence of ``ceil(n_patients / shortest block
     length) + n_strata - 1`` iid blocks, enough for every stratum whatever
     the stratum counts turn out to be: ``deal_blocks`` shares them out to
     the strata in order.  A block draws its length uniformly from
     ``design.block_sizes`` (always ``block_size`` when that is unset) and
     its ordering uniformly.
 
-    Returns the ``(n_draws, n_blocks)`` arrangement-table rows of the
-    blocks or, when a length has more than ``MAX_TABLE_ROWS`` orderings,
-    their ``(n_draws, n_blocks, longest length)`` padded codes: each padded
-    pattern permuted by the argsort of iid uniforms.
+    Returns the ``(..., n_blocks)`` arrangement-table rows of the blocks
+    or, when a length has more than ``MAX_TABLE_ROWS`` orderings, their
+    ``(..., n_blocks, longest length)`` padded codes: each padded pattern
+    permuted by the argsort of its uniform sort keys.
 
-    Stream layout: with tables, one length pick per block when there is a
-    length menu, then one row pick per block; without tables, one uniform
-    sort key per slot and then, only when there is a length menu, one
-    length pick per block.
+    Row layout: with tables, one length pick ``floor(u * len(sizes))``
+    per block when there is a length menu, then one row pick ``floor(u *
+    n_rows)`` per block; without tables, one sort key per slot and then,
+    only when there is a length menu, one length pick per block.
     """
-    sizes = design.block_sizes or (design.block_size,)
-    shape = (n_draws, -(-design.n_patients // min(sizes)) + design.n_strata - 1)
-    tables = _arrangement_table(design.allocation.weights, sizes)
+    sizes, n_blocks, tables = _block_layout(design)
+    menu = len(sizes) > 1
     if tables is not None:
         _, first_row, n_rows = tables
-        if len(sizes) == 1:
-            return rng.integers(n_rows[0], size=shape)
-        lengths = rng.integers(len(sizes), size=shape)
-        return first_row[lengths] + rng.integers(n_rows[lengths])
+        if not menu:
+            return (uniforms * n_rows[0]).astype(np.intp)
+        lengths = (uniforms[..., :n_blocks] * len(sizes)).astype(np.intp)
+        return first_row[lengths] + (uniforms[..., n_blocks:] * n_rows[lengths]).astype(np.intp)
     # argsort of iid uniforms along the last axis is a uniform permutation
-    order = np.argsort(rng.random((*shape, max(sizes))), axis=-1)
-    lengths = (rng.integers(len(sizes), size=shape) if len(sizes) > 1
+    shape, longest = (*uniforms.shape[:-1], n_blocks), max(sizes)
+    order = np.argsort(uniforms[..., :n_blocks * longest].reshape(*shape, longest), axis=-1)
+    lengths = ((uniforms[..., n_blocks * longest:] * len(sizes)).astype(np.intp) if menu
                else np.zeros(shape, dtype=np.intp))
     patterns = _padded_patterns(design.allocation, sizes)
     return np.take_along_axis(patterns[lengths], order, axis=-1)
@@ -257,8 +275,7 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     stray = reported[(reported < 0) | (reported >= n_strata)]
     if stray.size:
         raise ConfigurationError(f"reported stratum {stray[0]} outside 0..{n_strata - 1}")
-    sizes = design.block_sizes or (design.block_size,)
-    tables = _arrangement_table(design.allocation.weights, sizes)
+    sizes, _, tables = _block_layout(design)
     cohorts = reported.reshape(-1, design.n_patients)
     n_cohorts, n_draws = len(cohorts), blocks.shape[reported.ndim - 1]
     # draws outermost, so one index along the last axis serves every draw
@@ -303,13 +320,15 @@ def batch_block_assignments(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw ``n_draws`` independent stratified block assignments of one
-    cohort: ``draw_blocks`` from ``rng``, then ``deal_blocks``."""
+    cohort: ``draw_blocks`` on exactly ``n_draws * block_width(design)``
+    uniforms from ``rng``, then ``deal_blocks``."""
     reported = np.asarray(reported_strata)
     if reported.shape != (design.n_patients,):
         raise ConfigurationError(
             f"reported_strata has shape {reported.shape}, expected ({design.n_patients},)"
         )
-    return deal_blocks(design, reported, draw_blocks(design, n_draws, rng))
+    uniforms = rng.random((n_draws, block_width(design)))
+    return deal_blocks(design, reported, draw_blocks(design, uniforms))
 
 
 def randomize_cohort(

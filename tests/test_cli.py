@@ -165,6 +165,9 @@ class TestParseConfig:
             ({"run": {"seed": -1}}, r"run\.seed"),
             ({"run": {"alpha": 1.0}}, r"run\.alpha"),
             ({"run": {"analyze_reported": 1}}, r"run\.analyze_reported"),
+            ({"run": {"analyze_reported": None}},
+             r"^run\.analyze_reported: must be true or false, got None$"),
+            ({"run": {"analyze_reported": "false"}}, r"^run\.analyze_reported: must be"),
         ],
     )
     def test_invalid_settings_surface_as_parse_errors(self, doc, needle):

@@ -10,6 +10,8 @@ import pytest
 from stratasim.cohort import (
     Cohort,
     OutcomeModel,
+    cohort_width,
+    draw_cohort,
     observed_outcomes,
     sample_cohort,
     sample_potential_outcomes,
@@ -58,6 +60,38 @@ class TestOutcomeModel:
         with pytest.raises(ConfigurationError, match=field):
             OutcomeModel(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("rho", "0.5"), ("delta", None), ("sigma", True), ("sigma", [1.0]),
+    ])
+    def test_non_numbers_name_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a number"):
+            OutcomeModel(**{field: value})
+
+    def test_numbers_become_floats(self):
+        model = OutcomeModel(rho=np.float32(0.5), delta=1, sigma=np.int64(2))
+        assert repr((model.rho, model.delta, model.sigma)) == "(0.5, 1.0, 2.0)"
+
+
+def _assert_factor_moments(model, strata, pot):
+    n = len(strata)
+    assert pot.shape == (n, 3)
+    for s in (0, 1):
+        sel = pot[strata == s]
+        m = sel.shape[0]
+        for arm in range(3):
+            want = model.mean(s, arm)
+            assert abs(float(sel[:, arm].mean()) - want) < 4.5 / math.sqrt(m)
+    means = np.array([[model.mean(s, a) for a in range(3)] for s in (0, 1)])
+    centered = pot - means[strata]
+    # variance 1 per arm, correlation rho between any two arms
+    var_band = 4.5 * math.sqrt(2.0 / n)
+    for arm in range(3):
+        assert abs(float(centered[:, arm].var()) - 1.0) < var_band
+    corr_band = 4.5 * (1 - model.rho**2) / math.sqrt(n)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        got = float(np.corrcoef(centered[:, a], centered[:, b])[0, 1])
+        assert abs(got - model.rho) < corr_band
+
 
 class TestPotentialOutcomes:
     def test_unit_correlation_gives_exact_shifts(self):
@@ -68,24 +102,12 @@ class TestPotentialOutcomes:
         model = OutcomeModel(rho=0.5, delta=0.5)
         rng = _rng(21)
         strata = (rng.random(n) >= 0.4).astype(np.int8)
-        pot = sample_potential_outcomes(strata, model, rng)
-        assert pot.shape == (n, 3)
-        for s in (0, 1):
-            sel = pot[strata == s]
-            m = sel.shape[0]
-            for arm in range(3):
-                want = model.mean(s, arm)
-                assert abs(float(sel[:, arm].mean()) - want) < 4.5 / math.sqrt(m)
-        means = np.array([[model.mean(s, a) for a in range(3)] for s in (0, 1)])
-        centered = pot - means[strata]
-        # variance 1 per arm, correlation rho between any two arms
-        var_band = 4.5 * math.sqrt(2.0 / n)
-        for arm in range(3):
-            assert abs(float(centered[:, arm].var()) - 1.0) < var_band
-        corr_band = 4.5 * (1 - model.rho**2) / math.sqrt(n)
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            got = float(np.corrcoef(centered[:, a], centered[:, b])[0, 1])
-            assert abs(got - model.rho) < corr_band
+        _assert_factor_moments(model, strata, sample_potential_outcomes(strata, model, rng))
+
+    def test_cohort_normals_by_inversion_have_the_factor_moments(self):
+        model = OutcomeModel(rho=0.5, delta=0.5)
+        cohort = sample_cohort(_design(400_000), model, _rng(25))
+        _assert_factor_moments(model, cohort.true_strata, cohort.potentials)
 
     def test_independent_arms_at_zero_correlation(self):
         n = 200_000
@@ -114,6 +136,31 @@ class TestSampling:
         assert cohort.reported is None
         assert cohort.treatments is None
         assert cohort.observed is None
+
+
+class TestDrawCohort:
+    """``draw_cohort`` is a transform of ``cohort_width`` uniforms per cohort."""
+
+    def test_extreme_uniforms_give_finite_normals(self):
+        # Generator.random can return 0, where inversion gives -inf unclamped
+        design, model = _design(3), OutcomeModel(rho=0.5)
+        low = draw_cohort(design, model, np.zeros((2, cohort_width(design))))
+        high = draw_cohort(design, model, np.full(cohort_width(design), np.nextafter(1.0, 0.0)))
+        assert (low[0] == 0).all() and (high[0] == 1).all()
+        means = np.array([[model.mean(s, arm) for arm in range(3)] for s in (0, 1)])
+        noise_low, noise_high = low[1] - means[0], high[1] - means[1]
+        assert np.isfinite(noise_low).all() and (noise_low < -8).all()
+        np.testing.assert_allclose(noise_high, -noise_low[0], rtol=1e-12)
+
+    def test_sample_cohort_draws_exactly_its_width(self):
+        # two successive calls on one generator are rows 0 and 1 of one draw
+        design, model = _design(30), OutcomeModel(rho=0.5)
+        rng = _rng(26)
+        first, second = (sample_cohort(design, model, rng) for _ in range(2))
+        strata, potentials = draw_cohort(design, model, _rng(26).random((2, cohort_width(design))))
+        for i, cohort in enumerate((first, second)):
+            np.testing.assert_array_equal(cohort.true_strata, strata[i])
+            np.testing.assert_array_equal(cohort.potentials, potentials[i])
 
 
 class TestObservedOutcomes:

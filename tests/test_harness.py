@@ -15,7 +15,7 @@ import pytest
 
 from stratasim import harness
 from stratasim.cli import metrics_rows
-from stratasim.cohort import OutcomeModel, observed_outcomes, sample_cohort
+from stratasim.cohort import OutcomeModel, cohort_width, observed_outcomes, sample_cohort
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
@@ -34,6 +34,7 @@ from stratasim.randomizer import (
     AllocationRatio,
     TrialDesign,
     batch_block_assignments,
+    block_width,
     randomize_cohort,
 )
 from stratasim.rerandomize import randomization_pvalue
@@ -88,6 +89,9 @@ def _scenario(**fields):
     (_scenario, {"alpha": 1.5}, "alpha"),
     (_scenario, {"alpha": 0.0}, "alpha"),
     (_scenario, {"alpha": "0.05"}, "alpha"),
+    (_scenario, {"analyze_reported": "false"}, "analyze_reported"),
+    (_scenario, {"analyze_reported": None}, "analyze_reported"),
+    (_scenario, {"analyze_reported": 1}, "analyze_reported"),
     (_design, {"n_patients": np.int64(20), "block_size": 10.0,
                "block_sizes": (np.int32(5), 10.0)}, None),
     (_scenario, {"n_replications": 2.0, "rb_draws": np.int64(20), "seed": np.uint8(7),
@@ -204,29 +208,39 @@ def test_one_kernel_call_per_chunk(monkeypatch, rb_draws, analyze_reported):
     assert calls == [(variants, 1, 1 + rb_draws)] + [(variants, c, 1 + rb_draws) for c in chunks]
 
 
-def _stage_rng(config, rep, stage):
-    """Replication ``rep``'s generator for one stage, from public names only."""
-    bits = np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(rep,)))
-    bits.advance(stage * harness.STAGE_STRIDE)
-    return np.random.Generator(bits)
+def _stage_rng(config, rep, stage, width):
+    """Replication ``rep``'s generator for a stage of ``width`` uniforms,
+    from public names only: the scenario's key, counter block ``rep *
+    ceil(width / 4)`` in words 0 and 1 and the stage in word 2."""
+    offset = rep * -(-width // 4)
+    counter = np.array([offset % 2**64, offset // 2**64, stage, 0], dtype=np.uint64)
+    key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+# the first replication whose cohort draws carry into counter word 1
+CARRY_REP = 2**64 // -(-cohort_width(paper_design()) // 4)
 
 
 def test_variants_share_one_null_batch():
     # both variants re-randomize within the reported strata: one null batch
-    # per replication, drawn at the replication's NULL_BATCH counter offset
+    # per replication, drawn from the replication's NULL_BATCH counter block
     config = replace(_config(rb_draws=60),
                      misclass=MisclassModel("ignorable", 0.15, 0.30))
     design = config.design
-    # replication indices are arbitrary nonnegative integers
-    for rep in (0, 1, 2, 3, 2**32, 2**70 + 5):
-        cohort = sample_cohort(design, config.outcome, _stage_rng(config, rep, harness.COHORT))
-        reported = reported_strata(cohort, config.misclass,
-                                   _stage_rng(config, rep, harness.MISCLASSIFICATION))
+    width = block_width(design)
+    # replication indices are arbitrary nonnegative integers; CARRY_REP's
+    # cohort offset sits just below 2**64, 2**70 + 5's past it in every stage
+    for rep in (0, 1, 2, 3, 2**32, CARRY_REP, 2**70 + 5):
+        cohort = sample_cohort(design, config.outcome,
+                               _stage_rng(config, rep, harness.COHORT, cohort_width(design)))
+        reported = reported_strata(cohort, config.misclass, _stage_rng(
+            config, rep, harness.MISCLASSIFICATION, design.n_patients))
         treatments = randomize_cohort(design, reported,
-                                      _stage_rng(config, rep, harness.RANDOMIZATION))
+                                      _stage_rng(config, rep, harness.RANDOMIZATION, width))
         y = observed_outcomes(cohort.potentials, treatments)
-        nulls = batch_block_assignments(design, reported, config.rb_draws,
-                                        _stage_rng(config, rep, harness.NULL_BATCH))
+        nulls = batch_block_assignments(design, reported, config.rb_draws, _stage_rng(
+            config, rep, harness.NULL_BATCH, config.rb_draws * width))
         rec = run_replication(config, rep)
         for strata, variant in ((cohort.true_strata, rec.corrected),
                                 (reported, rec.reported)):
@@ -234,6 +248,59 @@ def test_variants_share_one_null_batch():
                                         design.allocation.n_arms)
             assert variant.rb_p == want.p_value, (rep, strata is reported)
             assert variant.rb_discarded == want.discarded
+
+
+def test_chunk_across_the_counter_carry_matches_replications_alone():
+    # one draw call crosses 2**64 inside the chunk: Philox's own carry
+    # must give each replication the counter it computes alone
+    config = replace(_config(rb_draws=20), misclass=MisclassModel("ignorable", 0.15, 0.30))
+    start = CARRY_REP - 3
+    chunk = harness._run_chunk(config, start, CARRY_REP + 3)
+    assert repr([harness._record(chunk, i, start + i) for i in range(6)]) == repr(
+        [run_replication(config, r) for r in range(start, CARRY_REP + 3)])
+
+
+@pytest.mark.parametrize("rep", [-1, 2**128 // 100])
+def test_replication_outside_the_counter_range_is_rejected(rep):
+    # the cohort stage of the paper design spans 100 counter blocks
+    with pytest.raises(ConfigurationError, match="128-bit counter"):
+        run_replication(_config(), rep)
+    run_replication(_config(), 2**128 // 100 - 1)
+
+
+def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
+    # at zero rates no kind flips anything, so the records are the same
+    for rb_draws in (0, 30):
+        records = {kind: repr([run_replication(replace(
+            _config(rb_draws=rb_draws), misclass=MisclassModel(kind, 0.0, 0.0)), r)
+            for r in (0, 7, 2**40)]) for kind in KINDS}
+        assert len(set(records.values())) == 1
+    # at the paper's high rates the kinds still share each replication's true
+    # strata, potential outcomes and block picks
+    drawn, seen = [], {}
+    misclassify, deal_blocks = harness.misclassify, harness.deal_blocks
+
+    def record_cohort(model, outcome, strata, potentials, uniforms):
+        drawn.extend([strata, potentials])
+        return misclassify(model, outcome, strata, potentials, uniforms)
+
+    def record_picks(design, reported, blocks):
+        drawn.append(blocks)
+        return deal_blocks(design, reported, blocks)
+
+    monkeypatch.setattr(harness, "misclassify", record_cohort)
+    monkeypatch.setattr(harness, "deal_blocks", record_picks)
+    for kind in KINDS:
+        config = replace(_config(reps=12, rb_draws=30, rho=0.5),
+                         misclass=MisclassModel(kind, 0.15, 0.30))
+        harness._run_chunk(config, 5, 12)
+        seen[kind], drawn[:] = list(drawn), []
+    # the two nonignorable kinds flip different patients of the same cohorts
+    assert not np.array_equal(*(misclassify(MisclassModel(kind, 0.15, 0.30), config.outcome,
+                                            *seen[kind][:2], None) for kind in KINDS[1:]))
+    for kind in KINDS[1:]:
+        for want, got in zip(seen["ignorable"], seen[kind], strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_chunk_size_bounds_cells(monkeypatch):
@@ -258,8 +325,14 @@ def test_chunk_size_bounds_cells(monkeypatch):
 
 
 def _tiny_design():
-    # 4 patients in three arms: chunks mix valid and invalid replications
+    # 4 patients in three arms: most replications are invalid
     return TrialDesign(4, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3)
+
+
+def _mixed_validity_design():
+    # 4 patients, all in the upper true stratum: the reported fit fails
+    # whenever a flip opens a second stratum, about 3 replications in 4
+    return TrialDesign(4, (0.0, 1.0), AllocationRatio((1, 1, 1)), 3)
 
 
 def _varblock_design():
@@ -268,7 +341,7 @@ def _varblock_design():
 
 @pytest.mark.parametrize("design,kind,rb_draws", [
     *[(paper_design(), kind, 0) for kind in KINDS],
-    (_tiny_design(), "ignorable", 5),
+    (_mixed_validity_design(), "ignorable", 5),
     (_varblock_design(), "nonignorable1", 30),
 ])
 def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):

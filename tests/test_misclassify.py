@@ -15,6 +15,7 @@ from stratasim.misclassify import (
     apply_ignorable,
     apply_nonignorable,
     flip_interval,
+    misclassify,
     reported_strata,
 )
 from oracles import nonignorable_reported
@@ -159,3 +160,27 @@ class TestDispatch:
         cohort.true_strata = cohort.true_strata.astype(np.int8) + 1
         with pytest.raises(ConfigurationError):
             apply_ignorable(cohort.true_strata, MisclassModel("ignorable", 0.1, 0.1), _rng())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("gamma_low", "0.1"), ("gamma_high", None), ("gamma_low", False), ("gamma_high", [0.1]),
+])
+def test_non_number_rates_name_the_field(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a number"):
+        MisclassModel("ignorable", **{field: value})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reported_strata_draws_exactly_its_width(kind):
+    # one uniform per patient under the ignorable model, none otherwise:
+    # two successive calls on one generator are rows 0 and 1 of one draw
+    model, cohort = MisclassModel(kind, 0.15, 0.30), _cohort(n=50)
+    rng = _rng(7)
+    first, second = (reported_strata(cohort, model, rng) for _ in range(2))
+    width = cohort.n_patients if kind == "ignorable" else 0
+    uniforms = _rng(7).random(2 * width + 1)
+    assert rng.random() == uniforms[-1]
+    for got, row in zip((first, second), uniforms[:-1].reshape(2, width)):
+        want = misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials,
+                           row if width else None)
+        np.testing.assert_array_equal(got, want)

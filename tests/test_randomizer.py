@@ -17,6 +17,9 @@ from stratasim.randomizer import (
     _arrangement_table,
     batch_block_assignments,
     block_pattern,
+    block_width,
+    deal_blocks,
+    draw_blocks,
     randomize_cohort,
 )
 from oracles import sequential_block_assignment
@@ -272,3 +275,57 @@ class TestBatchAssignments:
             batch_block_assignments(design, np.zeros(3, dtype=np.int8), 5, _rng())
         with pytest.raises(ConfigurationError, match="shape"):
             randomize_cohort(design, np.zeros(3, dtype=np.int8), _rng())
+
+
+# the largest value of Generator.random
+LARGEST_UNIFORM = np.nextafter(1.0, 0.0)
+
+
+class TestDrawBlocks:
+    """``draw_blocks`` is a transform of ``block_width`` uniforms per draw."""
+
+    @pytest.mark.parametrize("design,rows", [
+        (_design(n=80, block=10), [3150]),
+        (_design(n=20, block=5), [30]),
+        (_design(n=20, block=10, block_sizes=(5, 10)), [30, 3150]),
+    ])
+    def test_extreme_uniforms_pick_the_first_and_last_rows(self, design, rows):
+        shortest = min(design.block_sizes or (design.block_size,))
+        width = block_width(design)
+        assert width == (-(-design.n_patients // shortest) + 1) * len(rows)
+        assert (draw_blocks(design, np.zeros((2, width))) == 0).all()
+        # the largest uniform picks the last length and its last ordering
+        assert (draw_blocks(design, np.full(width, LARGEST_UNIFORM)) == sum(rows) - 1).all()
+
+    def test_extreme_uniforms_without_tables(self):
+        # no table for the block of 20: one sort key per slot, then a length pick
+        design = _design(n=20, block=10, block_sizes=(10, 20))
+        n_blocks = 20 // 10 + 1
+        assert block_width(design) == n_blocks * (20 + 1)
+        low = draw_blocks(design, np.zeros(block_width(design)))
+        high = draw_blocks(design, np.full(block_width(design), LARGEST_UNIFORM))
+        # tied keys sort stably, leaving the sorted pattern of the picked length
+        padded_ten = np.concatenate([block_pattern(design.allocation, 10), [-1] * 10])
+        assert (low == padded_ten).all()
+        assert (high == block_pattern(design.allocation, 20)).all()
+
+
+@pytest.mark.parametrize("design", [
+    _design(n=80, block=10),
+    _design(n=20, block=10, block_sizes=(5, 10)),
+    _design(n=20, block=20),
+])
+def test_wrappers_draw_exactly_their_width(design):
+    # two successive calls on one generator are rows 0 and 1 of one draw
+    reported = (_rng(3).random(design.n_patients) >= 0.4).astype(np.int8)
+    width = block_width(design)
+    rng = _rng(4)
+    first, second = (randomize_cohort(design, reported, rng) for _ in range(2))
+    want = deal_blocks(design, reported, draw_blocks(design, _rng(4).random((2, width))))
+    np.testing.assert_array_equal(np.stack([first, second]), want)
+    rng = _rng(5)
+    first, second = (batch_block_assignments(design, reported, 3, rng) for _ in range(2))
+    rows = _rng(5).random((2, 3 * width)).reshape(2, 3, width)
+    for got, uniforms in zip((first, second), rows):
+        np.testing.assert_array_equal(got, deal_blocks(design, reported,
+                                                       draw_blocks(design, uniforms)))
