@@ -92,14 +92,18 @@ def potential_outcomes(strata: np.ndarray, model: OutcomeModel,
                        normals: np.ndarray) -> np.ndarray:
     """The ``(..., n_patients, n_arms)`` potential outcomes from labels
     ``(..., n_patients)`` and ``(..., n_patients, 1 + n_arms)`` standard
-    normals: column 0 is the shared factor ``u``, the rest the ``e_a``."""
+    normals: column 0 is the shared factor ``u``, the rest the ``e_a``,
+    which are not read at ``rho = 1``."""
     strata = np.asarray(strata)
     if strata.size and int(strata.max()) >= len(model.strata_means):
         raise ConfigurationError(
             f"stratum label {int(strata.max())} has no mean in {model.strata_means!r}"
         )
     n_arms = normals.shape[-1] - 1
-    noise = math.sqrt(model.rho) * normals[..., :1] + math.sqrt(1.0 - model.rho) * normals[..., 1:]
+    # at rho = 1, u + 0 * e_a is u for every finite e_a
+    noise = math.sqrt(model.rho) * normals[..., :1]
+    if model.rho < 1.0:
+        noise = noise + math.sqrt(1.0 - model.rho) * normals[..., 1:]
     means = np.array([[model.mean(s, arm) for arm in range(n_arms)]
                       for s in range(len(model.strata_means))])
     return means[strata] + model.sigma * noise
@@ -133,7 +137,8 @@ def draw_cohort(
     The first ``n_patients`` uniforms of a row pick the strata; the rest
     are the ``(n_patients, 1 + n_arms)`` standard normals, by inversion
     with ``u = 0`` clamped to the smallest positive uniform so every
-    normal is finite.
+    normal is finite.  At ``rho = 1`` only the shared factor is inverted:
+    the arm terms' uniforms are consumed but unused.
     """
     if len(model.strata_means) != design.n_strata:
         raise ConfigurationError(
@@ -141,9 +146,12 @@ def draw_cohort(
             f"design has {design.n_strata} strata"
         )
     n = design.n_patients
-    normals = ndtri(np.maximum(uniforms[..., n:], _SMALLEST_UNIFORM))
     strata = strata_labels(design, uniforms[..., :n])
-    return strata, potential_outcomes(strata, model, normals.reshape(*strata.shape, -1))
+    cells = uniforms[..., n:].reshape(*strata.shape, -1)
+    used = 1 if model.rho == 1.0 else cells.shape[-1]
+    normals = np.empty(cells.shape)
+    ndtri(np.maximum(cells[..., :used], _SMALLEST_UNIFORM), out=normals[..., :used])
+    return strata, potential_outcomes(strata, model, normals)
 
 
 def sample_cohort(

@@ -16,15 +16,19 @@ one per patient, ignorable model only), the observed randomization
 gives four uniforms), a 128-bit offset in counter words 0 and 1, with
 ``s`` in word 2.  So one draw call gives a stage's uniforms for a whole
 chunk, replication ``r`` depends only on ``(seed, r)``, and the cohort
-and the assignment picks are common across misclassification kinds.
+and the assignment picks are common across misclassification kinds.  The
+key is derived once per seed and process; a chunk draws every stage from
+one generator whose state is set per stage.
 
-Chunks: a chunk holds ``CHUNK_CELLS // ((1 + rb_draws) * n_patients)``
-replications (at least one), so its arrays stay the same size whatever
-the design.  Every stage runs once per chunk on ``(replications, ...)``
-arrays, with no loop over replications, and one kernel call fits every
-row of the chunk.  A replication's numbers do not depend on its chunk,
-so results are independent of chunking and thread count, and
-aggregation runs over arrays held in replication order.
+Chunks: ``_chunk_size`` gives ``CHUNK_CELLS`` over what one replication
+holds, its ``(1 + rb_draws) * n_patients`` assignments plus its
+``cohort_width`` uniforms (at least one replication), so a chunk's arrays
+stay the same size whatever the design: 682 replications of a table1
+scenario, 4 of a table2 one.  Every stage runs once per chunk on
+``(replications, ...)`` arrays, with no loop over replications, and one
+kernel call fits every row of the chunk.  A replication's numbers do not
+depend on its chunk, so results are independent of chunking and thread
+count, and aggregation runs over arrays held in replication order.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +58,9 @@ REPORTED = "reported"
 # of one variant's randomization tests discarded too many null draws
 WARN_SHARE = 0.001
 
-# patient assignments per kernel call, observed and null: the chunk size
-CHUNK_CELLS = 1024 * 80
+# what a chunk holds: patient assignments, observed and null, plus cohort
+# uniforms; four table2 replications
+CHUNK_CELLS = 4 * 1024 * 80
 # the stages, by Philox counter word 2
 COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 
@@ -190,16 +196,39 @@ def mc_se_rate(rate: float, n: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
 
 
-def _stage_uniforms(key: np.ndarray, stage: int, width: int, start: int, stop: int) -> np.ndarray:
+def _chunk_size(config: ScenarioConfig) -> int:
+    """Replications per chunk: ``CHUNK_CELLS`` over what one replication
+    holds, its patient assignments and its cohort uniforms; at least one."""
+    design = config.design
+    per_rep = (1 + config.rb_draws) * design.n_patients + cohort_width(design)
+    return max(1, CHUNK_CELLS // per_rep)
+
+
+@lru_cache(maxsize=64)
+def _scenario_key(seed: int) -> np.ndarray:
+    """The scenario's ``Philox`` key, read-only."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
+def _stage_uniforms(rng: np.random.Generator, key: np.ndarray, stage: int, width: int,
+                    start: int, stop: int) -> np.ndarray:
     """The ``(stop - start, width)`` uniforms of one stage for replications
-    ``start`` to ``stop``, from one draw call."""
+    ``start`` to ``stop``, from one draw call on ``rng``, a ``Philox``
+    generator whose state is set here: a fresh one would seed a throwaway
+    ``SeedSequence`` from OS entropy."""
     blocks = -(-width // 4)  # a Philox4x64 block gives four uniforms
     if start < 0 or stop * blocks >= 1 << 128:
         raise ConfigurationError(
             f"replications {start} to {stop - 1} do not fit the 128-bit counter")
     offset = start * blocks
     counter = np.array([offset & (1 << 64) - 1, offset >> 64, stage, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    # buffer_pos 4 is an empty buffer, as in a new generator
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     return rng.random((stop - start, 4 * blocks))[:, :width]
 
 
@@ -213,10 +242,11 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     """
     design, outcome = config.design, config.outcome
     n_reps = stop - start
-    key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+    key = _scenario_key(config.seed)
+    rng = np.random.Generator(np.random.Philox(key=key))
 
     def draw(stage: int, width: int) -> np.ndarray:
-        return _stage_uniforms(key, stage, width, start, stop)
+        return _stage_uniforms(rng, key, stage, width, start, stop)
 
     strata, potentials = draw_cohort(design, outcome, draw(COHORT, cohort_width(design)))
     ignorable = config.misclass.kind == "ignorable"
@@ -259,7 +289,7 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
 
 
 def _replication_range(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
-    step = max(1, CHUNK_CELLS // ((1 + config.rb_draws) * config.design.n_patients))
+    step = _chunk_size(config)
     return Outcomes.concat([_run_chunk(config, a, min(a + step, stop))
                             for a in range(start, stop, step)])
 

@@ -26,6 +26,9 @@ from .errors import ConfigurationError, DegenerateDesignError
 
 # normal equations whose Hadamard ratio is at most this count as singular
 RANK_TOL = 1e-10
+# patient assignments per arm mask slice in ``fit_batch``: one table2
+# replication (1,001 rows of 80 patients)
+MASK_CELLS = 1024 * 80
 NO_RESIDUAL_DF = "no residual degrees of freedom for a t interval"
 
 
@@ -134,9 +137,12 @@ def fit_batch(
     first present stratum, is at most ``RANK_TOL`` (an empty arm zeroes a
     pivot, collinear columns shrink one), or a pivot is not positive.
 
-    Counts are exact and every floating-point sum runs in a fixed order per
-    row, so a row's numbers depend on neither the other rows, the other
-    groups nor the other variants.
+    The 0/1 arm masks behind the counts are built for one slice of groups
+    at a time, at most ``MASK_CELLS`` assignments per arm, and lane
+    temporaries are dropped once dead, so memory stays bounded for any
+    batch.  Counts are exact and every floating-point sum runs in a fixed
+    order per row, so a row's numbers depend on neither the other rows,
+    the other groups, the other variants nor the slicing.
     """
     y = np.asarray(y, dtype=float)
     draws = np.asarray(treatment_draws)
@@ -166,17 +172,25 @@ def fit_batch(
     indicators = np.concatenate([code[..., None] == np.arange(n_lev) for code in codes],
                                 axis=-1).astype(float)
 
-    # one matmul per group of 0/1 arm masks against its indicators counts
-    # patients per arm, row and column exactly; einsum sums each row's
-    # outcomes per arm in the same order for any batch
-    masks = np.empty((n_free, n_groups, n_rows, n))
-    for j in range(n_free):
-        np.equal(draws, j + 1, out=masks[j], casting="unsafe")
-    count = (masks @ indicators[None]).reshape(n_free, n_groups, n_rows, n_var, n_lev)
-    arm_y = np.einsum("jgrn,gn->jgr", masks, y)
+    # 0/1 arm masks of one slice of groups at a time, at most MASK_CELLS
+    # assignments per arm.  One matmul per group of masks against its
+    # indicators counts patients per arm, row and column exactly; einsum
+    # sums each row's outcomes per arm in the same order for any slice
+    count = np.empty((n_free, n_groups, n_rows, n_cols))
+    arm_y = np.empty((n_free, n_groups, n_rows))
+    step = max(1, MASK_CELLS // max(1, n_rows * n))
+    for a in range(0, n_groups, step):
+        b = min(a + step, n_groups)
+        masks = np.empty((n_free, b - a, n_rows, n))
+        for j in range(n_free):
+            np.equal(draws[a:b], j + 1, out=masks[j], casting="unsafe")
+        np.matmul(masks, indicators[None, a:b], out=count[:, a:b])
+        np.einsum("jgrn,gn->jgr", masks, y[a:b], out=arm_y[:, a:b])
+        del masks
 
     # lanes (variant, group, row), draws last: count is (level, arm, lane);
     # per-(variant, group) constants broadcast over rows
+    count = count.reshape(n_free, n_groups, n_rows, n_var, n_lev)
     count = np.ascontiguousarray(count.transpose(4, 0, 3, 1, 2))
     inv_n = np.divide(1.0, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
     inv_n = inv_n.transpose(2, 1, 0)[..., None]
@@ -193,6 +207,7 @@ def fit_batch(
         arm_xy -= share[s] * sum_y[s]
     for j in range(n_free):
         schur[j, j] += arm_total[j]
+    del count, share, sum_y
 
     # S = L L' and W = L^-1.  A pivot that is not positive zeroes the
     # product of pivots, so its lane is invalid, and is replaced by 1 so
@@ -222,6 +237,7 @@ def fit_batch(
             for m in range(i + 1, j):
                 acc = acc + chol[j][m] * inv[m, i]
             inv[j, i] = -acc * inv[j, j]
+    del chol, schur
 
     # beta = S^-1 r = W' (W r); diag(S^-1) are W's squared column norms
     z = []
@@ -240,6 +256,7 @@ def fit_batch(
             var = var + inv[m, j] * inv[m, j]
         beta[j] = acc
         unscaled[j] = var
+    del inv, z
     rss = within - beta[0] * arm_xy[0]
     for j in range(1, n_free):
         rss -= beta[j] * arm_xy[j]

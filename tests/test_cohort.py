@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from stratasim.cohort import (
     Cohort,
@@ -161,6 +162,21 @@ class TestDrawCohort:
         for i, cohort in enumerate((first, second)):
             np.testing.assert_array_equal(cohort.true_strata, strata[i])
             np.testing.assert_array_equal(cohort.potentials, potentials[i])
+
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_potentials_equal_inverting_every_normal(self, rho):
+        # at rho = 1 the e_a uniforms are consumed but not inverted; the
+        # potentials equal the full formula bit for bit, also where u = 0
+        design, model = _design(40), OutcomeModel(rho=rho, delta=0.5, sigma=1.5)
+        uniforms = _rng(27).random((3, cohort_width(design)))
+        uniforms[0, 40:46] = [0.0, 0.5, 0.5, 0.0, 1e-300, np.nextafter(1.0, 0.0)]
+        strata, potentials = draw_cohort(design, model, uniforms)
+        normals = ndtri(np.maximum(uniforms[:, 40:], 2.0**-53)).reshape(3, 40, 4)
+        noise = math.sqrt(rho) * normals[..., :1] + math.sqrt(1.0 - rho) * normals[..., 1:]
+        means = np.array([[model.mean(s, arm) for arm in range(3)] for s in (0, 1)])
+        assert np.array_equal(potentials, means[strata] + model.sigma * noise)
+        assert np.array_equal(strata, draw_cohort(design, OutcomeModel(rho=0.3), uniforms)[0])
 
 
 class TestObservedOutcomes:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 from dataclasses import replace
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stratasim import harness
+from stratasim import harness, inference
 from stratasim.cli import metrics_rows
 from stratasim.cohort import OutcomeModel, cohort_width, observed_outcomes, sample_cohort
 from stratasim.errors import ConfigurationError
@@ -202,7 +203,7 @@ def test_one_kernel_call_per_chunk(monkeypatch, rb_draws, analyze_reported):
     config = _config(reps=40, rb_draws=rb_draws, analyze_reported=analyze_reported)
     assert run_replication(config, 1).valid
     run_scenario(config)
-    per_chunk = harness.CHUNK_CELLS // ((1 + rb_draws) * config.design.n_patients)
+    per_chunk = harness._chunk_size(config)
     chunks = [min(per_chunk, 40 - start) for start in range(0, 40, per_chunk)]
     variants = 1 + analyze_reported
     assert calls == [(variants, 1, 1 + rb_draws)] + [(variants, c, 1 + rb_draws) for c in chunks]
@@ -304,7 +305,9 @@ def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
 
 
 def test_chunk_size_bounds_cells(monkeypatch):
-    # a chunk holds about CHUNK_CELLS patient assignments whatever the design
+    # a chunk holds about CHUNK_CELLS patient assignments and cohort
+    # uniforms whatever the design: (1 + rb_draws) * N + (2 + n_arms) * N
+    # per replication
     sizes = []
     run_chunk = harness._run_chunk
 
@@ -314,14 +317,20 @@ def test_chunk_size_bounds_cells(monkeypatch):
 
     monkeypatch.setattr(harness, "_run_chunk", recording)
     big = TrialDesign(8000, (0.4, 0.6), AllocationRatio((1, 2, 2)), 10)
-    run_scenario(replace(_config(reps=25), design=big))
-    assert sizes == [10, 10, 5]
-    sizes.clear()
-    run_scenario(replace(_config(reps=25, rb_draws=4), design=big))
-    assert sizes == [2] * 12 + [1]
-    sizes.clear()
-    run_scenario(_config(reps=1100))
-    assert sizes == [1024, 76]
+    cases = [
+        (replace(_config(reps=25), design=big), 6, [6, 6, 6, 6, 1]),
+        (replace(_config(reps=25, rb_draws=4), design=big), 4, [4] * 6 + [1]),
+        # a table1 scenario: 80 + 400 cells per replication
+        (_config(reps=1100), 682, [682, 418]),
+        # a table2 scenario: 1,001 * 80 + 400 cells per replication
+        (_config(reps=10, rb_draws=1000), 4, [4, 4, 2]),
+        # the varblock design: 201 * 20 + 100 cells per replication
+        (replace(_config(reps=4, rb_draws=200), design=_varblock_design()), 79, [4]),
+    ]
+    for config, chunk, want in cases:
+        sizes.clear()
+        run_scenario(config)
+        assert (harness._chunk_size(config), sizes) == (chunk, want)
 
 
 def _tiny_design():
@@ -364,13 +373,82 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
         return summarize(config, outcomes)
 
     monkeypatch.setattr(harness, "_summarize", capture)
-    monkeypatch.setattr(harness, "CHUNK_CELLS", 3 * (1 + rb_draws) * design.n_patients)
+    monkeypatch.setattr(harness, "_chunk_size", lambda config: 3)
     threaded = run_scenario(config, threads=2)
     pooled = [harness._record(seen[0], r, r) for r in range(12)]
     assert repr(pooled) == repr(alone)
     assert repr(threaded) == repr(run_scenario(config, threads=1))
     if design.n_patients == 4:
         assert 0 < threaded.n_invalid < 12
+
+
+def _chunk_fit_inputs(monkeypatch, config, reps):
+    """A chunk of ``reps`` replications and the arguments of its one
+    ``fit_batch`` call."""
+    calls = []
+    monkeypatch.setattr(harness, "fit_batch", lambda *args: calls.append(args) or fit_batch(*args))
+    outcomes = harness._run_chunk(config, 0, reps)
+    monkeypatch.undo()
+    return outcomes, calls[0]
+
+
+@pytest.mark.parametrize("design,rb_draws,reps,seed,rows", [
+    (paper_design(), 20, 7, 31, "valid"),
+    (_varblock_design(), 30, 11, 31, "valid"),
+    (_mixed_validity_design(), 5, 13, 31, "mixed"),
+    (_tiny_design(), 5, 13, 31, "all invalid"),
+    # 3 patients cannot identify 4 columns: df < 0 where both strata show
+    (TrialDesign(3, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3), 4, 10, 8, "df < 0"),
+])
+def test_mask_slices_never_change_a_fit(monkeypatch, design, rb_draws, reps, seed, rows):
+    config = ScenarioConfig(
+        design=design, outcome=OutcomeModel(rho=0.5, delta=0.5),
+        misclass=MisclassModel("ignorable", 0.15, 0.30), n_replications=reps,
+        rb_draws=rb_draws, seed=seed,
+    )
+    outcomes, args = _chunk_fit_inputs(monkeypatch, config, reps)
+    whole = fit_batch(*args)
+    # slices of 3 groups: at least 3 slices, the last one shorter
+    monkeypatch.setattr(inference, "MASK_CELLS", 3 * (1 + rb_draws) * design.n_patients)
+    assert reps > 6 and reps % 3
+    sliced = fit_batch(*args)
+    for name in ("df", "arm_coef", "arm_se", "sigma2", "valid", "arm_count"):
+        assert np.array_equal(getattr(sliced, name), getattr(whole, name), equal_nan=True), name
+    assert np.array_equal(sliced.faults(), whole.faults())
+    # the degenerate paths are really taken
+    failed = outcomes.error != ""
+    assert {"valid": not failed.any(),
+            "mixed": 0 < failed.sum() < reps and not whole.valid.all(),
+            "all invalid": failed.all() and not whole.valid.all(),
+            "df < 0": (whole.df < 0).any() and (whole.df >= 0).any()}[rows]
+
+
+def test_table2_chunk_memory_budget():
+    # four table2 replications in one chunk hold the arm masks of one group
+    # at a time; the whole mask tensor alone would take about 5 MiB
+    config = paper_suite(2, reps=4)[0]
+    assert (config.rb_draws, harness._chunk_size(config)) == (1000, 4)
+    harness._run_chunk(config, 0, 4)  # warm the sampler tables and the key
+    tracemalloc.start()
+    try:
+        harness._run_chunk(config, 0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def test_stage_uniforms_reset_a_used_generator():
+    # a generator with a half-used buffer and a cached 32-bit word draws a
+    # stage exactly as a new one set to the stage's counter
+    key = np.random.SeedSequence(7).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rng.random(3)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    got = harness._stage_uniforms(rng, key, harness.NULL_BATCH, 10, 5, 8)
+    counter = np.array([5 * 3, 0, harness.NULL_BATCH, 0], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(counter=counter, key=key)).random((3, 12))
+    assert np.array_equal(got, want[:, :10])
 
 
 class TestAggregation:
