@@ -41,7 +41,8 @@ from .harness import (
     ScenarioConfig,
     ScenarioMetrics,
     paper_suite,
-    run_scenario,
+    run_suite,
+    workers,
 )
 from .misclassify import MisclassModel
 from .randomizer import AllocationRatio, TrialDesign
@@ -286,6 +287,16 @@ def metrics_rows(results: list[ScenarioMetrics]) -> list[dict]:
     return rows
 
 
+def _warning_line(res: ScenarioMetrics) -> str:
+    """What went wrong in a scenario: its invalid replications by reason
+    and each variant's flagged and discarded randomization tests."""
+    reasons = "".join(f"; {reason}: {count}" for reason, count in res.invalid_reasons)
+    variants = "".join(f"; {v.strata_used} rb_flagged={v.rb_flagged} rb_discarded={v.rb_discarded}"
+                       for v in (res.corrected, res.reported) if v is not None)
+    return (f"stratasim: warning: {res.config.label}: {res.n_invalid} of "
+            f"{res.config.n_replications} replications invalid{reasons}{variants}")
+
+
 def mixture_rows(cases: list[MixtureCase],
                  summaries: list[StrataMixtureSummary]) -> list[dict]:
     """One row per (case, reported stratum, arm) with mixture moments."""
@@ -440,9 +451,13 @@ def main(argv: list[str] | None = None) -> int:
         rows = mixture_rows(spec.mixtures, summaries)
         meta["cases"] = [case.label for case in spec.mixtures]
     else:
-        print(f"stratasim: threads={spec.threads}", file=sys.stderr)
-        results = [run_scenario(cfg, threads=spec.threads) for cfg in spec.scenarios]
+        print(f"stratasim: threads={spec.threads} workers={workers(spec.threads)}",
+              file=sys.stderr)
+        results = run_suite(spec.scenarios, spec.threads)
         warnings = sum(res.warning for res in results)
+        for res in results:
+            if res.warning:
+                print(_warning_line(res), file=sys.stderr)
         rows = metrics_rows(results)
         meta["scenarios"] = [scenario_to_doc(cfg) for cfg in spec.scenarios]
     text = emit_table(rows, meta, spec.fmt)

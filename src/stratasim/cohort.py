@@ -45,7 +45,7 @@ class OutcomeModel:
             raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.delta):
             raise ConfigurationError(f"delta must be finite, got {self.delta}")
-        means = tuple(float(m) for m in self.strata_means)
+        means = tuple(as_real(f"strata_means[{i}]", m) for i, m in enumerate(self.strata_means))
         if not all(map(math.isfinite, means)):
             raise ConfigurationError(f"strata_means must be finite, got {means!r}")
         object.__setattr__(self, "strata_means", means)

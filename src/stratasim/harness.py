@@ -29,6 +29,12 @@ scenario, 4 of a table2 one.  Every stage runs once per chunk on
 kernel call fits every row of the chunk.  A replication's numbers do not
 depend on its chunk, so results are independent of chunking and thread
 count, and aggregation runs over arrays held in replication order.
+
+Runner: ``run_suite`` is the one path for every replication.  It cuts each
+scenario into tasks of ``TASK_CHUNKS`` (12) whole chunks and sends every
+task of the suite through one ``map``: the builtin one at ``threads=1``,
+else that of one process pool for the whole run.  Each scenario is reduced
+as soon as its last task is in.  ``run_scenario`` is a suite of one.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import numbers
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -61,6 +68,8 @@ WARN_SHARE = 0.001
 # what a chunk holds: patient assignments, observed and null, plus cohort
 # uniforms; four table2 replications
 CHUNK_CELLS = 4 * 1024 * 80
+# whole chunks per task; at one chunk a task, pool traffic ate table2's gain
+TASK_CHUNKS = 12
 # the stages, by Philox counter word 2
 COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 
@@ -379,27 +388,30 @@ def _summarize(config: ScenarioConfig, outcomes: Outcomes) -> ScenarioMetrics:
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
-    """Run every replication of a scenario and aggregate.
+    """Run every replication of a scenario and aggregate: a suite of one."""
+    return run_suite([config], threads)[0]
 
-    With ``threads > 1`` replications run in process chunks, on at most
-    one worker per CPU; per-replication results and all aggregates are
-    identical to the serial run because every replication is seeded
-    independently and outcomes are reduced in replication order.
-    """
-    n = config.n_replications
-    if threads <= 1 or n < 2 * threads:
-        outcomes = _replication_range(config, 0, n)
-    else:
-        bounds = np.linspace(0, n, threads * 4 + 1, dtype=int)
-        # a fork pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            futures = [
-                pool.submit(_replication_range, config, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if a < b
-            ]
-            outcomes = Outcomes.concat([fut.result() for fut in futures])
-    return _summarize(config, outcomes)
+
+def workers(threads: int) -> int:
+    """Processes that run a suite's replications: one per thread, at most
+    one per CPU."""
+    return min(threads, os.cpu_count() or 1)
+
+
+def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioMetrics]:
+    """Run and aggregate every scenario of a suite of at least one.
+
+    Every task, ``TASK_CHUNKS`` whole chunks of one scenario, goes through
+    one ``map``: the builtin one at ``threads=1``, else that of one process
+    pool for the whole suite.  Each scenario is reduced in replication order
+    as soon as its last task is in, so no result depends on the thread
+    count, and a serial run holds one scenario's outcomes at a time."""
+    starts = [range(0, c.n_replications, TASK_CHUNKS * _chunk_size(c)) for c in configs]
+    tasks = [(c, a, min(a + s.step, c.n_replications)) for c, s in zip(configs, starts) for a in s]
+    with ProcessPoolExecutor(workers(threads)) if threads > 1 else nullcontext() as pool:
+        done = (map if pool is None else pool.map)(_replication_range, *zip(*tasks))
+        return [_summarize(c, Outcomes.concat([next(done) for _ in s]))
+                for c, s in zip(configs, starts)]
 
 
 PAPER_RATES = ((0.02, 0.02), (0.15, 0.30))

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, as_int
+from .errors import ConfigurationError, as_int, as_real
 
 # fills the slots of a block shorter than the longest admissible length
 _PAD = -1
@@ -89,7 +89,7 @@ class TrialDesign:
         object.__setattr__(self, "block_size", as_int("block_size", self.block_size))
         if self.n_patients < 1:
             raise ConfigurationError(f"n_patients must be >= 1, got {self.n_patients}")
-        probs = tuple(float(p) for p in self.strata_probs)
+        probs = tuple(as_real(f"strata_probs[{i}]", p) for i, p in enumerate(self.strata_probs))
         if len(probs) < 1 or not all(math.isfinite(p) and p >= 0 for p in probs):
             raise ConfigurationError(
                 f"strata_probs must be nonnegative and finite, got {probs!r}"

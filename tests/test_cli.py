@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,7 @@ from stratasim.cli import (
 from stratasim.analytic import reported_strata_mixture
 from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigParseError
-from stratasim.harness import DEFAULT_SEED, ScenarioConfig
+from stratasim.harness import DEFAULT_SEED, ScenarioConfig, run_scenario
 from stratasim.misclassify import KINDS, MisclassModel
 from stratasim.randomizer import AllocationRatio, TrialDesign
 
@@ -388,12 +389,19 @@ class TestMain:
         assert b"threads" not in one.read_bytes()
         assert "threads=2" in capsys.readouterr().err
 
+    def test_stderr_gives_the_capped_worker_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("stratasim.harness.os.cpu_count", lambda: 2)
+        cfg = self._write_config(tmp_path, reps=10)
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg), "--threads", "8", "--out", str(out)]) == 0
+        assert "stratasim: threads=8 workers=2\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_unwritable_out_fails_before_any_replication(self, tmp_path, capsys,
                                                         monkeypatch, target):
         cfg = self._write_config(tmp_path)
         ran = []
-        monkeypatch.setattr("stratasim.cli.run_scenario",
+        monkeypatch.setattr("stratasim.cli.run_suite",
                             lambda *args, **kw: ran.append(args))
         assert main(["--config", str(cfg), "--out", str(tmp_path / target)]) == 2
         err = capsys.readouterr().err
@@ -438,3 +446,50 @@ class TestMain:
         code = main(["--config", str(path), "--strict", "--out", str(tmp_path / "y.csv")])
         assert code == 1
         assert "warning" in capsys.readouterr().err
+
+    def test_warning_line_gives_flags_and_discards(self, tmp_path, capsys):
+        # every replication is valid, but single-draw randomization tests
+        # degenerate where their one null draw empties an arm
+        doc = {"design": {"n": 5, "block_size": 3, "allocation": [1, 1, 1]},
+               "run": {"reps": 300, "rb_draws": 1, "seed": 5}}
+        path = tmp_path / "flagged.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--strict", "--out", str(tmp_path / "x.csv")]) == 1
+        metrics = run_scenario(parse_config(doc)[0])
+        assert metrics.n_invalid == 0 and metrics.corrected.rb_flagged > 0
+        line = ("stratasim: warning: custom: 0 of 300 replications invalid; "
+                f"corrected rb_flagged={metrics.corrected.rb_flagged} "
+                f"rb_discarded={metrics.corrected.rb_discarded}; "
+                f"reported rb_flagged={metrics.reported.rb_flagged} "
+                f"rb_discarded={metrics.reported.rb_discarded}")
+        assert line in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("design,all_invalid", [
+        # an empty true stratum
+        ({"strata_probs": [0.0, 1.0]}, False),
+        # N below the number of parameters
+        ({"n": 2, "block_size": 5, "allocation": [1, 2, 2]}, True),
+        # no residual degrees of freedom
+        ({"n": 3, "block_size": 3, "allocation": [1, 1, 1]}, True),
+    ])
+    def test_degenerate_designs_as_inputs(self, tmp_path, capsys, design, all_invalid):
+        doc = {"design": design, "run": {"reps": 30, "rb_draws": 5, "seed": 3}}
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(doc))
+        strict, plain = tmp_path / "strict.csv", tmp_path / "plain.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(path), "--strict", "--out", str(strict)])
+            assert main(["--config", str(path), "--out", str(plain)]) == 0
+        assert code == (1 if all_invalid else 0)
+        assert strict.read_bytes() == plain.read_bytes()
+        body = [ln for ln in plain.read_text().splitlines() if not ln.startswith("# ")]
+        assert {row["reps"] for row in csv.DictReader(body)} == ({"0"} if all_invalid else {"30"})
+        err = capsys.readouterr().err
+        reasons = run_scenario(parse_config(doc)[0]).invalid_reasons
+        if all_invalid:
+            assert sum(count for _, count in reasons) == 30
+            assert "30 of 30 replications invalid" in err
+            assert all(f"; {reason}: {count}" in err for reason, count in reasons)
+        else:
+            assert reasons == () and "warning" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,10 +64,11 @@ class TestOutcomeModel:
 
     @pytest.mark.parametrize("field,value", [
         ("rho", "0.5"), ("delta", None), ("sigma", True), ("sigma", [1.0]),
+        ("strata_means[0]", ("0", "1")), ("strata_means[1]", (0.0, True)),
     ])
     def test_non_numbers_name_the_field(self, field, value):
-        with pytest.raises(ConfigurationError, match=f"^{field} must be a number"):
-            OutcomeModel(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(field)} must be a number"):
+            OutcomeModel(**{field.partition("[")[0]: value})
 
     def test_numbers_become_floats(self):
         model = OutcomeModel(rho=np.float32(0.5), delta=1, sigma=np.int64(2))

@@ -8,7 +8,6 @@ import pickle
 import re
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -115,7 +114,7 @@ def test_config_counts_coerced_or_rejected_by_field(build, fields, rejected):
 
 class _InlinePool:
     """Stands in for ``ProcessPoolExecutor``: records the worker count and
-    runs each chunk in this process."""
+    runs each task in this process."""
 
     max_workers: list = []
 
@@ -128,10 +127,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
@@ -142,6 +139,65 @@ def test_pool_capped_at_cpu_count(monkeypatch, cpus, workers):
     config = _config(reps=12)
     assert run_scenario(config, threads=6) == run_scenario(config, threads=1)
     assert _InlinePool.max_workers == [workers]
+
+
+def _mixed_suite():
+    """A table1, a table2 and a varblock scenario at small sizes."""
+    varblock = ScenarioConfig(
+        design=_varblock_design(), outcome=OutcomeModel(rho=0.5, delta=0.5),
+        misclass=MisclassModel("nonignorable1", 0.15, 0.30), n_replications=14,
+        rb_draws=30, seed=29, label="varblock",
+    )
+    return [paper_suite(1, reps=30)[5], paper_suite(2, reps=13, rb_draws=40)[16], varblock]
+
+
+def test_suite_equals_its_scenarios_at_any_thread_count(monkeypatch):
+    configs = _mixed_suite()
+    alone = repr([run_scenario(c) for c in configs])
+    # chunks of 2 in tasks of 2 chunks: every scenario spans at least 3 tasks
+    monkeypatch.setattr(harness, "_chunk_size", lambda config: 2)
+    monkeypatch.setattr(harness, "TASK_CHUNKS", 2)
+    assert all(c.n_replications > 2 * 4 for c in configs)
+    assert repr(harness.run_suite(configs, threads=1)) == alone
+    assert repr(harness.run_suite(configs, threads=2)) == alone
+
+
+def test_suite_tasks_are_whole_chunks_reduced_in_turn(monkeypatch):
+    # chunks of 3 in tasks of 2 chunks; at threads=1 scenario k is reduced
+    # before a chunk of scenario k+1 runs
+    events = []
+    run_chunk, replication_range, summarize = (
+        harness._run_chunk, harness._replication_range, harness._summarize)
+
+    def chunk(config, start, stop):
+        events.append(("chunk", config.label, start, stop))
+        return run_chunk(config, start, stop)
+
+    def task(config, start, stop):
+        events.append(("task", config.label, start, stop))
+        return replication_range(config, start, stop)
+
+    def reduce(config, outcomes):
+        events.append(("reduce", config.label, config.n_replications))
+        return summarize(config, outcomes)
+
+    monkeypatch.setattr(harness, "_run_chunk", chunk)
+    monkeypatch.setattr(harness, "_replication_range", task)
+    monkeypatch.setattr(harness, "_summarize", reduce)
+    monkeypatch.setattr(harness, "_chunk_size", lambda config: 3)
+    monkeypatch.setattr(harness, "TASK_CHUNKS", 2)
+    configs = _mixed_suite()
+    harness.run_suite(configs)
+    want = []
+    for config in configs:
+        n = config.n_replications
+        for a in range(0, n, 6):
+            want.append(("task", config.label, a, min(a + 6, n)))
+            want += [("chunk", config.label, b, min(b + 3, n)) for b in range(a, min(a + 6, n), 3)]
+        want.append(("reduce", config.label, n))
+    assert events == want
+    # short last tasks and chunks are covered
+    assert any(c.n_replications % 6 for c in configs)
 
 
 class TestMcSeRate:
@@ -364,7 +420,8 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
     full_chunk = [harness._record(chunk, r, r) for r in range(12)]
     # repr keeps every float digit, and NaN fields compare
     assert repr(full_chunk) == repr(alone)
-    # small chunks in two worker processes: the parent reduces what they return
+    # tasks of one small chunk in two worker processes: the parent reduces
+    # what they return
     seen = []
     summarize = harness._summarize
 
@@ -374,6 +431,7 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
 
     monkeypatch.setattr(harness, "_summarize", capture)
     monkeypatch.setattr(harness, "_chunk_size", lambda config: 3)
+    monkeypatch.setattr(harness, "TASK_CHUNKS", 1)
     threaded = run_scenario(config, threads=2)
     pooled = [harness._record(seen[0], r, r) for r in range(12)]
     assert repr(pooled) == repr(alone)

@@ -76,6 +76,9 @@ class TestBlockPattern:
             _design(n=0)
         with pytest.raises(ConfigurationError):
             _design(block=4)
+        for probs in [("0.4", "0.6"), (True, False)]:
+            with pytest.raises(ConfigurationError, match=r"^strata_probs\[0\] must be a number"):
+                _design(probs=probs)
 
     @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan),
                                        (math.inf, -math.inf)])
