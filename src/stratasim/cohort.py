@@ -13,6 +13,7 @@ the arm difference is the same constant ``delta`` for every patient.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class OutcomeModel:
             raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.delta):
             raise ConfigurationError(f"delta must be finite, got {self.delta}")
+        if not isinstance(self.strata_means, Iterable):
+            raise ConfigurationError(
+                f"strata_means must be a list of numbers, got {self.strata_means!r}"
+            )
         means = tuple(as_real(f"strata_means[{i}]", m) for i, m in enumerate(self.strata_means))
         if not all(map(math.isfinite, means)):
             raise ConfigurationError(f"strata_means must be finite, got {means!r}")

@@ -47,10 +47,15 @@ class AllocationRatio:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
+        if not isinstance(self.weights, Iterable):
+            raise ConfigurationError(
+                f"allocation must be a list of weights, got {self.weights!r}"
+            )
+        given = tuple(self.weights)
+        weights = tuple(int(w) for w in given)
         if len(weights) < 2:
             raise ConfigurationError("allocation needs at least two arms")
-        if any(w < 1 for w in weights) or weights != tuple(self.weights):
+        if any(w < 1 for w in weights) or weights != given:
             raise ConfigurationError(
                 f"allocation weights must be positive integers, got {self.weights!r}"
             )
@@ -89,6 +94,10 @@ class TrialDesign:
         object.__setattr__(self, "block_size", as_int("block_size", self.block_size))
         if self.n_patients < 1:
             raise ConfigurationError(f"n_patients must be >= 1, got {self.n_patients}")
+        if not isinstance(self.strata_probs, Iterable):
+            raise ConfigurationError(
+                f"strata_probs must be a list of numbers, got {self.strata_probs!r}"
+            )
         probs = tuple(as_real(f"strata_probs[{i}]", p) for i, p in enumerate(self.strata_probs))
         if len(probs) < 1 or not all(math.isfinite(p) and p >= 0 for p in probs):
             raise ConfigurationError(
@@ -122,7 +131,7 @@ class TrialDesign:
 def _coerce_allocation(allocation) -> AllocationRatio:
     if isinstance(allocation, AllocationRatio):
         return allocation
-    return AllocationRatio(tuple(allocation))
+    return AllocationRatio(allocation)
 
 
 def block_pattern(allocation: AllocationRatio, block_size: int) -> np.ndarray:
@@ -265,7 +274,12 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     out, to its patients in enrollment order: with a fixed length ``B``,
     the patient of rank ``k`` within stratum ``s`` gets code
     ``table[blocks[..., first_s + k // B], k % B]``, where ``first_s`` sums
-    the blocks of the strata before ``s``.  Striking the padding from a
+    the blocks of the strata before ``s``.  With a length menu one boolean
+    compress strikes the padding of every block at once: the kept codes
+    run one (draw, cohort) stream after another, so that patient gets
+    ``kept[stream_start + before[first_s] + k]``, where ``stream_start``
+    counts the kept codes of the earlier streams and ``before[b]`` those
+    of the stream's blocks before ``b``.  Striking the padding from a
     uniformly ordered padded block leaves a uniform ordering of its
     pattern, so that is the law of opening a fresh block, of a random
     length, whenever the current one runs out.
@@ -298,17 +312,13 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     if len(sizes) == 1:
         dealt = codes.take((cohort_start + first * longest + rank).ravel(), axis=1)
     else:
-        # strike the padding: each stream's codes move to its front, in
-        # order, and a stratum's codes start after its earlier blocks' codes
-        codes = codes.reshape(n_draws, n_cohorts, n_blocks * longest)
+        # strike the padding with one compress: a block's kept codes start at
+        # the exclusive cumsum of the kept lengths of every block before it
         keep = codes != _PAD
-        struck = np.empty_like(codes)
-        struck[(*np.nonzero(keep)[:-1], (keep.cumsum(axis=-1) - 1)[keep])] = codes[keep]
-        length = keep.reshape(n_draws, n_cohorts, n_blocks, longest).sum(axis=-1)
-        before = (length.cumsum(axis=-1) - length).reshape(n_draws, -1)
-        skipped = before.take((np.arange(n_cohorts)[:, None] * n_blocks + first).ravel(), axis=1)
-        dealt = np.take_along_axis(struck.reshape(n_draws, -1),
-                                   skipped + (cohort_start + rank).ravel(), axis=1)
+        length = keep.reshape(n_draws, n_cohorts * n_blocks, longest).sum(axis=-1)
+        start = length.cumsum().reshape(length.shape) - length
+        skipped = start.take((np.arange(n_cohorts)[:, None] * n_blocks + first).ravel(), axis=1)
+        dealt = codes[keep].take(skipped + rank.ravel())
     dealt = dealt.reshape(n_draws, n_cohorts, design.n_patients).swapaxes(0, 1)
     return dealt.reshape(*reported.shape[:-1], n_draws, design.n_patients)
 

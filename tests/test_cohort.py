@@ -52,6 +52,8 @@ class TestOutcomeModel:
             OutcomeModel(rho=1.5)
         with pytest.raises(ConfigurationError):
             OutcomeModel(sigma=0.0)
+        with pytest.raises(ConfigurationError, match="^strata_means must be a list"):
+            OutcomeModel(strata_means=1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("delta", math.nan), ("delta", math.inf), ("sigma", math.nan),

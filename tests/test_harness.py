@@ -408,6 +408,8 @@ def _varblock_design():
     *[(paper_design(), kind, 0) for kind in KINDS],
     (_mixed_validity_design(), "ignorable", 5),
     (_varblock_design(), "nonignorable1", 30),
+    # no arrangement table for the block of 20: the sort-key branch
+    (TrialDesign(20, (0.2, 0.8), (1, 2, 2), 10, block_sizes=(10, 20)), "ignorable", 30),
 ])
 def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
     config = ScenarioConfig(

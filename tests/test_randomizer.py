@@ -55,6 +55,8 @@ class TestAllocationRatio:
             AllocationRatio((1, 0))
         with pytest.raises(ConfigurationError):
             AllocationRatio((1, -2))
+        with pytest.raises(ConfigurationError, match="^allocation must be a list"):
+            AllocationRatio(5)
 
 
 class TestBlockPattern:
@@ -79,6 +81,11 @@ class TestBlockPattern:
         for probs in [("0.4", "0.6"), (True, False)]:
             with pytest.raises(ConfigurationError, match=r"^strata_probs\[0\] must be a number"):
                 _design(probs=probs)
+        # scalars where a list belongs name their field
+        with pytest.raises(ConfigurationError, match="^strata_probs must be a list"):
+            TrialDesign(80, 0.5, (1, 2, 2), 10)
+        with pytest.raises(ConfigurationError, match="^allocation must be a list"):
+            TrialDesign(80, (0.4, 0.6), 5, 10)
 
     @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan),
                                        (math.inf, -math.inf)])
@@ -278,6 +285,47 @@ class TestBatchAssignments:
             batch_block_assignments(design, np.zeros(3, dtype=np.int8), 5, _rng())
         with pytest.raises(ConfigurationError, match="shape"):
             randomize_cohort(design, np.zeros(3, dtype=np.int8), _rng())
+
+
+def _dealt_by_loop(design, reported, blocks):
+    """Deal ``(n_cohorts, n_draws, ...)`` drawn blocks one cohort and one
+    draw at a time: drop the padding, then give each stratum's blocks to
+    its patients in enrollment order."""
+    sizes = design.block_sizes or (design.block_size,)
+    tables = _arrangement_table(design.allocation.weights, sizes)
+    codes = blocks if tables is None else tables[0][blocks]
+    dealt = np.empty((*blocks.shape[:2], design.n_patients), dtype=np.int8)
+    for c, labels in enumerate(reported):
+        for d, drawn in enumerate(codes[c]):
+            opened = 0
+            for stratum in range(design.n_strata):
+                members = np.flatnonzero(labels == stratum)
+                n_open = -(-len(members) // min(sizes))
+                stream = [int(code) for block in drawn[opened:opened + n_open]
+                          for code in block if code != -1]
+                dealt[c, d, members] = stream[:len(members)]
+                opened += n_open
+    return dealt
+
+
+@pytest.mark.parametrize("design,n_cohorts,n_draws", [
+    (_design(n=20, probs=(0.2, 0.8), block=10, block_sizes=(5, 10)), 4, 7),
+    (_design(n=20, probs=(0.2, 0.8), block=10, block_sizes=(5, 10)), 3, 1),
+    (_design(n=20, block=10, block_sizes=(10, 20)), 3, 5),
+    (_design(n=20, block=10, block_sizes=(10, 20)), 4, 1),
+    (_design(n=17, probs=(0.3, 0.3, 0.4), weights=(1, 1), block=2, block_sizes=(2, 4, 6)), 5, 6),
+    (_design(n=23), 3, 4),
+])
+def test_deal_blocks_matches_a_plain_loop(design, n_cohorts, n_draws):
+    # a stack of cohorts, so each (draw, cohort) stream's codes start after
+    # every earlier stream's; the first cohort reports one stratum only
+    rng = _rng(n_cohorts * 100 + n_draws)
+    reported = rng.integers(0, design.n_strata, (n_cohorts, design.n_patients))
+    reported[0] = design.n_strata - 1
+    blocks = draw_blocks(design, rng.random((n_cohorts, n_draws, block_width(design))))
+    dealt = deal_blocks(design, reported, blocks)
+    assert dealt.dtype == np.int8
+    np.testing.assert_array_equal(dealt, _dealt_by_loop(design, reported, blocks))
 
 
 # the largest value of Generator.random
