@@ -12,8 +12,11 @@ A configuration document is JSON with four optional sections::
                    "analyze_reported": true}
     }
 
-Missing keys take the defaults above; unknown keys are rejected with the
-offending dotted path.  Output (CSV or JSON) embeds a metadata block with
+Missing keys take the defaults above.  The library constructors check
+every value; an unknown key and every rejected value, not only a wrong
+type, fail with the key's dotted path, list elements by index
+(``design.allocation[1]``).  A scenario needs exactly two strata and one
+mean per stratum.  Output (CSV or JSON) embeds a metadata block with
 the package version, the seed, and a config echo that parses back to the
 same scenarios, so a results file fully identifies its run.  The thread
 count describes the environment, not the results: it goes to stderr, and
@@ -56,8 +59,14 @@ _DEFAULTS = {
             "analyze_reported": True},
 }
 
-# ScenarioConfig field -> key of the "run" section
-_RUN_KEYS = {"n_replications": "reps"}
+# document key -> library field, by section; two keys are renamed
+_FIELDS = {section: {key: {"n": "n_patients", "reps": "n_replications"}.get(key, key)
+                     for key in keys}
+           for section, keys in _DEFAULTS.items()}
+# library field -> dotted path of its document key
+_PATHS = {field: f"{section}.{key}"
+          for section, keys in _FIELDS.items() for key, field in keys.items()}
+
 ROUND_DIGITS = 3
 MIXTURE_ROUND_DIGITS = 2
 
@@ -84,25 +93,7 @@ def _section(doc: dict, name: str) -> dict:
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigParseError(f"{name}.{sorted(unknown)[0]}: unknown key")
-    merged = {**defaults, **raw}
-    return merged
-
-
-def _expect_number(section: str, key: str, value, integral: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigParseError(f"{section}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigParseError(f"{section}.{key}: expected a finite number, got {value!r}")
-    if integral and int(value) != value:
-        raise ConfigParseError(f"{section}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _expect_numbers(section: str, key: str, values, integral: bool = False) -> tuple:
-    """Check each element of a list as ``section.key[i]``; ints or floats out."""
-    cast = int if integral else float
-    return tuple(cast(_expect_number(section, f"{key}[{i}]", v, integral))
-                 for i, v in enumerate(values))
+    return {**defaults, **raw}
 
 
 def parse_config(source) -> list[ScenarioConfig]:
@@ -111,8 +102,8 @@ def parse_config(source) -> list[ScenarioConfig]:
     ``source`` may be a dict, a JSON string, or a path to a JSON file.  A
     string whose text starts with ``{`` or ``[`` is a JSON document; any
     other string, like a ``Path``, names a file.  Raises
-    ``ConfigParseError`` naming the offending field on any unknown key,
-    wrong type, or inconsistent setting, and the path of a file it
+    ``ConfigParseError`` naming the dotted path of any unknown key or any
+    value the library constructors reject, and the path of a file it
     cannot read.
     """
     if isinstance(source, Path) or (
@@ -139,106 +130,42 @@ def parse_config(source) -> list[ScenarioConfig]:
     if unknown:
         raise ConfigParseError(f"{sorted(unknown)[0]}: unknown key")
 
-    design_doc = _section(doc, "design")
-    outcome_doc = _section(doc, "outcome")
-    mis_doc = _section(doc, "misclass")
-    run_doc = _section(doc, "run")
-
-    n = int(_expect_number("design", "n", design_doc["n"], integral=True))
-    block_size = int(_expect_number("design", "block_size", design_doc["block_size"],
-                                    integral=True))
-    allocation = design_doc["allocation"]
-    if not isinstance(allocation, (list, tuple)) or len(allocation) < 2:
-        raise ConfigParseError("design.allocation: expected a list of at least two weights")
-    probs = design_doc["strata_probs"]
-    if not isinstance(probs, (list, tuple)) or len(probs) != 2:
-        raise ConfigParseError("design.strata_probs: expected exactly two probabilities")
-    block_sizes = design_doc["block_sizes"]
-    if block_sizes is not None:
-        if not isinstance(block_sizes, (list, tuple)):
-            raise ConfigParseError("design.block_sizes: expected null or a list of sizes")
-        block_sizes = _expect_numbers("design", "block_sizes", block_sizes, integral=True)
-    means = outcome_doc["strata_means"]
-    if not isinstance(means, (list, tuple)) or len(means) != 2:
-        raise ConfigParseError("outcome.strata_means: expected exactly two means")
-    try:
-        design = TrialDesign(
-            n_patients=n,
-            strata_probs=_expect_numbers("design", "strata_probs", probs),
-            allocation=AllocationRatio(
-                _expect_numbers("design", "allocation", allocation, integral=True)
-            ),
-            block_size=block_size,
-            block_sizes=block_sizes,
-        )
-        outcome = OutcomeModel(
-            rho=float(_expect_number("outcome", "rho", outcome_doc["rho"])),
-            delta=float(_expect_number("outcome", "delta", outcome_doc["delta"])),
-            strata_means=_expect_numbers("outcome", "strata_means", means),
-            sigma=float(_expect_number("outcome", "sigma", outcome_doc["sigma"])),
-        )
-        kind = mis_doc["kind"]
-        if not isinstance(kind, str):
-            raise ConfigParseError(f"misclass.kind: expected a string, got {kind!r}")
-        misclass = MisclassModel(
-            kind=kind,
-            gamma_low=float(_expect_number("misclass", "gamma_low", mis_doc["gamma_low"])),
-            gamma_high=float(_expect_number("misclass", "gamma_high", mis_doc["gamma_high"])),
-        )
-    except ConfigParseError:
-        raise
-    except ValueError as exc:
-        raise ConfigParseError(str(exc)) from exc
-
+    fields = {name: {_FIELDS[name][key]: value for key, value in _section(doc, name).items()}
+              for name in _DEFAULTS}
     try:
         config = ScenarioConfig(
-            design=design,
-            outcome=outcome,
-            misclass=misclass,
-            n_replications=run_doc["reps"],
-            rb_draws=run_doc["rb_draws"],
-            seed=run_doc["seed"],
-            alpha=run_doc["alpha"],
-            analyze_reported=run_doc["analyze_reported"],
+            design=TrialDesign(**fields["design"]),
+            outcome=OutcomeModel(**fields["outcome"]),
+            misclass=MisclassModel(**fields["misclass"]),
             label="custom",
+            **fields["run"],
         )
     except ConfigurationError as exc:
-        # the library names its field; the document names the dotted path
+        # the library leads with its field, ``name`` or ``name[i]``; the
+        # document names it by its dotted path
         field, _, rest = str(exc).partition(" ")
-        raise ConfigParseError(f"run.{_RUN_KEYS.get(field, field)}: {rest}") from exc
+        name, bracket, index = field.partition("[")
+        if name not in _PATHS:
+            raise ConfigParseError(str(exc)) from exc
+        raise ConfigParseError(f"{_PATHS[name]}{bracket}{index}: {rest}") from exc
     return [config]
 
 
 def scenario_to_doc(config: ScenarioConfig) -> dict:
     """Inverse of ``parse_config`` for the metadata echo."""
-    design, outcome = config.design, config.outcome
-    return {
-        "design": {
-            "n": design.n_patients,
-            "block_size": design.block_size,
-            "block_sizes": None if design.block_sizes is None else list(design.block_sizes),
-            "allocation": list(design.allocation.weights),
-            "strata_probs": list(design.strata_probs),
-        },
-        "outcome": {
-            "rho": outcome.rho,
-            "delta": outcome.delta,
-            "strata_means": list(outcome.strata_means),
-            "sigma": outcome.sigma,
-        },
-        "misclass": {
-            "kind": config.misclass.kind,
-            "gamma_low": config.misclass.gamma_low,
-            "gamma_high": config.misclass.gamma_high,
-        },
-        "run": {
-            "reps": config.n_replications,
-            "rb_draws": config.rb_draws,
-            "seed": config.seed,
-            "alpha": config.alpha,
-            "analyze_reported": config.analyze_reported,
-        },
-    }
+    sources = {"design": config.design, "outcome": config.outcome,
+               "misclass": config.misclass, "run": config}
+    return {section: {key: _doc_value(getattr(sources[section], field))
+                      for key, field in keys.items()}
+            for section, keys in _FIELDS.items()}
+
+
+def _doc_value(value):
+    """A library field as the document writes it: a list for a tuple, the
+    weights for an allocation."""
+    if isinstance(value, AllocationRatio):
+        value = value.weights
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _rounded(value: float | None, digits: int) -> float | None:

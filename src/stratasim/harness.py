@@ -77,7 +77,9 @@ COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
-    and run sizes.  ``n_replications`` must be at least 1 and ``seed``
+    and run sizes.  The design has exactly two strata, since
+    misclassification flips between two, and the outcome one mean per
+    stratum.  ``n_replications`` must be at least 1 and ``seed``
     nonnegative, all three counts integers; ``rb_draws = 0`` disables
     randomization testing; ``alpha`` lies in (0, 1); ``analyze_reported``
     is a bool."""
@@ -108,6 +110,15 @@ class ScenarioConfig:
         if not isinstance(self.analyze_reported, bool):
             raise ConfigurationError(
                 f"analyze_reported must be true or false, got {self.analyze_reported!r}"
+            )
+        if self.design.n_strata != 2:
+            raise ConfigurationError(
+                f"strata_probs must list exactly two strata, got {self.design.n_strata}"
+            )
+        if len(self.outcome.strata_means) != 2:
+            raise ConfigurationError(
+                f"strata_means must hold two means, one per stratum, "
+                f"got {len(self.outcome.strata_means)}"
             )
 
     @property

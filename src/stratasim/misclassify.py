@@ -44,7 +44,9 @@ class MisclassModel:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown misclassification kind {self.kind!r}")
+            raise ConfigurationError(
+                f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}"
+            )
         for name in ("gamma_low", "gamma_high"):
             rate = as_real(name, getattr(self, name))
             object.__setattr__(self, name, rate)

@@ -51,14 +51,12 @@ class AllocationRatio:
             raise ConfigurationError(
                 f"allocation must be a list of weights, got {self.weights!r}"
             )
-        given = tuple(self.weights)
-        weights = tuple(int(w) for w in given)
+        weights = tuple(as_int(f"allocation[{i}]", w) for i, w in enumerate(self.weights))
         if len(weights) < 2:
-            raise ConfigurationError("allocation needs at least two arms")
-        if any(w < 1 for w in weights) or weights != given:
-            raise ConfigurationError(
-                f"allocation weights must be positive integers, got {self.weights!r}"
-            )
+            raise ConfigurationError(f"allocation must list at least two arms, got {weights!r}")
+        for i, w in enumerate(weights):
+            if w < 1:
+                raise ConfigurationError(f"allocation[{i}] must be >= 1, got {w}")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -119,8 +117,8 @@ class TrialDesign:
                           for i, size in enumerate(self.block_sizes))
             if not sizes:
                 raise ConfigurationError("block_sizes must be a nonempty list when given")
-            for size in sizes:
-                block_pattern(self.allocation, size)
+            for i, size in enumerate(sizes):
+                block_pattern(self.allocation, size, f"block_sizes[{i}]")
             object.__setattr__(self, "block_sizes", sizes)
 
     @property
@@ -134,17 +132,19 @@ def _coerce_allocation(allocation) -> AllocationRatio:
     return AllocationRatio(allocation)
 
 
-def block_pattern(allocation: AllocationRatio, block_size: int) -> np.ndarray:
+def block_pattern(allocation: AllocationRatio, block_size: int,
+                  field: str = "block_size") -> np.ndarray:
     """Multiset of treatment codes filling one block, in sorted order.
 
     The block holds ``block_size * w_a / sum(w)`` copies of each arm ``a``,
-    so ``block_size`` must be a multiple of the weight total.
+    so ``block_size`` must be a multiple of the weight total; an error
+    names the length by ``field``.
     """
     allocation = _coerce_allocation(allocation)
     if block_size < 1 or block_size % allocation.total != 0:
         raise ConfigurationError(
-            f"block size {block_size} is not a positive multiple of the "
-            f"allocation weight total {allocation.total}"
+            f"{field} must be a positive multiple of the allocation weight "
+            f"total {allocation.total}, got {block_size}"
         )
     per_unit = block_size // allocation.total
     counts = [w * per_unit for w in allocation.weights]

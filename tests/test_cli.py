@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratasim import cli
 from stratasim.cli import (
     build_run_spec,
     emit_table,
@@ -21,7 +24,7 @@ from stratasim.cli import (
 )
 from stratasim.analytic import reported_strata_mixture
 from stratasim.cohort import OutcomeModel
-from stratasim.errors import ConfigParseError
+from stratasim.errors import ConfigParseError, ConfigurationError
 from stratasim.harness import DEFAULT_SEED, ScenarioConfig, run_scenario
 from stratasim.misclassify import KINDS, MisclassModel
 from stratasim.randomizer import AllocationRatio, TrialDesign
@@ -137,11 +140,26 @@ class TestParseConfig:
             ({"design": {"allocation": [2]}}, "design.allocation"),
             ({"design": {"strata_probs": [1.0]}}, "design.strata_probs"),
             ({"misclass": {"kind": 7}}, "misclass.kind"),
+            ({"design": {"block_size": 7}}, "design.block_size:"),
+            ({"design": {"block_sizes": [10, 7]}}, "design.block_sizes[1]:"),
+            ({"misclass": {"kind": "other"}}, "misclass.kind:"),
+            ({"design": {"n": 0}}, "design.n:"),
+            ({"outcome": {"sigma": -1}}, "outcome.sigma:"),
+            ({"design": {"allocation": [0, 2, 2]}}, "design.allocation"),
+            ({"design": {"strata_probs": [0.5, 0.6]}}, "design.strata_probs:"),
         ],
     )
     def test_bad_fields_name_their_path(self, doc, needle):
-        with pytest.raises(ConfigParseError, match=needle.replace(".", r"\.")):
+        with pytest.raises(ConfigParseError, match="^" + re.escape(needle)):
             parse_config(doc)
+
+    def test_message_led_by_no_field_stays_a_parse_error(self, monkeypatch):
+        def reject(**fields):
+            raise ConfigurationError("no field leads this message")
+
+        monkeypatch.setattr(cli, "MisclassModel", reject)
+        with pytest.raises(ConfigParseError, match="^no field leads this message$"):
+            parse_config({})
 
     @pytest.mark.parametrize(
         "doc,needle",
@@ -198,6 +216,13 @@ class TestParseConfig:
         assert scenario_to_doc(config) == CUSTOM_DOC
         assert parse_config(scenario_to_doc(config))[0] == config
         assert scenario_to_doc(parse_config({})[0]) == DEFAULT_DOC
+
+    def test_documented_defaults_are_the_parser_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for text, heading in [(cli.__doc__, "::"), (readme, "## Command line")]:
+            start = text.index("{", text.index(heading))
+            documented = json.JSONDecoder().raw_decode(text[start:])[0]
+            assert documented == scenario_to_doc(parse_config({})[0])
 
     @settings(max_examples=200, deadline=None)
     @given(config=scenario_configs())

@@ -92,6 +92,13 @@ def _scenario(**fields):
     (_scenario, {"analyze_reported": "false"}, "analyze_reported"),
     (_scenario, {"analyze_reported": None}, "analyze_reported"),
     (_scenario, {"analyze_reported": 1}, "analyze_reported"),
+    # scenarios no run can finish: one stratum, three, and a mean short or over
+    (_scenario, {"design": TrialDesign(20, (1.0,), (1, 2, 2), 5),
+                 "outcome": OutcomeModel(strata_means=(0.0,)),
+                 "misclass": MisclassModel("nonignorable1")}, "strata_probs"),
+    (_scenario, {"design": _design(strata_probs=(0.2, 0.3, 0.5))}, "strata_probs"),
+    (_scenario, {"outcome": OutcomeModel(strata_means=(0.0,))}, "strata_means"),
+    (_scenario, {"outcome": OutcomeModel(strata_means=(0.0, 1.0, 2.0))}, "strata_means"),
     (_design, {"n_patients": np.int64(20), "block_size": 10.0,
                "block_sizes": (np.int32(5), 10.0)}, None),
     (_scenario, {"n_replications": 2.0, "rb_draws": np.int64(20), "seed": np.uint8(7),

@@ -58,6 +58,11 @@ class TestAllocationRatio:
         with pytest.raises(ConfigurationError, match="^allocation must be a list"):
             AllocationRatio(5)
 
+    @pytest.mark.parametrize("weights", [(True, 2, 2), ("x", 2), {"a": 1, "b": 2}])
+    def test_each_weight_must_be_an_integer(self, weights):
+        with pytest.raises(ConfigurationError, match=r"^allocation\[0\] must be an integer"):
+            AllocationRatio(weights)
+
 
 class TestBlockPattern:
     def test_sorted_codes_in_ratio(self):
