@@ -21,10 +21,9 @@ from .analytic import (
     reported_strata_mixture,
     truncnorm_moments,
 )
-from .cohort import Cohort, OutcomeModel, sample_cohort
+from .cohort import Cohort, OutcomeModel
 from .errors import ConfigParseError, ConfigurationError, DegenerateDesignError
 from .harness import ScenarioConfig, ScenarioMetrics, paper_design, paper_suite, run_scenario
-from .inference import AnalysisResult, ci_and_test, fit_model
 from .misclassify import MisclassModel, reported_strata
 from .randomizer import AllocationRatio, TrialDesign, randomize_cohort
 from .rerandomize import RandTestResult, randomization_pvalue
@@ -37,7 +36,6 @@ from .subgroup import (
 
 __all__ = [
     "AllocationRatio",
-    "AnalysisResult",
     "Cohort",
     "ConfigParseError",
     "ConfigurationError",
@@ -49,10 +47,8 @@ __all__ = [
     "ScenarioMetrics",
     "SubgroupCounts",
     "TrialDesign",
-    "ci_and_test",
     "conditional_moments",
     "expected_se",
-    "fit_model",
     "noncentral_t_power",
     "paper_design",
     "paper_suite",
@@ -62,7 +58,6 @@ __all__ = [
     "reported_strata",
     "reported_strata_mixture",
     "run_scenario",
-    "sample_cohort",
     "tau_permuted_block",
     "truncnorm_moments",
     "unconditional_variance",

@@ -63,27 +63,16 @@ class OutcomeModel:
 
 @dataclass
 class Cohort:
-    """Array-backed cohort in enrollment order.
-
-    ``potentials`` has one column per arm.  ``reported``, ``treatments``,
-    and ``observed`` start unset and are filled by the misclassification
-    and randomization steps.
-    """
+    """Array-backed cohort in enrollment order: true strata, potential
+    outcomes with one column per arm, and the model that drew them."""
 
     true_strata: np.ndarray
     potentials: np.ndarray
     outcome: OutcomeModel
-    reported: np.ndarray | None = None
-    treatments: np.ndarray | None = None
-    observed: np.ndarray | None = None
 
     @property
     def n_patients(self) -> int:
         return len(self.true_strata)
-
-    @property
-    def n_arms(self) -> int:
-        return self.potentials.shape[1]
 
 
 def strata_labels(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
@@ -157,17 +146,6 @@ def draw_cohort(
     normals = np.empty(cells.shape)
     ndtri(np.maximum(cells[..., :used], _SMALLEST_UNIFORM), out=normals[..., :used])
     return strata, potential_outcomes(strata, model, normals)
-
-
-def sample_cohort(
-    design: TrialDesign,
-    model: OutcomeModel,
-    rng: np.random.Generator,
-) -> Cohort:
-    """Draw strata and potential outcomes for a full cohort: exactly
-    ``cohort_width(design)`` uniforms from ``rng``."""
-    strata, potentials = draw_cohort(design, model, rng.random(cohort_width(design)))
-    return Cohort(true_strata=strata, potentials=potentials, outcome=model)
 
 
 def observed_outcomes(potentials: np.ndarray, treatments: np.ndarray) -> np.ndarray:

@@ -34,7 +34,9 @@ Runner: ``run_suite`` is the one path for every replication.  It cuts each
 scenario into tasks of ``TASK_CHUNKS`` (12) whole chunks and sends every
 task of the suite through one ``map``: the builtin one at ``threads=1``,
 else that of one process pool for the whole run.  Each scenario is reduced
-as soon as its last task is in.  ``run_scenario`` is a suite of one.
+as soon as its last task is in.  ``run_scenario`` is a suite of one, and
+``run_replication`` a chunk of one that returns its replication's
+``Outcomes``.
 """
 
 from __future__ import annotations
@@ -124,28 +126,6 @@ class ScenarioConfig:
     @property
     def rb_enabled(self) -> bool:
         return self.rb_draws > 0
-
-
-@dataclass(frozen=True)
-class VariantRecord:
-    """One strata variant's analysis results within a replication."""
-
-    estimate: float
-    se: float
-    covered: bool
-    p_value: float
-    rb_p: float = float("nan")
-    rb_discarded: int = 0
-    rb_flagged: bool = False
-
-
-@dataclass(frozen=True)
-class ReplicationRecord:
-    rep_index: int
-    valid: bool
-    corrected: VariantRecord | None = None
-    reported: VariantRecord | None = None
-    error: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,25 +294,10 @@ def _replication_range(config: ScenarioConfig, start: int, stop: int) -> Outcome
                             for a in range(start, stop, step)])
 
 
-def _record(outcomes: Outcomes, i: int, rep_index: int) -> ReplicationRecord:
-    """Replication ``i`` of ``outcomes`` as a record."""
-    if outcomes.error[i]:
-        return ReplicationRecord(rep_index=rep_index, valid=False, error=outcomes.error[i])
-    variants = {
-        name: VariantRecord(
-            estimate=float(outcomes.estimate[v, i]), se=float(outcomes.se[v, i]),
-            covered=bool(outcomes.covered[v, i]), p_value=float(outcomes.p_value[v, i]),
-            rb_p=float(outcomes.rb_p[v, i]), rb_discarded=int(outcomes.rb_discarded[v, i]),
-            rb_flagged=bool(outcomes.rb_flagged[v, i]),
-        )
-        for v, name in enumerate((CORRECTED, REPORTED)[:len(outcomes.estimate)])
-    }
-    return ReplicationRecord(rep_index=rep_index, valid=True, **variants)
-
-
-def run_replication(config: ScenarioConfig, rep_index: int) -> ReplicationRecord:
-    """Simulate and analyze one trial replication: a chunk of one."""
-    return _record(_run_chunk(config, rep_index, rep_index + 1), 0, rep_index)
+def run_replication(config: ScenarioConfig, rep_index: int) -> Outcomes:
+    """Replication ``rep_index`` alone, as a chunk of one."""
+    # kept only because perfbench's traced run times it per replication
+    return _run_chunk(config, rep_index, rep_index + 1)
 
 
 def _aggregate_variant(
@@ -410,13 +375,20 @@ def workers(threads: int) -> int:
 
 
 def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioMetrics]:
-    """Run and aggregate every scenario of a suite of at least one.
+    """Run and aggregate every scenario of a suite.
 
     Every task, ``TASK_CHUNKS`` whole chunks of one scenario, goes through
     one ``map``: the builtin one at ``threads=1``, else that of one process
     pool for the whole suite.  Each scenario is reduced in replication order
     as soon as its last task is in, so no result depends on the thread
-    count, and a serial run holds one scenario's outcomes at a time."""
+    count, and a serial run holds one scenario's outcomes at a time.
+    ``threads`` is an integer of at least 1; an empty suite gives ``[]``
+    and starts no pool."""
+    threads = as_int("threads", threads)
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    if not configs:
+        return []
     starts = [range(0, c.n_replications, TASK_CHUNKS * _chunk_size(c)) for c in configs]
     tasks = [(c, a, min(a + s.step, c.n_replications)) for c, s in zip(configs, starts) for a in s]
     with ProcessPoolExecutor(workers(threads)) if threads > 1 else nullcontext() as pool:
@@ -513,4 +485,4 @@ def paper_suite(
             for kind in PAPER_KINDS
             for rho in PAPER_RHOS
         ]
-    raise ValueError(f"unknown table id {table_id}")
+    raise ConfigurationError(f"table_id must be 1, 2 or 3, got {table_id!r}")

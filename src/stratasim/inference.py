@@ -7,11 +7,11 @@ stratum indicator, and one indicator per active arm:
 
 with a single residual variance.  The target quantity is the arm-1
 coefficient (treatment effect versus control).  One kernel,
-``fit_batch``, fits many assignment rows of many trials at once; its
-``BatchFit`` carries only the arm terms, and ``fit_model`` is its
-one-row case.  Confidence intervals and tests use the t distribution on
-the residual degrees of freedom, elementwise in ``t_interval``, of which
-``ci_and_test`` takes one entry.
+``fit_batch``, fits many assignment rows of many trials at once, one
+trial being a batch of one; its ``BatchFit`` carries only the arm terms
+and names why each invalid row failed.  Confidence intervals and tests
+use the t distribution on the residual degrees of freedom, elementwise
+over whole arrays in ``t_interval``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .errors import ConfigurationError, DegenerateDesignError
+from .errors import ConfigurationError
 
 # normal equations whose Hadamard ratio is at most this count as singular
 RANK_TOL = 1e-10
@@ -30,23 +30,6 @@ RANK_TOL = 1e-10
 # replication (1,001 rows of 80 patients)
 MASK_CELLS = 1024 * 80
 NO_RESIDUAL_DF = "no residual degrees of freedom for a t interval"
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    """Estimate, CI, and test for one coefficient of a fitted model."""
-
-    term: str
-    estimate: float
-    se: float
-    df: int
-    ci_low: float
-    ci_high: float
-    statistic: float
-    p_value: float
-    alpha: float
-    null_value: float
-    strata_used: str = ""
 
 
 @dataclass(frozen=True)
@@ -85,10 +68,6 @@ class BatchFit:
         for df in np.unique(self.df[self.df < 0]):
             out[self.df == df] = f"{n} observations cannot identify {n - df} columns"
         return out
-
-    def _check(self, variant: int, group: int, row: int) -> None:
-        if not self.valid[variant, group, row]:
-            raise DegenerateDesignError(self.faults()[variant, group, row])
 
     def _arm_index(self, target_arm: int) -> int:
         n_arms = self.arm_count.shape[0]
@@ -268,28 +247,6 @@ def fit_batch(
                     arm_count=arm_count)
 
 
-def fit_model(
-    y: np.ndarray,
-    treatments: np.ndarray,
-    strata_covariate: np.ndarray,
-    n_arms: int | None = None,
-) -> BatchFit:
-    """Fit the homogeneous-variance stratum-adjusted model to one trial.
-
-    A batch of one through ``fit_batch``, returned as its one-row
-    ``BatchFit``: one variant, one group, one row.  An arm with no
-    patients, fewer observations than columns, or a Hadamard ratio of the
-    normal equations at most ``RANK_TOL`` (a rank-deficient design) raises
-    ``DegenerateDesignError``.
-    """
-    treatments = np.asarray(treatments)
-    arms = int(treatments.max()) + 1 if n_arms is None else n_arms
-    fit = fit_batch(np.asarray(y, dtype=float)[None], [np.asarray(strata_covariate)[None]],
-                    treatments[None, None], arms)
-    fit._check(0, 0, 0)
-    return fit
-
-
 @lru_cache(maxsize=64)
 def _t_critical(alpha: float, df: int) -> float:
     return float(stdtrit(df, 1.0 - alpha / 2.0)) if df >= 1 else np.nan
@@ -317,40 +274,3 @@ def t_interval(
             stat = np.where(zero, np.where(gap == 0.0, 0.0, np.inf * np.sign(gap)), stat)
             p = np.where(zero & (df >= 1), np.where(gap == 0.0, 1.0, 0.0), p)
     return estimate - crit * se, estimate + crit * se, stat, p
-
-
-def ci_and_test(
-    fit: BatchFit,
-    alpha: float = 0.05,
-    null_value: float = 0.0,
-    target_arm: int = 1,
-    strata_used: str = "",
-    row: int = 0,
-    group: int = 0,
-    variant: int = 0,
-) -> AnalysisResult:
-    """Two-sided t interval and test for the ``target_arm`` coefficient of
-    one row of a fit; a degenerate row raises ``DegenerateDesignError``.
-    One entry of ``t_interval``."""
-    arm = fit._arm_index(target_arm)
-    fit._check(variant, group, row)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    df = int(fit.df[variant, group])
-    if df < 1:
-        raise DegenerateDesignError(NO_RESIDUAL_DF)
-    estimate, se = fit.arm_coef[arm, variant, group, row], fit.arm_se[arm, variant, group, row]
-    ci_low, ci_high, stat, p = t_interval(estimate, se, df, alpha, null_value)
-    return AnalysisResult(
-        term=f"treat{target_arm}",
-        estimate=float(estimate),
-        se=float(se),
-        df=df,
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
-        statistic=float(stat),
-        p_value=float(p),
-        alpha=alpha,
-        null_value=null_value,
-        strata_used=strata_used,
-    )

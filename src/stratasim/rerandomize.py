@@ -7,7 +7,8 @@ within the *reported* strata, with every outcome held fixed (the sharp
 null of no treatment effect).  The harness draws one batch per
 replication and tests both strata variants against it, reading the
 statistics of a whole chunk of replications from one
-``inference.fit_batch`` call through ``randomization_batch``.  The
+``inference.fit_batch`` call through ``randomization_batch``;
+``randomization_pvalue`` tests one trial, a batch of one group.  The
 two-sided p-value uses the add-one convention
 
     p = (1 + #{ |stat*| >= |stat_obs| }) / (1 + draws).
@@ -46,14 +47,6 @@ class RandTestResult:
     flagged: bool
 
 
-def combine_pvalue(statistic: float, null_stats: np.ndarray) -> float:
-    """Add-one two-sided p-value from an observed statistic and null draws;
-    ties, within ``TIE_RTOL``, count against the observed statistic.
-    One group of ``randomization_batch`` whose draws are all usable."""
-    stats = np.concatenate([[statistic], np.asarray(null_stats, dtype=float)])[None]
-    return float(randomization_batch(stats, np.ones(stats.shape, dtype=bool))[0][0])
-
-
 def randomization_pvalue(
     y: np.ndarray,
     treatments: np.ndarray,
@@ -66,9 +59,11 @@ def randomization_pvalue(
 
     ``analysis_strata`` enters the refitted model; ``null_assignments``
     is the ``(draws, n)`` null set, sampled or exhaustive, drawn within
-    the strata labels the original assignment actually saw.
+    the strata labels the original assignment actually saw.  A degenerate
+    fit of the observed assignment raises ``DegenerateDesignError``.
     """
-    if len(null_assignments) == 0:
+    draws = len(null_assignments)
+    if draws == 0:
         raise ConfigurationError("null_assignments has no rows; need at least one draw")
     # the observed row rides in the same kernel call as the null draws, so
     # an exact re-draw of the observed assignment ties exactly
@@ -76,7 +71,17 @@ def randomization_pvalue(
     fit = fit_batch(np.asarray(y, dtype=float)[None], [np.asarray(analysis_strata)[None]],
                     t_batch[None], n_arms)
     stats, valid = fit.tstats(target_arm)
-    return randomization_result(stats[0, 0], valid[0, 0])
+    if not valid[0, 0, 0]:
+        raise DegenerateDesignError(DEGENERATE_OBSERVED)
+    (p_value,), (discarded,), (flagged,) = randomization_batch(stats[0], valid[0])
+    return RandTestResult(
+        statistic=float(stats[0, 0, 0]),
+        p_value=float(p_value),
+        draws_requested=draws,
+        draws_used=draws - int(discarded),
+        discarded=int(discarded),
+        flagged=bool(flagged),
+    )
 
 
 def randomization_batch(
@@ -98,21 +103,3 @@ def randomization_batch(
     discarded = null.shape[1] - n_used
     return ((1.0 + count) / (1.0 + n_used), discarded,
             discarded > FLAG_DISCARD_SHARE * null.shape[1])
-
-
-def randomization_result(stats: np.ndarray, valid: np.ndarray) -> RandTestResult:
-    """The test from one kernel call's t statistics and validity flags:
-    row 0 is the observed assignment, the other rows its null draws.
-    One group of ``randomization_batch``."""
-    if not valid[0]:
-        raise DegenerateDesignError(DEGENERATE_OBSERVED)
-    (p_value,), (discarded,), (flagged,) = randomization_batch(stats[None], valid[None])
-    n_requested = stats.shape[0] - 1
-    return RandTestResult(
-        statistic=float(stats[0]),
-        p_value=float(p_value),
-        draws_requested=n_requested,
-        draws_used=n_requested - int(discarded),
-        discarded=int(discarded),
-        flagged=bool(flagged),
-    )

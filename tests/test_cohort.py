@@ -15,7 +15,6 @@ from stratasim.cohort import (
     cohort_width,
     draw_cohort,
     observed_outcomes,
-    sample_cohort,
     sample_potential_outcomes,
 )
 from stratasim.errors import ConfigurationError
@@ -25,6 +24,12 @@ from properties import check_additivity_rho_one
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _cohort(design, model, rng):
+    """True strata and potential outcomes of one cohort, from exactly
+    ``cohort_width(design)`` uniforms of ``rng``."""
+    return draw_cohort(design, model, rng.random(cohort_width(design)))
 
 
 def _design(n=2000):
@@ -111,8 +116,7 @@ class TestPotentialOutcomes:
 
     def test_cohort_normals_by_inversion_have_the_factor_moments(self):
         model = OutcomeModel(rho=0.5, delta=0.5)
-        cohort = sample_cohort(_design(400_000), model, _rng(25))
-        _assert_factor_moments(model, cohort.true_strata, cohort.potentials)
+        _assert_factor_moments(model, *_cohort(_design(400_000), model, _rng(25)))
 
     def test_independent_arms_at_zero_correlation(self):
         n = 200_000
@@ -127,20 +131,17 @@ class TestPotentialOutcomes:
 class TestSampling:
     def test_strata_proportions(self):
         design = _design(100_000)
-        strata = sample_cohort(design, OutcomeModel(), _rng(23)).true_strata
+        strata, _ = _cohort(design, OutcomeModel(), _rng(23))
         assert set(np.unique(strata)) <= {0, 1}
         share = float((strata == 0).mean())
         assert abs(share - 0.4) < 4.5 * math.sqrt(0.24 / design.n_patients)
 
-    def test_sample_cohort_shapes_and_unset_fields(self):
-        design = _design(500)
-        cohort = sample_cohort(design, OutcomeModel(), _rng(24))
+    def test_cohort_shapes(self):
+        design, model = _design(500), OutcomeModel()
+        strata, potentials = _cohort(design, model, _rng(24))
+        assert (strata.shape, potentials.shape) == ((500,), (500, 3))
+        cohort = Cohort(true_strata=strata, potentials=potentials, outcome=model)
         assert cohort.n_patients == 500
-        assert cohort.n_arms == 3
-        assert cohort.potentials.shape == (500, 3)
-        assert cohort.reported is None
-        assert cohort.treatments is None
-        assert cohort.observed is None
 
 
 class TestDrawCohort:
@@ -157,15 +158,15 @@ class TestDrawCohort:
         assert np.isfinite(noise_low).all() and (noise_low < -8).all()
         np.testing.assert_allclose(noise_high, -noise_low[0], rtol=1e-12)
 
-    def test_sample_cohort_draws_exactly_its_width(self):
-        # two successive calls on one generator are rows 0 and 1 of one draw
+    def test_each_row_is_one_cohort(self):
+        # cohorts drawn one by one from one generator are the rows of one batch
         design, model = _design(30), OutcomeModel(rho=0.5)
         rng = _rng(26)
-        first, second = (sample_cohort(design, model, rng) for _ in range(2))
+        alone = [_cohort(design, model, rng) for _ in range(2)]
         strata, potentials = draw_cohort(design, model, _rng(26).random((2, cohort_width(design))))
-        for i, cohort in enumerate((first, second)):
-            np.testing.assert_array_equal(cohort.true_strata, strata[i])
-            np.testing.assert_array_equal(cohort.potentials, potentials[i])
+        for i, (own_strata, own_potentials) in enumerate(alone):
+            np.testing.assert_array_equal(own_strata, strata[i])
+            np.testing.assert_array_equal(own_potentials, potentials[i])
 
 
     @pytest.mark.parametrize("rho", [1.0, 0.5])

@@ -8,14 +8,15 @@ import pickle
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import stratasim
 from stratasim import harness, inference
 from stratasim.cli import metrics_rows
-from stratasim.cohort import OutcomeModel, cohort_width, observed_outcomes, sample_cohort
+from stratasim.cohort import Cohort, OutcomeModel, cohort_width, draw_cohort, observed_outcomes
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
@@ -39,6 +40,22 @@ from stratasim.randomizer import (
 )
 from stratasim.rerandomize import randomization_pvalue
 from properties import check_thread_determinism
+
+
+def _replications(config, reps):
+    """Each of the replications ``reps`` run as a chunk of its own, in order."""
+    return Outcomes.concat([run_replication(config, r) for r in reps])
+
+
+def _assert_same(got, want):
+    """Outcomes equal bit for bit, NaNs and invalid replications included."""
+    for f in fields(Outcomes):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        if a.dtype == object:
+            assert a.tolist() == b.tolist(), f.name
+        else:
+            assert a.tobytes() == b.tobytes(), f.name
 
 
 def _config(reps=20, rb_draws=0, rho=1.0, delta=0.5, seed=123, **kw):
@@ -224,32 +241,31 @@ class TestMcSeRate:
 class TestRunReplication:
     def test_same_index_reproduces_exactly(self):
         config = _config(rb_draws=50)
-        assert run_replication(config, 5) == run_replication(config, 5)
+        _assert_same(run_replication(config, 5), run_replication(config, 5))
 
     def test_distinct_indices_differ(self):
         config = _config()
         a, b = run_replication(config, 0), run_replication(config, 1)
-        assert a.corrected.estimate != b.corrected.estimate
+        assert a.estimate[0, 0] != b.estimate[0, 0]
 
     def test_record_shape_without_rb(self):
-        rec = run_replication(_config(), 3)
-        assert rec.valid and rec.error == ""
-        for variant in (rec.corrected, rec.reported):
-            assert variant is not None
-            assert 0.0 < variant.p_value <= 1.0
-            assert variant.se > 0.0
-            assert math.isnan(variant.rb_p)
+        out = run_replication(_config(), 3)
+        assert out.error.tolist() == [""]
+        assert out.estimate.shape == out.rb_p.shape == (2, 1)
+        assert ((0.0 < out.p_value) & (out.p_value <= 1.0)).all()
+        assert (out.se > 0.0).all()
+        assert np.isnan(out.rb_p).all()
+        assert (out.rb_discarded == 0).all() and not out.rb_flagged.any()
 
     def test_record_shape_with_rb(self):
-        rec = run_replication(_config(rb_draws=50), 3)
-        for variant in (rec.corrected, rec.reported):
-            assert 0.0 < variant.rb_p <= 1.0
-            assert variant.rb_discarded >= 0
+        out = run_replication(_config(rb_draws=50), 3)
+        assert out.error.tolist() == [""]
+        assert ((0.0 < out.rb_p) & (out.rb_p <= 1.0)).all()
+        assert (out.rb_discarded >= 0).all()
 
     def test_reported_variant_is_optional(self):
-        rec = run_replication(_config(analyze_reported=False), 2)
-        assert rec.corrected is not None
-        assert rec.reported is None
+        out = run_replication(_config(analyze_reported=False), 2)
+        assert out.estimate.shape == out.rb_p.shape == (1, 1)
 
 
 @pytest.mark.parametrize("rb_draws,analyze_reported", [(0, True), (60, True), (60, False)])
@@ -264,7 +280,7 @@ def test_one_kernel_call_per_chunk(monkeypatch, rb_draws, analyze_reported):
 
     monkeypatch.setattr(harness, "fit_batch", counting)
     config = _config(reps=40, rb_draws=rb_draws, analyze_reported=analyze_reported)
-    assert run_replication(config, 1).valid
+    assert run_replication(config, 1).error.tolist() == [""]
     run_scenario(config)
     per_chunk = harness._chunk_size(config)
     chunks = [min(per_chunk, 40 - start) for start in range(0, 40, per_chunk)]
@@ -296,8 +312,9 @@ def test_variants_share_one_null_batch():
     # replication indices are arbitrary nonnegative integers; CARRY_REP's
     # cohort offset sits just below 2**64, 2**70 + 5's past it in every stage
     for rep in (0, 1, 2, 3, 2**32, CARRY_REP, 2**70 + 5):
-        cohort = sample_cohort(design, config.outcome,
-                               _stage_rng(config, rep, harness.COHORT, cohort_width(design)))
+        uniforms = _stage_rng(config, rep, harness.COHORT, cohort_width(design)).random(
+            cohort_width(design))
+        cohort = Cohort(*draw_cohort(design, config.outcome, uniforms), outcome=config.outcome)
         reported = reported_strata(cohort, config.misclass, _stage_rng(
             config, rep, harness.MISCLASSIFICATION, design.n_patients))
         treatments = randomize_cohort(design, reported,
@@ -305,13 +322,12 @@ def test_variants_share_one_null_batch():
         y = observed_outcomes(cohort.potentials, treatments)
         nulls = batch_block_assignments(design, reported, config.rb_draws, _stage_rng(
             config, rep, harness.NULL_BATCH, config.rb_draws * width))
-        rec = run_replication(config, rep)
-        for strata, variant in ((cohort.true_strata, rec.corrected),
-                                (reported, rec.reported)):
+        out = run_replication(config, rep)
+        for v, strata in enumerate((cohort.true_strata, reported)):
             want = randomization_pvalue(y, treatments, strata, nulls,
                                         design.allocation.n_arms)
-            assert variant.rb_p == want.p_value, (rep, strata is reported)
-            assert variant.rb_discarded == want.discarded
+            assert out.rb_p[v, 0] == want.p_value, (rep, v)
+            assert out.rb_discarded[v, 0] == want.discarded
 
 
 def test_chunk_across_the_counter_carry_matches_replications_alone():
@@ -320,8 +336,7 @@ def test_chunk_across_the_counter_carry_matches_replications_alone():
     config = replace(_config(rb_draws=20), misclass=MisclassModel("ignorable", 0.15, 0.30))
     start = CARRY_REP - 3
     chunk = harness._run_chunk(config, start, CARRY_REP + 3)
-    assert repr([harness._record(chunk, i, start + i) for i in range(6)]) == repr(
-        [run_replication(config, r) for r in range(start, CARRY_REP + 3)])
+    _assert_same(chunk, _replications(config, range(start, CARRY_REP + 3)))
 
 
 @pytest.mark.parametrize("rep", [-1, 2**128 // 100])
@@ -333,12 +348,13 @@ def test_replication_outside_the_counter_range_is_rejected(rep):
 
 
 def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
-    # at zero rates no kind flips anything, so the records are the same
+    # at zero rates no kind flips anything, so the outcomes are the same
     for rb_draws in (0, 30):
-        records = {kind: repr([run_replication(replace(
-            _config(rb_draws=rb_draws), misclass=MisclassModel(kind, 0.0, 0.0)), r)
-            for r in (0, 7, 2**40)]) for kind in KINDS}
-        assert len(set(records.values())) == 1
+        outcomes = [_replications(replace(_config(rb_draws=rb_draws),
+                                          misclass=MisclassModel(kind, 0.0, 0.0)), (0, 7, 2**40))
+                    for kind in KINDS]
+        for other in outcomes[1:]:
+            _assert_same(other, outcomes[0])
     # at the paper's high rates the kinds still share each replication's true
     # strata, potential outcomes and block picks
     drawn, seen = [], {}
@@ -424,11 +440,8 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
         misclass=MisclassModel(kind, 0.15, 0.30), n_replications=12, rb_draws=rb_draws,
         seed=31,
     )
-    alone = [run_replication(config, r) for r in range(12)]
-    chunk = harness._run_chunk(config, 0, 12)
-    full_chunk = [harness._record(chunk, r, r) for r in range(12)]
-    # repr keeps every float digit, and NaN fields compare
-    assert repr(full_chunk) == repr(alone)
+    alone = _replications(config, range(12))
+    _assert_same(harness._run_chunk(config, 0, 12), alone)
     # tasks of one small chunk in two worker processes: the parent reduces
     # what they return
     seen = []
@@ -442,8 +455,7 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
     monkeypatch.setattr(harness, "_chunk_size", lambda config: 3)
     monkeypatch.setattr(harness, "TASK_CHUNKS", 1)
     threaded = run_scenario(config, threads=2)
-    pooled = [harness._record(seen[0], r, r) for r in range(12)]
-    assert repr(pooled) == repr(alone)
+    _assert_same(seen[0], alone)
     assert repr(threaded) == repr(run_scenario(config, threads=1))
     if design.n_patients == 4:
         assert 0 < threaded.n_invalid < 12
@@ -522,19 +534,18 @@ class TestAggregation:
     def test_matches_manual_reduction(self):
         config = _config(reps=40, delta=0.5)
         metrics = run_scenario(config)
-        rows = [run_replication(config, r).corrected for r in range(40)]
-        est = np.array([v.estimate for v in rows])
-        covered = np.array([v.covered for v in rows], dtype=float)
-        reject = np.array([v.p_value <= 0.05 for v in rows], dtype=float)
+        out = _replications(config, range(40))
+        assert (out.error == "").all()
+        est = out.estimate[0]
+        covered = out.covered[0].astype(float)
+        reject = (out.p_value[0] <= 0.05).astype(float)
         got = metrics.corrected
         assert got.n == 40
         assert got.bias == pytest.approx(est.mean() - 0.5, abs=1e-12)
         assert got.mean_estimate == pytest.approx(est.mean(), abs=1e-12)
         assert got.sd_estimate == pytest.approx(est.std(ddof=1), abs=1e-12)
         assert got.coverage == pytest.approx(covered.mean(), abs=1e-12)
-        assert got.mean_se == pytest.approx(
-            np.mean([v.se for v in rows]), abs=1e-12
-        )
+        assert got.mean_se == pytest.approx(out.se[0].mean(), abs=1e-12)
         assert got.reject_rate == pytest.approx(reject.mean(), abs=1e-12)
         assert got.mc_se_bias == pytest.approx(
             est.std(ddof=1) / math.sqrt(40), abs=1e-12
@@ -626,22 +637,22 @@ class TestAggregation:
         metrics = run_scenario(config)
         assert metrics.n_invalid == 0 and metrics.warning
         assert metrics.corrected.rb_flagged == metrics.corrected.rb_discarded > 0
-        hits = [rec.corrected for rec in map(lambda r: run_replication(config, r), range(300))
-                if rec.corrected.rb_discarded]
-        assert len(hits) == metrics.corrected.rb_flagged
-        assert all(v.rb_p == 1.0 and v.rb_flagged for v in hits)
+        out = _replications(config, range(300))
+        hits = out.rb_discarded[0] > 0
+        assert hits.sum() == metrics.corrected.rb_flagged
+        assert (out.rb_p[0, hits] == 1.0).all() and out.rb_flagged[0, hits].all()
 
     def test_invalid_replications_tallied_by_reason(self):
         config = _scenario(design=_tiny_design(), n_replications=200, rb_draws=5, seed=7)
         metrics = run_scenario(config)
-        records = [run_replication(config, r) for r in range(200)]
-        errors = sorted(rec.error for rec in records if not rec.valid)
+        out = _replications(config, range(200))
+        valid = out.error == ""
+        errors = out.error[~valid].tolist()
         assert metrics.invalid_reasons == tuple(
             (reason, errors.count(reason)) for reason in sorted(set(errors)))
         assert sum(count for _, count in metrics.invalid_reasons) == metrics.n_invalid > 0
-        for name in ("corrected", "reported"):
-            assert getattr(metrics, name).rb_discarded == sum(
-                getattr(rec, name).rb_discarded for rec in records if rec.valid)
+        for v, name in enumerate(("corrected", "reported")):
+            assert getattr(metrics, name).rb_discarded == out.rb_discarded[v, valid].sum()
         assert run_scenario(_config(reps=5)).invalid_reasons == ()
 
     def test_metrics_hold_no_instance_dict_and_pickle(self):
@@ -707,12 +718,11 @@ class TestRandomBlockSizes:
 
     def test_rb_pvalues_in_unit_interval(self):
         config = self._varblock_config()
-        records = [run_replication(config, r) for r in range(config.n_replications)]
-        assert any(rec.valid for rec in records)
-        for rec in records:
-            if rec.valid:
-                for variant in (rec.corrected, rec.reported):
-                    assert 0.0 < variant.rb_p <= 1.0
+        out = _replications(config, range(config.n_replications))
+        valid = out.error == ""
+        assert valid.any()
+        rb_p = out.rb_p[:, valid]
+        assert ((0.0 < rb_p) & (rb_p <= 1.0)).all()
 
 
 class TestPaperSuite:
@@ -752,5 +762,37 @@ class TestPaperSuite:
             assert config.design == paper_design()
 
     def test_unknown_table_rejected(self):
-        with pytest.raises(ValueError, match="table"):
-            paper_suite(4)
+        for table_id in (0, 4, "1"):
+            with pytest.raises(ConfigurationError, match="^table_id must be 1, 2 or 3"):
+                paper_suite(table_id)
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, "2", 1.5])
+def test_bad_thread_counts_name_the_field(monkeypatch, threads):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    for configs in ([_config(reps=2)], []):
+        with pytest.raises(ConfigurationError, match="^threads must be"):
+            harness.run_suite(configs, threads=threads)
+    with pytest.raises(ConfigurationError, match="^threads must be"):
+        run_scenario(_config(reps=2), threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 2.0])
+def test_empty_suite_starts_no_pool(monkeypatch, threads):
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    assert harness.run_suite([], threads=threads) == []
+    assert _InlinePool.max_workers == []
+
+
+def test_public_names_are_pinned():
+    assert sorted(stratasim.__all__) == sorted([
+        "AllocationRatio", "Cohort", "ConfigParseError", "ConfigurationError",
+        "DegenerateDesignError", "MisclassModel", "OutcomeModel", "RandTestResult",
+        "ScenarioConfig", "ScenarioMetrics", "SubgroupCounts", "TrialDesign",
+        "conditional_moments", "expected_se", "noncentral_t_power", "paper_design",
+        "paper_suite", "pooled_residual_sd", "randomization_pvalue", "randomize_cohort",
+        "reported_strata", "reported_strata_mixture", "run_scenario", "tau_permuted_block",
+        "truncnorm_moments", "unconditional_variance", "__version__",
+    ])
+    assert all(hasattr(stratasim, name) for name in stratasim.__all__)

@@ -7,16 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from stratasim.errors import ConfigurationError, DegenerateDesignError
-from stratasim.inference import (
-    RANK_TOL,
-    BatchFit,
-    _t_critical,
-    ci_and_test,
-    fit_batch,
-    fit_model,
-    t_interval,
-)
+from stratasim.errors import ConfigurationError
+from stratasim.inference import RANK_TOL, BatchFit, _t_critical, fit_batch, t_interval
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from oracles import ols_exact, t_critical_bisect, t_two_sided_p
 
@@ -52,6 +44,17 @@ def _variant(fit, v):
                     valid=fit.valid[v:v + 1], arm_count=fit.arm_count[:, v:v + 1])
 
 
+def _fit_one(y, treatments, strata, n_arms=3):
+    """``fit_batch`` on one trial: one variant, one group, one row."""
+    return _one_group(y, [strata], np.asarray(treatments)[None], n_arms)[0]
+
+
+def _interval(fit, alpha=0.05, target_arm=1):
+    """``t_interval`` of one arm coefficient of every row of ``fit``."""
+    arm = target_arm - 1
+    return np.stack(t_interval(fit.arm_coef[arm], fit.arm_se[arm], fit.df[..., None], alpha))
+
+
 def _tstats(y, strata, rows, n_arms, target_arm=1):
     (fit,) = _one_group(y, [strata], rows, n_arms)
     stats, valid = fit.tstats(target_arm)
@@ -72,8 +75,10 @@ def _assert_matches_oracle(fit, row, design, y):
 
 
 class TestFitModel:
+    """One trial's fit: ``fit_batch`` on a batch of one row."""
+
     def test_matches_exact_rational_solution(self):
-        fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
+        fit = _fit_one(Y, TREATMENTS, STRATA)
         assert fit.df.tolist() == [[8]]
         assert fit.arm_coef.shape == fit.arm_se.shape == (2, 1, 1, 1)
         assert fit.arm_count[:, 0, 0, 0].tolist() == [4, 4, 4]
@@ -82,10 +87,8 @@ class TestFitModel:
     def test_row_permutation_invariance(self):
         rng = _rng(41)
         perm = rng.permutation(len(Y))
-        base = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
-        shuffled = fit_model(
-            np.array(Y, dtype=float)[perm], TREATMENTS[perm], STRATA[perm]
-        )
+        base = _fit_one(Y, TREATMENTS, STRATA)
+        shuffled = _fit_one(np.array(Y, dtype=float)[perm], TREATMENTS[perm], STRATA[perm])
         assert np.abs(base.arm_coef - shuffled.arm_coef).max() < 1e-12
         assert np.abs(base.arm_se - shuffled.arm_se).max() < 1e-12
 
@@ -94,7 +97,7 @@ class TestFitModel:
         y = rng.standard_normal(60)
         treatments = np.tile([0, 1, 2], 20)
         strata = (rng.random(60) >= 0.4).astype(np.int8)
-        fit = fit_model(y, treatments, strata)
+        fit = _fit_one(y, treatments, strata)
         arms = np.column_stack([treatments == 1, treatments == 2]).astype(float)
         # given the arm terms, each stratum's term is its mean of what remains
         partial = y - arms @ fit.arm_coef[:, 0, 0, 0]
@@ -108,7 +111,7 @@ class TestFitModel:
     def test_empty_stratum_column_dropped(self):
         y = np.array(Y, dtype=float)
         ones = np.ones_like(STRATA)
-        fit = fit_model(y, TREATMENTS, ones)
+        fit = _fit_one(y, TREATMENTS, ones)
         assert fit.df.tolist() == [[9]]
         _assert_matches_oracle(
             fit, 0, [[1, int(t == 1), int(t == 2)] for t in TREATMENTS.tolist()], Y
@@ -118,63 +121,56 @@ class TestFitModel:
         # labels outside 0..255 take the sorting path to their ranks
         y = np.array(Y, dtype=float)
         for labels in (np.where(STRATA == 1, 7, -5), STRATA + 0.5, STRATA * 1000):
-            fit = fit_model(y, TREATMENTS, labels)
-            assert np.array_equal(fit.arm_coef, fit_model(y, TREATMENTS, STRATA).arm_coef)
+            fit = _fit_one(y, TREATMENTS, labels)
+            assert np.array_equal(fit.arm_coef, _fit_one(y, TREATMENTS, STRATA).arm_coef)
 
-    def test_empty_arm_raises(self):
+    def test_empty_arm_is_invalid(self):
         y = np.array(Y, dtype=float)
         no_arm2 = np.where(TREATMENTS == 2, 1, TREATMENTS)
-        with pytest.raises(DegenerateDesignError, match="2"):
-            fit_model(y, no_arm2, STRATA, n_arms=3)
+        fit = _fit_one(y, no_arm2, STRATA)
+        assert fit.faults().tolist() == [[["arm 2 has no patients"]]]
 
-    def test_collinear_design_raises(self):
+    def test_collinear_design_is_invalid(self):
         y = np.arange(10, dtype=float)
         treatments = np.array([0, 1] * 5)
         strata = treatments.copy()  # stratum indicator equals arm indicator
-        with pytest.raises(DegenerateDesignError, match="rank"):
-            fit_model(y, treatments, strata, n_arms=2)
+        fit = _fit_one(y, treatments, strata, n_arms=2)
+        assert fit.faults().tolist() == [[["design matrix is rank deficient after column drops"]]]
 
-    def test_more_columns_than_rows_raises(self):
-        with pytest.raises(DegenerateDesignError):
-            fit_model(np.ones(3), np.array([0, 1, 2]), np.array([0, 1, 1]))
+    def test_more_columns_than_rows_is_invalid(self):
+        fit = _fit_one(np.ones(3), np.array([0, 1, 2]), np.array([0, 1, 1]))
+        assert fit.faults().tolist() == [[["3 observations cannot identify 4 columns"]]]
 
     def test_single_arm_rejected(self):
         with pytest.raises(ConfigurationError, match="n_arms"):
-            fit_model(np.array(Y, dtype=float), np.zeros(12, dtype=int), STRATA)
+            _fit_one(Y, np.zeros(12, dtype=int), STRATA, n_arms=1)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError, match="length"):
-            fit_model(np.ones(4), np.array([0, 1]), np.array([0, 1, 0, 1]))
+            _fit_one(np.ones(4), np.array([0, 1]), np.array([0, 1, 0, 1]))
 
 
 class TestCiAndTest:
+    """t intervals and tests of fitted rows through ``t_interval``."""
+
     def test_matches_quadrature_oracle(self):
-        fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
+        fit = _fit_one(Y, TREATMENTS, STRATA)
+        estimate, se = fit.arm_coef[0, 0, 0, 0], fit.arm_se[0, 0, 0, 0]
         for alpha in (0.05, 0.01):
-            res = ci_and_test(fit, alpha=alpha)
-            stat = fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]
-            assert abs(res.statistic - stat) < 1e-12
-            assert abs(res.p_value - t_two_sided_p(stat, fit.df[0, 0])) < 1e-8
+            ci_low, ci_high, statistic, p_value = _interval(fit, alpha)[:, 0, 0, 0]
+            stat = estimate / se
+            assert abs(statistic - stat) < 1e-12
+            assert abs(p_value - t_two_sided_p(stat, fit.df[0, 0])) < 1e-8
             tcrit = t_critical_bisect(alpha, fit.df[0, 0])
-            assert abs(res.ci_low - (res.estimate - tcrit * res.se)) < 1e-6
-            assert abs(res.ci_high - (res.estimate + tcrit * res.se)) < 1e-6
+            assert abs(ci_low - (estimate - tcrit * se)) < 1e-6
+            assert abs(ci_high - (estimate + tcrit * se)) < 1e-6
 
     def test_critical_value_pinned(self):
         assert abs(_t_critical(0.05, 76) - 1.9916726096446642) < 1e-12
 
-    def test_reports_requested_term_and_strata_label(self):
-        fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
-        res = ci_and_test(fit, target_arm=2, strata_used="corrected")
-        assert res.term == "treat2"
-        assert res.strata_used == "corrected"
-        assert res.estimate == fit.arm_coef[1, 0, 0, 0]
-        assert res.se == fit.arm_se[1, 0, 0, 0]
-
     @pytest.mark.parametrize("target_arm", [0, 3, -1])
     def test_target_arm_outside_active_arms_rejected(self, target_arm):
-        fit = fit_model(np.array(Y, dtype=float), TREATMENTS, STRATA)
-        with pytest.raises(ConfigurationError, match=f"target arm {target_arm} outside 1..2"):
-            ci_and_test(fit, target_arm=target_arm)
+        fit = _fit_one(Y, TREATMENTS, STRATA)
         with pytest.raises(ConfigurationError, match=f"target arm {target_arm} outside 1..2"):
             fit.tstats(target_arm)
 
@@ -186,12 +182,12 @@ class TestCiAndTest:
                 valid=np.ones((1, 1, 1), dtype=bool), arm_count=np.full((2, 1, 1, 1), 5),
             )
 
-        res = ci_and_test(one_row(0.0))
-        assert res.p_value == 1.0  # estimate equals the null exactly
-        assert res.ci_low == res.ci_high == 0.0
-        res_eff = ci_and_test(one_row(0.5))
-        assert res_eff.p_value == 0.0
-        assert res_eff.ci_low == res_eff.ci_high == 0.5
+        ci_low, ci_high, _, p_value = _interval(one_row(0.0))[:, 0, 0, 0]
+        assert p_value == 1.0  # estimate equals the null exactly
+        assert ci_low == ci_high == 0.0
+        ci_low, ci_high, _, p_value = _interval(one_row(0.5))[:, 0, 0, 0]
+        assert p_value == 0.0
+        assert ci_low == ci_high == 0.5
 
 
 class TestBatchedKernel:
@@ -214,7 +210,7 @@ class TestBatchedKernel:
         stats, valid = _tstats(y, strata, draws, 3, target_arm)
         assert valid.all()
         for row, got in zip(draws, stats):
-            fit = fit_model(y, row, strata, 3)
+            fit = _fit_one(y, row, strata)
             want = fit.arm_coef[target_arm - 1, 0, 0, 0] / fit.arm_se[target_arm - 1, 0, 0, 0]
             assert abs(got - want) < 1e-10
 
@@ -231,7 +227,7 @@ class TestBatchedKernel:
         stats, valid = _tstats(y, strata, rows, 3)
         assert valid.tolist() == [True, False, False]
         assert np.isnan(stats[1]) and np.isnan(stats[2])
-        fit = fit_model(y, rows[0], strata, 3)
+        fit = _fit_one(y, rows[0], strata)
         want = fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]
         assert abs(stats[0] - want) < 1e-10
 
@@ -292,8 +288,7 @@ class TestStackedKernel:
             levels = sorted(set(strata.tolist()))[1:]
             for b in range(len(self.ROWS)):
                 if not batch.valid[0, 0, b]:
-                    with pytest.raises(DegenerateDesignError):
-                        ci_and_test(batch, row=b)
+                    assert batch.faults()[0, 0, b]
                     continue
                 design = [[1, *(int(s == lv) for lv in levels), int(t == 1), int(t == 2)]
                           for s, t in zip(strata.tolist(), self.ROWS[b].tolist())]
@@ -301,20 +296,17 @@ class TestStackedKernel:
 
     def test_invalid_rows_name_their_fault(self):
         fits = _one_group(Y, self.STRATA, self.ROWS, 3)
-        with pytest.raises(DegenerateDesignError, match="arm 2 has no patients"):
-            ci_and_test(fits[1], row=2)
-        with pytest.raises(DegenerateDesignError, match="rank deficient"):
-            ci_and_test(fits[0], row=3)
+        assert fits[1].faults()[0, 0, 2] == "arm 2 has no patients"
+        assert fits[0].faults()[0, 0, 3] == "design matrix is rank deficient after column drops"
 
     def test_batch_row_analysis_equals_one_trial_fit(self):
         y = np.array(Y, dtype=float)
         fits = _one_group(y, self.STRATA, self.ROWS, 3)
         for strata, batch in zip(self.STRATA, fits):
-            one = fit_model(y, self.ROWS[4], strata, 3)
+            one = _fit_one(y, self.ROWS[4], strata)
             for target in (1, 2):
-                got = ci_and_test(batch, alpha=0.1, target_arm=target, strata_used="x", row=4)
-                want = ci_and_test(one, alpha=0.1, target_arm=target, strata_used="x")
-                assert got == want
+                got = _interval(batch, 0.1, target)[..., 4]
+                assert got.tobytes() == _interval(one, 0.1, target)[..., 0].tobytes()
 
     @pytest.mark.parametrize("n_arms", [2, 3, 4])
     def test_row_zero_bit_identical_alone_and_in_a_large_batch(self, n_arms):
@@ -339,7 +331,9 @@ class TestStackedKernel:
                 assert np.array_equal(got[..., 0], getattr(one, name)[..., 0])
                 assert np.array_equal(got[..., 0], got[..., 500])
                 assert np.array_equal(got, getattr(own, name))
-            assert ci_and_test(big) == ci_and_test(one) == ci_and_test(big, row=500)
+            interval = _interval(big)
+            assert interval[..., 0].tobytes() == interval[..., 500].tobytes()
+            assert interval[..., 0].tobytes() == _interval(one)[..., 0].tobytes()
             stats, _ = big.tstats()
             assert stats[0, 0, 0] == stats[0, 0, 500] == one.tstats()[0][0, 0, 0]
 
@@ -377,7 +371,7 @@ class TestGroupAxis:
         for v, strata in enumerate(variants):
             for g in range(len(y)):
                 for r in range(draws.shape[1]):
-                    one = fit_model(y[g], draws[g, r], strata[g], 3)
+                    one = _fit_one(y[g], draws[g, r], strata[g])
                     assert abs(fit.arm_coef[0, v, g, r] - one.arm_coef[0, 0, 0, 0]) < 1e-10
                     assert abs(fit.arm_se[1, v, g, r] - one.arm_se[1, 0, 0, 0]) < 1e-10
 
@@ -391,16 +385,13 @@ class TestGroupAxis:
         assert fit.df.tolist() == [[-1, 0]]
         assert fit.valid.tolist() == [[[False], [True]]]
         assert fit.faults().tolist() == [[["3 observations cannot identify 4 columns"], [""]]]
-        with pytest.raises(DegenerateDesignError, match="3 observations cannot identify 4"):
-            ci_and_test(fit, group=0)
-        with pytest.raises(DegenerateDesignError, match="no residual degrees of freedom"):
-            ci_and_test(fit, group=1)
+        # the valid group has no residual degrees of freedom: no t interval
+        assert np.isnan(_interval(fit)[:, 0, 1, 0]).all()
 
-    def test_t_interval_entry_equals_ci_and_test(self):
+    def test_t_interval_entry_equals_scalar_call(self):
         y, variants, draws = self._groups(73)
         fit = fit_batch(y, variants, draws, 3)
-        low, high, stat, p = t_interval(fit.arm_coef[1], fit.arm_se[1], fit.df[..., None], 0.1)
+        whole = _interval(fit, 0.1, 2)
         for v, g, r in ((0, 0, 0), (1, 3, 4)):
-            res = ci_and_test(fit, alpha=0.1, target_arm=2, row=r, group=g, variant=v)
-            assert (res.ci_low, res.ci_high, res.statistic, res.p_value) == (
-                low[v, g, r], high[v, g, r], stat[v, g, r], p[v, g, r])
+            one = t_interval(fit.arm_coef[1, v, g, r], fit.arm_se[1, v, g, r], fit.df[v, g], 0.1)
+            assert whole[:, v, g, r].tolist() == [float(x) for x in one]

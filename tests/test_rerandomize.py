@@ -14,10 +14,8 @@ from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assig
 from stratasim.rerandomize import (
     FLAG_DISCARD_SHARE,
     RandTestResult,
-    combine_pvalue,
     randomization_batch,
     randomization_pvalue,
-    randomization_result,
 )
 from oracles import two_sample_t
 from properties import check_rb_superuniformity
@@ -33,6 +31,12 @@ def _tstats(y, strata, rows, n_arms):
     return stats[0, 0], valid[0, 0]
 
 
+def _pvalue(statistic, null_stats):
+    """The add-one p-value of one group whose null draws are all usable."""
+    stats = np.concatenate([[statistic], null_stats])[None]
+    return randomization_batch(stats, np.ones(stats.shape, dtype=bool))[0][0]
+
+
 def _all_assignments(n_blocks):
     """Every 1:1 block sequence: each block is [0, 1] or [1, 0]."""
     rows = []
@@ -42,17 +46,19 @@ def _all_assignments(n_blocks):
 
 
 class TestCombinePvalue:
+    """The p-value of one group of ``randomization_batch``."""
+
     def test_add_one_count(self):
-        assert combine_pvalue(2.0, np.array([1.0, -3.0, 2.0, 0.5])) == 3 / 5
-        assert combine_pvalue(0.0, np.array([1.0, -1.0])) == 1.0
+        assert _pvalue(2.0, np.array([1.0, -3.0, 2.0, 0.5])) == 3 / 5
+        assert _pvalue(0.0, np.array([1.0, -1.0])) == 1.0
 
     def test_rounding_ties_count(self):
         # a mirrored draw's |t| may round a few ulps below the observed one
-        assert combine_pvalue(1.0, np.array([-(1.0 - 1e-14), 0.5])) == 2 / 3
-        assert combine_pvalue(1.0, np.array([1.0 - 1e-6, 0.5])) == 1 / 3
+        assert _pvalue(1.0, np.array([-(1.0 - 1e-14), 0.5])) == 2 / 3
+        assert _pvalue(1.0, np.array([1.0 - 1e-6, 0.5])) == 1 / 3
 
     def test_never_below_one_over_draws_plus_one(self):
-        assert combine_pvalue(50.0, np.zeros(99)) == 1 / 100
+        assert _pvalue(50.0, np.zeros(99)) == 1 / 100
 
 
 class TestExhaustiveNull:
@@ -106,7 +112,7 @@ class TestSampledDraws:
             y, analysis, treatments[None, :], n_arms=2
         )
         assert obs_valid[0]
-        want = combine_pvalue(float(obs_stats[0]), stats[valid])
+        want = _pvalue(obs_stats[0], stats[valid])
         assert res.p_value == want
         assert res.draws_requested == 150
 
@@ -139,13 +145,16 @@ class TestDegenerateDraws:
         assert res.discarded == 5 and res.flagged
 
     def test_result_over_no_usable_draws(self):
-        stats = np.array([2.5, np.nan, np.nan, np.nan])
-        valid = np.array([True, False, False, False])
-        res = randomization_result(stats, valid)
-        assert res == RandTestResult(statistic=2.5, p_value=1.0, draws_requested=3,
+        y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
+        strata = np.zeros(6, dtype=np.int8)
+        good = np.array([0, 1, 2, 0, 1, 2], dtype=np.int8)
+        bad = np.tile([0, 2, 2, 0, 2, 2], (3, 1)).astype(np.int8)
+        stats, _ = _tstats(y, strata, good[None], 3)
+        res = randomization_pvalue(y, good, strata, bad, n_arms=3)
+        assert res == RandTestResult(statistic=float(stats[0]), p_value=1.0, draws_requested=3,
                                      draws_used=0, discarded=3, flagged=True)
         with pytest.raises(DegenerateDesignError, match="observed"):
-            randomization_result(stats, ~valid)
+            randomization_pvalue(y, bad[0], strata, np.tile(good, (3, 1)), n_arms=3)
 
     def test_batch_matches_one_group_results(self):
         rng = _rng(53)
@@ -155,9 +164,8 @@ class TestDegenerateDraws:
         valid[4, 1:] = False
         p_value, discarded, flagged = randomization_batch(stats, valid)
         for g in range(6):
-            one = randomization_result(stats[g], valid[g])
-            assert (one.p_value, one.discarded, one.flagged) == (
-                p_value[g], discarded[g], flagged[g])
+            one = randomization_batch(stats[g:g + 1], valid[g:g + 1])
+            assert tuple(a[0] for a in one) == (p_value[g], discarded[g], flagged[g])
         assert p_value[4] == 1.0 and discarded[4] == 40 and flagged[4]
 
     def test_empty_null_set_raises(self):
@@ -188,5 +196,5 @@ class TestRandomBlockSizes:
             y, strata, np.vstack([treatments, draws]), n_arms=2
         )
         assert 0.0 < res.p_value <= 1.0
-        assert res.p_value == combine_pvalue(float(stats[0]), stats[1:][valid[1:]])
+        assert res.p_value == _pvalue(stats[0], stats[1:][valid[1:]])
         assert res.draws_requested == 60
