@@ -12,22 +12,27 @@ the *other* arms follow from the bivariate normal regression
     var(y_a | y_b in I) = rho^2 * var(y_b | I) + (1 - rho^2) * sigma^2
 
 since every pair of arms has correlation ``rho`` and common scale.
+Distribution functions come from ``scipy.special`` alone: ``ndtr``,
+``nctdtr``, and ``_nct_sf``, the survival function behind ``nct.sf``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
-from scipy.stats import nct, norm
+from scipy.special import nctdtr, ndtr
+from scipy.special._ufuncs import _nct_sf
 
 from .cohort import OutcomeModel
 from .errors import ConfigurationError
+from .inference import _t_critical
 from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
 from .randomizer import TrialDesign
 
 _MIN_MASS = 1e-12
+_SQRT_2PI = sqrt(2.0 * pi)
 
 
 @dataclass(frozen=True)
@@ -53,13 +58,12 @@ def truncnorm_moments(
         raise ConfigurationError(f"empty truncation interval ({lower}, {upper})")
     a = (lower - mu) / sigma
     b = (upper - mu) / sigma
-    z = norm.cdf(b) - norm.cdf(a)
+    z = ndtr(b) - ndtr(a)
     if z < _MIN_MASS:
         raise ConfigurationError(
             f"truncation interval ({lower}, {upper}) has mass below {_MIN_MASS}"
         )
-    phi_a = norm.pdf(a) if np.isfinite(a) else 0.0
-    phi_b = norm.pdf(b) if np.isfinite(b) else 0.0
+    phi_a, phi_b = np.exp(-a * a / 2.0) / _SQRT_2PI, np.exp(-b * b / 2.0) / _SQRT_2PI
     a_term = a * phi_a if np.isfinite(a) else 0.0
     b_term = b * phi_b if np.isfinite(b) else 0.0
     lam = (phi_a - phi_b) / z
@@ -213,13 +217,13 @@ def noncentral_t_power(
 
     The test statistic follows a noncentral t with ``df`` degrees of
     freedom and noncentrality ``effect / se`` when the working model holds.
+    Power is even in the noncentrality; at ``-|effect / se|`` neither tail
+    comes back NaN, as ``nctdtr``'s lower tail can at a large positive one.
     """
     if se <= 0.0 or df < 1:
         raise ConfigurationError("power needs a positive SE and df >= 1")
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    from .inference import _t_critical
-
     crit = _t_critical(alpha, df)
-    ncp = effect / se
-    return float(nct.sf(crit, df, ncp) + nct.cdf(-crit, df, ncp))
+    ncp = -abs(effect / se)
+    return float(_nct_sf(crit, df, ncp) + nctdtr(df, ncp, -crit))

@@ -16,11 +16,16 @@ Missing keys take the defaults above.  The library constructors check
 every value; an unknown key and every rejected value, not only a wrong
 type, fail with the key's dotted path, list elements by index
 (``design.allocation[1]``).  A scenario needs exactly two strata and one
-mean per stratum.  Output (CSV or JSON) embeds a metadata block with
-the package version, the seed, and a config echo that parses back to the
-same scenarios, so a results file fully identifies its run.  The thread
-count describes the environment, not the results: it goes to stderr, and
-the results file is the same for any ``--threads``.
+mean per stratum.  A suite starts from ``paper_suite`` (table1 at 50,000
+replications unless ``--paper-scale``), a config run from
+``parse_config``; the given flags replace their fields.  The constructors,
+and ``harness.workers`` for ``--threads``, check every flag value too, and
+a rejected one exits 2 as ``--reps: must be >= 1, got 0``.  Output (CSV
+or JSON) embeds a metadata block with the package version, the seed, and
+a config echo that parses back to the same scenarios, so a results file
+fully identifies its run.  The thread count describes the environment,
+not the results: it goes to stderr, and the results file is the same for
+any ``--threads``.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ _FIELDS = {section: {key: {"n": "n_patients", "reps": "n_replications"}.get(key,
 # library field -> dotted path of its document key
 _PATHS = {field: f"{section}.{key}"
           for section, keys in _FIELDS.items() for key, field in keys.items()}
+# library field -> the flag that sets it
+_FLAGS = {"n_replications": "--reps", "rb_draws": "--rb-draws", "seed": "--seed",
+          "threads": "--threads"}
+# replications per scenario of ``--suite table1`` without ``--paper-scale``
+TABLE1_DESK_REPS = 50_000
 
 ROUND_DIGITS = 3
 MIXTURE_ROUND_DIGITS = 2
@@ -82,7 +92,11 @@ class RunSpec:
     fmt: str
     threads: int
     strict: bool
-    seed: int
+
+    @property
+    def seed(self) -> int:
+        """The scenarios' seed; the default for a mixture suite."""
+        return self.scenarios[0].seed if self.scenarios else DEFAULT_SEED
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -141,14 +155,18 @@ def parse_config(source) -> list[ScenarioConfig]:
             **fields["run"],
         )
     except ConfigurationError as exc:
-        # the library leads with its field, ``name`` or ``name[i]``; the
-        # document names it by its dotted path
-        field, _, rest = str(exc).partition(" ")
-        name, bracket, index = field.partition("[")
-        if name not in _PATHS:
-            raise ConfigParseError(str(exc)) from exc
-        raise ConfigParseError(f"{_PATHS[name]}{bracket}{index}: {rest}") from exc
+        raise ConfigParseError(_renamed(exc, _PATHS) or str(exc)) from exc
     return [config]
+
+
+def _renamed(exc: ConfigurationError, names: dict) -> str | None:
+    """``exc``'s message as ``name: rest``, its leading field (``field`` or
+    ``field[i]``) renamed through ``names``; None if no such field leads."""
+    field, _, rest = str(exc).partition(" ")
+    name, bracket, index = field.partition("[")
+    if name not in names:
+        return None
+    return f"{names[name]}{bracket}{index}: {rest}"
 
 
 def scenario_to_doc(config: ScenarioConfig) -> dict:
@@ -296,18 +314,10 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
 
     if bool(args.suite) == bool(args.config):
         parser.error("exactly one of --suite or --config is required")
-    if args.reps is not None and args.reps < 1:
-        parser.error(f"--reps must be >= 1, got {args.reps}")
-    if args.rb_draws is not None and args.rb_draws < 0:
-        parser.error(f"--rb-draws must be >= 0, got {args.rb_draws}")
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    if args.threads is not None and args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
+    values = {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in _FLAGS.items()}
     # a flag the selected run would not read is an error, never a silent no-op
-    given = {"--reps": args.reps is not None, "--rb-draws": args.rb_draws is not None,
-             "--seed": args.seed is not None, "--paper-scale": args.paper_scale,
-             "--threads": args.threads is not None, "--strict": args.strict}
+    given = {flag: values[field] is not None for field, flag in _FLAGS.items()}
+    given.update({"--paper-scale": args.paper_scale, "--strict": args.strict})
     unread = {"table1": ("--rb-draws",), "table2": (),
               "table3": ("--reps", "--rb-draws", "--seed", "--paper-scale", "--threads",
                          "--strict"),
@@ -324,36 +334,28 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
     if args.out is not None and args.out.is_dir():
         raise ConfigParseError(f"--out: {args.out} is a directory")
 
-    scenarios: list = []
-    mixtures: list = []
-    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.config:
-        overrides = {"seed": args.seed, "n_replications": args.reps,
-                     "rb_draws": args.rb_draws}
-        scenarios = [replace(parse_config(args.config)[0],
-                             **{k: v for k, v in overrides.items() if v is not None})]
-        seed = scenarios[0].seed
-        suite = "custom"
+        suite, base = "custom", parse_config(args.config)
     else:
-        suite = args.suite
-        table = int(args.suite.removeprefix("table"))
-        if table == 3:
-            mixtures = paper_suite(3)
-        else:
-            reps = args.reps
-            if reps is None and not args.paper_scale:
-                reps = 50_000 if table == 1 else 4000
-            rb_draws = 1000 if args.rb_draws is None else args.rb_draws
-            scenarios = paper_suite(table, reps=reps, rb_draws=rb_draws, seed=seed)
+        suite, base = args.suite, paper_suite(int(args.suite.removeprefix("table")))
+    overrides = {field: value for field, value in values.items() if value is not None}
+    threads = overrides.pop("threads", 1)
+    if suite == "table1" and not args.paper_scale:
+        overrides.setdefault("n_replications", TABLE1_DESK_REPS)
+    # the constructors and ``workers`` check every value; a flag names it
+    try:
+        workers(threads)
+        runs = [replace(case, **overrides) for case in base]
+    except ConfigurationError as exc:
+        parser.error(_renamed(exc, _FLAGS))
     return RunSpec(
         suite=suite,
-        scenarios=scenarios,
-        mixtures=mixtures,
+        scenarios=[] if suite == "table3" else runs,
+        mixtures=runs if suite == "table3" else [],
         out=args.out,
         fmt=args.format,
-        threads=1 if args.threads is None else args.threads,
+        threads=threads,
         strict=args.strict,
-        seed=seed,
     )
 
 

@@ -13,13 +13,12 @@ the arm difference is the same constant ``delta`` for every patient.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigurationError, as_real
+from .errors import ConfigurationError, as_real, as_tuple
 from .randomizer import TrialDesign
 
 # the smallest positive value of ``Generator.random``
@@ -46,11 +45,7 @@ class OutcomeModel:
             raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.delta):
             raise ConfigurationError(f"delta must be finite, got {self.delta}")
-        if not isinstance(self.strata_means, Iterable):
-            raise ConfigurationError(
-                f"strata_means must be a list of numbers, got {self.strata_means!r}"
-            )
-        means = tuple(as_real(f"strata_means[{i}]", m) for i, m in enumerate(self.strata_means))
+        means = as_tuple("strata_means", self.strata_means, as_real)
         if not all(map(math.isfinite, means)):
             raise ConfigurationError(f"strata_means must be finite, got {means!r}")
         object.__setattr__(self, "strata_means", means)

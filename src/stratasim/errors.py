@@ -1,9 +1,10 @@
-"""Exception types, and the integer and number checks of config fields,
-shared across the package."""
+"""Exception types, and the integer, number and list checks of config
+fields, shared across the package."""
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 
 
 class ConfigurationError(ValueError):
@@ -40,3 +41,11 @@ def as_real(field: str, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ConfigurationError(f"{field} must be a number, got {value!r}")
+
+
+def as_tuple(field: str, values, read) -> tuple:
+    """``values`` as a tuple, element ``i`` read by ``read`` as ``field[i]``;
+    a value that is not a list raises a ``ConfigurationError`` naming it."""
+    if not isinstance(values, Iterable):
+        raise ConfigurationError(f"{field} must be a list, got {values!r}")
+    return tuple(read(f"{field}[{i}]", value) for i, value in enumerate(values))

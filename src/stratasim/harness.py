@@ -97,16 +97,11 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        for field in ("n_replications", "rb_draws", "seed"):
-            object.__setattr__(self, field, as_int(field, getattr(self, field)))
-        if self.n_replications < 1:
-            raise ConfigurationError(
-                f"n_replications must be >= 1, got {self.n_replications}"
-            )
-        if self.rb_draws < 0:
-            raise ConfigurationError(f"rb_draws must be >= 0, got {self.rb_draws}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for field, least in (("n_replications", 1), ("rb_draws", 0), ("seed", 0)):
+            value = as_int(field, getattr(self, field))
+            if value < least:
+                raise ConfigurationError(f"{field} must be >= {least}, got {value}")
+            object.__setattr__(self, field, value)
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.analyze_reported, bool):
@@ -370,7 +365,11 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
 
 def workers(threads: int) -> int:
     """Processes that run a suite's replications: one per thread, at most
-    one per CPU."""
+    one per CPU.  ``threads`` must be an integer of at least 1, else a
+    ``ConfigurationError`` names it."""
+    threads = as_int("threads", threads)
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     return min(threads, os.cpu_count() or 1)
 
 
@@ -382,16 +381,14 @@ def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioM
     pool for the whole suite.  Each scenario is reduced in replication order
     as soon as its last task is in, so no result depends on the thread
     count, and a serial run holds one scenario's outcomes at a time.
-    ``threads`` is an integer of at least 1; an empty suite gives ``[]``
-    and starts no pool."""
-    threads = as_int("threads", threads)
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    ``threads`` is checked by ``workers``; an empty suite gives ``[]`` and
+    starts no pool."""
+    n_workers = workers(threads)
     if not configs:
         return []
     starts = [range(0, c.n_replications, TASK_CHUNKS * _chunk_size(c)) for c in configs]
     tasks = [(c, a, min(a + s.step, c.n_replications)) for c, s in zip(configs, starts) for a in s]
-    with ProcessPoolExecutor(workers(threads)) if threads > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(n_workers) if threads > 1 else nullcontext() as pool:
         done = (map if pool is None else pool.map)(_replication_range, *zip(*tasks))
         return [_summarize(c, Outcomes.concat([next(done) for _ in s]))
                 for c, s in zip(configs, starts)]
@@ -437,43 +434,13 @@ def paper_suite(
     Table 1: the 3 x 2 x 2 model/rate/correlation grid, effect 0.5, no
     randomization tests, 400k replications unless ``reps`` overrides.
     Table 2: the same grid at effect 0 (level) and 0.5 (power) with
-    randomization tests, 4000 replications default.  Table 3: analytic
-    mixture cases at the high misclassification rates.
+    ``rb_draws`` randomization-test draws, 4000 replications default.
+    Table 3: analytic mixture cases at the high misclassification rates.
     """
-    design = paper_design()
-    if table_id == 1:
-        n = 400_000 if reps is None else reps
-        return [
-            ScenarioConfig(
-                design=design,
-                outcome=OutcomeModel(rho=rho, delta=0.5),
-                misclass=MisclassModel(kind, *rates),
-                n_replications=n,
-                rb_draws=0,
-                seed=seed,
-                label=_scenario_label(kind, rates, rho, 0.5),
-            )
-            for kind in PAPER_KINDS
-            for rates in PAPER_RATES
-            for rho in PAPER_RHOS
-        ]
-    if table_id == 2:
-        n = 4000 if reps is None else reps
-        return [
-            ScenarioConfig(
-                design=design,
-                outcome=OutcomeModel(rho=rho, delta=delta),
-                misclass=MisclassModel(kind, *rates),
-                n_replications=n,
-                rb_draws=rb_draws,
-                seed=seed,
-                label=_scenario_label(kind, rates, rho, delta),
-            )
-            for delta in (0.0, 0.5)
-            for kind in PAPER_KINDS
-            for rates in PAPER_RATES
-            for rho in PAPER_RHOS
-        ]
+    # table -> (effects, default replications, randomization-test draws)
+    grids = {1: ((0.5,), 400_000, 0), 2: ((0.0, 0.5), 4000, rb_draws)}
+    if isinstance(table_id, bool) or table_id not in (1, 2, 3):
+        raise ConfigurationError(f"table_id must be 1, 2 or 3, got {table_id!r}")
     if table_id == 3:
         return [
             MixtureCase(
@@ -485,4 +452,20 @@ def paper_suite(
             for kind in PAPER_KINDS
             for rho in PAPER_RHOS
         ]
-    raise ConfigurationError(f"table_id must be 1, 2 or 3, got {table_id!r}")
+    deltas, default_reps, draws = grids[table_id]
+    design = paper_design()
+    return [
+        ScenarioConfig(
+            design=design,
+            outcome=OutcomeModel(rho=rho, delta=delta),
+            misclass=MisclassModel(kind, *rates),
+            n_replications=default_reps if reps is None else reps,
+            rb_draws=draws,
+            seed=seed,
+            label=_scenario_label(kind, rates, rho, delta),
+        )
+        for delta in deltas
+        for kind in PAPER_KINDS
+        for rates in PAPER_RATES
+        for rho in PAPER_RHOS
+    ]

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, as_int, as_real
+from .errors import ConfigurationError, as_int, as_real, as_tuple
 
 # fills the slots of a block shorter than the longest admissible length
 _PAD = -1
@@ -47,11 +46,7 @@ class AllocationRatio:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.weights, Iterable):
-            raise ConfigurationError(
-                f"allocation must be a list of weights, got {self.weights!r}"
-            )
-        weights = tuple(as_int(f"allocation[{i}]", w) for i, w in enumerate(self.weights))
+        weights = as_tuple("allocation", self.weights, as_int)
         if len(weights) < 2:
             raise ConfigurationError(f"allocation must list at least two arms, got {weights!r}")
         for i, w in enumerate(weights):
@@ -92,11 +87,7 @@ class TrialDesign:
         object.__setattr__(self, "block_size", as_int("block_size", self.block_size))
         if self.n_patients < 1:
             raise ConfigurationError(f"n_patients must be >= 1, got {self.n_patients}")
-        if not isinstance(self.strata_probs, Iterable):
-            raise ConfigurationError(
-                f"strata_probs must be a list of numbers, got {self.strata_probs!r}"
-            )
-        probs = tuple(as_real(f"strata_probs[{i}]", p) for i, p in enumerate(self.strata_probs))
+        probs = as_tuple("strata_probs", self.strata_probs, as_real)
         if len(probs) < 1 or not all(math.isfinite(p) and p >= 0 for p in probs):
             raise ConfigurationError(
                 f"strata_probs must be nonnegative and finite, got {probs!r}"
@@ -109,12 +100,7 @@ class TrialDesign:
         object.__setattr__(self, "allocation", _coerce_allocation(self.allocation))
         block_pattern(self.allocation, self.block_size)
         if self.block_sizes is not None:
-            if not isinstance(self.block_sizes, Iterable):
-                raise ConfigurationError(
-                    f"block_sizes must be a nonempty list when given, got {self.block_sizes!r}"
-                )
-            sizes = tuple(as_int(f"block_sizes[{i}]", size)
-                          for i, size in enumerate(self.block_sizes))
+            sizes = as_tuple("block_sizes", self.block_sizes, as_int)
             if not sizes:
                 raise ConfigurationError("block_sizes must be a nonempty list when given")
             for i, size in enumerate(sizes):

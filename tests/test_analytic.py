@@ -3,11 +3,17 @@ standard errors, and exact t-test power."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from scipy.stats import norm
+from scipy.stats import nct, norm, truncnorm
 
+import stratasim
 from stratasim.analytic import (
     expected_se,
     noncentral_t_power,
@@ -17,6 +23,7 @@ from stratasim.analytic import (
 )
 from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigurationError
+from stratasim.inference import _t_critical
 from stratasim.misclassify import HIGH, KINDS, LOW, MisclassModel
 from stratasim.randomizer import AllocationRatio, TrialDesign
 from oracles import (
@@ -74,6 +81,20 @@ class TestTruncnormMoments:
         lower_tail = truncnorm_moments(1.5, 2.0, upper=1.5 + 2.0 * norm.ppf(0.15))
         assert upper_tail.prob == pytest.approx(0.3, abs=1e-12)
         assert lower_tail.prob == pytest.approx(0.15, abs=1e-12)
+
+    @pytest.mark.parametrize("mu,sigma", itertools.product((-1.0, 0.0, 1.5), (0.7, 1.0, 2.0)))
+    def test_matches_scipy_stats_truncnorm(self, mu, sigma):
+        for lower, upper in itertools.product((-math.inf, -2.0, -0.5, 1.0),
+                                              (-0.25, 1.5, 4.0, math.inf)):
+            if not lower < upper:
+                continue
+            got = truncnorm_moments(mu, sigma, lower, upper)
+            a, b = (lower - mu) / sigma, (upper - mu) / sigma
+            mean, var = truncnorm.stats(a, b, loc=mu, scale=sigma, moments="mv")
+            assert got.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            # the closed form subtracts close terms in the variance
+            assert got.var == pytest.approx(var, rel=1e-10)
+            assert got.prob == pytest.approx(norm.cdf(b) - norm.cdf(a), rel=1e-12)
 
     def test_truncation_shrinks_variance(self):
         got = truncnorm_moments(0.0, 1.0, -1.5, 1.5)
@@ -239,6 +260,29 @@ class TestNoncentralTPower:
         exact = noncentral_t_power(0.5, se, df=76)
         assert abs(exact - sim) < 4.0 * math.sqrt(sim * (1.0 - sim) / n_draws)
 
+    @pytest.mark.parametrize("df", [1, 4, 30, 76])
+    def test_matches_scipy_stats_nct(self, df):
+        for effect, se, alpha in itertools.product((-1.2, 0.0, 0.3, 0.5, 2.0),
+                                                   (0.1, 0.306, 1.0), (0.01, 0.05, 0.2)):
+            crit, ncp = _t_critical(alpha, df), -abs(effect / se)
+            expected = nct.sf(crit, df, ncp) + nct.cdf(-crit, df, ncp)
+            assert noncentral_t_power(effect, se, df, alpha) == pytest.approx(expected, rel=1e-12)
+            # at a positive noncentrality scipy.stats can give NaN, as at
+            # (df 1, effect 1.2, se 0.1); where it does not, both signs agree
+            ncp = effect / se
+            direct = nct.sf(crit, df, ncp) + nct.cdf(-crit, df, ncp)
+            if not math.isnan(direct):
+                assert direct == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 5])
+    def test_even_in_effect_and_finite_at_large_noncentrality(self, df):
+        # scipy's nctdtr gives NaN at (df 1, ncp 12, x -12.7) and at
+        # (df 1, ncp -12, x 12.7); power at either sign must not
+        for effect in (1.2, 2.0, 4.0):
+            power = noncentral_t_power(effect, 0.1, df)
+            assert noncentral_t_power(-effect, 0.1, df) == power
+            assert 0.05 < power <= 1.0
+
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="positive"):
             noncentral_t_power(0.5, 0.0, 76)
@@ -249,3 +293,15 @@ class TestNoncentralTPower:
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ConfigurationError, match="alpha"):
             noncentral_t_power(0.5, 0.306, 76, alpha=alpha)
+
+
+def test_library_import_leaves_out_scipy_stats():
+    # the library takes its distribution functions from scipy.special; the
+    # scipy.stats import alone more than doubles the modules a run loads
+    code = ("import sys, stratasim, stratasim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    src = str(Path(stratasim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

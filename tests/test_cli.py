@@ -321,14 +321,19 @@ class TestBuildRunSpec:
         spec = build_run_spec(["--config", str(path), "--rb-draws", "7"])
         assert spec.scenarios[0].rb_draws == 7
 
-    @pytest.mark.parametrize("flags", [["--reps", "0"], ["--rb-draws", "-1"]])
+    @pytest.mark.parametrize("flags", [["--reps", "0"], ["--rb-draws", "-1"], ["--seed", "-3"],
+                                       ["--threads", "0"]])
     def test_out_of_range_overrides_rejected(self, tmp_path, capsys, flags):
+        # the constructors reject the value; the message names it by its flag
+        bound = {"--reps": 1, "--rb-draws": 0, "--seed": 0, "--threads": 1}[flags[0]]
+        line = rf"^stratasim: error: {flags[0]}: must be >= {bound}, got {flags[1]}$"
         path = tmp_path / "run.json"
         path.write_text("{}")
         for mode in (["--config", str(path)], ["--suite", "table2"]):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as exit_info:
                 build_run_spec(mode + flags)
-            assert flags[0] in capsys.readouterr().err
+            assert exit_info.value.code == 2
+            assert re.search(line, capsys.readouterr().err, re.MULTILINE)
 
     @pytest.mark.parametrize(
         "argv,flag",

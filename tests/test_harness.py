@@ -762,7 +762,7 @@ class TestPaperSuite:
             assert config.design == paper_design()
 
     def test_unknown_table_rejected(self):
-        for table_id in (0, 4, "1"):
+        for table_id in (0, 4, "1", True):
             with pytest.raises(ConfigurationError, match="^table_id must be 1, 2 or 3"):
                 paper_suite(table_id)
 

@@ -189,6 +189,12 @@ class TestCiAndTest:
         assert p_value == 0.0
         assert ci_low == ci_high == 0.5
 
+    @pytest.mark.parametrize("estimate,se", [(0.5, 0.2), (0.5, 0.0), (0.0, 0.0)])
+    def test_t_interval_takes_python_floats(self, estimate, se):
+        got = t_interval(estimate, se, 8, 0.05)
+        want = t_interval(np.float64(estimate), np.float64(se), np.int64(8), 0.05)
+        assert [float(x) for x in got] == [float(x) for x in want]
+
 
 class TestBatchedKernel:
     def _trial(self, seed, n=40):
