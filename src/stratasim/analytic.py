@@ -50,7 +50,8 @@ def truncnorm_moments(
     """Moments of N(mu, sigma^2) truncated to (lower, upper).
 
     Standard phi/Phi formulas on the standardized bounds; the interval
-    must carry positive probability.
+    must carry positive probability.  Above the mean the mass is taken in
+    upper tails, ``Phi(-a) - Phi(-b)``, which keep their precision far out.
     """
     if sigma <= 0.0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -58,7 +59,7 @@ def truncnorm_moments(
         raise ConfigurationError(f"empty truncation interval ({lower}, {upper})")
     a = (lower - mu) / sigma
     b = (upper - mu) / sigma
-    z = ndtr(b) - ndtr(a)
+    z = ndtr(-a) - ndtr(-b) if a > 0.0 else ndtr(b) - ndtr(a)
     if z < _MIN_MASS:
         raise ConfigurationError(
             f"truncation interval ({lower}, {upper}) has mass below {_MIN_MASS}"

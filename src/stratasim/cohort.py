@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigurationError, as_real, as_tuple
+from .errors import ConfigurationError, as_codes, as_real, as_tuple
 from .randomizer import TrialDesign
 
 # the smallest positive value of ``Generator.random``
@@ -83,11 +83,7 @@ def potential_outcomes(strata: np.ndarray, model: OutcomeModel,
     ``(..., n_patients)`` and ``(..., n_patients, 1 + n_arms)`` standard
     normals: column 0 is the shared factor ``u``, the rest the ``e_a``,
     which are not read at ``rho = 1``."""
-    strata = np.asarray(strata)
-    if strata.size and int(strata.max()) >= len(model.strata_means):
-        raise ConfigurationError(
-            f"stratum label {int(strata.max())} has no mean in {model.strata_means!r}"
-        )
+    strata = as_codes("stratum", strata, len(model.strata_means))
     n_arms = normals.shape[-1] - 1
     # at rho = 1, u + 0 * e_a is u for every finite e_a
     noise = math.sqrt(model.rho) * normals[..., :1]
@@ -129,11 +125,6 @@ def draw_cohort(
     normal is finite.  At ``rho = 1`` only the shared factor is inverted:
     the arm terms' uniforms are consumed but unused.
     """
-    if len(model.strata_means) != design.n_strata:
-        raise ConfigurationError(
-            f"outcome model has {len(model.strata_means)} strata means, "
-            f"design has {design.n_strata} strata"
-        )
     n = design.n_patients
     strata = strata_labels(design, uniforms[..., :n])
     cells = uniforms[..., n:].reshape(*strata.shape, -1)

@@ -1,10 +1,12 @@
 """Exception types, and the integer, number and list checks of config
-fields, shared across the package."""
+fields and the code check of label arrays, shared across the package."""
 
 from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -49,3 +51,19 @@ def as_tuple(field: str, values, read) -> tuple:
     if not isinstance(values, Iterable):
         raise ConfigurationError(f"{field} must be a list, got {values!r}")
     return tuple(read(f"{field}[{i}]", value) for i, value in enumerate(values))
+
+
+def as_codes(field: str, values, k: int) -> np.ndarray:
+    """``values``, stratum labels or arms, as an array of codes ``0..k - 1``:
+    integers as they are, integral floats such as ``1.0`` as ``intp``.  Any
+    other entry, booleans and strings included, raises a
+    ``ConfigurationError`` naming ``field`` and the first such entry."""
+    values = np.asarray(values)
+    codes = values if values.dtype.kind in "iu" else np.full(values.shape, -1)
+    if values.dtype.kind == "f":
+        whole = (np.floor(values) == values) & (values >= 0) & (values < k)
+        codes = np.where(whole, values, -1).astype(np.intp)
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
+        bad = values[(codes < 0) | (codes >= k)][:1].tolist()[0]
+        raise ConfigurationError(f"{field} {bad!r} outside 0..{k - 1}")
+    return codes

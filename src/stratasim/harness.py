@@ -230,10 +230,10 @@ def _stage_uniforms(rng: np.random.Generator, key: np.ndarray, stage: int, width
 def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     """Simulate and analyze replications ``start`` to ``stop`` as one chunk.
 
-    Both strata variants re-randomize within the reported strata, so they
-    share one null batch per replication.  Every variant's fits, observed
-    and null, of every replication come from one kernel call: row 0 of a
-    replication is its observed assignment, the rest its null batch.
+    Both strata variants, codes 0 and 1 that the kernel reads as they are,
+    share one null batch, drawn within the reported strata.  One kernel
+    call fits every variant and row of the chunk: row 0 of a replication
+    is its observed assignment, the rest its null batch.
     """
     design, outcome = config.design, config.outcome
     n_reps = stop - start

@@ -96,11 +96,12 @@ def fit_batch(
     ``strata_variants``, each ``(groups, n)``; the rows of a group share
     its outcomes ``y[group]``.
 
-    Returns one ``BatchFit``, variants first.  A stratum with no
-    patients in a group contributes no column there, so a group whose
-    patients all share one stratum is fit without a stratum term (one more
-    residual degree of freedom).  A group with fewer observations than
-    columns has invalid rows.
+    Stratum labels are the codes of ``errors.as_codes``, read as they are:
+    ``max + 1`` levels.  Returns one ``BatchFit``, variants first.  A
+    stratum with no patients in a group contributes no column there, and
+    exact zeros to every sum, so a group whose patients all share one
+    stratum is fit without a stratum term (one more residual degree of
+    freedom).  A group with fewer observations than columns has invalid rows.
 
     Frisch-Waugh: with one mean per present stratum the stratum block of
     the normal equations is ``diag(n_s)``, so each row reduces to the
@@ -132,12 +133,10 @@ def fit_batch(
     n_groups, n_rows, n = draws.shape
     if y.shape != (n_groups, n):
         raise ConfigurationError("y length does not match treatment draws")
-    strata = np.asarray(strata_variants)
-    if strata.ndim != 3 or strata.shape[1:] != (n_groups, n):
+    codes = np.asarray(strata_variants)
+    if codes.ndim != 3 or codes.shape[1:] != (n_groups, n):
         raise ConfigurationError("y, treatments, and strata must have equal length")
-    levels, codes = np.unique(strata, return_inverse=True)
-    n_lev, codes = levels.size, codes.reshape(strata.shape)
-    n_var, n_free = len(strata), n_arms - 1
+    n_lev, n_var, n_free = int(codes.max()) + 1, len(codes), n_arms - 1
 
     # column v * n_lev + s of a group is level s of variant v; a level
     # absent from a group has n_s = 0 there, and inv_n = 0

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cohort import Cohort, OutcomeModel
-from .errors import ConfigurationError, as_real
+from .errors import ConfigurationError, as_codes, as_real
 
 KINDS = ("ignorable", "nonignorable1", "nonignorable2")
 LOW, HIGH = 0, 1
@@ -54,13 +54,6 @@ class MisclassModel:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {rate}")
 
 
-def _require_two_strata(strata: np.ndarray) -> np.ndarray:
-    strata = np.asarray(strata)
-    if strata.size and (int(strata.min()) < LOW or int(strata.max()) > HIGH):
-        raise ConfigurationError("misclassification models require exactly two strata")
-    return strata
-
-
 def apply_ignorable(
     strata: np.ndarray, model: MisclassModel, rng: np.random.Generator
 ) -> np.ndarray:
@@ -69,7 +62,7 @@ def apply_ignorable(
 
 
 def _flip_ignorable(strata: np.ndarray, model: MisclassModel, uniforms: np.ndarray) -> np.ndarray:
-    strata = _require_two_strata(strata)
+    strata = as_codes("stratum", strata, 2)
     rate = np.where(strata == LOW, model.gamma_low, model.gamma_high)
     return np.where(uniforms < rate, HIGH - strata, strata).astype(np.int8)
 
@@ -102,7 +95,7 @@ def apply_nonignorable(cohort: Cohort, model: MisclassModel) -> np.ndarray:
 
 def _flip_nonignorable(strata: np.ndarray, potentials: np.ndarray, model: MisclassModel,
                        outcome: OutcomeModel) -> np.ndarray:
-    strata = _require_two_strata(strata)
+    strata = as_codes("stratum", strata, 2)
     low = strata == LOW
     (low_lo, low_hi), (high_lo, high_hi) = (flip_interval(model, outcome, s) for s in (LOW, HIGH))
     y = np.where(low, potentials[..., TRIGGER_ARM[LOW]], potentials[..., TRIGGER_ARM[HIGH]])

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, as_int, as_real, as_tuple
+from .errors import ConfigurationError, as_codes, as_int, as_real, as_tuple
 
 # fills the slots of a block shorter than the longest admissible length
 _PAD = -1
@@ -270,11 +270,7 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     pattern, so that is the law of opening a fresh block, of a random
     length, whenever the current one runs out.
     """
-    reported = np.asarray(reported)
-    n_strata = design.n_strata
-    stray = reported[(reported < 0) | (reported >= n_strata)]
-    if stray.size:
-        raise ConfigurationError(f"reported stratum {stray[0]} outside 0..{n_strata - 1}")
+    reported = as_codes("reported stratum", reported, design.n_strata)
     sizes, _, tables = _block_layout(design)
     cohorts = reported.reshape(-1, design.n_patients)
     n_cohorts, n_draws = len(cohorts), blocks.shape[reported.ndim - 1]
@@ -286,7 +282,7 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     rank = np.zeros(cohorts.shape, dtype=np.intp)
     first = np.zeros(cohorts.shape, dtype=np.intp)
     opened = np.zeros(n_cohorts, dtype=np.intp)
-    for s in range(n_strata):
+    for s in range(design.n_strata):
         member = cohorts == s
         counted = member.cumsum(axis=-1)
         rank += np.where(member, counted - 1, 0)

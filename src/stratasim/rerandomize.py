@@ -8,7 +8,7 @@ null of no treatment effect).  The harness draws one batch per
 replication and tests both strata variants against it, reading the
 statistics of a whole chunk of replications from one
 ``inference.fit_batch`` call through ``randomization_batch``;
-``randomization_pvalue`` tests one trial, a batch of one group.  The
+``randomization_pvalue`` tests one trial with any stratum labels.  The
 two-sided p-value uses the add-one convention
 
     p = (1 + #{ |stat*| >= |stat_obs| }) / (1 + draws).
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDesignError
+from .errors import ConfigurationError, DegenerateDesignError, as_codes
 from .inference import fit_batch
 
 FLAG_DISCARD_SHARE = 0.01
@@ -57,19 +57,21 @@ def randomization_pvalue(
 ) -> RandTestResult:
     """Re-randomization test of the sharp null of no treatment effect.
 
-    ``analysis_strata`` enters the refitted model; ``null_assignments``
-    is the ``(draws, n)`` null set, sampled or exhaustive, drawn within
-    the strata labels the original assignment actually saw.  A degenerate
-    fit of the observed assignment raises ``DegenerateDesignError``.
+    ``analysis_strata`` enters the refitted model, each distinct label a
+    stratum.  ``treatments`` and the ``(draws, n)`` null set
+    ``null_assignments``, sampled or exhaustive, drawn within the strata the
+    original assignment actually saw, are arm codes ``0..n_arms - 1``.  A
+    degenerate fit of the observed assignment raises ``DegenerateDesignError``.
     """
     draws = len(null_assignments)
     if draws == 0:
         raise ConfigurationError("null_assignments has no rows; need at least one draw")
     # the observed row rides in the same kernel call as the null draws, so
     # an exact re-draw of the observed assignment ties exactly
-    t_batch = np.vstack([treatments, null_assignments])
-    fit = fit_batch(np.asarray(y, dtype=float)[None], [np.asarray(analysis_strata)[None]],
-                    t_batch[None], n_arms)
+    t_batch = np.vstack([as_codes("treatments", treatments, n_arms),
+                         as_codes("null_assignments", null_assignments, n_arms)])
+    _, strata = np.unique(analysis_strata, return_inverse=True)
+    fit = fit_batch(np.asarray(y, dtype=float)[None], [strata[None]], t_batch[None], n_arms)
     stats, valid = fit.tstats(target_arm)
     if not valid[0, 0, 0]:
         raise DegenerateDesignError(DEGENERATE_OBSERVED)

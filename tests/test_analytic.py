@@ -96,6 +96,19 @@ class TestTruncnormMoments:
             assert got.var == pytest.approx(var, rel=1e-10)
             assert got.prob == pytest.approx(norm.cdf(b) - norm.cdf(a), rel=1e-12)
 
+    @pytest.mark.parametrize("a", (4.0, 5.0, 6.0, 6.5, 7.0))
+    @pytest.mark.parametrize("mu,sigma", ((0.0, 1.0), (1.5, 2.0)))
+    def test_far_upper_tail_matches_scipy_stats_truncnorm(self, a, mu, sigma):
+        # the mass of a far upper tail is taken from that tail, not as a
+        # difference of two CDF values near 1
+        lower = mu + sigma * a
+        got = truncnorm_moments(mu, sigma, lower)
+        a = (lower - mu) / sigma
+        mean, var = truncnorm.stats(a, math.inf, loc=mu, scale=sigma, moments="mv")
+        assert got.mean == pytest.approx(mean, rel=1e-10)
+        assert got.var == pytest.approx(var, rel=1e-10)
+        assert got.prob == pytest.approx(norm.sf(a), rel=1e-10)
+
     def test_truncation_shrinks_variance(self):
         got = truncnorm_moments(0.0, 1.0, -1.5, 1.5)
         assert got.var < 1.0
@@ -109,6 +122,9 @@ class TestTruncnormMoments:
             truncnorm_moments(0.0, 1.0, 2.0, -2.0)
         with pytest.raises(ConfigurationError, match="mass"):
             truncnorm_moments(0.0, 1.0, 40.0, 41.0)
+        # an upper tail past about 7.03 sigma carries less than 1e-12
+        with pytest.raises(ConfigurationError, match="mass"):
+            truncnorm_moments(0.0, 1.0, 7.1)
 
 
 class TestMixtureCells:

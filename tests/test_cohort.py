@@ -15,6 +15,7 @@ from stratasim.cohort import (
     cohort_width,
     draw_cohort,
     observed_outcomes,
+    potential_outcomes,
     sample_potential_outcomes,
 )
 from stratasim.errors import ConfigurationError
@@ -117,6 +118,14 @@ class TestPotentialOutcomes:
     def test_cohort_normals_by_inversion_have_the_factor_moments(self):
         model = OutcomeModel(rho=0.5, delta=0.5)
         _assert_factor_moments(model, *_cohort(_design(400_000), model, _rng(25)))
+
+    def test_labels_must_be_stratum_codes(self):
+        # -1 must not index the last stratum's mean
+        model = OutcomeModel(rho=1.0, delta=0.0, strata_means=(0.0, 10.0))
+        with pytest.raises(ConfigurationError, match="^stratum -1 outside 0..1"):
+            potential_outcomes(np.array([-1, 0, 1]), model, np.zeros((3, 4)))
+        got = potential_outcomes(np.array([1.0, 0.0, 1.0]), model, np.zeros((3, 4)))
+        assert got[:, 0].tolist() == [10.0, 0.0, 10.0]
 
     def test_independent_arms_at_zero_correlation(self):
         n = 200_000

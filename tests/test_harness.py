@@ -3,6 +3,7 @@ accounting in the scenario runner."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 import re
@@ -765,6 +766,35 @@ class TestPaperSuite:
         for table_id in (0, 4, "1", True):
             with pytest.raises(ConfigurationError, match="^table_id must be 1, 2 or 3"):
                 paper_suite(table_id)
+
+
+def _varblock_suite(reps, rb_draws):
+    """N = 20, strata 0.2/0.8, 1:2:2 in random blocks of 5 or 10: the three
+    kinds at effects 0 and 0.5."""
+    design = TrialDesign(20, (0.2, 0.8), AllocationRatio((1, 2, 2)), 10, block_sizes=(5, 10))
+    return [ScenarioConfig(design=design, outcome=OutcomeModel(rho=1.0, delta=delta),
+                           misclass=MisclassModel(kind, 0.15, 0.30), n_replications=reps,
+                           rb_draws=rb_draws, label=f"varblock {kind} d{delta:g}")
+            for delta in (0.0, 0.5) for kind in KINDS]
+
+
+# SHA-256 of ``repr(run_suite(grid))``.  A change of the random stream or of
+# any result's last bit changes a digest: only a change that alters results
+# on purpose may update one, and says why.
+SUITE_DIGESTS = {
+    "table1": (lambda: paper_suite(1, reps=300),
+               "984b3d509a93bf2ea886174987d9ef332babcdeda9d49315a387fb29e1cfdd33"),
+    "table2": (lambda: paper_suite(2, reps=4, rb_draws=50),
+               "a757ac94b51b4b68cb55275f563aed2b9935f14f6a8f98e851de01bd19fb7957"),
+    "varblock": (lambda: _varblock_suite(4, 50),
+                 "402d2fc781abe0a20735b461b158eb25ceea614fe9973350e2ef476f5adf921a"),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SUITE_DIGESTS))
+def test_suite_results_are_pinned(grid):
+    build, digest = SUITE_DIGESTS[grid]
+    assert hashlib.sha256(repr(harness.run_suite(build())).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("threads", [0, -3, True, "2", 1.5])

@@ -161,6 +161,15 @@ class TestDispatch:
         with pytest.raises(ConfigurationError):
             apply_ignorable(cohort.true_strata, MisclassModel("ignorable", 0.1, 0.1), _rng())
 
+    def test_labels_must_be_stratum_codes(self):
+        # a fractional label must not be flipped as if it were stratum 0
+        model = MisclassModel("ignorable", 0.5, 0.5)
+        with pytest.raises(ConfigurationError, match=r"^stratum 0\.5 outside 0..1"):
+            apply_ignorable(np.full(6, 0.5), model, _rng())
+        strata = np.array([0, 1, 1, 0, 1, 0], dtype=np.int8)
+        np.testing.assert_array_equal(apply_ignorable(strata.astype(float), model, _rng(5)),
+                                      apply_ignorable(strata, model, _rng(5)))
+
 
 @pytest.mark.parametrize("field,value", [
     ("gamma_low", "0.1"), ("gamma_high", None), ("gamma_low", False), ("gamma_high", [0.1]),

@@ -166,6 +166,15 @@ class TestSequentialAssignment:
         with pytest.raises(ConfigurationError, match="stratum -1 outside"):
             randomize_cohort(design, np.full(10, -1, dtype=np.int8), _rng())
 
+    def test_labels_must_be_stratum_codes(self):
+        # a fractional label must not be dealt stratum 0's codes
+        design = _design(n=8)
+        with pytest.raises(ConfigurationError, match=r"^reported stratum 0\.5 outside 0..1"):
+            randomize_cohort(design, np.full(8, 0.5), _rng())
+        reported = np.array([0, 1, 1, 0, 1, 1, 0, 1], dtype=np.int8)
+        assert np.array_equal(randomize_cohort(design, reported.astype(float), _rng(3)),
+                              randomize_cohort(design, reported, _rng(3)))
+
     def test_prefix_assignments_do_not_depend_on_later_arrivals(self):
         # in law: the first 10 codes of a 12-patient cohort are distributed
         # as a 10-patient cohort, position by position and pair by pair

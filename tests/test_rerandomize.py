@@ -198,3 +198,39 @@ class TestRandomBlockSizes:
         assert 0.0 < res.p_value <= 1.0
         assert res.p_value == _pvalue(stats[0], stats[1:][valid[1:]])
         assert res.draws_requested == 60
+
+
+class TestLabels:
+    """Stratum labels may be any values; treatments are arm codes."""
+
+    @staticmethod
+    def _trial():
+        design = TrialDesign(n_patients=12, strata_probs=(0.5, 0.5),
+                             allocation=AllocationRatio((1, 1)), block_size=2)
+        rng = _rng(54)
+        strata = (rng.random(12) >= 0.5).astype(int)
+        y = rng.standard_normal(12)
+        treatments = batch_block_assignments(design, strata, 1, rng)[0]
+        return y, treatments, strata, batch_block_assignments(design, strata, 40, rng)
+
+    def test_any_stratum_labels_test_alike(self):
+        y, treatments, strata, draws = self._trial()
+        want = randomization_pvalue(y, treatments, strata, draws, n_arms=2)
+        for labels in (np.where(strata == 1, 7, -5), strata + 0.5, strata * 1000,
+                       np.where(strata == 1, "upper", "lower")):
+            got = randomization_pvalue(y, treatments, labels, draws, n_arms=2)
+            assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+
+    def test_unknown_arm_codes_raise(self):
+        # an unknown arm must not count as control, nor a fractional null
+        # draw as a degenerate one
+        y, treatments, strata, draws = self._trial()
+        for control in (7, -1):
+            with pytest.raises(ConfigurationError, match=f"^treatments {control} outside 0..1"):
+                randomization_pvalue(y, np.where(treatments == 0, control, 1), strata, draws,
+                                     n_arms=2)
+        with pytest.raises(ConfigurationError, match=r"^null_assignments [01]\.5 outside 0..1"):
+            randomization_pvalue(y, treatments, strata, draws + 0.5, n_arms=2)
+        want = randomization_pvalue(y, treatments, strata, draws, n_arms=2)
+        assert randomization_pvalue(y, treatments.astype(float), strata, draws.astype(float),
+                                    n_arms=2) == want
