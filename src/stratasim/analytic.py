@@ -2,11 +2,11 @@
 
 Within a reported stratum the population is a two-component mixture:
 patients kept from the matching true stratum plus patients flipped in
-from the other one.  For the nonignorable models each component is a
-normal truncated on its trigger outcome: flipped patients to the
-interval of ``misclassify.flip_interval``, the same rule that labels
-simulated cohorts, and kept patients to its complement.  The moments of
-the *other* arms follow from the bivariate normal regression
+from the other one, the cells of ``cell_table``.  For the nonignorable
+models each cell is a normal truncated on its trigger outcome: flipped
+patients to the interval of ``misclassify.flip_interval``, the same rule
+that labels simulated cohorts, and kept patients to its complement.  The
+moments of the *other* arms follow from the bivariate normal regression
 
     E[y_a | y_b in I] = mu_a + rho * (E[y_b | I] - mu_b)
     var(y_a | y_b in I) = rho^2 * var(y_b | I) + (1 - rho^2) * sigma^2
@@ -18,6 +18,7 @@ Distribution functions come from ``scipy.special`` alone: ``ndtr``,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import inf, pi, sqrt
 
@@ -73,22 +74,11 @@ def truncnorm_moments(
 
 
 @dataclass(frozen=True)
-class MixtureComponent:
-    """One origin stratum's contribution to a reported-stratum cell."""
-
-    origin: int
-    weight: float
-    mean: float
-    var: float
-
-
-@dataclass(frozen=True)
 class CellSummary:
     """Moments of one (reported stratum, arm) potential outcome."""
 
     mean: float
     sd: float
-    components: tuple[MixtureComponent, ...]
 
 
 @dataclass(frozen=True)
@@ -123,60 +113,58 @@ def _component_moments(
     return mu_arm + rho * (tm.mean - mu_trig), rho * rho * tm.var + (1.0 - rho * rho) * sigma2
 
 
+def cell_table(
+    model: MisclassModel, outcome: OutcomeModel, strata_probs: tuple[float, float] = (0.4, 0.6)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(weight, mean, var)`` of every (true ``s``, reported ``r``, arm ``a``)
+    cell, indexed by codes: ``weight[s, r]`` is the share of true stratum
+    ``s`` reported as ``r``, ``p_s * gamma_s`` when ``r != s``, else
+    ``p_s * (1 - gamma_s)``; ``mean[s, r, a]`` and ``var[s, r, a]`` are the
+    moments of arm ``a``'s potential outcome there, for arms 0 and 1.  A
+    nonignorable model truncates a flipped cell to ``flip_interval`` and a
+    kept cell to its complement.  A cell whose share is below ``_MIN_MASS``
+    has no moments: NaN."""
+    if len(strata_probs) != 2:
+        raise ConfigurationError("mixture summaries require exactly two strata")
+    rates = (model.gamma_low, model.gamma_high)
+    weight = np.array([[p * (1.0 - g) if r == s else p * g for r in (LOW, HIGH)]
+                       for s, (p, g) in enumerate(zip(strata_probs, rates))])
+    mean, var = np.full((2, 2, 2), np.nan), np.full((2, 2, 2), np.nan)
+    for s, r in itertools.product((LOW, HIGH), repeat=2):
+        if weight[s, r] < _MIN_MASS:
+            continue
+        interval = None
+        if model.kind != "ignorable":
+            lower, upper = flip_interval(model, outcome, s)
+            kept = (upper, inf) if lower == -inf else (-inf, lower)
+            interval = kept if r == s else (lower, upper)
+        for arm in (0, 1):
+            mean[s, r, arm], var[s, r, arm] = _component_moments(s, arm, interval, outcome)
+    return weight, mean, var
+
+
 def reported_strata_mixture(
     model: MisclassModel,
     outcome: OutcomeModel,
     strata_probs: tuple[float, float] = (0.4, 0.6),
-    arms: tuple[int, ...] = (0, 1),
 ) -> StrataMixtureSummary:
-    """Mixture moments of the potential outcomes within reported strata.
-
-    Every model sends exactly ``gamma_low`` of the lower stratum up and
-    ``gamma_high`` of the upper stratum down, so the reported-stratum
-    weights are shared; the component shapes differ by model kind.
-    """
-    if len(strata_probs) != 2:
-        raise ConfigurationError("mixture summaries require exactly two strata")
-    p_low, p_high = strata_probs
-    kept_w = {LOW: p_low * (1.0 - model.gamma_low), HIGH: p_high * (1.0 - model.gamma_high)}
-    flip_w = {LOW: p_low * model.gamma_low, HIGH: p_high * model.gamma_high}
-    weights = (kept_w[LOW] + flip_w[HIGH], kept_w[HIGH] + flip_w[LOW])
-    for reported, w in zip((LOW, HIGH), weights):
-        if w < _MIN_MASS:
-            raise ConfigurationError(f"reported stratum {reported} has weight {w} < {_MIN_MASS}")
-
-    intervals: dict[int, tuple | None] = {LOW: None, HIGH: None}
-    kept_ivs: dict[int, tuple | None] = {LOW: None, HIGH: None}
-    if model.kind != "ignorable":
-        for s in (LOW, HIGH):
-            lower, upper = flip_interval(model, outcome, s)
-            intervals[s] = (lower, upper)
-            kept_ivs[s] = (upper, inf) if lower == -inf else (-inf, lower)
-
+    """Mixture moments of the potential outcomes within reported strata,
+    reduced from ``cell_table``: reported stratum ``r`` weighs
+    ``weight[r, r] + weight[1 - r, r]``, and each (``r``, arm) cell mixes
+    the table cells of ``r`` that have moments, kept patients first.  Every
+    model flips the same shares, so only the cell shapes differ by kind."""
+    weight, mean, var = cell_table(model, outcome, strata_probs)
+    weights = tuple(float(weight[r, r] + weight[HIGH - r, r]) for r in (LOW, HIGH))
     cells: dict[tuple[int, int], CellSummary] = {}
-    for reported in (LOW, HIGH):
-        other = HIGH - reported
-        parts = [
-            (reported, kept_w[reported], kept_ivs[reported]),
-            (other, flip_w[other], intervals[other]),
-        ]
-        for arm in arms:
-            comps = []
-            for origin, w, interval in parts:
-                if w < _MIN_MASS:
-                    continue
-                m, v = _component_moments(origin, arm, interval, outcome)
-                comps.append(MixtureComponent(origin=origin, weight=w, mean=m, var=v))
-            total = sum(c.weight for c in comps)
-            mean = sum(c.weight * c.mean for c in comps) / total
-            second = sum(c.weight * (c.var + c.mean**2) for c in comps) / total
-            cells[(reported, arm)] = CellSummary(
-                mean=mean,
-                sd=sqrt(max(second - mean * mean, 0.0)),
-                components=tuple(
-                    MixtureComponent(c.origin, c.weight / total, c.mean, c.var) for c in comps
-                ),
-            )
+    for r in (LOW, HIGH):
+        origins = [s for s in (r, HIGH - r) if not np.isnan(mean[s, r, 0])]
+        if not origins:
+            raise ConfigurationError(f"reported stratum {r} has no cell of weight >= {_MIN_MASS}")
+        w = weight[origins, r]
+        for arm in (0, 1):
+            m, v = mean[origins, r, arm], var[origins, r, arm]
+            mu, second = (w * m).sum() / w.sum(), (w * (v + m**2)).sum() / w.sum()
+            cells[(r, arm)] = CellSummary(float(mu), sqrt(max(second - mu * mu, 0.0)))
     return StrataMixtureSummary(weights=weights, cells=cells)
 
 

@@ -55,15 +55,25 @@ def as_tuple(field: str, values, read) -> tuple:
 
 def as_codes(field: str, values, k: int) -> np.ndarray:
     """``values``, stratum labels or arms, as an array of codes ``0..k - 1``:
-    integers as they are, integral floats such as ``1.0`` as ``intp``.  Any
-    other entry, booleans and strings included, raises a
+    integer arrays as they are, other integral numbers such as ``1.0`` as
+    ``intp``.  Any other entry, booleans and strings included, raises a
     ``ConfigurationError`` naming ``field`` and the first such entry."""
-    values = np.asarray(values)
-    codes = values if values.dtype.kind in "iu" else np.full(values.shape, -1)
-    if values.dtype.kind == "f":
-        whole = (np.floor(values) == values) & (values >= 0) & (values < k)
-        codes = np.where(whole, values, -1).astype(np.intp)
+    array = number = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        # each entry as given: numpy reads [1, 'a'] as the strings '1' and 'a'
+        array = np.asarray(values, dtype=object)
+        number = np.vectorize(_number, otypes=[float])(array)
+    codes = number
+    if number.dtype.kind == "f":
+        whole = (np.floor(number) == number) & (number >= 0) & (number < k)
+        codes = np.where(whole, number, -1).astype(np.intp)
     if codes.size and (codes.min() < 0 or codes.max() >= k):
-        bad = values[(codes < 0) | (codes >= k)][:1].tolist()[0]
+        bad = array[(codes < 0) | (codes >= k)][:1].tolist()[0]
         raise ConfigurationError(f"{field} {bad!r} outside 0..{k - 1}")
     return codes
+
+
+def _number(entry) -> float:
+    """An entry of a label array as a float, NaN when it is not a number."""
+    real = isinstance(entry, numbers.Real) and not isinstance(entry, bool)
+    return float(entry) if real else np.nan

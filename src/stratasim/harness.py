@@ -295,43 +295,36 @@ def run_replication(config: ScenarioConfig, rep_index: int) -> Outcomes:
     return _run_chunk(config, rep_index, rep_index + 1)
 
 
+def _mean(values: np.ndarray) -> float:
+    """Mean of ``values``, NaN when there are none."""
+    return float(values.mean()) if values.size else float("nan")
+
+
 def _aggregate_variant(
     config: ScenarioConfig, name: str, outcomes: Outcomes, v: int, valid: np.ndarray
 ) -> VariantMetrics:
     est = outcomes.estimate[v, valid]
     n = est.size
-    if n == 0:
-        nan = float("nan")
-        metrics = dict.fromkeys(
-            ("bias", "mean_estimate", "sd_estimate", "coverage", "mean_se",
-             "reject_rate", "mc_se_bias", "mc_se_coverage", "mc_se_reject"), nan,
-        )
-        if config.rb_enabled:
-            metrics.update(rb_reject_rate=nan, mc_se_rb_reject=nan)
-        return VariantMetrics(strata_used=name, n=0, **metrics)
-    se = outcomes.se[v, valid]
-    covered = outcomes.covered[v, valid].astype(float)
-    reject = (outcomes.p_value[v, valid] <= config.alpha).astype(float)
-    coverage = float(covered.mean())
-    reject_rate = float(reject.mean())
+    coverage = _mean(outcomes.covered[v, valid].astype(float))
+    reject_rate = _mean((outcomes.p_value[v, valid] <= config.alpha).astype(float))
     sd_est = float(est.std(ddof=1)) if n > 1 else float("nan")
     metrics = dict(
         strata_used=name,
         n=n,
-        bias=float(est.mean()) - config.outcome.delta,
-        mean_estimate=float(est.mean()),
+        bias=_mean(est) - config.outcome.delta,
+        mean_estimate=_mean(est),
         sd_estimate=sd_est,
         coverage=coverage,
-        mean_se=float(se.mean()),
+        mean_se=_mean(outcomes.se[v, valid]),
         reject_rate=reject_rate,
         mc_se_bias=sd_est / math.sqrt(n) if n > 1 else float("nan"),
         mc_se_coverage=mc_se_rate(coverage, n),
         mc_se_reject=mc_se_rate(reject_rate, n),
     )
     if config.rb_enabled:
-        rb_reject = (outcomes.rb_p[v, valid] <= config.alpha).astype(float)
-        metrics["rb_reject_rate"] = float(rb_reject.mean())
-        metrics["mc_se_rb_reject"] = mc_se_rate(float(rb_reject.mean()), n)
+        rb_reject_rate = _mean((outcomes.rb_p[v, valid] <= config.alpha).astype(float))
+        metrics["rb_reject_rate"] = rb_reject_rate
+        metrics["mc_se_rb_reject"] = mc_se_rate(rb_reject_rate, n)
         metrics["rb_flagged"] = int(outcomes.rb_flagged[v, valid].sum())
         metrics["rb_discarded"] = int(outcomes.rb_discarded[v, valid].sum())
     return VariantMetrics(**metrics)

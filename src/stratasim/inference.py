@@ -256,20 +256,18 @@ def t_interval(
     se: np.ndarray,
     df: np.ndarray,
     alpha: float,
-    null_value: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided t intervals and tests, elementwise over broadcast arrays
-    or floats: ``(ci_low, ci_high, statistic, p_value)``.  A zero SE gives
-    statistic 0 and p = 1 when the estimate equals the null value, else an
+    """Two-sided t intervals and tests of a zero effect, elementwise over
+    broadcast arrays or floats: ``(ci_low, ci_high, statistic, p_value)``.
+    A zero SE gives statistic 0 and p = 1 when the estimate is 0, else an
     infinite statistic and p = 0.  Entries with ``df < 1`` are NaN."""
-    df = np.asarray(df)
+    df, estimate = np.asarray(df), np.asarray(estimate)
     crit = np.reshape([_t_critical(alpha, d) for d in df.ravel().tolist()], df.shape)
-    gap = np.subtract(estimate, null_value)
     zero = se == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        stat = gap / se
+        stat = estimate / se
         p = 2.0 * stdtr(df, -np.abs(stat))
         if np.any(zero):
-            stat = np.where(zero, np.where(gap == 0.0, 0.0, np.inf * np.sign(gap)), stat)
-            p = np.where(zero & (df >= 1), np.where(gap == 0.0, 1.0, 0.0), p)
+            stat = np.where(zero, np.where(estimate == 0.0, 0.0, np.inf * np.sign(estimate)), stat)
+            p = np.where(zero & (df >= 1), np.where(estimate == 0.0, 1.0, 0.0), p)
     return estimate - crit * se, estimate + crit * se, stat, p

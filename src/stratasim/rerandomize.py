@@ -58,11 +58,19 @@ def randomization_pvalue(
     """Re-randomization test of the sharp null of no treatment effect.
 
     ``analysis_strata`` enters the refitted model, each distinct label a
-    stratum.  ``treatments`` and the ``(draws, n)`` null set
-    ``null_assignments``, sampled or exhaustive, drawn within the strata the
-    original assignment actually saw, are arm codes ``0..n_arms - 1``.  A
-    degenerate fit of the observed assignment raises ``DegenerateDesignError``.
+    stratum.  ``treatments``, shaped ``(n,)`` for the ``n`` outcomes ``y``,
+    and the ``(draws, n)`` null set ``null_assignments``, sampled or
+    exhaustive, drawn within the strata the original assignment actually
+    saw, are arm codes ``0..n_arms - 1``; another shape raises a
+    ``ConfigurationError`` naming the field.  A degenerate fit of the
+    observed assignment raises ``DegenerateDesignError``.
     """
+    n = len(y)
+    if np.shape(treatments) != (n,):
+        raise ConfigurationError(f"treatments must have shape ({n},), got {np.shape(treatments)}")
+    if np.ndim(null_assignments) != 2 or np.shape(null_assignments)[1] != n:
+        raise ConfigurationError(
+            f"null_assignments must have shape (draws, {n}), got {np.shape(null_assignments)}")
     draws = len(null_assignments)
     if draws == 0:
         raise ConfigurationError("null_assignments has no rows; need at least one draw")

@@ -10,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.stats import nct, norm, truncnorm
 
 import stratasim
 from stratasim.analytic import (
+    cell_table,
     expected_se,
     noncentral_t_power,
     pooled_residual_sd,
@@ -171,14 +173,36 @@ class TestMixtureCells:
         assert cell.mean == pytest.approx(mean, abs=1e-12)
         assert cell.sd == pytest.approx(math.sqrt(second - mean * mean), abs=1e-12)
 
-    def test_component_bookkeeping(self):
-        cell = _summary("nonignorable1", rho=0.5).cell(LOW, 1)
-        assert [c.origin for c in cell.components] == [LOW, HIGH]
-        assert sum(c.weight for c in cell.components) == pytest.approx(1.0, abs=1e-12)
-        mean = sum(c.weight * c.mean for c in cell.components)
-        second = sum(c.weight * (c.var + c.mean**2) for c in cell.components)
-        assert cell.mean == pytest.approx(mean, abs=1e-12)
-        assert cell.sd**2 == pytest.approx(second - mean * mean, abs=1e-12)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_cells_reduce_the_cell_table(self, kind):
+        model, outcome = MisclassModel(kind, *HIGH_RATES), OutcomeModel(rho=0.5, delta=0.5)
+        weight, mean, var = cell_table(model, outcome)
+        assert weight == pytest.approx(np.array([[0.4 * 0.85, 0.4 * 0.15],
+                                                 [0.6 * 0.30, 0.6 * 0.70]]), abs=1e-15)
+        summary = reported_strata_mixture(model, outcome)
+        for reported, arm in itertools.product((LOW, HIGH), (0, 1)):
+            w = weight[:, reported] / weight[:, reported].sum()
+            m, v = mean[:, reported, arm], var[:, reported, arm]
+            cell = summary.cell(reported, arm)
+            assert isinstance(cell.mean, float) and isinstance(cell.sd, float)
+            assert cell.mean == pytest.approx(w @ m, abs=1e-12)
+            assert cell.sd**2 == pytest.approx(w @ (v + m * m) - (w @ m) ** 2, abs=1e-12)
+        assert summary.weights == pytest.approx(tuple(weight.sum(axis=0)), abs=1e-15)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_zero_rate_cell_has_no_moments(self, kind):
+        # no lower-stratum patient is reported upper, so that cell has no
+        # law, and reported stratum 1 is the upper stratum's kept cell
+        model, outcome = MisclassModel(kind, 0.0, 0.30), OutcomeModel(rho=0.5, delta=0.5)
+        weight, mean, var = cell_table(model, outcome)
+        assert weight[LOW, HIGH] == 0.0
+        assert np.isnan(mean[LOW, HIGH]).all() and np.isnan(var[LOW, HIGH]).all()
+        assert not np.isnan(mean[[LOW, HIGH, HIGH], [LOW, LOW, HIGH]]).any()
+        summary = reported_strata_mixture(model, outcome)
+        for arm in (0, 1):
+            cell = summary.cell(HIGH, arm)
+            assert cell.mean == pytest.approx(mean[HIGH, HIGH, arm], abs=1e-12)
+            assert cell.sd == pytest.approx(math.sqrt(var[HIGH, HIGH, arm]), abs=1e-12)
 
     def test_validation(self):
         outcome = OutcomeModel(rho=1.0, delta=0.5)

@@ -4,6 +4,7 @@ end-to-end command entry point."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 import warnings
@@ -457,6 +458,16 @@ class TestMain:
         assert float(picked["sd"]) == pytest.approx(cell.sd, abs=1e-12)
         assert float(picked["mean_rounded"]) == round(cell.mean, 2)
         assert float(by_key[("nonignorable1 rho1", "1", "1")]["mean_rounded"]) == 2.0
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv", "01bec96ef2b9c5f19362d81496da3ea7af141b2d6fb220e8bf096940308c3026"),
+        ("json", "7dae216e301a272420b60d6626be628d9bc722993df1554b7c391253f5a7aad4"),
+    ])
+    def test_mixture_suite_output_is_pinned(self, capsys, fmt, digest):
+        # every byte of the analytic table: a refactor of the mixture
+        # arithmetic must not move one bit
+        assert main(["--suite", "table3", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_bad_config_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

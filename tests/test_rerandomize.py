@@ -221,6 +221,19 @@ class TestLabels:
             got = randomization_pvalue(y, treatments, labels, draws, n_arms=2)
             assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
 
+    def test_shapes_are_checked(self):
+        # one draw passed flat must not count each patient as a draw
+        y, treatments, strata, draws = self._trial()
+        for bad in (draws[0], draws.reshape(2, 20, 12), draws[:, :5], draws[:, :, None]):
+            with pytest.raises(ConfigurationError, match=r"^null_assignments must have shape "
+                                                         r"\(draws, 12\), got"):
+                randomization_pvalue(y, treatments, strata, bad, n_arms=2)
+        for bad in (treatments[None], treatments[:11], draws[:2]):
+            with pytest.raises(ConfigurationError, match=r"^treatments must have shape \(12,\)"):
+                randomization_pvalue(y, bad, strata, draws, n_arms=2)
+        one = randomization_pvalue(y, treatments, strata, draws[:1], n_arms=2)
+        assert (one.draws_requested, one.draws_used) == (1, 1)
+
     def test_unknown_arm_codes_raise(self):
         # an unknown arm must not count as control, nor a fractional null
         # draw as a degenerate one
