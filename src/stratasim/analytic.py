@@ -168,18 +168,16 @@ def reported_strata_mixture(
     return StrataMixtureSummary(weights=weights, cells=cells)
 
 
-def expected_se(design: TrialDesign, sigma: float = 1.0, arm: int = 1) -> float:
-    """Model SE of the arm coefficient at exact target arm counts.
+def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
+    """Model SE of the arm-1 coefficient at exact target arm counts.
 
     With residual scale ``sigma`` and arm sizes ``n_a = N w_a / sum(w)``,
-    the arm-versus-control coefficient has SE sigma * sqrt(1/n_0 + 1/n_a).
+    the arm-1-versus-control coefficient has SE sigma * sqrt(1/n_0 + 1/n_1).
     """
     alloc = design.allocation
-    if not 1 <= arm < alloc.n_arms:
-        raise ConfigurationError(f"arm must lie in 1..{alloc.n_arms - 1}, got {arm}")
     n0 = design.n_patients * alloc.target_share(0)
-    na = design.n_patients * alloc.target_share(arm)
-    return sigma * sqrt(1.0 / n0 + 1.0 / na)
+    n1 = design.n_patients * alloc.target_share(1)
+    return sigma * sqrt(1.0 / n0 + 1.0 / n1)
 
 
 def pooled_residual_sd(

@@ -55,12 +55,13 @@ def as_tuple(field: str, values, read) -> tuple:
 
 def as_codes(field: str, values, k: int) -> np.ndarray:
     """``values``, stratum labels or arms, as an array of codes ``0..k - 1``:
-    integer arrays as they are, other integral numbers such as ``1.0`` as
-    ``intp``.  Any other entry, booleans and strings included, raises a
+    numpy integer arrays as they are, other integral numbers such as ``1.0``
+    as ``intp``.  Any other entry, booleans and strings included, raises a
     ``ConfigurationError`` naming ``field`` and the first such entry."""
-    array = number = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        # each entry as given: numpy reads [1, 'a'] as the strings '1' and 'a'
+    array = number = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        # each entry as given: numpy reads [True, 1] as the integers 1 and 1
+        # and [1, 'a'] as the strings '1' and 'a'
         array = np.asarray(values, dtype=object)
         number = np.vectorize(_number, otypes=[float])(array)
     codes = number

@@ -166,14 +166,15 @@ class Outcomes:
 
     ``error`` holds one string per replication, empty when it is valid.
     The other arrays are ``(variants, replications)``, corrected strata
-    first, and meaningless where the replication is invalid.
+    first, and meaningless where the replication is invalid; ``rejected``
+    marks a model test that rejects, its t interval excluding 0.
     """
 
     error: np.ndarray
     estimate: np.ndarray
     se: np.ndarray
     covered: np.ndarray
-    p_value: np.ndarray
+    rejected: np.ndarray
     rb_p: np.ndarray
     rb_discarded: np.ndarray
     rb_flagged: np.ndarray
@@ -259,7 +260,7 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
 
     # (variant, replication) arrays from row 0, the observed assignment
     estimate, se = fit.arm_coef[0, ..., 0], fit.arm_se[0, ..., 0]
-    ci_low, ci_high, _, p_value = t_interval(estimate, se, fit.df, config.alpha)
+    ci_low, ci_high = t_interval(estimate, se, fit.df, config.alpha)
     failed = ~fit.valid[..., 0] | (fit.df < 1)
     shape = estimate.shape
     rb_p, discarded, flagged = np.full(shape, np.nan), np.zeros(shape, int), np.zeros(shape, bool)
@@ -277,7 +278,7 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
         for variant_fault in fault:
             error = np.where(error == "", variant_fault, error)
     return Outcomes(
-        error=error, estimate=estimate, se=se, p_value=p_value,
+        error=error, estimate=estimate, se=se, rejected=(ci_low > 0.0) | (ci_high < 0.0),
         covered=(ci_low <= outcome.delta) & (outcome.delta <= ci_high),
         rb_p=rb_p, rb_discarded=discarded, rb_flagged=flagged,
     )
@@ -306,7 +307,7 @@ def _aggregate_variant(
     est = outcomes.estimate[v, valid]
     n = est.size
     coverage = _mean(outcomes.covered[v, valid].astype(float))
-    reject_rate = _mean((outcomes.p_value[v, valid] <= config.alpha).astype(float))
+    reject_rate = _mean(outcomes.rejected[v, valid].astype(float))
     sd_est = float(est.std(ddof=1)) if n > 1 else float("nan")
     metrics = dict(
         strata_used=name,

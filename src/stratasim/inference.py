@@ -5,13 +5,13 @@ stratum indicator, and one indicator per active arm:
 
     y ~ 1 + 1{stratum high} + 1{T = 1} + ... + 1{T = t}
 
-with a single residual variance.  The target quantity is the arm-1
-coefficient (treatment effect versus control).  One kernel,
+with a single residual variance.  The target quantity, the only one, is
+the arm-1 coefficient (treatment effect versus control).  One kernel,
 ``fit_batch``, fits many assignment rows of many trials at once, one
-trial being a batch of one; its ``BatchFit`` carries only the arm terms
-and names why each invalid row failed.  Confidence intervals and tests
-use the t distribution on the residual degrees of freedom, elementwise
-over whole arrays in ``t_interval``.
+trial being a batch of one; its ``BatchFit`` carries only the arm terms,
+of every arm, and names why each invalid row failed.  ``t_interval``
+gives t intervals on the residual degrees of freedom over whole arrays;
+the test of a zero effect rejects where the interval excludes 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
+from scipy.special import stdtrit
 
 from .errors import ConfigurationError
 
@@ -69,18 +69,11 @@ class BatchFit:
             out[self.df == df] = f"{n} observations cannot identify {n - df} columns"
         return out
 
-    def _arm_index(self, target_arm: int) -> int:
-        n_arms = self.arm_count.shape[0]
-        if not 1 <= target_arm < n_arms:
-            raise ConfigurationError(f"target arm {target_arm} outside 1..{n_arms - 1}")
-        return target_arm - 1
-
-    def tstats(self, target_arm: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """``(tstats, valid)`` of one arm coefficient, ``(variants, groups,
+    def tstats(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(tstats, valid)`` of the arm-1 coefficient, ``(variants, groups,
         rows)``; NaN where invalid."""
-        arm = self._arm_index(target_arm)
         with np.errstate(invalid="ignore", divide="ignore"):
-            stats = self.arm_coef[arm] / self.arm_se[arm]
+            stats = self.arm_coef[0] / self.arm_se[0]
         valid = self.valid & np.isfinite(stats)
         return np.where(valid, stats, np.nan), valid
 
@@ -256,18 +249,10 @@ def t_interval(
     se: np.ndarray,
     df: np.ndarray,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided t intervals and tests of a zero effect, elementwise over
-    broadcast arrays or floats: ``(ci_low, ci_high, statistic, p_value)``.
-    A zero SE gives statistic 0 and p = 1 when the estimate is 0, else an
-    infinite statistic and p = 0.  Entries with ``df < 1`` are NaN."""
-    df, estimate = np.asarray(df), np.asarray(estimate)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided ``1 - alpha`` t intervals, elementwise over broadcast
+    arrays or floats: ``(ci_low, ci_high)``.  Entries with ``df < 1`` are
+    NaN."""
+    df = np.asarray(df)
     crit = np.reshape([_t_critical(alpha, d) for d in df.ravel().tolist()], df.shape)
-    zero = se == 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        stat = estimate / se
-        p = 2.0 * stdtr(df, -np.abs(stat))
-        if np.any(zero):
-            stat = np.where(zero, np.where(estimate == 0.0, 0.0, np.inf * np.sign(estimate)), stat)
-            p = np.where(zero & (df >= 1), np.where(estimate == 0.0, 1.0, 0.0), p)
-    return estimate - crit * se, estimate + crit * se, stat, p
+    return estimate - crit * se, estimate + crit * se

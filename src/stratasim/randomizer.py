@@ -34,6 +34,9 @@ _PAD = -1
 # blocks with more distinct arrangements than this are permuted by sorting
 # uniform keys instead of indexing a table (1:2:2 in 10 has 3,150)
 MAX_TABLE_ROWS = 100_000
+# the longest admissible block, far past any trial's; past the arrangement
+# tables every block of a draw takes one uniform per slot of this length
+MAX_BLOCK_SIZE = 1_000
 
 
 @dataclass(frozen=True)
@@ -98,13 +101,13 @@ class TrialDesign:
             )
         object.__setattr__(self, "strata_probs", probs)
         object.__setattr__(self, "allocation", _coerce_allocation(self.allocation))
-        block_pattern(self.allocation, self.block_size)
+        _block_counts(self.allocation, self.block_size)
         if self.block_sizes is not None:
             sizes = as_tuple("block_sizes", self.block_sizes, as_int)
             if not sizes:
                 raise ConfigurationError("block_sizes must be a nonempty list when given")
             for i, size in enumerate(sizes):
-                block_pattern(self.allocation, size, f"block_sizes[{i}]")
+                _block_counts(self.allocation, size, f"block_sizes[{i}]")
             object.__setattr__(self, "block_sizes", sizes)
 
     @property
@@ -118,31 +121,35 @@ def _coerce_allocation(allocation) -> AllocationRatio:
     return AllocationRatio(allocation)
 
 
-def block_pattern(allocation: AllocationRatio, block_size: int,
-                  field: str = "block_size") -> np.ndarray:
-    """Multiset of treatment codes filling one block, in sorted order.
-
-    The block holds ``block_size * w_a / sum(w)`` copies of each arm ``a``,
-    so ``block_size`` must be a multiple of the weight total; an error
-    names the length by ``field``.
-    """
-    allocation = _coerce_allocation(allocation)
+def _block_counts(allocation: AllocationRatio, block_size: int,
+                  field: str = "block_size") -> list[int]:
+    """Copies of each arm ``a`` in one block, ``block_size * w_a / sum(w)``,
+    so ``block_size`` must be a multiple of the weight total of at most
+    ``MAX_BLOCK_SIZE``; an error names the length by ``field``."""
     if block_size < 1 or block_size % allocation.total != 0:
         raise ConfigurationError(
             f"{field} must be a positive multiple of the allocation weight "
             f"total {allocation.total}, got {block_size}"
         )
-    per_unit = block_size // allocation.total
-    counts = [w * per_unit for w in allocation.weights]
+    if block_size > MAX_BLOCK_SIZE:
+        raise ConfigurationError(f"{field} must be at most {MAX_BLOCK_SIZE}, got {block_size}")
+    return [w * (block_size // allocation.total) for w in allocation.weights]
+
+
+def block_pattern(allocation: AllocationRatio, block_size: int) -> np.ndarray:
+    """Multiset of treatment codes filling one block, in sorted order: the
+    copies of ``_block_counts``."""
+    allocation = _coerce_allocation(allocation)
+    counts = _block_counts(allocation, block_size)
     return np.repeat(np.arange(allocation.n_arms, dtype=np.int8), counts)
 
 
-def _orderings(counts: np.ndarray) -> np.ndarray:
+def _orderings(counts: list[int]) -> np.ndarray:
     """Every distinct ordering of a block holding ``counts[a]`` copies of
     arm ``a``, one per row: arm 0 goes into every choice of slots, then arm
     1 into every choice of the slots left, and so on; the last arm fills
     the rest."""
-    size = int(counts.sum())
+    size = sum(counts)
     table = np.full((1, size), len(counts) - 1, dtype=np.int8)
     free = np.arange(size)[None, :]  # unfilled slots of each row
     for arm, count in enumerate(counts[:-1]):
@@ -171,12 +178,14 @@ def _arrangement_table(
     """
     parts = []
     for size in sizes:
-        counts = np.bincount(block_pattern(AllocationRatio(weights), size))
-        n_rows = math.factorial(size)
+        counts = _block_counts(AllocationRatio(weights), size)
+        # the multinomial count of orderings, one binomial factor per arm
+        n_rows, placed = 1, 0
         for count in counts:
-            n_rows //= math.factorial(int(count))
-        if n_rows > MAX_TABLE_ROWS:
-            return None
+            placed += count
+            n_rows *= math.comb(placed, count)
+            if n_rows > MAX_TABLE_ROWS:
+                return None
         parts.append(_orderings(counts))
     n_rows = np.array([len(part) for part in parts])
     first_row = np.concatenate([[0], n_rows.cumsum()[:-1]])

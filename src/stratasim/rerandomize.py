@@ -53,7 +53,6 @@ def randomization_pvalue(
     analysis_strata: np.ndarray,
     null_assignments: np.ndarray,
     n_arms: int,
-    target_arm: int = 1,
 ) -> RandTestResult:
     """Re-randomization test of the sharp null of no treatment effect.
 
@@ -80,7 +79,7 @@ def randomization_pvalue(
                          as_codes("null_assignments", null_assignments, n_arms)])
     _, strata = np.unique(analysis_strata, return_inverse=True)
     fit = fit_batch(np.asarray(y, dtype=float)[None], [strata[None]], t_batch[None], n_arms)
-    stats, valid = fit.tstats(target_arm)
+    stats, valid = fit.tstats()
     if not valid[0, 0, 0]:
         raise DegenerateDesignError(DEGENERATE_OBSERVED)
     (p_value,), (discarded,), (flagged,) = randomization_batch(stats[0], valid[0])

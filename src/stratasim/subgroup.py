@@ -14,18 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int, as_tuple
 
 
 @dataclass(frozen=True)
 class SubgroupCounts:
-    """Stratum size, treated count within it, and subgroup size."""
+    """Stratum size, treated count within it, and subgroup size, each an
+    integer."""
 
     n_stratum: int
     n_treated: int
     n_subgroup: int
 
     def __post_init__(self) -> None:
+        for field in ("n_stratum", "n_treated", "n_subgroup"):
+            object.__setattr__(self, field, as_int(field, getattr(self, field)))
         if self.n_stratum < 1:
             raise ConfigurationError(f"stratum size must be >= 1, got {self.n_stratum}")
         if not 0 <= self.n_treated <= self.n_stratum:
@@ -70,14 +73,16 @@ def tau_permuted_block(
     only the final partial block (length ``N_j mod B``) varies.  Its
     treated count is hypergeometric over one permuted block, giving an
     exact closed form.  ``tau = 0`` whenever the stratum size is a
-    multiple of the block length.
+    multiple of the block length.  The size and each treated arm are
+    integers.
     """
+    stratum_size = as_int("stratum_size", stratum_size)
     if stratum_size < 1:
         raise ConfigurationError(f"stratum size must be >= 1, got {stratum_size}")
     block = len(pattern)
     if block < 1:
         raise ConfigurationError("pattern must be nonempty")
-    treated = set(int(a) for a in treated_arms)
+    treated = set(as_tuple("treated_arms", treated_arms, as_int))
     k_block = sum(1 for code in pattern if int(code) in treated)
     remainder = stratum_size % block
     if remainder == 0 or block == 1:
@@ -96,8 +101,10 @@ def unconditional_variance(
         pi (1 - pi) / N_Rj + (tau - pi (1 - pi)) / N_j
 
     which never exceeds the binomial benchmark ``pi (1 - pi) / N_Rj``
-    whenever ``tau <= pi (1 - pi)`` — blocking can only tighten it.
+    whenever ``tau <= pi (1 - pi)`` — blocking can only tighten it.  Both
+    sizes are integers.
     """
+    n_subgroup, n_stratum = as_int("n_subgroup", n_subgroup), as_int("n_stratum", n_stratum)
     if not 0.0 <= pi <= 1.0:
         raise ConfigurationError(f"pi must lie in [0, 1], got {pi}")
     if tau < 0.0:

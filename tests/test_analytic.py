@@ -241,17 +241,8 @@ class TestExpectedSe:
         assert expected_se(design, sigma=2.0) == pytest.approx(
             2.0 * expected_se(design), abs=1e-15
         )
-        assert expected_se(design, arm=1) == pytest.approx(
-            math.sqrt(1.0 / 20 + 1.0 / 20), abs=1e-15
-        )
-        assert expected_se(design, arm=2) == pytest.approx(
-            math.sqrt(1.0 / 20 + 1.0 / 40), abs=1e-15
-        )
-
-    @pytest.mark.parametrize("arm", [0, 3, 5, -1])
-    def test_arm_outside_active_arms_rejected(self, arm):
-        with pytest.raises(ConfigurationError, match=rf"arm must lie in 1\.\.2, got {arm}"):
-            expected_se(_design(), arm=arm)
+        # arm 1's 20 patients, not arm 2's 40
+        assert expected_se(design) == pytest.approx(math.sqrt(1.0 / 20 + 1.0 / 20), abs=1e-15)
 
 
 class TestPooledResidualSd:

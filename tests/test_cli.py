@@ -143,6 +143,8 @@ class TestParseConfig:
             ({"misclass": {"kind": 7}}, "misclass.kind"),
             ({"design": {"block_size": 7}}, "design.block_size:"),
             ({"design": {"block_sizes": [10, 7]}}, "design.block_sizes[1]:"),
+            ({"design": {"block_size": 1e15}}, "design.block_size:"),
+            ({"design": {"block_sizes": [10, 10**15]}}, "design.block_sizes[1]:"),
             ({"misclass": {"kind": "other"}}, "misclass.kind:"),
             ({"design": {"n": 0}}, "design.n:"),
             ({"outcome": {"sigma": -1}}, "outcome.sigma:"),
@@ -467,6 +469,20 @@ class TestMain:
         # every byte of the analytic table: a refactor of the mixture
         # arithmetic must not move one bit
         assert main(["--suite", "table3", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--suite", "table1", "--reps", "300"],
+         "06466ecb3d61b3d8a7c61215367892ea7557a7abed2800d34eca2a7995f26d97"),
+        (["--suite", "table2", "--reps", "4", "--rb-draws", "50"],
+         "cd075652df4007a9a50d80b1692f72a99f22317e5ee099febc998c117f980d60"),
+        (["--suite", "table2", "--reps", "4", "--rb-draws", "50", "--threads", "2"],
+         "cd075652df4007a9a50d80b1692f72a99f22317e5ee099febc998c117f980d60"),
+    ])
+    def test_simulation_suite_output_is_pinned(self, capsys, argv, digest):
+        # every byte of the results, the level and power columns included:
+        # a change to how a test decides must not move one
+        assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_bad_config_exits_cleanly(self, tmp_path, capsys):

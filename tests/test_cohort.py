@@ -125,7 +125,8 @@ class TestPotentialOutcomes:
         with pytest.raises(ConfigurationError, match="^stratum -1 outside 0..1"):
             potential_outcomes(np.array([-1, 0, 1]), model, np.zeros((3, 4)))
         # a mixed list names its first entry that is no code, not its first entry
-        for labels, bad in (([0, None], "None"), ([1, "a"], "'a'"), ([1, 0.5], "0.5")):
+        for labels, bad in (([0, None], "None"), ([1, "a"], "'a'"), ([1, 0.5], "0.5"),
+                            ([True, 1], "True")):
             with pytest.raises(ConfigurationError, match=f"^stratum {bad} outside 0..1"):
                 potential_outcomes(labels, model, np.zeros((2, 4)))
         got = potential_outcomes(np.array([1.0, 0.0, 1.0]), model, np.zeros((3, 4)))

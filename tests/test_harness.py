@@ -253,7 +253,7 @@ class TestRunReplication:
         out = run_replication(_config(), 3)
         assert out.error.tolist() == [""]
         assert out.estimate.shape == out.rb_p.shape == (2, 1)
-        assert ((0.0 < out.p_value) & (out.p_value <= 1.0)).all()
+        assert out.rejected.shape == (2, 1) and out.rejected.dtype == bool
         assert (out.se > 0.0).all()
         assert np.isnan(out.rb_p).all()
         assert (out.rb_discarded == 0).all() and not out.rb_flagged.any()
@@ -539,7 +539,10 @@ class TestAggregation:
         assert (out.error == "").all()
         est = out.estimate[0]
         covered = out.covered[0].astype(float)
-        reject = (out.p_value[0] <= 0.05).astype(float)
+        reject = out.rejected[0].astype(float)
+        # the model test rejects where |t| passes the critical value
+        crit = inference._t_critical(0.05, 76)
+        assert out.rejected[0].tolist() == (np.abs(est / out.se[0]) > crit).tolist()
         got = metrics.corrected
         assert got.n == 40
         assert got.bias == pytest.approx(est.mean() - 0.5, abs=1e-12)
@@ -605,7 +608,7 @@ class TestAggregation:
 
             return Outcomes(
                 error=np.full(n, "", dtype=object), estimate=column(0.5, 0.5),
-                se=column(0.2, 0.2), covered=column(True, True), p_value=column(0.01, 0.01),
+                se=column(0.2, 0.2), covered=column(True, True), rejected=column(True, True),
                 rb_p=column(flagged.p_value, clean.p_value),
                 rb_discarded=column(flagged.discarded, clean.discarded),
                 rb_flagged=column(flagged.flagged, clean.flagged),

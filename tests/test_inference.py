@@ -49,16 +49,37 @@ def _fit_one(y, treatments, strata, n_arms=3):
     return _one_group(y, [strata], np.asarray(treatments)[None], n_arms)[0]
 
 
-def _interval(fit, alpha=0.05, target_arm=1):
-    """``t_interval`` of one arm coefficient of every row of ``fit``."""
-    arm = target_arm - 1
-    return np.stack(t_interval(fit.arm_coef[arm], fit.arm_se[arm], fit.df[..., None], alpha))
+def _interval(fit, alpha=0.05):
+    """``t_interval`` of the arm-1 coefficient of every row of ``fit``."""
+    return np.stack(t_interval(fit.arm_coef[0], fit.arm_se[0], fit.df[..., None], alpha))
 
 
-def _tstats(y, strata, rows, n_arms, target_arm=1):
+def _rejected(fit, alpha=0.05):
+    """The model test of every row: its interval excludes 0."""
+    ci_low, ci_high = _interval(fit, alpha)
+    return (ci_low > 0.0) | (ci_high < 0.0)
+
+
+def _tstats(y, strata, rows, n_arms):
     (fit,) = _one_group(y, [strata], rows, n_arms)
-    stats, valid = fit.tstats(target_arm)
+    stats, valid = fit.tstats()
     return stats[0, 0], valid[0, 0]
+
+
+def _trial(seed, n=40):
+    """One cohort of ``n`` patients, 1:2:2 in blocks of 5, and 64 of its
+    block assignments."""
+    design = TrialDesign(
+        n_patients=n,
+        strata_probs=(0.4, 0.6),
+        allocation=AllocationRatio((1, 2, 2)),
+        block_size=5,
+    )
+    rng = _rng(seed)
+    strata = (rng.random(n) >= 0.4).astype(np.int8)
+    y = rng.standard_normal(n) + 0.3 * strata
+    draws = batch_block_assignments(design, strata, 64, rng)
+    return y, strata, draws
 
 
 def _assert_matches_oracle(fit, row, design, y):
@@ -150,22 +171,23 @@ class TestCiAndTest:
         fit = _fit_one(Y, TREATMENTS, STRATA)
         estimate, se = fit.arm_coef[0, 0, 0, 0], fit.arm_se[0, 0, 0, 0]
         for alpha in (0.05, 0.01):
-            ci_low, ci_high, statistic, p_value = _interval(fit, alpha)[:, 0, 0, 0]
-            stat = estimate / se
-            assert abs(statistic - stat) < 1e-12
-            assert abs(p_value - t_two_sided_p(stat, fit.df[0, 0])) < 1e-8
+            ci_low, ci_high = _interval(fit, alpha)[:, 0, 0, 0]
             tcrit = t_critical_bisect(alpha, fit.df[0, 0])
             assert abs(ci_low - (estimate - tcrit * se)) < 1e-6
             assert abs(ci_high - (estimate + tcrit * se)) < 1e-6
+        # the interval's decision is the quadrature p-value's, row by row
+        y, strata, draws = _trial(43)
+        (fit,) = _one_group(y, [strata], draws, 3)
+        stats, valid = fit.tstats()
+        decisions = set()
+        for alpha in (0.5, 0.05, 0.01):
+            want = [t_two_sided_p(t, fit.df[0, 0]) <= alpha for t in stats[valid]]
+            assert _rejected(fit, alpha)[valid].tolist() == want
+            decisions.update(want)
+        assert decisions == {True, False}
 
     def test_critical_value_pinned(self):
         assert abs(_t_critical(0.05, 76) - 1.9916726096446642) < 1e-12
-
-    @pytest.mark.parametrize("target_arm", [0, 3, -1])
-    def test_target_arm_outside_active_arms_rejected(self, target_arm):
-        fit = _fit_one(Y, TREATMENTS, STRATA)
-        with pytest.raises(ConfigurationError, match=f"target arm {target_arm} outside 1..2"):
-            fit.tstats(target_arm)
 
     def test_zero_se_edge(self):
         def one_row(estimate):
@@ -175,12 +197,11 @@ class TestCiAndTest:
                 valid=np.ones((1, 1, 1), dtype=bool), arm_count=np.full((2, 1, 1, 1), 5),
             )
 
-        ci_low, ci_high, _, p_value = _interval(one_row(0.0))[:, 0, 0, 0]
-        assert p_value == 1.0  # estimate equals the null exactly
-        assert ci_low == ci_high == 0.0
-        ci_low, ci_high, _, p_value = _interval(one_row(0.5))[:, 0, 0, 0]
-        assert p_value == 0.0
-        assert ci_low == ci_high == 0.5
+        # a zero SE rejects every estimate but the null itself
+        for estimate in (0.0, 0.5, -0.5):
+            ci_low, ci_high = _interval(one_row(estimate))[:, 0, 0, 0]
+            assert ci_low == ci_high == estimate
+            assert _rejected(one_row(estimate))[0, 0, 0] == (estimate != 0.0)
 
     @pytest.mark.parametrize("estimate,se", [(0.5, 0.2), (0.5, 0.0), (0.0, 0.0)])
     def test_t_interval_takes_python_floats(self, estimate, se):
@@ -190,28 +211,13 @@ class TestCiAndTest:
 
 
 class TestBatchedKernel:
-    def _trial(self, seed, n=40):
-        design = TrialDesign(
-            n_patients=n,
-            strata_probs=(0.4, 0.6),
-            allocation=AllocationRatio((1, 2, 2)),
-            block_size=5,
-        )
-        rng = _rng(seed)
-        strata = (rng.random(n) >= 0.4).astype(np.int8)
-        y = rng.standard_normal(n) + 0.3 * strata
-        draws = batch_block_assignments(design, strata, 64, rng)
-        return y, strata, draws
-
-    @pytest.mark.parametrize("target_arm", [1, 2])
-    def test_matches_single_fits(self, target_arm):
-        y, strata, draws = self._trial(43)
-        stats, valid = _tstats(y, strata, draws, 3, target_arm)
+    def test_matches_single_fits(self):
+        y, strata, draws = _trial(43)
+        stats, valid = _tstats(y, strata, draws, 3)
         assert valid.all()
         for row, got in zip(draws, stats):
             fit = _fit_one(y, row, strata)
-            want = fit.arm_coef[target_arm - 1, 0, 0, 0] / fit.arm_se[target_arm - 1, 0, 0, 0]
-            assert abs(got - want) < 1e-10
+            assert abs(got - fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]) < 1e-10
 
     def test_degenerate_rows_flagged_not_raised(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
@@ -245,7 +251,7 @@ class TestBatchedKernel:
         (batch,) = _one_group(Y, [strata], rows, 3)
         assert batch.df.tolist() == [[7]]
         assert batch.valid[0, 0].tolist() == [True, True, False, False, True]
-        stats, t_valid = _tstats(Y, strata, rows, 3, 2)
+        stats, t_valid = _tstats(Y, strata, rows, 3)
         assert t_valid.tolist() == batch.valid[0, 0].tolist()
         assert np.isnan(stats[~batch.valid[0, 0]]).all()
         for b in np.flatnonzero(batch.valid[0, 0]):
@@ -255,8 +261,8 @@ class TestBatchedKernel:
             ]
             _assert_matches_oracle(batch, b, design, Y)
             beta, rss, unscaled = ols_exact(design, Y)
-            want_se = math.sqrt(float(rss) / 7 * float(unscaled[4]))
-            assert abs(stats[b] - float(beta[4]) / want_se) < 1e-10
+            want_se = math.sqrt(float(rss) / 7 * float(unscaled[3]))
+            assert abs(stats[b] - float(beta[3]) / want_se) < 1e-10
 
     def test_rank_tolerance_is_strict(self):
         assert RANK_TOL == 1e-10
@@ -303,9 +309,11 @@ class TestStackedKernel:
         fits = _one_group(y, self.STRATA, self.ROWS, 3)
         for strata, batch in zip(self.STRATA, fits):
             one = _fit_one(y, self.ROWS[4], strata)
-            for target in (1, 2):
-                got = _interval(batch, 0.1, target)[..., 4]
-                assert got.tobytes() == _interval(one, 0.1, target)[..., 0].tobytes()
+            for arms in ("arm_coef", "arm_se"):
+                got = getattr(batch, arms)[..., 4]
+                assert got.tobytes() == getattr(one, arms)[..., 0].tobytes()
+            got = _interval(batch, 0.1)[..., 4]
+            assert got.tobytes() == _interval(one, 0.1)[..., 0].tobytes()
 
     @pytest.mark.parametrize("n_arms", [2, 3, 4])
     def test_row_zero_bit_identical_alone_and_in_a_large_batch(self, n_arms):
@@ -390,7 +398,7 @@ class TestGroupAxis:
     def test_t_interval_entry_equals_scalar_call(self):
         y, variants, draws = self._groups(73)
         fit = fit_batch(y, variants, draws, 3)
-        whole = _interval(fit, 0.1, 2)
+        whole = _interval(fit, 0.1)
         for v, g, r in ((0, 0, 0), (1, 3, 4)):
-            one = t_interval(fit.arm_coef[1, v, g, r], fit.arm_se[1, v, g, r], fit.df[v, g], 0.1)
+            one = t_interval(fit.arm_coef[0, v, g, r], fit.arm_se[0, v, g, r], fit.df[v, g], 0.1)
             assert whole[:, v, g, r].tolist() == [float(x) for x in one]

@@ -11,6 +11,7 @@ import pytest
 
 from stratasim.errors import ConfigurationError
 from stratasim.randomizer import (
+    MAX_BLOCK_SIZE,
     MAX_TABLE_ROWS,
     AllocationRatio,
     TrialDesign,
@@ -74,6 +75,14 @@ class TestBlockPattern:
         with pytest.raises(ConfigurationError, match="7"):
             block_pattern(AllocationRatio((1, 2, 2)), 7)
 
+    @pytest.mark.parametrize("kw,field", [({"block": 10**15}, "block_size"),
+                                          ({"block_sizes": (5, 10**15)}, r"block_sizes\[1\]"),
+                                          ({"block": MAX_BLOCK_SIZE + 5}, "block_size")])
+    def test_overlong_block_rejected_before_it_is_built(self, kw, field):
+        # a block of 10**15 codes would need 909 TiB
+        with pytest.raises(ConfigurationError, match=f"^{field} must be at most {MAX_BLOCK_SIZE},"):
+            _design(**kw)
+
     def test_design_validation(self):
         with pytest.raises(ConfigurationError):
             _design(probs=(0.5, 0.6))
@@ -125,6 +134,9 @@ class TestArrangementTable:
         assert _arrangement_table((1, 2, 2), (20,)) is None
         assert _arrangement_table((1, 2, 2), (5, 20)) is None
         assert MAX_TABLE_ROWS < 62_355_150
+        # the longest admissible block is a design, its orderings counted
+        assert _design(block=MAX_BLOCK_SIZE).block_size == MAX_BLOCK_SIZE
+        assert _arrangement_table((1, 2, 2), (MAX_BLOCK_SIZE,)) is None
 
     def test_lengths_stack_padded(self):
         table, first_row, n_rows = _arrangement_table((1, 2, 2), (5, 10))

@@ -4,6 +4,7 @@ the partial-block tau term, and the unconditional bound."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,29 @@ class TestUnconditionalVariance:
             unconditional_variance(0.4, 0.0, 30, 20)
         with pytest.raises(ConfigurationError, match="subgroup"):
             unconditional_variance(0.4, 0.0, 0, 20)
+
+
+@pytest.mark.parametrize("call,args,field", [
+    (SubgroupCounts, (10.5, 3, 4), "n_stratum"),
+    (SubgroupCounts, (True, True, True), "n_stratum"),
+    (SubgroupCounts, ("10", 3, 4), "n_stratum"),
+    (SubgroupCounts, (10, 3.5, 4), "n_treated"),
+    (SubgroupCounts, (10, 3, "4"), "n_subgroup"),
+    (tau_permuted_block, (12.5, [0, 1, 1, 0]), "stratum_size"),
+    (tau_permuted_block, (12, [0, 1, 1, 0], ("1",)), "treated_arms[0]"),
+    (tau_permuted_block, (12, [0, 1, 1, 0], (1.5,)), "treated_arms[0]"),
+    (unconditional_variance, (0.4, 0.0, 10.5, 20), "n_subgroup"),
+    (unconditional_variance, (0.4, 0.0, 10, False), "n_stratum"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_counts_must_be_integers(call, args, field):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(field)} must be an integer"):
+        call(*args)
+
+
+def test_integral_floats_are_read_as_integers():
+    counts = SubgroupCounts(10.0, 3.0, np.int64(4))
+    assert [type(n) for n in (counts.n_stratum, counts.n_treated, counts.n_subgroup)] == [int] * 3
+    assert conditional_moments(counts) == conditional_moments(SubgroupCounts(10, 3, 4))
 
 
 class TestSimulatedConcordance:
