@@ -8,6 +8,8 @@ pair of arms the same correlation ``rho``:
 
 with ``u`` and the ``e_a`` independent standard normals.  At ``rho = 1``
 the arm difference is the same constant ``delta`` for every patient.
+Potential outcomes are shaped ``(..., n_patients, n_arms)`` but stored as
+one contiguous plane of patients per arm.
 """
 
 from __future__ import annotations
@@ -82,16 +84,29 @@ def potential_outcomes(strata: np.ndarray, model: OutcomeModel,
     """The ``(..., n_patients, n_arms)`` potential outcomes from labels
     ``(..., n_patients)`` and ``(..., n_patients, 1 + n_arms)`` standard
     normals: column 0 is the shared factor ``u``, the rest the ``e_a``,
-    which are not read at ``rho = 1``."""
+    which are not read at ``rho = 1``.
+
+    The result is a view of arm planes, ``(n_arms, ..., n_patients)`` in
+    memory, so each arm's outcomes are contiguous along patients.
+    """
     strata = as_codes("stratum", strata, len(model.strata_means))
     n_arms = normals.shape[-1] - 1
-    # at rho = 1, u + 0 * e_a is u for every finite e_a
-    noise = math.sqrt(model.rho) * normals[..., :1]
-    if model.rho < 1.0:
-        noise = noise + math.sqrt(1.0 - model.rho) * normals[..., 1:]
-    means = np.array([[model.mean(s, arm) for arm in range(n_arms)]
-                      for s in range(len(model.strata_means))])
-    return means[strata] + model.sigma * noise
+    means = np.array([[model.mean(s, arm) for s in range(len(model.strata_means))]
+                      for arm in range(n_arms)])
+    index = strata.astype(np.intp)
+    shared = math.sqrt(model.rho) * normals[..., 0]
+    planes = np.empty((n_arms, *strata.shape))
+    for arm, plane in enumerate(planes):
+        # the noise, sigma times it, then the mean, in place; at rho = 1,
+        # u + 0 * e_a is u for every finite e_a
+        if model.rho < 1.0:
+            np.multiply(math.sqrt(1.0 - model.rho), normals[..., 1 + arm], out=plane)
+            np.add(shared, plane, out=plane)
+        else:
+            plane[...] = shared
+        np.multiply(model.sigma, plane, out=plane)
+        np.add(means[arm].take(index), plane, out=plane)
+    return np.moveaxis(planes, 0, -1)
 
 
 def sample_potential_outcomes(
@@ -136,6 +151,13 @@ def draw_cohort(
 
 def observed_outcomes(potentials: np.ndarray, treatments: np.ndarray) -> np.ndarray:
     """Select each patient's outcome under the assigned arm; any leading
-    shape shared by ``potentials`` and ``treatments``."""
+    shape shared by ``potentials`` and ``treatments``.  One flat ``take``
+    over the arm planes: patient ``i`` of arm ``a`` sits at ``a * size +
+    i``, ``size`` patients to a plane."""
     treatments = np.asarray(treatments, dtype=np.intp)
-    return np.take_along_axis(potentials, treatments[..., None], axis=-1)[..., 0]
+    if treatments.shape != potentials.shape[:-1]:
+        raise ConfigurationError(
+            f"treatments have shape {treatments.shape}, expected {potentials.shape[:-1]}")
+    size = treatments.size
+    planes = np.moveaxis(potentials, -1, 0).reshape(-1)
+    return planes.take(treatments.ravel() * size + np.arange(size)).reshape(treatments.shape)

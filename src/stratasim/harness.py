@@ -21,20 +21,20 @@ key is derived once per seed and process; a chunk draws every stage from
 one generator whose state is set per stage.
 
 Chunks: ``_chunk_size`` gives ``CHUNK_CELLS`` over what one replication
-holds, its ``(1 + rb_draws) * n_patients`` assignments plus its
-``cohort_width`` uniforms (at least one replication), so a chunk's arrays
-stay the same size whatever the design: 682 replications of a table1
-scenario, 4 of a table2 one.  Every stage runs once per chunk on
-``(replications, ...)`` arrays, with no loop over replications, and one
-kernel call fits every row of the chunk.  A replication's numbers do not
+holds, its ``1 + rb_draws`` assignments of ``max(n_patients,
+block_width)`` cells each plus its ``cohort_width`` uniforms (at least one
+replication), so a chunk's arrays stay the same size whatever the design:
+682 replications of a table1 scenario, 4 of a table2 one.  Every stage
+runs once per chunk on ``(replications, ...)`` arrays, with no loop over
+replications, and one kernel call fits every row of the chunk.  A replication's numbers do not
 depend on its chunk, so results are independent of chunking and thread
 count, and aggregation runs over arrays held in replication order.
 
 Runner: ``run_suite`` is the one path for every replication.  It cuts each
 scenario into tasks of ``TASK_CHUNKS`` (12) whole chunks and sends every
-task of the suite through one ``map``: the builtin one at ``threads=1``,
-else that of one process pool for the whole run.  Each scenario is reduced
-as soon as its last task is in.  ``run_scenario`` is a suite of one, and
+task of the suite through one ``map``: the builtin one when there is one
+worker, else that of one process pool for the whole run.  Each scenario
+is reduced as soon as its last task is in.  ``run_scenario`` is a suite of one, and
 ``run_replication`` a chunk of one that returns its replication's
 ``Outcomes``.
 """
@@ -194,9 +194,12 @@ def mc_se_rate(rate: float, n: int) -> float:
 
 def _chunk_size(config: ScenarioConfig) -> int:
     """Replications per chunk: ``CHUNK_CELLS`` over what one replication
-    holds, its patient assignments and its cohort uniforms; at least one."""
+    holds, its assignments and its cohort uniforms; at least one.  An
+    assignment counts as its patients or its ``block_width`` uniforms,
+    whichever is more."""
     design = config.design
-    per_rep = (1 + config.rb_draws) * design.n_patients + cohort_width(design)
+    per_assignment = max(design.n_patients, block_width(design))
+    per_rep = (1 + config.rb_draws) * per_assignment + cohort_width(design)
     return max(1, CHUNK_CELLS // per_rep)
 
 
@@ -371,10 +374,11 @@ def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioM
     """Run and aggregate every scenario of a suite.
 
     Every task, ``TASK_CHUNKS`` whole chunks of one scenario, goes through
-    one ``map``: the builtin one at ``threads=1``, else that of one process
-    pool for the whole suite.  Each scenario is reduced in replication order
-    as soon as its last task is in, so no result depends on the thread
-    count, and a serial run holds one scenario's outcomes at a time.
+    one ``map``: the builtin one when ``workers(threads)`` is 1, else that
+    of one process pool for the whole suite.  Each scenario is reduced in
+    replication order as soon as its last task is in, so no result depends
+    on the thread count, and a serial run holds one scenario's outcomes at
+    a time.
     ``threads`` is checked by ``workers``; an empty suite gives ``[]`` and
     starts no pool."""
     n_workers = workers(threads)
@@ -382,7 +386,7 @@ def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioM
         return []
     starts = [range(0, c.n_replications, TASK_CHUNKS * _chunk_size(c)) for c in configs]
     tasks = [(c, a, min(a + s.step, c.n_replications)) for c, s in zip(configs, starts) for a in s]
-    with ProcessPoolExecutor(n_workers) if threads > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         done = (map if pool is None else pool.map)(_replication_range, *zip(*tasks))
         return [_summarize(c, Outcomes.concat([next(done) for _ in s]))
                 for c, s in zip(configs, starts)]

@@ -9,9 +9,10 @@ with a single residual variance.  The target quantity, the only one, is
 the arm-1 coefficient (treatment effect versus control).  One kernel,
 ``fit_batch``, fits many assignment rows of many trials at once, one
 trial being a batch of one; its ``BatchFit`` carries only the arm terms,
-of every arm, and names why each invalid row failed.  ``t_interval``
-gives t intervals on the residual degrees of freedom over whole arrays;
-the test of a zero effect rejects where the interval excludes 0.
+of every arm, and names why each invalid row failed.  Its exact counts
+come from 0/1 operands laid out patients-last.  ``t_interval`` gives t
+intervals on the residual degrees of freedom over whole arrays; the test
+of a zero effect rejects where the interval excludes 0.
 """
 
 from __future__ import annotations
@@ -140,8 +141,11 @@ def fit_batch(
     # bincount adds each bin's outcomes in patient order
     col_y = np.bincount(bins, np.repeat(y, n_var, axis=0).ravel(), n_groups * n_cols)
     col_y = col_y.reshape(n_groups, n_var, n_lev)
-    indicators = np.concatenate([code[..., None] == np.arange(n_lev) for code in codes],
-                                axis=-1).astype(float)
+    # the (groups, n, columns) 0/1 matmul operand, written along patients:
+    # one index write puts each patient's 1 in its column of every variant
+    indicators = np.zeros((n_groups * n, n_cols))
+    indicators[np.arange(n_groups * n), column.reshape(n_var, -1)] = 1.0
+    indicators = indicators.reshape(n_groups, n, n_cols)
 
     # 0/1 arm masks of one slice of groups at a time, at most MASK_CELLS
     # assignments per arm.  One matmul per group of masks against its

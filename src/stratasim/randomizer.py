@@ -168,13 +168,13 @@ def _orderings(counts: list[int]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _arrangement_table(
     weights: tuple[int, ...], sizes: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """The distinct orderings of a block of each admissible length, stacked.
 
-    Returns ``(table, first_row, n_rows)``: the ``n_rows[i]`` rows from
-    ``first_row[i]`` on are the orderings of length ``sizes[i]``, padded
-    to the longest length.  None when a length has more than
-    ``MAX_TABLE_ROWS`` orderings.
+    Returns ``(table, first_row, n_rows, length)``: the ``n_rows[i]`` rows
+    from ``first_row[i]`` on are the orderings of length ``sizes[i]``,
+    padded to the longest length, and ``length`` holds each row's length.
+    None when a length has more than ``MAX_TABLE_ROWS`` orderings.
     """
     parts = []
     for size in sizes:
@@ -192,9 +192,10 @@ def _arrangement_table(
     table = np.full((n_rows.sum(), max(sizes)), _PAD, dtype=np.int8)
     for part, start in zip(parts, first_row):
         table[start:start + len(part), :part.shape[1]] = part
-    for array in (table, first_row, n_rows):
+    length = np.repeat(sizes, n_rows)
+    for array in (table, first_row, n_rows, length):
         array.flags.writeable = False
-    return table, first_row, n_rows
+    return table, first_row, n_rows, length
 
 
 def _padded_patterns(allocation: AllocationRatio, sizes: tuple[int, ...]) -> np.ndarray:
@@ -245,7 +246,7 @@ def draw_blocks(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
     sizes, n_blocks, tables = _block_layout(design)
     menu = len(sizes) > 1
     if tables is not None:
-        _, first_row, n_rows = tables
+        _, first_row, n_rows, _ = tables
         if not menu:
             return (uniforms * n_rows[0]).astype(np.intp)
         lengths = (uniforms[..., :n_blocks] * len(sizes)).astype(np.intp)
@@ -287,16 +288,13 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     blocks = blocks.reshape(n_cohorts, n_draws, *blocks.shape[reported.ndim:]).swapaxes(0, 1)
     codes = blocks if tables is None else np.take(tables[0], blocks, axis=0)
     n_blocks, longest = codes.shape[2:]
-    # each patient's rank within its stratum, and its stratum's first block
-    rank = np.zeros(cohorts.shape, dtype=np.intp)
-    first = np.zeros(cohorts.shape, dtype=np.intp)
-    opened = np.zeros(n_cohorts, dtype=np.intp)
-    for s in range(design.n_strata):
-        member = cohorts == s
-        counted = member.cumsum(axis=-1)
-        rank += np.where(member, counted - 1, 0)
-        first += np.where(member, opened[:, None], 0)
-        opened += -(-counted[:, -1] // min(sizes))
+    # each patient's rank within its stratum, and its stratum's first block:
+    # a (strata, cohorts, patients) membership stack summed over strata
+    member = cohorts == np.arange(design.n_strata)[:, None, None]
+    counted = member.cumsum(axis=-1)
+    rank = (member * counted).sum(axis=0) - 1
+    opened = -(-counted[..., -1] // min(sizes))
+    first = (member * (opened.cumsum(axis=0) - opened)[..., None]).sum(axis=0)
     # one code stream per (draw, cohort)
     codes = codes.reshape(n_draws, n_cohorts * n_blocks * longest)
     cohort_start = np.arange(n_cohorts)[:, None] * (n_blocks * longest)
@@ -306,7 +304,8 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
         # strike the padding with one compress: a block's kept codes start at
         # the exclusive cumsum of the kept lengths of every block before it
         keep = codes != _PAD
-        length = keep.reshape(n_draws, n_cohorts * n_blocks, longest).sum(axis=-1)
+        length = (keep.reshape(n_draws, n_cohorts * n_blocks, longest).sum(axis=-1)
+                  if tables is None else tables[3].take(blocks).reshape(n_draws, -1))
         start = length.cumsum().reshape(length.shape) - length
         skipped = start.take((np.arange(n_cohorts)[:, None] * n_blocks + first).ravel(), axis=1)
         dealt = codes[keep].take(skipped + rank.ravel())

@@ -132,6 +132,21 @@ class TestPotentialOutcomes:
         got = potential_outcomes(np.array([1.0, 0.0, 1.0]), model, np.zeros((3, 4)))
         assert got[:, 0].tolist() == [10.0, 0.0, 10.0]
 
+    @pytest.mark.parametrize("rho", [1.0, 0.3])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_equals_the_formula_bit_for_bit(self, rho, lead):
+        # means[strata] + sigma * (sqrt(rho) u + sqrt(1 - rho) e_a), whatever
+        # the leading shape; at rho = 1, 0 * e_a adds an exact zero
+        model = OutcomeModel(rho=rho, delta=0.7, strata_means=(0.3, -1.2), sigma=1.7)
+        rng = _rng(28)
+        strata = rng.integers(0, 2, (*lead, 11)).astype(np.int8)
+        normals = rng.standard_normal((*lead, 11, 4))
+        got = potential_outcomes(strata, model, normals)
+        means = np.array([[model.mean(s, arm) for arm in range(3)] for s in (0, 1)])
+        noise = math.sqrt(rho) * normals[..., :1] + math.sqrt(1.0 - rho) * normals[..., 1:]
+        assert got.shape == (*lead, 11, 3)
+        assert got.tobytes() == (means[strata] + model.sigma * noise).tobytes()
+
     def test_independent_arms_at_zero_correlation(self):
         n = 200_000
         model = OutcomeModel(rho=0.0, delta=0.5)
@@ -203,3 +218,17 @@ class TestObservedOutcomes:
         potentials = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
         treatments = np.array([2, 0, 1])
         assert observed_outcomes(potentials, treatments).tolist() == [3.0, 4.0, 8.0]
+
+    def test_any_leading_shape_and_layout(self):
+        # arm planes as draw_cohort lays them out, and a plain C-ordered copy
+        design, model = _design(7), OutcomeModel(rho=0.5)
+        _, potentials = draw_cohort(design, model, _rng(29).random((2, 3, cohort_width(design))))
+        treatments = _rng(30).integers(0, 3, (2, 3, 7)).astype(np.int8)
+        want = np.take_along_axis(potentials, treatments[..., None].astype(np.intp), axis=-1)
+        for layout in (potentials, np.ascontiguousarray(potentials)):
+            got = observed_outcomes(layout, treatments)
+            assert got.tobytes() == want[..., 0].tobytes()
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ConfigurationError, match="treatments have shape"):
+            observed_outcomes(np.zeros((2, 5, 3)), np.zeros(5, dtype=np.int8))

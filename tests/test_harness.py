@@ -156,14 +156,15 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1)])
-def test_pool_capped_at_cpu_count(monkeypatch, cpus, workers):
+# one worker runs in the calling process: no pool of one
+@pytest.mark.parametrize("cpus,pools", [(2, [2]), (None, [])], ids=["pool-of-2", "no-pool"])
+def test_pool_capped_at_cpu_count(monkeypatch, cpus, pools):
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     config = _config(reps=12)
     assert run_scenario(config, threads=6) == run_scenario(config, threads=1)
-    assert _InlinePool.max_workers == [workers]
+    assert _InlinePool.max_workers == pools
 
 
 def _mixed_suite():
@@ -385,9 +386,9 @@ def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
 
 
 def test_chunk_size_bounds_cells(monkeypatch):
-    # a chunk holds about CHUNK_CELLS patient assignments and cohort
-    # uniforms whatever the design: (1 + rb_draws) * N + (2 + n_arms) * N
-    # per replication
+    # a chunk holds about CHUNK_CELLS assignment cells and cohort uniforms
+    # whatever the design: (1 + rb_draws) * max(N, block_width) + (2 +
+    # n_arms) * N per replication
     sizes = []
     run_chunk = harness._run_chunk
 
@@ -406,6 +407,10 @@ def test_chunk_size_bounds_cells(monkeypatch):
         (_config(reps=10, rb_draws=1000), 4, [4, 4, 2]),
         # the varblock design: 201 * 20 + 100 cells per replication
         (replace(_config(reps=4, rb_draws=200), design=_varblock_design()), 79, [4]),
+        # a length menu with a long block: 17 blocks of 1,000 sort keys and
+        # a length pick each, 17,017 uniforms per assignment, outweigh N
+        (replace(_config(reps=40), design=replace(paper_design(), block_sizes=(5, 1000))),
+         18, [18, 18, 4]),
     ]
     for config, chunk, want in cases:
         sizes.clear()

@@ -122,7 +122,7 @@ class TestArrangementTable:
         for count in counts:
             multinomial //= math.factorial(int(count))
         assert multinomial == rows
-        table, first_row, n_rows = _arrangement_table(weights, (size,))
+        table, first_row, n_rows, _ = _arrangement_table(weights, (size,))
         assert table.shape == (rows, size)
         assert (first_row.tolist(), n_rows.tolist()) == ([0], [rows])
         assert len(np.unique(table, axis=0)) == rows
@@ -139,9 +139,20 @@ class TestArrangementTable:
         assert _arrangement_table((1, 2, 2), (MAX_BLOCK_SIZE,)) is None
 
     def test_lengths_stack_padded(self):
-        table, first_row, n_rows = _arrangement_table((1, 2, 2), (5, 10))
+        table, first_row, n_rows, _ = _arrangement_table((1, 2, 2), (5, 10))
         assert (first_row.tolist(), n_rows.tolist()) == ([0, 30], [30, 3150])
         assert (table[:30, 5:] == -1).all() and (table[30:] >= 0).all()
+
+    # every block length or menu of this file that has tables
+    @pytest.mark.parametrize("weights,sizes", [
+        ((1, 2, 2), (5,)), ((1, 2, 2), (10,)), ((1, 2, 2), (5, 10)), ((1, 2), (3,)),
+        ((1, 1), (2,)), ((1, 1), (6,)), ((1, 1), (2, 4)), ((1, 1), (2, 4, 6)),
+        ((2, 1, 1), (8,)),
+    ])
+    def test_cached_lengths_count_each_rows_codes(self, weights, sizes):
+        table, _, _, length = _arrangement_table(weights, sizes)
+        np.testing.assert_array_equal(length, (table != -1).sum(axis=1))
+        assert not length.flags.writeable
 
     def test_every_row_equally_likely(self):
         design = _design(n=5, probs=(1.0, 0.0), block=5)
@@ -337,6 +348,8 @@ def _dealt_by_loop(design, reported, blocks):
 @pytest.mark.parametrize("design,n_cohorts,n_draws", [
     (_design(n=20, probs=(0.2, 0.8), block=10, block_sizes=(5, 10)), 4, 7),
     (_design(n=20, probs=(0.2, 0.8), block=10, block_sizes=(5, 10)), 3, 1),
+    # a varblock chunk's shape: each cohort's observed row and 200 null draws
+    (_design(n=20, probs=(0.2, 0.8), block=10, block_sizes=(5, 10)), 4, 201),
     (_design(n=20, block=10, block_sizes=(10, 20)), 3, 5),
     (_design(n=20, block=10, block_sizes=(10, 20)), 4, 1),
     (_design(n=17, probs=(0.3, 0.3, 0.4), weights=(1, 1), block=2, block_sizes=(2, 4, 6)), 5, 6),
