@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from math import inf, pi, sqrt
 
 import numpy as np
-from scipy.special import nctdtr, ndtr
+from scipy.special import nctdtr, ndtr, stdtrit
 from scipy.special._ufuncs import _nct_sf
 
 from .cohort import OutcomeModel
 from .errors import ConfigurationError
-from .inference import _t_critical
 from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
 from .randomizer import TrialDesign
 
@@ -211,6 +210,6 @@ def noncentral_t_power(
         raise ConfigurationError("power needs a positive SE and df >= 1")
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    crit = _t_critical(alpha, df)
+    crit = float(stdtrit(df, 1.0 - alpha / 2.0))
     ncp = -abs(effect / se)
     return float(_nct_sf(crit, df, ncp) + nctdtr(df, ncp, -crit))

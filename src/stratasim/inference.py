@@ -18,7 +18,6 @@ of a zero effect rejects where the interval excludes 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import stdtrit
@@ -136,10 +135,11 @@ def fit_batch(
     # absent from a group has n_s = 0 there, and inv_n = 0
     n_cols = n_var * n_lev
     column = codes + (np.arange(n_var) * n_lev)[:, None, None]
-    bins = (column.transpose(1, 0, 2) + (np.arange(n_groups) * n_cols)[:, None, None]).ravel()
+    # bins in (variant, group, patient) order: bincount adds each bin's
+    # outcomes in patient order
+    bins = (column + (np.arange(n_groups) * n_cols)[:, None]).ravel()
     n_s = np.bincount(bins, minlength=n_groups * n_cols).reshape(n_groups, n_var, n_lev)
-    # bincount adds each bin's outcomes in patient order
-    col_y = np.bincount(bins, np.repeat(y, n_var, axis=0).ravel(), n_groups * n_cols)
+    col_y = np.bincount(bins, np.broadcast_to(y, (n_var, *y.shape)).ravel(), n_groups * n_cols)
     col_y = col_y.reshape(n_groups, n_var, n_lev)
     # the (groups, n, columns) 0/1 matmul operand, written along patients:
     # one index write puts each patient's 1 in its column of every variant
@@ -243,11 +243,6 @@ def fit_batch(
                     arm_count=arm_count)
 
 
-@lru_cache(maxsize=64)
-def _t_critical(alpha: float, df: int) -> float:
-    return float(stdtrit(df, 1.0 - alpha / 2.0)) if df >= 1 else np.nan
-
-
 def t_interval(
     estimate: np.ndarray,
     se: np.ndarray,
@@ -256,7 +251,8 @@ def t_interval(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided ``1 - alpha`` t intervals, elementwise over broadcast
     arrays or floats: ``(ci_low, ci_high)``.  Entries with ``df < 1`` are
-    NaN."""
-    df = np.asarray(df)
-    crit = np.reshape([_t_critical(alpha, d) for d in df.ravel().tolist()], df.shape)
+    NaN.  One critical value is computed per distinct ``df``."""
+    levels, index = np.unique(df, return_inverse=True)
+    crit = np.where(levels >= 1, stdtrit(np.maximum(levels, 1), 1.0 - alpha / 2.0), np.nan)
+    crit = crit[index].reshape(np.shape(df))
     return estimate - crit * se, estimate + crit * se

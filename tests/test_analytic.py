@@ -25,7 +25,7 @@ from stratasim.analytic import (
 )
 from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigurationError
-from stratasim.inference import _t_critical
+from stratasim.inference import t_interval
 from stratasim.misclassify import HIGH, KINDS, LOW, MisclassModel
 from stratasim.randomizer import AllocationRatio, TrialDesign
 from oracles import (
@@ -295,7 +295,7 @@ class TestNoncentralTPower:
     def test_matches_scipy_stats_nct(self, df):
         for effect, se, alpha in itertools.product((-1.2, 0.0, 0.3, 0.5, 2.0),
                                                    (0.1, 0.306, 1.0), (0.01, 0.05, 0.2)):
-            crit, ncp = _t_critical(alpha, df), -abs(effect / se)
+            crit, ncp = float(t_interval(0.0, 1.0, df, alpha)[1]), -abs(effect / se)
             expected = nct.sf(crit, df, ncp) + nct.cdf(-crit, df, ncp)
             assert noncentral_t_power(effect, se, df, alpha) == pytest.approx(expected, rel=1e-12)
             # at a positive noncentrality scipy.stats can give NaN, as at

@@ -546,7 +546,7 @@ class TestAggregation:
         covered = out.covered[0].astype(float)
         reject = out.rejected[0].astype(float)
         # the model test rejects where |t| passes the critical value
-        crit = inference._t_critical(0.05, 76)
+        crit = inference.t_interval(0.0, 1.0, 76, 0.05)[1]
         assert out.rejected[0].tolist() == (np.abs(est / out.se[0]) > crit).tolist()
         got = metrics.corrected
         assert got.n == 40

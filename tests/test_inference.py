@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from stratasim.errors import ConfigurationError
-from stratasim.inference import RANK_TOL, BatchFit, _t_critical, fit_batch, t_interval
+from stratasim.inference import RANK_TOL, BatchFit, fit_batch, t_interval
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from oracles import ols_exact, t_critical_bisect, t_two_sided_p
 
@@ -187,7 +188,18 @@ class TestCiAndTest:
         assert decisions == {True, False}
 
     def test_critical_value_pinned(self):
-        assert abs(_t_critical(0.05, 76) - 1.9916726096446642) < 1e-12
+        assert abs(t_interval(0.0, 1.0, 76, 0.05)[1] - 1.9916726096446642) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_critical_values_equal_scalar_calls(self, alpha):
+        # one stdtrit call per distinct df gives each entry the bits of its
+        # own scalar call; df < 1 is NaN
+        df = np.concatenate([np.arange(-3, 2000), [76, 0, 8]]).reshape(-1, 2)
+        got = t_interval(0.0, 1.0, df, alpha)[1]
+        want = [float(stdtrit(d, 1.0 - alpha / 2.0)) if d >= 1 else math.nan
+                for d in df.ravel().tolist()]
+        assert got.shape == df.shape
+        assert np.array_equal(got.ravel(), want, equal_nan=True)
 
     def test_zero_se_edge(self):
         def one_row(estimate):
