@@ -72,6 +72,9 @@ WARN_SHARE = 0.001
 CHUNK_CELLS = 4 * 1024 * 80
 # whole chunks per task; at one chunk a task, pool traffic ate table2's gain
 TASK_CHUNKS = 12
+# the most cells one replication may hold: a replication is never split, and
+# a chunk takes about 19-24 bytes per cell, so this caps one near 0.6-0.8 GiB
+MAX_REPLICATION_CELLS = 2**25
 # the stages, by Philox counter word 2
 COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 
@@ -84,7 +87,8 @@ class ScenarioConfig:
     stratum.  ``n_replications`` must be at least 1 and ``seed``
     nonnegative, all three counts integers; ``rb_draws = 0`` disables
     randomization testing; ``alpha`` lies in (0, 1); ``analyze_reported``
-    is a bool."""
+    is a bool.  One replication holds at most ``MAX_REPLICATION_CELLS``
+    cells, a bound on ``rb_draws``, or on ``n_patients`` without draws."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -116,6 +120,14 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"strata_means must hold two means, one per stratum, "
                 f"got {len(self.outcome.strata_means)}"
+            )
+        cells = _replication_cells(self)
+        if cells > MAX_REPLICATION_CELLS:
+            field = "rb_draws" if self.rb_draws > 0 else "n_patients"
+            value = self.rb_draws if self.rb_draws > 0 else self.design.n_patients
+            raise ConfigurationError(
+                f"{field} must keep one replication within {MAX_REPLICATION_CELLS} cells, "
+                f"got {value} ({cells} cells)"
             )
 
     @property
@@ -192,15 +204,19 @@ def mc_se_rate(rate: float, n: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
 
 
-def _chunk_size(config: ScenarioConfig) -> int:
-    """Replications per chunk: ``CHUNK_CELLS`` over what one replication
-    holds, its assignments and its cohort uniforms; at least one.  An
-    assignment counts as its patients or its ``block_width`` uniforms,
-    whichever is more."""
+def _replication_cells(config: ScenarioConfig) -> int:
+    """The cells one replication holds: its ``1 + rb_draws`` assignments,
+    each counted as its patients or its ``block_width`` uniforms, whichever
+    is more, and its cohort uniforms."""
     design = config.design
     per_assignment = max(design.n_patients, block_width(design))
-    per_rep = (1 + config.rb_draws) * per_assignment + cohort_width(design)
-    return max(1, CHUNK_CELLS // per_rep)
+    return (1 + config.rb_draws) * per_assignment + cohort_width(design)
+
+
+def _chunk_size(config: ScenarioConfig) -> int:
+    """Replications per chunk: ``CHUNK_CELLS`` over what one replication
+    holds; at least one."""
+    return max(1, CHUNK_CELLS // _replication_cells(config))
 
 
 @lru_cache(maxsize=64)
@@ -262,7 +278,7 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     fit = fit_batch(y, variants, rows, design.allocation.n_arms)
 
     # (variant, replication) arrays from row 0, the observed assignment
-    estimate, se = fit.arm_coef[0, ..., 0], fit.arm_se[0, ..., 0]
+    estimate, se = fit.coef[..., 0], fit.se[..., 0]
     ci_low, ci_high = t_interval(estimate, se, fit.df, config.alpha)
     failed = ~fit.valid[..., 0] | (fit.df < 1)
     shape = estimate.shape

@@ -8,8 +8,8 @@ stratum indicator, and one indicator per active arm:
 with a single residual variance.  The target quantity, the only one, is
 the arm-1 coefficient (treatment effect versus control).  One kernel,
 ``fit_batch``, fits many assignment rows of many trials at once, one
-trial being a batch of one; its ``BatchFit`` carries only the arm terms,
-of every arm, and names why each invalid row failed.  Its exact counts
+trial being a batch of one; its ``BatchFit`` carries only that
+coefficient and its SE, and names why each invalid row failed.  Its exact counts
 come from 0/1 operands laid out patients-last.  ``t_interval`` gives t
 intervals on the residual degrees of freedom over whole arrays; the test
 of a zero effect rejects where the interval excludes 0.
@@ -34,24 +34,22 @@ NO_RESIDUAL_DF = "no residual degrees of freedom for a t interval"
 
 @dataclass(frozen=True)
 class BatchFit:
-    """Least-squares fits of every assignment row of every group under
+    """The arm-1 coefficient of every assignment row of every group under
     every strata variant.
 
     Arrays are laid out draws-last, ``(variants, groups, rows)`` after any
-    leading axis.  ``arm_coef`` and ``arm_se`` hold the arm terms,
-    ``(n_arms - 1, variants, groups, rows)``; ``sigma2`` and ``valid`` one
-    entry per row; ``arm_count`` the patients per arm, ``(n_arms,
-    variants, groups, rows)``, so an invalid row can name its empty arm;
-    ``df`` the residual degrees of freedom, ``(variants, groups)``,
-    negative where the observations cannot identify the columns.  The
-    intercept and stratum terms are partialled out and never formed.  The
-    numbers of an invalid row are meaningless.
+    leading axis.  ``coef``, its SE ``se`` and ``valid`` hold one entry per
+    row; ``arm_count`` the patients per arm, ``(n_arms, variants, groups,
+    rows)``, so an invalid row can name its empty arm; ``df`` the residual
+    degrees of freedom, ``(variants, groups)``, negative where the
+    observations cannot identify the columns.  The intercept, stratum and
+    other arm terms are partialled out and never formed.  The numbers of an
+    invalid row are meaningless.
     """
 
     df: np.ndarray
-    arm_coef: np.ndarray
-    arm_se: np.ndarray
-    sigma2: np.ndarray
+    coef: np.ndarray
+    se: np.ndarray
     valid: np.ndarray
     arm_count: np.ndarray
 
@@ -73,7 +71,7 @@ class BatchFit:
         """``(tstats, valid)`` of the arm-1 coefficient, ``(variants, groups,
         rows)``; NaN where invalid."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            stats = self.arm_coef[0] / self.arm_se[0]
+            stats = self.coef / self.se
         valid = self.valid & np.isfinite(stats)
         return np.where(valid, stats, np.nan), valid
 
@@ -84,8 +82,8 @@ def fit_batch(
     treatment_draws: np.ndarray,
     n_arms: int,
 ) -> BatchFit:
-    """Least squares of the working model for every row of every group of
-    ``treatment_draws``, ``(groups, rows, n)``, under every entry of
+    """The working model's arm-1 coefficient for every row of every group
+    of ``treatment_draws``, ``(groups, rows, n)``, under every entry of
     ``strata_variants``, each ``(groups, n)``; the rows of a group share
     its outcomes ``y[group]``.
 
@@ -102,9 +100,12 @@ def fit_batch(
 
         S = diag(c) - C diag(1 / n_s) C'
 
-    of its exact arm-by-stratum counts ``C`` (arm totals ``c``), solved by
-    a Cholesky factor ``L`` computed in loops over arms on vectors laid out
-    draws-last.  A row is invalid when the Hadamard ratio ``det(X'X) /
+    of its exact arm-by-stratum counts ``C`` (arm totals ``c``), factored
+    as ``L L'`` in loops over arms on vectors laid out draws-last, with arm
+    1 pivoted last.  One forward substitution ``z = L^-1 r`` of the arm
+    cross-products ``r`` then gives arm 1's coefficient ``z_last / L_last``
+    and its entry ``1 / L_last^2`` of ``S^-1``, with ``L_last`` the last
+    pivot, and the residual sum of squares ``within - z'z``.  A row is invalid when the Hadamard ratio ``det(X'X) /
     prod(diag(X'X))`` of the original normal equations, which equals
     ``(n_0 / n) prod(L_jj^2) / prod(c_j)`` with ``n_0`` the size of the
     first present stratum, is at most ``RANK_TOL`` (an empty arm zeroes a
@@ -184,14 +185,17 @@ def fit_batch(
         schur[j, j] += arm_total[j]
     del count, share, sum_y
 
-    # S = L L' and W = L^-1.  A pivot that is not positive zeroes the
-    # product of pivots, so its lane is invalid, and is replaced by 1 so
-    # the arithmetic stays finite
+    # P S P' = L L' with arm 1 pivoted last, and z = L^-1 P r in the same
+    # loop.  A pivot that is not positive zeroes the product of pivots, so
+    # its lane is invalid, and is replaced by 1 so the arithmetic stays
+    # finite
+    order = [*range(1, n_free), 0]
     chol = [[None] * n_free for _ in range(n_free)]
+    z = []
     pivots = 1.0
-    for j in range(n_free):
-        for i in range(j + 1):
-            acc = schur[j, i]
+    for j, row in enumerate(order):
+        for i, col in enumerate(order[:j + 1]):
+            acc = schur[row, col]
             for m in range(i):
                 acc = acc - chol[j][m] * chol[i][m]
             if i < j:
@@ -199,48 +203,24 @@ def fit_batch(
             else:
                 pivots = pivots * np.maximum(acc, 0.0)
                 chol[j][j] = np.sqrt(np.where(acc > 0.0, acc, 1.0))
+        acc = arm_xy[row]
+        for m in range(j):
+            acc = acc - chol[j][m] * z[m]
+        z.append(acc / chol[j][j])
+    last = chol[-1][-1]
+    del chol, schur, arm_xy
     # per (variant, group): residual df and the first present stratum's size
     present = n_s > 0
     df = n - present.sum(axis=2).T - n_free
     n_first = np.where(df >= 0, (n_s * (present.cumsum(axis=2) == 1)).max(axis=2).T, 0)
     valid = n_first[..., None] * pivots > RANK_TOL * n * arm_total.prod(axis=0)
-    inv = np.zeros((n_free, n_free, *valid.shape))
-    for j in range(n_free):
-        inv[j, j] = 1.0 / chol[j][j]
-        for i in range(j):
-            acc = chol[j][i] * inv[i, i]
-            for m in range(i + 1, j):
-                acc = acc + chol[j][m] * inv[m, i]
-            inv[j, i] = -acc * inv[j, j]
-    del chol, schur
 
-    # beta = S^-1 r = W' (W r); diag(S^-1) are W's squared column norms
-    z = []
-    for j in range(n_free):
-        acc = inv[j, 0] * arm_xy[0]
-        for m in range(1, j + 1):
-            acc = acc + inv[j, m] * arm_xy[m]
-        z.append(acc)
-    beta = np.empty((n_free, *valid.shape))
-    unscaled = np.empty((n_free, *valid.shape))
-    for j in range(n_free):
-        acc = inv[j, j] * z[j]
-        var = inv[j, j] * inv[j, j]
-        for m in range(j + 1, n_free):
-            acc = acc + inv[m, j] * z[m]
-            var = var + inv[m, j] * inv[m, j]
-        beta[j] = acc
-        unscaled[j] = var
-    del inv, z
-    rss = within - beta[0] * arm_xy[0]
-    for j in range(1, n_free):
-        rss -= beta[j] * arm_xy[j]
-    sigma2 = np.maximum(rss, 0.0) / np.where(df > 0, df, np.nan)[..., None]
-    se = np.sqrt(sigma2 * unscaled)
-
+    # arm 1's coefficient is the last entry of L'^-1 z, its entry of S^-1
+    # is 1 / last^2, and r' S^-1 r = z'z
+    rss = within - sum(zj * zj for zj in z)
+    sigma = np.sqrt(np.maximum(rss, 0.0) / np.where(df > 0, df, np.nan)[..., None])
     arm_count = np.concatenate([n - arm_total.sum(axis=0, keepdims=True), arm_total])
-    return BatchFit(df=df, arm_coef=beta, arm_se=se, sigma2=sigma2, valid=valid,
-                    arm_count=arm_count)
+    return BatchFit(df=df, coef=z[-1] / last, se=sigma / last, valid=valid, arm_count=arm_count)
 
 
 def t_interval(

@@ -338,6 +338,14 @@ class TestBuildRunSpec:
             assert exit_info.value.code == 2
             assert re.search(line, capsys.readouterr().err, re.MULTILINE)
 
+    def test_draws_past_the_memory_bound_rejected(self, capsys):
+        # rejected when the scenarios are built: nothing runs
+        with pytest.raises(SystemExit) as exit_info:
+            build_run_spec(["--suite", "table2", "--rb-draws", "10000000"])
+        assert exit_info.value.code == 2
+        line = r"^stratasim: error: --rb-draws: must keep one replication within \d+ cells, got 10000000 "
+        assert re.search(line, capsys.readouterr().err, re.MULTILINE)
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -473,11 +481,11 @@ class TestMain:
 
     @pytest.mark.parametrize("argv,digest", [
         (["--suite", "table1", "--reps", "300"],
-         "06466ecb3d61b3d8a7c61215367892ea7557a7abed2800d34eca2a7995f26d97"),
+         "b4242ee9fbd9578c2adcd1d2a1f903a0fd80bb3fdbb2a26872729afbd63bfa4f"),
         (["--suite", "table2", "--reps", "4", "--rb-draws", "50"],
-         "cd075652df4007a9a50d80b1692f72a99f22317e5ee099febc998c117f980d60"),
+         "455f1cfb20f6174d20116152b36f7e60ad53600ba158942f3fd4c9fae0ae5905"),
         (["--suite", "table2", "--reps", "4", "--rb-draws", "50", "--threads", "2"],
-         "cd075652df4007a9a50d80b1692f72a99f22317e5ee099febc998c117f980d60"),
+         "455f1cfb20f6174d20116152b36f7e60ad53600ba158942f3fd4c9fae0ae5905"),
     ])
     def test_simulation_suite_output_is_pinned(self, capsys, argv, digest):
         # every byte of the results, the level and power columns included:

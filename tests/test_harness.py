@@ -84,6 +84,22 @@ class TestScenarioConfig:
         metrics = run_scenario(_config(reps=1, rb_draws=0))
         assert metrics.n_valid + metrics.n_invalid == 1
 
+    def test_replication_cells_are_bounded(self):
+        # construction only: no replication runs.  Paper design: 80 cells
+        # per assignment, 400 cohort uniforms
+        assert harness.MAX_REPLICATION_CELLS == 2**25
+        most = (2**25 - 400) // 80 - 1
+        assert harness._replication_cells(_config(rb_draws=most)) <= 2**25
+        with pytest.raises(ConfigurationError, match=(
+                rf"^rb_draws must keep one replication within {2**25} cells, "
+                rf"got {most + 1} \({(most + 2) * 80 + 400} cells\)$")):
+            _config(rb_draws=most + 1)
+        with pytest.raises(ConfigurationError, match=r"^rb_draws must keep .*, got 10000000 "):
+            _config(rb_draws=10**7)
+        huge = _design(n_patients=10**7)
+        with pytest.raises(ConfigurationError, match=r"^n_patients must keep .*, got 10000000 "):
+            _scenario(design=huge)
+
 
 def _design(**fields):
     base = dict(n_patients=80, strata_probs=(0.4, 0.6), allocation=(1, 2, 2), block_size=10)
@@ -497,7 +513,7 @@ def test_mask_slices_never_change_a_fit(monkeypatch, design, rb_draws, reps, see
     monkeypatch.setattr(inference, "MASK_CELLS", 3 * (1 + rb_draws) * design.n_patients)
     assert reps > 6 and reps % 3
     sliced = fit_batch(*args)
-    for name in ("df", "arm_coef", "arm_se", "sigma2", "valid", "arm_count"):
+    for name in ("df", "coef", "se", "valid", "arm_count"):
         assert np.array_equal(getattr(sliced, name), getattr(whole, name), equal_nan=True), name
     assert np.array_equal(sliced.faults(), whole.faults())
     # the degenerate paths are really taken
@@ -791,11 +807,11 @@ def _varblock_suite(reps, rb_draws):
 # on purpose may update one, and says why.
 SUITE_DIGESTS = {
     "table1": (lambda: paper_suite(1, reps=300),
-               "984b3d509a93bf2ea886174987d9ef332babcdeda9d49315a387fb29e1cfdd33"),
+               "d977fef1c795c7c8ed340bcf1ef4910bff0287b6c3e7c7f972a5416615659131"),
     "table2": (lambda: paper_suite(2, reps=4, rb_draws=50),
-               "a757ac94b51b4b68cb55275f563aed2b9935f14f6a8f98e851de01bd19fb7957"),
+               "a3c20f32026d1cc92b3fb9d9f5e9adf20244def648953d4a2a04556985848870"),
     "varblock": (lambda: _varblock_suite(4, 50),
-                 "402d2fc781abe0a20735b461b158eb25ceea614fe9973350e2ef476f5adf921a"),
+                 "498d5cb1240776f3491ad29a5b9ae4683e1d149211dfb9663f29fe28e42794f4"),
 }
 
 

@@ -40,8 +40,7 @@ def _one_group(y, strata_variants, rows, n_arms):
 
 
 def _variant(fit, v):
-    return BatchFit(df=fit.df[v:v + 1], arm_coef=fit.arm_coef[:, v:v + 1],
-                    arm_se=fit.arm_se[:, v:v + 1], sigma2=fit.sigma2[v:v + 1],
+    return BatchFit(df=fit.df[v:v + 1], coef=fit.coef[v:v + 1], se=fit.se[v:v + 1],
                     valid=fit.valid[v:v + 1], arm_count=fit.arm_count[:, v:v + 1])
 
 
@@ -52,7 +51,7 @@ def _fit_one(y, treatments, strata, n_arms=3):
 
 def _interval(fit, alpha=0.05):
     """``t_interval`` of the arm-1 coefficient of every row of ``fit``."""
-    return np.stack(t_interval(fit.arm_coef[0], fit.arm_se[0], fit.df[..., None], alpha))
+    return np.stack(t_interval(fit.coef, fit.se, fit.df[..., None], alpha))
 
 
 def _rejected(fit, alpha=0.05):
@@ -84,16 +83,13 @@ def _trial(seed, n=40):
 
 
 def _assert_matches_oracle(fit, row, design, y):
-    """Arm coefficients, arm SEs and sigma2 of one row against the exact
-    rational solution; the arm columns are the design's last ones."""
+    """The arm-1 coefficient and SE of one row against the exact rational
+    solution; the arm columns are the design's last ones."""
     beta, rss, unscaled = ols_exact(design, y)
-    n_free = fit.arm_coef.shape[0]
+    k = len(beta) - (len(fit.arm_count) - 1)  # arm 1's column
     sigma2 = float(rss) / fit.df[0, 0]
-    assert abs(fit.sigma2[0, 0, row] - sigma2) < 1e-10
-    for j in range(n_free):
-        k = len(beta) - n_free + j
-        assert abs(fit.arm_coef[j, 0, 0, row] - float(beta[k])) < 1e-10
-        assert abs(fit.arm_se[j, 0, 0, row] - math.sqrt(sigma2 * float(unscaled[k]))) < 1e-10
+    assert abs(fit.coef[0, 0, row] - float(beta[k])) < 1e-10
+    assert abs(fit.se[0, 0, row] - math.sqrt(sigma2 * float(unscaled[k]))) < 1e-10
 
 
 class TestFitModel:
@@ -102,7 +98,7 @@ class TestFitModel:
     def test_matches_exact_rational_solution(self):
         fit = _fit_one(Y, TREATMENTS, STRATA)
         assert fit.df.tolist() == [[8]]
-        assert fit.arm_coef.shape == fit.arm_se.shape == (2, 1, 1, 1)
+        assert fit.coef.shape == fit.se.shape == (1, 1, 1)
         assert fit.arm_count[:, 0, 0, 0].tolist() == [4, 4, 4]
         _assert_matches_oracle(fit, 0, _design_rows(), Y)
 
@@ -111,8 +107,8 @@ class TestFitModel:
         perm = rng.permutation(len(Y))
         base = _fit_one(Y, TREATMENTS, STRATA)
         shuffled = _fit_one(np.array(Y, dtype=float)[perm], TREATMENTS[perm], STRATA[perm])
-        assert np.abs(base.arm_coef - shuffled.arm_coef).max() < 1e-12
-        assert np.abs(base.arm_se - shuffled.arm_se).max() < 1e-12
+        assert np.abs(base.coef - shuffled.coef).max() < 1e-12
+        assert np.abs(base.se - shuffled.se).max() < 1e-12
 
     def test_residuals_orthogonal_to_design(self):
         rng = _rng(42)
@@ -120,15 +116,14 @@ class TestFitModel:
         treatments = np.tile([0, 1, 2], 20)
         strata = (rng.random(60) >= 0.4).astype(np.int8)
         fit = _fit_one(y, treatments, strata)
-        arms = np.column_stack([treatments == 1, treatments == 2]).astype(float)
-        # given the arm terms, each stratum's term is its mean of what remains
-        partial = y - arms @ fit.arm_coef[:, 0, 0, 0]
-        resid = partial.copy()
-        for s in (0, 1):
-            resid[strata == s] -= partial[strata == s].mean()
-        x = np.column_stack([np.ones(60), strata == 1, arms])
+        x = np.column_stack([np.ones(60), strata == 1, treatments == 1, treatments == 2])
+        beta = np.linalg.lstsq(x, y, rcond=None)[0]
+        resid = y - x @ beta
         assert np.abs(x.T @ resid).max() < 1e-8
-        assert abs(resid @ resid / fit.df[0, 0] - fit.sigma2[0, 0, 0]) < 1e-12
+        assert abs(fit.coef[0, 0, 0] - beta[2]) < 1e-10
+        # the SE carries the residual variance of the full design
+        unscaled = np.linalg.inv(x.T @ x)[2, 2]
+        assert abs(fit.se[0, 0, 0] ** 2 / unscaled - resid @ resid / fit.df[0, 0]) < 1e-12
 
     def test_empty_stratum_column_dropped(self):
         y = np.array(Y, dtype=float)
@@ -170,7 +165,7 @@ class TestCiAndTest:
 
     def test_matches_quadrature_oracle(self):
         fit = _fit_one(Y, TREATMENTS, STRATA)
-        estimate, se = fit.arm_coef[0, 0, 0, 0], fit.arm_se[0, 0, 0, 0]
+        estimate, se = fit.coef[0, 0, 0], fit.se[0, 0, 0]
         for alpha in (0.05, 0.01):
             ci_low, ci_high = _interval(fit, alpha)[:, 0, 0, 0]
             tcrit = t_critical_bisect(alpha, fit.df[0, 0])
@@ -204,8 +199,7 @@ class TestCiAndTest:
     def test_zero_se_edge(self):
         def one_row(estimate):
             return BatchFit(
-                df=np.array([[8]]), arm_coef=np.full((1, 1, 1, 1), estimate),
-                arm_se=np.zeros((1, 1, 1, 1)), sigma2=np.zeros((1, 1, 1)),
+                df=np.array([[8]]), coef=np.full((1, 1, 1), estimate), se=np.zeros((1, 1, 1)),
                 valid=np.ones((1, 1, 1), dtype=bool), arm_count=np.full((2, 1, 1, 1), 5),
             )
 
@@ -229,7 +223,7 @@ class TestBatchedKernel:
         assert valid.all()
         for row, got in zip(draws, stats):
             fit = _fit_one(y, row, strata)
-            assert abs(got - fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]) < 1e-10
+            assert abs(got - fit.coef[0, 0, 0] / fit.se[0, 0, 0]) < 1e-10
 
     def test_degenerate_rows_flagged_not_raised(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 2.5, 3.5])
@@ -245,7 +239,7 @@ class TestBatchedKernel:
         assert valid.tolist() == [True, False, False]
         assert np.isnan(stats[1]) and np.isnan(stats[2])
         fit = _fit_one(y, rows[0], strata)
-        want = fit.arm_coef[0, 0, 0, 0] / fit.arm_se[0, 0, 0, 0]
+        want = fit.coef[0, 0, 0] / fit.se[0, 0, 0]
         assert abs(stats[0] - want) < 1e-10
 
     def test_batch_matches_oracle_and_flags_degenerate_rows(self):
@@ -321,9 +315,9 @@ class TestStackedKernel:
         fits = _one_group(y, self.STRATA, self.ROWS, 3)
         for strata, batch in zip(self.STRATA, fits):
             one = _fit_one(y, self.ROWS[4], strata)
-            for arms in ("arm_coef", "arm_se"):
-                got = getattr(batch, arms)[..., 4]
-                assert got.tobytes() == getattr(one, arms)[..., 0].tobytes()
+            for name in ("coef", "se"):
+                got = getattr(batch, name)[..., 4]
+                assert got.tobytes() == getattr(one, name)[..., 0].tobytes()
             got = _interval(batch, 0.1)[..., 4]
             assert got.tobytes() == _interval(one, 0.1)[..., 0].tobytes()
 
@@ -345,7 +339,7 @@ class TestStackedKernel:
         alone = _one_group(y, [true, reported], rows[:1], n_arms)
         single = [_one_group(y, [strata], rows, n_arms)[0] for strata in (true, reported)]
         for big, one, own in zip(batch, alone, single):
-            for name in ("arm_coef", "arm_se", "sigma2", "valid"):
+            for name in ("coef", "se", "valid"):
                 got = getattr(big, name)
                 assert np.array_equal(got[..., 0], getattr(one, name)[..., 0])
                 assert np.array_equal(got[..., 0], got[..., 500])
@@ -379,7 +373,7 @@ class TestGroupAxis:
         for g in range(len(y)):
             alone = fit_batch(y[g:g + 1], [v[g:g + 1] for v in variants], draws[g:g + 1], 3)
             assert np.array_equal(fit.df[:, g], alone.df[:, 0])
-            for name in ("arm_coef", "arm_se", "sigma2", "valid", "arm_count"):
+            for name in ("coef", "se", "valid", "arm_count"):
                 assert np.array_equal(getattr(fit, name)[..., g, :],
                                       getattr(alone, name)[..., 0, :], equal_nan=True)
         assert fit.df[0, 0] == fit.df[0, 2] + 1  # no stratum column in group 0
@@ -391,8 +385,8 @@ class TestGroupAxis:
             for g in range(len(y)):
                 for r in range(draws.shape[1]):
                     one = _fit_one(y[g], draws[g, r], strata[g])
-                    assert abs(fit.arm_coef[0, v, g, r] - one.arm_coef[0, 0, 0, 0]) < 1e-10
-                    assert abs(fit.arm_se[1, v, g, r] - one.arm_se[1, 0, 0, 0]) < 1e-10
+                    assert abs(fit.coef[v, g, r] - one.coef[0, 0, 0]) < 1e-10
+                    assert abs(fit.se[v, g, r] - one.se[0, 0, 0]) < 1e-10
 
     def test_unidentified_group_is_invalid_alone(self):
         # three patients: with both strata present they cannot identify the
@@ -412,5 +406,47 @@ class TestGroupAxis:
         fit = fit_batch(y, variants, draws, 3)
         whole = _interval(fit, 0.1)
         for v, g, r in ((0, 0, 0), (1, 3, 4)):
-            one = t_interval(fit.arm_coef[0, v, g, r], fit.arm_se[0, v, g, r], fit.df[v, g], 0.1)
+            one = t_interval(fit.coef[v, g, r], fit.se[v, g, r], fit.df[v, g], 0.1)
             assert whole[:, v, g, r].tolist() == [float(x) for x in one]
+
+
+class TestEstimand:
+    """The kernel's one output, arm 1's coefficient and its SE, in designs
+    of two to four arms."""
+
+    @staticmethod
+    def _trial(ratio, seed, n_rows=8, n=30):
+        design = TrialDesign(n_patients=n, strata_probs=(0.4, 0.6),
+                             allocation=AllocationRatio(ratio), block_size=sum(ratio))
+        rng = _rng(seed)
+        strata = (rng.random(n) >= 0.4).astype(np.int8)
+        y = rng.standard_normal(n) + 0.5 * strata
+        return y, strata, batch_block_assignments(design, strata, n_rows, rng)
+
+    @pytest.mark.parametrize("ratio", [(1, 1), (1, 2, 2), (1, 1, 2, 2)])
+    def test_matches_exact_oracle(self, ratio):
+        y, strata, rows = self._trial(ratio, 81)
+        (fit,) = _one_group(y, [strata], rows, len(ratio))
+        assert fit.valid.all()
+        for b, row in enumerate(rows.tolist()):
+            design = [[1, s, *(int(t == arm) for arm in range(1, len(ratio)))]
+                      for s, t in zip(strata.tolist(), row)]
+            _assert_matches_oracle(fit, b, design, y.tolist())
+
+    def test_swapping_arms_2_and_3_changes_nothing(self):
+        y, strata, rows = self._trial((1, 1, 2, 2), 82, n_rows=64)
+        swapped = np.array([0, 1, 3, 2])[rows]
+        (fit,) = _one_group(y, [strata], rows, 4)
+        (other,) = _one_group(y, [strata], swapped, 4)
+        assert fit.valid.all() and np.array_equal(other.valid, fit.valid)
+        assert np.abs(other.coef - fit.coef).max() < 1e-12
+        assert np.abs(other.se - fit.se).max() < 1e-12
+
+    def test_tstats_are_coef_over_se(self):
+        y, strata, rows = self._trial((1, 2, 2), 83, n_rows=64)
+        rows[1] = np.where(rows[1] == 1, 2, rows[1])  # arm 1 empty
+        (fit,) = _one_group(y, [strata], rows, 3)
+        stats, valid = fit.tstats()
+        assert valid[0, 0, 0] and not valid[0, 0, 1]
+        assert np.array_equal(stats[valid], (fit.coef / fit.se)[valid])
+        assert np.isnan(stats[~valid]).all()
