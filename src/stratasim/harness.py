@@ -24,9 +24,11 @@ Chunks: ``_chunk_size`` gives ``CHUNK_CELLS`` over what one replication
 holds, its ``1 + rb_draws`` assignments of ``max(n_patients,
 block_width)`` cells each plus its ``cohort_width`` uniforms (at least one
 replication), so a chunk's arrays stay the same size whatever the design:
-682 replications of a table1 scenario, 4 of a table2 one.  Every stage
-runs once per chunk on ``(replications, ...)`` arrays, with no loop over
-replications, and one kernel call fits every row of the chunk.  A replication's numbers do not
+682 replications of a table1 scenario, 4 of a table2 one.  A replication
+is never split, so ``ScenarioConfig`` bounds it at
+``MAX_REPLICATION_CELLS`` cells.  Every stage runs once per chunk on
+``(replications, ...)`` arrays, with no loop over replications, and one
+kernel call fits every row of the chunk.  A replication's numbers do not
 depend on its chunk, so results are independent of chunking and thread
 count, and aggregation runs over arrays held in replication order.
 
@@ -123,12 +125,10 @@ class ScenarioConfig:
             )
         cells = _replication_cells(self)
         if cells > MAX_REPLICATION_CELLS:
-            field = "rb_draws" if self.rb_draws > 0 else "n_patients"
-            value = self.rb_draws if self.rb_draws > 0 else self.design.n_patients
-            raise ConfigurationError(
-                f"{field} must keep one replication within {MAX_REPLICATION_CELLS} cells, "
-                f"got {value} ({cells} cells)"
-            )
+            field, value = (("rb_draws", self.rb_draws) if self.rb_draws
+                            else ("n_patients", self.design.n_patients))
+            raise ConfigurationError(f"{field} must keep one replication within "
+                                     f"{MAX_REPLICATION_CELLS} cells, got {value} ({cells} cells)")
 
     @property
     def rb_enabled(self) -> bool:

@@ -9,10 +9,11 @@ with a single residual variance.  The target quantity, the only one, is
 the arm-1 coefficient (treatment effect versus control).  One kernel,
 ``fit_batch``, fits many assignment rows of many trials at once, one
 trial being a batch of one; its ``BatchFit`` carries only that
-coefficient and its SE, and names why each invalid row failed.  Its exact counts
-come from 0/1 operands laid out patients-last.  ``t_interval`` gives t
-intervals on the residual degrees of freedom over whole arrays; the test
-of a zero effect rejects where the interval excludes 0.
+coefficient and its SE, and names why each invalid row failed.  Its
+exact counts come from 0/1 operands laid out patients-last.
+``t_interval`` gives t intervals on the residual degrees of freedom over
+whole arrays; the test of a zero effect rejects where the interval
+excludes 0.
 """
 
 from __future__ import annotations
@@ -105,11 +106,12 @@ def fit_batch(
     1 pivoted last.  One forward substitution ``z = L^-1 r`` of the arm
     cross-products ``r`` then gives arm 1's coefficient ``z_last / L_last``
     and its entry ``1 / L_last^2`` of ``S^-1``, with ``L_last`` the last
-    pivot, and the residual sum of squares ``within - z'z``.  A row is invalid when the Hadamard ratio ``det(X'X) /
-    prod(diag(X'X))`` of the original normal equations, which equals
-    ``(n_0 / n) prod(L_jj^2) / prod(c_j)`` with ``n_0`` the size of the
-    first present stratum, is at most ``RANK_TOL`` (an empty arm zeroes a
-    pivot, collinear columns shrink one), or a pivot is not positive.
+    pivot, and the residual sum of squares ``within - z'z``.  A row is
+    invalid when the Hadamard ratio ``det(X'X) / prod(diag(X'X))`` of the
+    original normal equations, which equals ``(n_0 / n) prod(L_jj^2) /
+    prod(c_j)`` with ``n_0`` the size of the first present stratum, is at
+    most ``RANK_TOL`` (an empty arm zeroes a pivot, collinear columns
+    shrink one), or a pivot is not positive.
 
     The 0/1 arm masks behind the counts are built for one slice of groups
     at a time, at most ``MASK_CELLS`` assignments per arm, and lane
@@ -233,6 +235,6 @@ def t_interval(
     arrays or floats: ``(ci_low, ci_high)``.  Entries with ``df < 1`` are
     NaN.  One critical value is computed per distinct ``df``."""
     levels, index = np.unique(df, return_inverse=True)
-    crit = np.where(levels >= 1, stdtrit(np.maximum(levels, 1), 1.0 - alpha / 2.0), np.nan)
-    crit = crit[index].reshape(np.shape(df))
+    # stdtrit is NaN at df <= 0, without a warning
+    crit = stdtrit(levels, 1.0 - alpha / 2.0)[index].reshape(np.shape(df))
     return estimate - crit * se, estimate + crit * se
