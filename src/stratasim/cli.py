@@ -8,8 +8,7 @@ A configuration document is JSON with four optional sections::
       "outcome":  {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0],
                    "sigma": 1.0},
       "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-      "run":      {"reps": 50000, "rb_draws": 0, "seed": 2014, "alpha": 0.05,
-                   "analyze_reported": true}
+      "run":      {"reps": 50000, "rb_draws": 0, "seed": 2014, "alpha": 0.05}
     }
 
 Missing keys take the defaults above.  The library constructors check
@@ -60,8 +59,7 @@ _DEFAULTS = {
                "strata_probs": [0.4, 0.6]},
     "outcome": {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0], "sigma": 1.0},
     "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05,
-            "analyze_reported": True},
+    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05},
 }
 
 # document key -> library field, by section; two keys are renamed
@@ -197,8 +195,6 @@ def metrics_rows(results: list[ScenarioMetrics]) -> list[dict]:
         cfg = res.config
         is_level = cfg.outcome.delta == 0.0
         for variant in (res.corrected, res.reported):
-            if variant is None:
-                continue
             reject = variant.reject_rate
             rb = variant.rb_reject_rate
             row = {
@@ -237,7 +233,7 @@ def _warning_line(res: ScenarioMetrics) -> str:
     and each variant's flagged and discarded randomization tests."""
     reasons = "".join(f"; {reason}: {count}" for reason, count in res.invalid_reasons)
     variants = "".join(f"; {v.strata_used} rb_flagged={v.rb_flagged} rb_discarded={v.rb_discarded}"
-                       for v in (res.corrected, res.reported) if v is not None)
+                       for v in (res.corrected, res.reported))
     return (f"stratasim: warning: {res.config.label}: {res.n_invalid} of "
             f"{res.config.n_replications} replications invalid{reasons}{variants}")
 

@@ -88,9 +88,10 @@ class ScenarioConfig:
     misclassification flips between two, and the outcome one mean per
     stratum.  ``n_replications`` must be at least 1 and ``seed``
     nonnegative, all three counts integers; ``rb_draws = 0`` disables
-    randomization testing; ``alpha`` lies in (0, 1); ``analyze_reported``
-    is a bool.  One replication holds at most ``MAX_REPLICATION_CELLS``
-    cells, a bound on ``rb_draws``, or on ``n_patients`` without draws."""
+    randomization testing; ``alpha`` lies in (0, 1).  One replication
+    holds at most ``MAX_REPLICATION_CELLS`` cells, a bound on
+    ``rb_draws``, or on ``n_patients`` without draws.  Every run analyzes
+    both the corrected and the reported strata."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -99,7 +100,6 @@ class ScenarioConfig:
     rb_draws: int = 0
     seed: int = DEFAULT_SEED
     alpha: float = 0.05
-    analyze_reported: bool = True
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -110,10 +110,6 @@ class ScenarioConfig:
             object.__setattr__(self, field, value)
         if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not isinstance(self.analyze_reported, bool):
-            raise ConfigurationError(
-                f"analyze_reported must be true or false, got {self.analyze_reported!r}"
-            )
         if self.design.n_strata != 2:
             raise ConfigurationError(
                 f"strata_probs must list exactly two strata, got {self.design.n_strata}"
@@ -168,7 +164,7 @@ class ScenarioMetrics:
     n_invalid: int
     warning: bool
     corrected: VariantMetrics
-    reported: VariantMetrics | None
+    reported: VariantMetrics
     invalid_reasons: tuple[tuple[str, int], ...] = ()
 
 
@@ -274,8 +270,7 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
         picks = np.concatenate([picks, nulls], axis=1)
     rows = deal_blocks(design, reported, draw_blocks(design, picks))
     y = observed_outcomes(potentials, rows[:, 0])
-    variants = [strata, reported] if config.analyze_reported else [strata]
-    fit = fit_batch(y, variants, rows, design.allocation.n_arms)
+    fit = fit_batch(y, [strata, reported], rows, design.allocation.n_arms)
 
     # (variant, replication) arrays from row 0, the observed assignment
     estimate, se = fit.coef[..., 0], fit.se[..., 0]
@@ -355,10 +350,9 @@ def _summarize(config: ScenarioConfig, outcomes: Outcomes) -> ScenarioMetrics:
     valid = outcomes.error == ""
     n_invalid = int((~valid).sum())
     corrected = _aggregate_variant(config, CORRECTED, outcomes, 0, valid)
-    reported = (_aggregate_variant(config, REPORTED, outcomes, 1, valid)
-                if config.analyze_reported else None)
+    reported = _aggregate_variant(config, REPORTED, outcomes, 1, valid)
     warning = n_invalid > WARN_SHARE * config.n_replications or any(
-        v.rb_flagged > WARN_SHARE * v.n for v in (corrected, reported) if v is not None
+        v.rb_flagged > WARN_SHARE * v.n for v in (corrected, reported)
     )
     return ScenarioMetrics(
         config=config,

@@ -35,8 +35,7 @@ DEFAULT_DOC = {
                "strata_probs": [0.4, 0.6]},
     "outcome": {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0], "sigma": 1.0},
     "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05,
-            "analyze_reported": True},
+    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05},
 }
 
 CUSTOM_DOC = {
@@ -44,8 +43,7 @@ CUSTOM_DOC = {
                "strata_probs": [0.3, 0.7]},
     "outcome": {"rho": 0.5, "delta": 0.0, "strata_means": [0.0, 2.0], "sigma": 2.0},
     "misclass": {"kind": "nonignorable2", "gamma_low": 0.1, "gamma_high": 0.2},
-    "run": {"reps": 250, "rb_draws": 20, "seed": 99, "alpha": 0.1,
-            "analyze_reported": False},
+    "run": {"reps": 250, "rb_draws": 20, "seed": 99, "alpha": 0.1},
 }
 
 
@@ -81,7 +79,6 @@ def scenario_configs(draw):
         rb_draws=draw(st.integers(0, 10**4)),
         seed=draw(st.integers(0, 2**63)),
         alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        analyze_reported=draw(st.booleans()),
         label=draw(st.text(max_size=8)),
     )
 
@@ -103,7 +100,6 @@ class TestParseConfig:
         assert config.rb_draws == 0
         assert config.seed == DEFAULT_SEED
         assert config.alpha == 0.05
-        assert config.analyze_reported is True
         assert config.label == "custom"
 
     def test_overrides_apply(self):
@@ -119,7 +115,6 @@ class TestParseConfig:
         assert config.rb_draws == 20
         assert config.seed == 99
         assert config.alpha == 0.1
-        assert config.analyze_reported is False
 
     def test_accepts_string_and_path(self, tmp_path):
         from_dict = parse_config(CUSTOM_DOC)[0]
@@ -133,6 +128,7 @@ class TestParseConfig:
         "doc,needle",
         [
             ({"design": {"m": 3}}, "design.m"),
+            ({"run": {"analyze_reported": False}}, "run.analyze_reported: unknown key"),
             ({"desing": {}}, "desing"),
             ({"run": {"reps": "many"}}, "run.reps"),
             ({"run": {"reps": 2.5}}, "run.reps"),
@@ -186,10 +182,6 @@ class TestParseConfig:
             ('{"run": {"reps": Infinity}}', r"run\.reps"),
             ({"run": {"seed": -1}}, r"run\.seed"),
             ({"run": {"alpha": 1.0}}, r"run\.alpha"),
-            ({"run": {"analyze_reported": 1}}, r"run\.analyze_reported"),
-            ({"run": {"analyze_reported": None}},
-             r"^run\.analyze_reported: must be true or false, got None$"),
-            ({"run": {"analyze_reported": "false"}}, r"^run\.analyze_reported: must be"),
         ],
     )
     def test_invalid_settings_surface_as_parse_errors(self, doc, needle):
@@ -481,11 +473,11 @@ class TestMain:
 
     @pytest.mark.parametrize("argv,digest", [
         (["--suite", "table1", "--reps", "300"],
-         "b4242ee9fbd9578c2adcd1d2a1f903a0fd80bb3fdbb2a26872729afbd63bfa4f"),
+         "6a6ef356331cb395413825882432293d44ed47b14e2b7c2e80c2105aef9d6d5f"),
         (["--suite", "table2", "--reps", "4", "--rb-draws", "50"],
-         "455f1cfb20f6174d20116152b36f7e60ad53600ba158942f3fd4c9fae0ae5905"),
+         "fe0a4b033877b0244898f3b5ca67809f5798abc8833523ae32c3d96f29745eab"),
         (["--suite", "table2", "--reps", "4", "--rb-draws", "50", "--threads", "2"],
-         "455f1cfb20f6174d20116152b36f7e60ad53600ba158942f3fd4c9fae0ae5905"),
+         "fe0a4b033877b0244898f3b5ca67809f5798abc8833523ae32c3d96f29745eab"),
     ])
     def test_simulation_suite_output_is_pinned(self, capsys, argv, digest):
         # every byte of the results, the level and power columns included:

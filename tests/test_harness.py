@@ -123,9 +123,6 @@ def _scenario(**fields):
     (_scenario, {"alpha": 1.5}, "alpha"),
     (_scenario, {"alpha": 0.0}, "alpha"),
     (_scenario, {"alpha": "0.05"}, "alpha"),
-    (_scenario, {"analyze_reported": "false"}, "analyze_reported"),
-    (_scenario, {"analyze_reported": None}, "analyze_reported"),
-    (_scenario, {"analyze_reported": 1}, "analyze_reported"),
     # scenarios no run can finish: one stratum, three, and a mean short or over
     (_scenario, {"design": TrialDesign(20, (1.0,), (1, 2, 2), 5),
                  "outcome": OutcomeModel(strata_means=(0.0,)),
@@ -281,13 +278,9 @@ class TestRunReplication:
         assert ((0.0 < out.rb_p) & (out.rb_p <= 1.0)).all()
         assert (out.rb_discarded >= 0).all()
 
-    def test_reported_variant_is_optional(self):
-        out = run_replication(_config(analyze_reported=False), 2)
-        assert out.estimate.shape == out.rb_p.shape == (1, 1)
 
-
-@pytest.mark.parametrize("rb_draws,analyze_reported", [(0, True), (60, True), (60, False)])
-def test_one_kernel_call_per_chunk(monkeypatch, rb_draws, analyze_reported):
+@pytest.mark.parametrize("rb_draws", [0, 60])
+def test_one_kernel_call_per_chunk(monkeypatch, rb_draws):
     # rows [observed; null batch] of every replication in the chunk x
     # variants [corrected, reported]
     calls = []
@@ -297,13 +290,12 @@ def test_one_kernel_call_per_chunk(monkeypatch, rb_draws, analyze_reported):
         return fit_batch(y, strata_variants, rows, n_arms)
 
     monkeypatch.setattr(harness, "fit_batch", counting)
-    config = _config(reps=40, rb_draws=rb_draws, analyze_reported=analyze_reported)
+    config = _config(reps=40, rb_draws=rb_draws)
     assert run_replication(config, 1).error.tolist() == [""]
     run_scenario(config)
     per_chunk = harness._chunk_size(config)
     chunks = [min(per_chunk, 40 - start) for start in range(0, 40, per_chunk)]
-    variants = 1 + analyze_reported
-    assert calls == [(variants, 1, 1 + rb_draws)] + [(variants, c, 1 + rb_draws) for c in chunks]
+    assert calls == [(2, 1, 1 + rb_draws)] + [(2, c, 1 + rb_draws) for c in chunks]
 
 
 def _stage_rng(config, rep, stage, width):
@@ -807,11 +799,11 @@ def _varblock_suite(reps, rb_draws):
 # on purpose may update one, and says why.
 SUITE_DIGESTS = {
     "table1": (lambda: paper_suite(1, reps=300),
-               "d977fef1c795c7c8ed340bcf1ef4910bff0287b6c3e7c7f972a5416615659131"),
+               "5773d4fd2a311c05d1cfb55be4dabe64be041509a71176981def010c39a6585c"),
     "table2": (lambda: paper_suite(2, reps=4, rb_draws=50),
-               "a3c20f32026d1cc92b3fb9d9f5e9adf20244def648953d4a2a04556985848870"),
+               "ffd2d491ff6085ff203999aa71f3e536669418d934cef8bd7946cda03703dc9a"),
     "varblock": (lambda: _varblock_suite(4, 50),
-                 "498d5cb1240776f3491ad29a5b9ae4683e1d149211dfb9663f29fe28e42794f4"),
+                 "90616dd24d0896eea0b4cf69962ae9ec1600f42199b208f482bbddd29c058953"),
 }
 
 
