@@ -83,7 +83,9 @@ def flip_interval(
     rate = model.gamma_low if stratum == LOW else model.gamma_high
     upper_tail = (stratum == LOW) == (model.kind == "nonignorable1")
     center = outcome.mean(stratum, TRIGGER_ARM[stratum])
-    cut = center + outcome.sigma * ndtri(1.0 - rate if upper_tail else rate)
+    # the upper tail's cut is -ndtri(rate), not ndtri(1 - rate): 1 - rate rounds
+    z = ndtri(rate)
+    cut = center + outcome.sigma * (-z if upper_tail else z)
     return (cut, inf) if upper_tail else (-inf, cut)
 
 

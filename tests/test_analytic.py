@@ -26,7 +26,7 @@ from stratasim.analytic import (
 from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigurationError
 from stratasim.inference import t_interval
-from stratasim.misclassify import HIGH, KINDS, LOW, MisclassModel
+from stratasim.misclassify import HIGH, KINDS, LOW, MisclassModel, flip_interval
 from stratasim.randomizer import AllocationRatio, TrialDesign
 from oracles import (
     mixture_moments_sim,
@@ -203,6 +203,17 @@ class TestMixtureCells:
             cell = summary.cell(HIGH, arm)
             assert cell.mean == pytest.approx(mean[HIGH, HIGH, arm], abs=1e-12)
             assert cell.sd == pytest.approx(math.sqrt(var[HIGH, HIGH, arm]), abs=1e-12)
+
+    def test_small_upper_tail_rate_keeps_its_mass(self):
+        # the upper tail is cut at -ndtri(rate): 1 - 1e-12 rounds, and the
+        # cut at ndtri(1 - rate), 3.1e-6 further out, held mass below 1e-12
+        model = MisclassModel("nonignorable1", 1e-12, 1e-12)
+        cut = 7.034483825301131  # -ndtri(1e-12)
+        assert flip_interval(model, OutcomeModel(), LOW) == (cut, math.inf)
+        assert norm.sf(cut) >= 1e-12
+        summary = reported_strata_mixture(model, OutcomeModel(), (1.0, 0.0))
+        assert summary.weights[HIGH] == pytest.approx(1e-12, rel=1e-9)
+        assert summary.cell(HIGH, 0).mean > cut
 
     def test_validation(self):
         outcome = OutcomeModel(rho=1.0, delta=0.5)

@@ -462,8 +462,8 @@ class TestMain:
         assert float(by_key[("nonignorable1 rho1", "1", "1")]["mean_rounded"]) == 2.0
 
     @pytest.mark.parametrize("fmt,digest", [
-        ("csv", "01bec96ef2b9c5f19362d81496da3ea7af141b2d6fb220e8bf096940308c3026"),
-        ("json", "7dae216e301a272420b60d6626be628d9bc722993df1554b7c391253f5a7aad4"),
+        ("csv", "2e414041b84b3cfebb2180549b4fc570cd81b2c17e74233044b944d48759feb0"),
+        ("json", "f1da624dda01ebe8106fc3e3f086cfb222b6e460222b7448aad7d0c241c264db"),
     ])
     def test_mixture_suite_output_is_pinned(self, capsys, fmt, digest):
         # every byte of the analytic table: a refactor of the mixture
