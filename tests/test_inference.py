@@ -185,11 +185,15 @@ class TestCiAndTest:
     def test_critical_value_pinned(self):
         assert abs(t_interval(0.0, 1.0, 76, 0.05)[1] - 1.9916726096446642) < 1e-12
 
+    @pytest.mark.parametrize("df", [
+        np.concatenate([np.arange(-3, 2000), [76, 0, 8]]).reshape(-1, 2),
+        np.full((3, 4), 76),
+        np.full((2, 3), 0),
+    ], ids=["mixed", "single", "single-below-1"])
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
-    def test_critical_values_equal_scalar_calls(self, alpha):
-        # one stdtrit call per distinct df gives each entry the bits of its
-        # own scalar call; df < 1 is NaN
-        df = np.concatenate([np.arange(-3, 2000), [76, 0, 8]]).reshape(-1, 2)
+    def test_critical_values_equal_scalar_calls(self, alpha, df):
+        # one stdtrit call per distinct df, or one broadcast for a single
+        # df, gives each entry the bits of its own scalar call; df < 1 is NaN
         got = t_interval(0.0, 1.0, df, alpha)[1]
         want = [float(stdtrit(d, 1.0 - alpha / 2.0)) if d >= 1 else math.nan
                 for d in df.ravel().tolist()]
