@@ -83,7 +83,7 @@ def flip_interval(
     rate = model.gamma_low if stratum == LOW else model.gamma_high
     upper_tail = (stratum == LOW) == (model.kind == "nonignorable1")
     center = outcome.mean(stratum, TRIGGER_ARM[stratum])
-    # the upper tail's cut is -ndtri(rate), not ndtri(1 - rate): 1 - rate rounds
+    # -ndtri(rate) for the upper tail: ndtri(1 - rate) loses it to rounding in 1 - rate
     z = ndtri(rate)
     cut = center + outcome.sigma * (-z if upper_tail else z)
     return (cut, inf) if upper_tail else (-inf, cut)

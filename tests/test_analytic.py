@@ -205,8 +205,9 @@ class TestMixtureCells:
             assert cell.sd == pytest.approx(math.sqrt(var[HIGH, HIGH, arm]), abs=1e-12)
 
     def test_small_upper_tail_rate_keeps_its_mass(self):
-        # the upper tail is cut at -ndtri(rate): 1 - 1e-12 rounds, and the
-        # cut at ndtri(1 - rate), 3.1e-6 further out, held mass below 1e-12
+        # 1 - 1e-12 rounds, so the cut must come from ndtri(rate): one at
+        # ndtri(1 - rate) lies 3.1e-6 further out, where the tail holds
+        # less than 1e-12
         model = MisclassModel("nonignorable1", 1e-12, 1e-12)
         cut = 7.034483825301131  # -ndtri(1e-12)
         assert flip_interval(model, OutcomeModel(), LOW) == (cut, math.inf)
