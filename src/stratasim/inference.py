@@ -232,14 +232,9 @@ def t_interval(
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided ``1 - alpha`` t intervals, elementwise over broadcast
-    arrays or floats: ``(ci_low, ci_high)``.  Entries with ``df < 1`` are
-    NaN.  One critical value is computed per distinct ``df``, and one
-    broadcast when ``df`` holds a single value."""
-    df, q = np.asarray(df), 1.0 - alpha / 2.0
+    arrays or floats: ``(ci_low, ci_high)``.  Entries with ``df <= 0`` are
+    NaN.  One critical value is computed per distinct ``df``."""
+    levels, index = np.unique(df, return_inverse=True)
     # stdtrit is NaN at df <= 0, without a warning
-    if df.size and (df == df.flat[0]).all():
-        crit = np.broadcast_to(stdtrit(df.flat[0], q), df.shape)
-    else:
-        levels, index = np.unique(df, return_inverse=True)
-        crit = stdtrit(levels, q)[index].reshape(df.shape)
+    crit = stdtrit(levels, 1.0 - alpha / 2.0)[index].reshape(np.shape(df))
     return estimate - crit * se, estimate + crit * se

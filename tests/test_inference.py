@@ -186,16 +186,16 @@ class TestCiAndTest:
         assert abs(t_interval(0.0, 1.0, 76, 0.05)[1] - 1.9916726096446642) < 1e-12
 
     @pytest.mark.parametrize("df", [
-        np.concatenate([np.arange(-3, 2000), [76, 0, 8]]).reshape(-1, 2),
+        np.concatenate([np.arange(-3, 2000), [76, 0, 8, 0.5, 2.5]]).reshape(-1, 2),
         np.full((3, 4), 76),
         np.full((2, 3), 0),
     ], ids=["mixed", "single", "single-below-1"])
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
     def test_critical_values_equal_scalar_calls(self, alpha, df):
-        # one stdtrit call per distinct df, or one broadcast for a single
-        # df, gives each entry the bits of its own scalar call; df < 1 is NaN
+        # one stdtrit call per distinct df gives each entry the bits of its
+        # own scalar call; df <= 0 is NaN, a fractional df above 0 is not
         got = t_interval(0.0, 1.0, df, alpha)[1]
-        want = [float(stdtrit(d, 1.0 - alpha / 2.0)) if d >= 1 else math.nan
+        want = [float(stdtrit(d, 1.0 - alpha / 2.0)) if d > 0 else math.nan
                 for d in df.ravel().tolist()]
         assert got.shape == df.shape
         assert np.array_equal(got.ravel(), want, equal_nan=True)
