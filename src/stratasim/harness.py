@@ -3,7 +3,8 @@
 One replication draws a cohort, misclassifies its strata, randomizes
 within the reported strata, and analyzes the observed outcomes twice:
 once adjusting for the true ("corrected") strata and once for the
-reported ones.  Randomization-based p-values are optional per scenario.
+reported ones.  Both are tested against one null batch of ``rb_draws``
+re-randomizations, empty (each p = 1) when there are none.
 
 Streams: one ``Philox`` key per scenario,
 ``SeedSequence(seed).generate_state(2, np.uint64)``.  Each stage takes a
@@ -33,12 +34,12 @@ depend on its chunk, so results are independent of chunking and thread
 count, and aggregation runs over arrays held in replication order.
 
 Runner: ``run_suite`` is the one path for every replication.  It cuts each
-scenario into tasks of ``TASK_CHUNKS`` (12) whole chunks and sends every
-task of the suite through one ``map``: the builtin one when there is one
-worker, else that of one process pool for the whole run.  Each scenario
-is reduced as soon as its last task is in.  ``run_scenario`` is a suite of one, and
-``run_replication`` a chunk of one that returns its replication's
-``Outcomes``.
+scenario into chunks and sends every chunk of the suite through one
+``map``: the builtin one when there is one worker, else that of one
+process pool for the whole run, which ships ``TASK_CHUNKS`` (12) chunks
+per work item.  Each scenario is reduced as soon as its last chunk is in.
+``run_scenario`` is a suite of one, and ``run_replication`` a chunk of one
+that returns its replication's ``Outcomes``.
 """
 
 from __future__ import annotations
@@ -50,16 +51,16 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .cohort import OutcomeModel, cohort_width, draw_cohort, observed_outcomes
 from .errors import ConfigurationError, as_int
-from .inference import NO_RESIDUAL_DF, fit_batch, t_interval
+from .inference import fit_batch, t_interval
 from .misclassify import MisclassModel, misclassify
 from .randomizer import AllocationRatio, TrialDesign, block_width, deal_blocks, draw_blocks
-from .rerandomize import DEGENERATE_OBSERVED, randomization_batch
+from .rerandomize import randomization_batch
 
 DEFAULT_SEED = 2014
 CORRECTED = "corrected"
@@ -72,7 +73,7 @@ WARN_SHARE = 0.001
 # what a chunk holds: patient assignments, observed and null, plus cohort
 # uniforms; four table2 replications
 CHUNK_CELLS = 4 * 1024 * 80
-# whole chunks per task; at one chunk a task, pool traffic ate table2's gain
+# chunks per pool work item; at one chunk an item, pool traffic ate table2's gain
 TASK_CHUNKS = 12
 # the most cells one replication may hold: a replication is never split, and
 # a chunk takes about 19-24 bytes per cell, so this caps one near 0.6-0.8 GiB
@@ -87,9 +88,9 @@ class ScenarioConfig:
     and run sizes.  The design has exactly two strata, since
     misclassification flips between two, and the outcome one mean per
     stratum.  ``n_replications`` must be at least 1 and ``seed``
-    nonnegative, all three counts integers; ``rb_draws = 0`` disables
-    randomization testing; ``alpha`` lies in (0, 1).  One replication
-    holds at most ``MAX_REPLICATION_CELLS`` cells, a bound on
+    nonnegative, all three counts integers; ``rb_draws = 0`` leaves the
+    null batch empty and reports no RB rate; ``alpha`` lies in (0, 1).  One
+    replication holds at most ``MAX_REPLICATION_CELLS`` cells, a bound on
     ``rb_draws``, or on ``n_patients`` without draws.  Every run analyzes
     both the corrected and the reported strata."""
 
@@ -175,8 +176,8 @@ class Outcomes:
     ``error`` holds one string per replication, empty when it is valid.
     The other arrays are ``(variants, replications)``, corrected strata
     first, and meaningless where the replication is invalid; ``rejected``
-    marks a model test that rejects, its t interval excluding 0.
-    """
+    marks a model test that rejects, its t interval excluding 0.  With no
+    null draws every ``rb_p`` is 1, and nothing is discarded or flagged."""
 
     error: np.ndarray
     estimate: np.ndarray
@@ -247,12 +248,13 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     """Simulate and analyze replications ``start`` to ``stop`` as one chunk.
 
     Both strata variants, codes 0 and 1 that the kernel reads as they are,
-    share one null batch, drawn within the reported strata.  One kernel
-    call fits every variant and row of the chunk: row 0 of a replication
-    is its observed assignment, the rest its null batch.
+    share one null batch, drawn within the reported strata and empty when
+    ``rb_draws`` is 0.  One kernel call fits every variant and row of the
+    chunk: row 0 of a replication is its observed assignment, the rest its
+    null batch.  A replication is invalid where an observed row is not
+    usable, and the first such variant's fault names it.
     """
     design, outcome = config.design, config.outcome
-    n_reps = stop - start
     key = _scenario_key(config.seed)
     rng = np.random.Generator(np.random.Philox(key=key))
 
@@ -264,44 +266,27 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     flips = draw(MISCLASSIFICATION, design.n_patients) if ignorable else None
     reported = misclassify(config.misclass, outcome, strata, potentials, flips)
     width = block_width(design)
-    picks = draw(RANDOMIZATION, width)[:, None]
-    if config.rb_enabled:
-        nulls = draw(NULL_BATCH, config.rb_draws * width).reshape(n_reps, config.rb_draws, width)
-        picks = np.concatenate([picks, nulls], axis=1)
+    picks = np.hstack([draw(RANDOMIZATION, width), draw(NULL_BATCH, config.rb_draws * width)])
+    picks = picks.reshape(stop - start, 1 + config.rb_draws, width)
     rows = deal_blocks(design, reported, draw_blocks(design, picks))
     y = observed_outcomes(potentials, rows[:, 0])
     fit = fit_batch(y, [strata, reported], rows, design.allocation.n_arms)
+    stats, usable = fit.tstats()
 
     # (variant, replication) arrays from row 0, the observed assignment
     estimate, se = fit.coef[..., 0], fit.se[..., 0]
     ci_low, ci_high = t_interval(estimate, se, fit.df, config.alpha)
-    failed = ~fit.valid[..., 0] | (fit.df < 1)
-    shape = estimate.shape
-    rb_p, discarded, flagged = np.full(shape, np.nan), np.zeros(shape, int), np.zeros(shape, bool)
-    if config.rb_enabled:
-        stats, usable = fit.tstats()
-        rb_p, discarded, flagged = (a.reshape(shape) for a in randomization_batch(
-            stats.reshape(-1, stats.shape[-1]), usable.reshape(-1, usable.shape[-1])))
-        failed |= ~usable[..., 0]
-    error = np.full(n_reps, "", dtype=object)
-    if failed.any():
-        fault = fit.faults()[..., 0]
-        fault[(fault == "") & (fit.df < 1)] = NO_RESIDUAL_DF
-        fault[(fault == "") & failed] = DEGENERATE_OBSERVED
-        # the first failing variant names a replication's error
-        for variant_fault in fault:
-            error = np.where(error == "", variant_fault, error)
+    rb_p, discarded, flagged = (a.reshape(estimate.shape) for a in randomization_batch(
+        stats.reshape(-1, stats.shape[-1]), usable.reshape(-1, usable.shape[-1])))
+    error = np.full(stop - start, "", dtype=object)
+    if not usable[..., 0].all():
+        for fault in fit.faults()[..., 0]:
+            error = np.where(error == "", fault, error)
     return Outcomes(
         error=error, estimate=estimate, se=se, rejected=(ci_low > 0.0) | (ci_high < 0.0),
         covered=(ci_low <= outcome.delta) & (outcome.delta <= ci_high),
         rb_p=rb_p, rb_discarded=discarded, rb_flagged=flagged,
     )
-
-
-def _replication_range(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
-    step = _chunk_size(config)
-    return Outcomes.concat([_run_chunk(config, a, min(a + step, stop))
-                            for a in range(start, stop, step)])
 
 
 def run_replication(config: ScenarioConfig, rep_index: int) -> Outcomes:
@@ -323,7 +308,10 @@ def _aggregate_variant(
     coverage = _mean(outcomes.covered[v, valid].astype(float))
     reject_rate = _mean(outcomes.rejected[v, valid].astype(float))
     sd_est = float(est.std(ddof=1)) if n > 1 else float("nan")
-    metrics = dict(
+    # with no null draws every p is 1: no rate to report
+    rb_reject_rate = (_mean((outcomes.rb_p[v, valid] <= config.alpha).astype(float))
+                      if config.rb_enabled else None)
+    return VariantMetrics(
         strata_used=name,
         n=n,
         bias=_mean(est) - config.outcome.delta,
@@ -335,14 +323,11 @@ def _aggregate_variant(
         mc_se_bias=sd_est / math.sqrt(n) if n > 1 else float("nan"),
         mc_se_coverage=mc_se_rate(coverage, n),
         mc_se_reject=mc_se_rate(reject_rate, n),
+        rb_reject_rate=rb_reject_rate,
+        mc_se_rb_reject=None if rb_reject_rate is None else mc_se_rate(rb_reject_rate, n),
+        rb_flagged=int(outcomes.rb_flagged[v, valid].sum()),
+        rb_discarded=int(outcomes.rb_discarded[v, valid].sum()),
     )
-    if config.rb_enabled:
-        rb_reject_rate = _mean((outcomes.rb_p[v, valid] <= config.alpha).astype(float))
-        metrics["rb_reject_rate"] = rb_reject_rate
-        metrics["mc_se_rb_reject"] = mc_se_rate(rb_reject_rate, n)
-        metrics["rb_flagged"] = int(outcomes.rb_flagged[v, valid].sum())
-        metrics["rb_discarded"] = int(outcomes.rb_discarded[v, valid].sum())
-    return VariantMetrics(**metrics)
 
 
 def _summarize(config: ScenarioConfig, outcomes: Outcomes) -> ScenarioMetrics:
@@ -383,21 +368,22 @@ def workers(threads: int) -> int:
 def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioMetrics]:
     """Run and aggregate every scenario of a suite.
 
-    Every task, ``TASK_CHUNKS`` whole chunks of one scenario, goes through
-    one ``map``: the builtin one when ``workers(threads)`` is 1, else that
-    of one process pool for the whole suite.  Each scenario is reduced in
-    replication order as soon as its last task is in, so no result depends
-    on the thread count, and a serial run holds one scenario's outcomes at
-    a time.
+    Every chunk of the suite goes through one ``map``: the builtin one when
+    ``workers(threads)`` is 1, else that of one process pool for the whole
+    suite, ``TASK_CHUNKS`` chunks per work item.  Each scenario is reduced
+    in replication order as soon as its last chunk is in, so no result
+    depends on the thread count, and a serial run holds one scenario's
+    outcomes at a time.
     ``threads`` is checked by ``workers``; an empty suite gives ``[]`` and
     starts no pool."""
     n_workers = workers(threads)
     if not configs:
         return []
-    starts = [range(0, c.n_replications, TASK_CHUNKS * _chunk_size(c)) for c in configs]
-    tasks = [(c, a, min(a + s.step, c.n_replications)) for c, s in zip(configs, starts) for a in s]
+    starts = [range(0, c.n_replications, _chunk_size(c)) for c in configs]
+    chunks = [(c, a, min(a + s.step, c.n_replications)) for c, s in zip(configs, starts) for a in s]
     with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        done = (map if pool is None else pool.map)(_replication_range, *zip(*tasks))
+        mapper = map if pool is None else partial(pool.map, chunksize=TASK_CHUNKS)
+        done = mapper(_run_chunk, *zip(*chunks))
         return [_summarize(c, Outcomes.concat([next(done) for _ in s]))
                 for c, s in zip(configs, starts)]
 
@@ -427,26 +413,18 @@ class MixtureCase:
     label: str = ""
 
 
-def _scenario_label(kind: str, rates: tuple[float, float], rho: float, delta: float) -> str:
-    return f"{kind} g{rates[0]:g}/{rates[1]:g} rho{rho:g} d{delta:g}"
-
-
-def paper_suite(
-    table_id: int,
-    reps: int | None = None,
-    rb_draws: int = 1000,
-    seed: int = DEFAULT_SEED,
-) -> list:
-    """Scenario grids matching the published simulation layout.
+def paper_suite(table_id: int, reps: int | None = None) -> list:
+    """Scenario grids matching the published simulation layout, at seed
+    ``DEFAULT_SEED``; ``dataclasses.replace`` changes any other field.
 
     Table 1: the 3 x 2 x 2 model/rate/correlation grid, effect 0.5, no
     randomization tests, 400k replications unless ``reps`` overrides.
-    Table 2: the same grid at effect 0 (level) and 0.5 (power) with
-    ``rb_draws`` randomization-test draws, 4000 replications default.
+    Table 2: the same grid at effect 0 (level) and 0.5 (power) with 1000
+    randomization-test draws, 4000 replications default.
     Table 3: analytic mixture cases at the high misclassification rates.
     """
     # table -> (effects, default replications, randomization-test draws)
-    grids = {1: ((0.5,), 400_000, 0), 2: ((0.0, 0.5), 4000, rb_draws)}
+    grids = {1: ((0.5,), 400_000, 0), 2: ((0.0, 0.5), 4000, 1000)}
     if isinstance(table_id, bool) or table_id not in (1, 2, 3):
         raise ConfigurationError(f"table_id must be 1, 2 or 3, got {table_id!r}")
     if table_id == 3:
@@ -469,8 +447,7 @@ def paper_suite(
             misclass=MisclassModel(kind, *rates),
             n_replications=default_reps if reps is None else reps,
             rb_draws=draws,
-            seed=seed,
-            label=_scenario_label(kind, rates, rho, delta),
+            label=f"{kind} g{rates[0]:g}/{rates[1]:g} rho{rho:g} d{delta:g}",
         )
         for delta in deltas
         for kind in PAPER_KINDS

@@ -31,6 +31,8 @@ RANK_TOL = 1e-10
 # replication (1,001 rows of 80 patients)
 MASK_CELLS = 1024 * 80
 NO_RESIDUAL_DF = "no residual degrees of freedom for a t interval"
+# a valid row with a t statistic that is not finite; reported for observed rows
+DEGENERATE_OBSERVED = "observed assignment gives a degenerate fit"
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,11 @@ class BatchFit:
     arm_count: np.ndarray
 
     def faults(self) -> np.ndarray:
-        """Why each row is invalid, ``""`` where it is valid: an object
-        array shaped like ``valid``."""
+        """Why each row is not usable, ``""`` exactly where ``tstats`` finds
+        it usable: an object array shaped like ``valid``.  An invalid row
+        names its empty arm, its unidentified columns or its rank drop; a
+        valid one ``NO_RESIDUAL_DF`` at ``df == 0``, else
+        ``DEGENERATE_OBSERVED`` for a t statistic that is not finite."""
         out = np.full(self.valid.shape, "", dtype=object)
         out[~self.valid] = "design matrix is rank deficient after column drops"
         empty = (self.arm_count == 0) & ~self.valid
@@ -66,15 +71,18 @@ class BatchFit:
         n = int(self.arm_count.reshape(len(empty), -1)[:, 0].sum()) if self.valid.size else 0
         for df in np.unique(self.df[self.df < 0]):
             out[self.df == df] = f"{n} observations cannot identify {n - df} columns"
+        out[(out == "") & (self.df == 0)[..., None]] = NO_RESIDUAL_DF
+        out[(out == "") & ~self.tstats()[1]] = DEGENERATE_OBSERVED
         return out
 
     def tstats(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(tstats, valid)`` of the arm-1 coefficient, ``(variants, groups,
-        rows)``; NaN where invalid."""
+        """``(tstats, usable)`` of the arm-1 coefficient, ``(variants, groups,
+        rows)``, the one rule on rows: usable where valid with a finite t,
+        which takes ``df > 0``; NaN elsewhere."""
         with np.errstate(invalid="ignore", divide="ignore"):
             stats = self.coef / self.se
-        valid = self.valid & np.isfinite(stats)
-        return np.where(valid, stats, np.nan), valid
+        usable = self.valid & np.isfinite(stats)
+        return np.where(usable, stats, np.nan), usable
 
 
 def fit_batch(

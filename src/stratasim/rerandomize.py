@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDesignError, as_codes
-from .inference import fit_batch
+from .inference import DEGENERATE_OBSERVED, fit_batch
 
 FLAG_DISCARD_SHARE = 0.01
 # a null statistic this close to the observed one, relative to its size,
@@ -34,7 +34,6 @@ FLAG_DISCARD_SHARE = 0.01
 # swapped) has the same |t| in exact arithmetic, but its sums run over
 # other patients and can round to either side
 TIE_RTOL = 1e-9
-DEGENERATE_OBSERVED = "observed assignment gives a degenerate fit"
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,9 @@ def randomization_batch(
     t statistics and validity flags: row 0 of a group is its observed
     assignment, the other rows its null draws.
 
-    Returns ``(p_value, discarded, flagged)`` per group.  A group whose
-    null draws all degenerate gets the add-one p-value over no draws,
-    ``p = 1``, and is flagged.  The observed row's validity is the
-    caller's to check.
+    Returns ``(p_value, discarded, flagged)`` per group.  A group with no
+    usable null draw gets the add-one p-value over none, ``p = 1``, flagged
+    if it had draws to lose.  The observed row's validity is the caller's.
     """
     observed = np.abs(stats[:, :1]) * (1.0 - TIE_RTOL)
     null, usable = stats[:, 1:], valid[:, 1:]

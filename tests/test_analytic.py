@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import nct, norm, truncnorm
@@ -110,6 +111,23 @@ class TestTruncnormMoments:
         assert got.mean == pytest.approx(mean, rel=1e-10)
         assert got.var == pytest.approx(var, rel=1e-10)
         assert got.prob == pytest.approx(norm.sf(a), rel=1e-10)
+
+    @pytest.mark.parametrize("mu,sigma", ((0.0, 1.0), (1.5, 2.0)))
+    def test_one_sided_tails_match_mpmath(self, mu, sigma):
+        # both tails, bounds 0 to 7.03 sd (past that the mass is below
+        # 1e-12 and rejected): the variance subtracts no close terms
+        mpmath.mp.dps = 50
+        for a in [*np.arange(0.0, 7.01, 0.125), 7.03]:
+            for lower, upper in ((mu + sigma * a, math.inf), (-math.inf, mu - sigma * a)):
+                got = truncnorm_moments(mu, sigma, lower, upper)
+                # the standardized bound as an upper tail, exactly as rounded
+                bound = (mpmath.mpf(lower) - mu if upper == math.inf
+                         else mu - mpmath.mpf(upper)) / sigma
+                lam = mpmath.npdf(bound) / mpmath.ncdf(-bound)
+                var = sigma * sigma * (1 + bound * lam - lam * lam)
+                mean = mu + sigma * lam if upper == math.inf else mu - sigma * lam
+                assert float(abs(got.var / var - 1)) < 1e-14, (a, lower, upper)
+                assert float(abs(got.mean / mean - 1)) < 1e-14, (a, lower, upper)
 
     def test_truncation_shrinks_variance(self):
         got = truncnorm_moments(0.0, 1.0, -1.5, 1.5)

@@ -51,12 +51,15 @@ def _replications(config, reps):
 def _assert_same(got, want):
     """Outcomes equal bit for bit, NaNs and invalid replications included."""
     for f in fields(Outcomes):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-        if a.dtype == object:
-            assert a.tolist() == b.tolist(), f.name
-        else:
-            assert a.tobytes() == b.tobytes(), f.name
+        _assert_field_same(f.name, getattr(got, f.name), getattr(want, f.name))
+
+
+def _assert_field_same(name, a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+    if a.dtype == object:
+        assert a.tolist() == b.tolist(), name
+    else:
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _config(reps=20, rb_draws=0, rho=1.0, delta=0.5, seed=123, **kw):
@@ -152,9 +155,10 @@ def test_config_counts_coerced_or_rejected_by_field(build, fields, rejected):
 
 class _InlinePool:
     """Stands in for ``ProcessPoolExecutor``: records the worker count and
-    runs each task in this process."""
+    each ``map``'s chunksize, and runs each chunk in this process."""
 
     max_workers: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers):
         self.max_workers.append(max_workers)
@@ -165,7 +169,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *iterables)
 
 
@@ -187,13 +192,14 @@ def _mixed_suite():
         misclass=MisclassModel("nonignorable1", 0.15, 0.30), n_replications=14,
         rb_draws=30, seed=29, label="varblock",
     )
-    return [paper_suite(1, reps=30)[5], paper_suite(2, reps=13, rb_draws=40)[16], varblock]
+    return [paper_suite(1, reps=30)[5], replace(paper_suite(2, reps=13)[16], rb_draws=40), varblock]
 
 
 def test_suite_equals_its_scenarios_at_any_thread_count(monkeypatch):
     configs = _mixed_suite()
     alone = repr([run_scenario(c) for c in configs])
-    # chunks of 2 in tasks of 2 chunks: every scenario spans at least 3 tasks
+    # chunks of 2, two to a pool work item: every scenario spans at least 3
+    # items, and some item holds the chunks of two scenarios
     monkeypatch.setattr(harness, "_chunk_size", lambda config: 2)
     monkeypatch.setattr(harness, "TASK_CHUNKS", 2)
     assert all(c.n_replications > 2 * 4 for c in configs)
@@ -202,41 +208,40 @@ def test_suite_equals_its_scenarios_at_any_thread_count(monkeypatch):
 
 
 def test_suite_tasks_are_whole_chunks_reduced_in_turn(monkeypatch):
-    # chunks of 3 in tasks of 2 chunks; at threads=1 scenario k is reduced
-    # before a chunk of scenario k+1 runs
+    # chunks of 3; at threads=1 scenario k is reduced before a chunk of
+    # scenario k+1 runs, and a pool ships TASK_CHUNKS chunks per work item
     events = []
-    run_chunk, replication_range, summarize = (
-        harness._run_chunk, harness._replication_range, harness._summarize)
+    run_chunk, summarize = harness._run_chunk, harness._summarize
 
     def chunk(config, start, stop):
         events.append(("chunk", config.label, start, stop))
         return run_chunk(config, start, stop)
-
-    def task(config, start, stop):
-        events.append(("task", config.label, start, stop))
-        return replication_range(config, start, stop)
 
     def reduce(config, outcomes):
         events.append(("reduce", config.label, config.n_replications))
         return summarize(config, outcomes)
 
     monkeypatch.setattr(harness, "_run_chunk", chunk)
-    monkeypatch.setattr(harness, "_replication_range", task)
     monkeypatch.setattr(harness, "_summarize", reduce)
     monkeypatch.setattr(harness, "_chunk_size", lambda config: 3)
-    monkeypatch.setattr(harness, "TASK_CHUNKS", 2)
     configs = _mixed_suite()
-    harness.run_suite(configs)
+    serial = harness.run_suite(configs)
     want = []
     for config in configs:
         n = config.n_replications
-        for a in range(0, n, 6):
-            want.append(("task", config.label, a, min(a + 6, n)))
-            want += [("chunk", config.label, b, min(b + 3, n)) for b in range(a, min(a + 6, n), 3)]
+        want += [("chunk", config.label, a, min(a + 3, n)) for a in range(0, n, 3)]
         want.append(("reduce", config.label, n))
     assert events == want
-    # short last tasks and chunks are covered
-    assert any(c.n_replications % 6 for c in configs)
+    # short last chunks are covered
+    assert any(c.n_replications % 3 for c in configs)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    events.clear()
+    assert repr(harness.run_suite(configs, threads=2)) == repr(serial)
+    assert events == want
+    assert (_InlinePool.max_workers, _InlinePool.chunksizes) == ([2], [harness.TASK_CHUNKS])
 
 
 class TestMcSeRate:
@@ -269,7 +274,8 @@ class TestRunReplication:
         assert out.estimate.shape == out.rb_p.shape == (2, 1)
         assert out.rejected.shape == (2, 1) and out.rejected.dtype == bool
         assert (out.se > 0.0).all()
-        assert np.isnan(out.rb_p).all()
+        # the empty null batch: every test gives p = 1
+        assert (out.rb_p == 1.0).all()
         assert (out.rb_discarded == 0).all() and not out.rb_flagged.any()
 
     def test_record_shape_with_rb(self):
@@ -456,8 +462,8 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
     )
     alone = _replications(config, range(12))
     _assert_same(harness._run_chunk(config, 0, 12), alone)
-    # tasks of one small chunk in two worker processes: the parent reduces
-    # what they return
+    # one small chunk per work item in two worker processes: the parent
+    # reduces what they return
     seen = []
     summarize = harness._summarize
 
@@ -473,6 +479,25 @@ def test_chunking_never_changes_a_record(monkeypatch, design, kind, rb_draws):
     assert repr(threaded) == repr(run_scenario(config, threads=1))
     if design.n_patients == 4:
         assert 0 < threaded.n_invalid < 12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("design", [paper_design(), _varblock_design(),
+                                    _mixed_validity_design()], ids=["paper", "varblock", "mixed"])
+def test_rb_draws_never_change_the_model_outcomes(design, kind):
+    # the null batch is a stage of its own: the observed fit, its interval
+    # and the replication's verdict read nothing of it
+    config = ScenarioConfig(
+        design=design, outcome=OutcomeModel(rho=0.5, delta=0.5),
+        misclass=MisclassModel(kind, 0.15, 0.30), n_replications=24, seed=31,
+    )
+    without = harness._run_chunk(config, 0, 24)
+    with_rb = harness._run_chunk(replace(config, rb_draws=40), 0, 24)
+    for name in ("error", "estimate", "se", "covered", "rejected"):
+        _assert_field_same(name, getattr(with_rb, name), getattr(without, name))
+    assert (without.rb_p == 1.0).all() and (with_rb.rb_p[:, without.error == ""] < 1.0).any()
+    if design.n_patients == 4 and kind == "ignorable":
+        assert 0 < (without.error != "").sum() < 24
 
 
 def _chunk_fit_inputs(monkeypatch, config, reps):
@@ -759,10 +784,11 @@ class TestPaperSuite:
         assert all(c.n_replications == 500 for c in configs)
 
     def test_testing_grid(self):
-        configs = paper_suite(2, rb_draws=250)
+        configs = paper_suite(2)
         assert len(configs) == 24
         assert all(c.n_replications == 4000 for c in configs)
-        assert all(c.rb_draws == 250 for c in configs)
+        assert all(c.rb_draws == 1000 for c in configs)
+        assert all(c.seed == harness.DEFAULT_SEED for c in configs)
         assert {c.outcome.delta for c in configs} == {0.0, 0.5}
         assert len({c.label for c in configs}) == 24
 
@@ -800,7 +826,7 @@ def _varblock_suite(reps, rb_draws):
 SUITE_DIGESTS = {
     "table1": (lambda: paper_suite(1, reps=300),
                "5773d4fd2a311c05d1cfb55be4dabe64be041509a71176981def010c39a6585c"),
-    "table2": (lambda: paper_suite(2, reps=4, rb_draws=50),
+    "table2": (lambda: [replace(c, rb_draws=50) for c in paper_suite(2, reps=4)],
                "ffd2d491ff6085ff203999aa71f3e536669418d934cef8bd7946cda03703dc9a"),
     "varblock": (lambda: _varblock_suite(4, 50),
                  "90616dd24d0896eea0b4cf69962ae9ec1600f42199b208f482bbddd29c058953"),

@@ -9,7 +9,14 @@ import pytest
 from scipy.special import stdtrit
 
 from stratasim.errors import ConfigurationError
-from stratasim.inference import RANK_TOL, BatchFit, fit_batch, t_interval
+from stratasim.inference import (
+    DEGENERATE_OBSERVED,
+    NO_RESIDUAL_DF,
+    RANK_TOL,
+    BatchFit,
+    fit_batch,
+    t_interval,
+)
 from stratasim.randomizer import AllocationRatio, TrialDesign, batch_block_assignments
 from oracles import ols_exact, t_critical_bisect, t_two_sided_p
 
@@ -160,6 +167,14 @@ class TestFitModel:
             _fit_one(np.ones(4), np.array([0, 1]), np.array([0, 1, 0, 1]))
 
 
+def _zero_se_row(estimate):
+    """A valid one-row fit with a zero SE."""
+    return BatchFit(
+        df=np.array([[8]]), coef=np.full((1, 1, 1), estimate), se=np.zeros((1, 1, 1)),
+        valid=np.ones((1, 1, 1), dtype=bool), arm_count=np.full((2, 1, 1, 1), 5),
+    )
+
+
 class TestCiAndTest:
     """t intervals and tests of fitted rows through ``t_interval``."""
 
@@ -201,17 +216,13 @@ class TestCiAndTest:
         assert np.array_equal(got.ravel(), want, equal_nan=True)
 
     def test_zero_se_edge(self):
-        def one_row(estimate):
-            return BatchFit(
-                df=np.array([[8]]), coef=np.full((1, 1, 1), estimate), se=np.zeros((1, 1, 1)),
-                valid=np.ones((1, 1, 1), dtype=bool), arm_count=np.full((2, 1, 1, 1), 5),
-            )
-
-        # a zero SE rejects every estimate but the null itself
+        # a zero SE rejects every estimate but the null itself; its t
+        # statistic is not finite, so the row is not usable
         for estimate in (0.0, 0.5, -0.5):
-            ci_low, ci_high = _interval(one_row(estimate))[:, 0, 0, 0]
+            ci_low, ci_high = _interval(_zero_se_row(estimate))[:, 0, 0, 0]
             assert ci_low == ci_high == estimate
-            assert _rejected(one_row(estimate))[0, 0, 0] == (estimate != 0.0)
+            assert _rejected(_zero_se_row(estimate))[0, 0, 0] == (estimate != 0.0)
+            assert _zero_se_row(estimate).faults().tolist() == [[[DEGENERATE_OBSERVED]]]
 
     @pytest.mark.parametrize("estimate,se", [(0.5, 0.2), (0.5, 0.0), (0.0, 0.0)])
     def test_t_interval_takes_python_floats(self, estimate, se):
@@ -401,9 +412,12 @@ class TestGroupAxis:
         fit = fit_batch(y, [strata], draws, 3)
         assert fit.df.tolist() == [[-1, 0]]
         assert fit.valid.tolist() == [[[False], [True]]]
-        assert fit.faults().tolist() == [[["3 observations cannot identify 4 columns"], [""]]]
-        # the valid group has no residual degrees of freedom: no t interval
+        # the valid group has no residual degrees of freedom: no t interval,
+        # so its row is not usable either
+        assert fit.faults().tolist() == [[["3 observations cannot identify 4 columns"],
+                                          [NO_RESIDUAL_DF]]]
         assert np.isnan(_interval(fit)[:, 0, 1, 0]).all()
+        assert not fit.tstats()[1].any()
 
     def test_t_interval_entry_equals_scalar_call(self):
         y, variants, draws = self._groups(73)
@@ -454,3 +468,37 @@ class TestEstimand:
         assert valid[0, 0, 0] and not valid[0, 0, 1]
         assert np.array_equal(stats[valid], (fit.coef / fit.se)[valid])
         assert np.isnan(stats[~valid]).all()
+
+
+def _fixture_fits():
+    """The fits of this module's fixtures, valid, invalid and unusable rows."""
+    y3 = np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0]])
+    no_arm2 = np.where(TREATMENTS == 2, 1, TREATMENTS)
+    collinear = np.array([0, 1] * 5)
+    degenerate = np.array([[0, 1, 2, 0, 1, 2], [0, 2, 2, 0, 2, 2], [1, 1, 2, 1, 1, 2]])
+    y, strata, draws = _trial(43)
+    return [
+        _one_group(y, [strata], draws, 3)[0],
+        _fit_one(Y, TREATMENTS, STRATA),
+        _fit_one(Y, no_arm2, STRATA),
+        _fit_one(np.arange(10.0), collinear, collinear, n_arms=2),
+        _fit_one(np.ones(3), np.array([0, 1, 2]), np.array([0, 1, 1])),
+        _one_group([1.0, 2.0, 3.0, 4.0, 2.5, 3.5], [np.zeros(6, int)], degenerate, 3)[0],
+        fit_batch(np.array(Y, float)[None], [s[None] for s in TestStackedKernel.STRATA],
+                  TestStackedKernel.ROWS[None], 3),
+        fit_batch(*TestGroupAxis._groups(71), 3),
+        fit_batch(y3, [np.array([[0, 1, 1], [1, 1, 1]])], np.array([[[0, 1, 2]], [[0, 1, 2]]]), 3),
+        *(_zero_se_row(estimate) for estimate in (0.0, 0.5)),
+    ]
+
+
+def test_faults_are_empty_exactly_where_rows_are_usable():
+    fits = _fixture_fits()
+    for fit in fits:
+        usable = fit.tstats()[1]
+        assert np.array_equal(fit.faults() == "", usable)
+    # every kind of row is covered
+    named = {f for fit in fits for f in fit.faults().ravel().tolist()}
+    assert {"", NO_RESIDUAL_DF, DEGENERATE_OBSERVED, "arm 2 has no patients",
+            "design matrix is rank deficient after column drops",
+            "3 observations cannot identify 4 columns"} <= named
