@@ -11,20 +11,23 @@ A configuration document is JSON with four optional sections::
       "run":      {"reps": 50000, "rb_draws": 0, "seed": 2014, "alpha": 0.05}
     }
 
-Missing keys take the defaults above.  The library constructors check
-every value; an unknown key and every rejected value, not only a wrong
-type, fail with the key's dotted path, list elements by index
+Missing keys take the defaults above.  ``parse_config`` validates one
+decoded document into one ``ScenarioConfig``: the library constructors
+check every value, and an unknown key and every rejected value, not only
+a wrong type, fail with the key's dotted path, list elements by index
 (``design.allocation[1]``).  A scenario needs exactly two strata and one
-mean per stratum.  A suite starts from ``paper_suite`` (table1 at 50,000
-replications unless ``--paper-scale``), a config run from
-``parse_config``; the given flags replace their fields.  The constructors,
-and ``harness.workers`` for ``--threads``, check every flag value too, and
-a rejected one exits 2 as ``--reps: must be >= 1, got 0``.  Output (CSV
-or JSON) embeds a metadata block with the package version, the seed, and
-a config echo that parses back to the same scenarios, so a results file
-fully identifies its run.  The thread count describes the environment,
-not the results: it goes to stderr, and the results file is the same for
-any ``--threads``.
+mean per stratum.  Only ``build_run_spec`` reads the ``--config`` file,
+as UTF-8 JSON, and any fault in it exits 2 led by the flag
+(``--config: design.n: must be >= 1, got 0``).  A suite starts from
+``paper_suite`` (table1 at ``DESK_REPS`` replications unless
+``--paper-scale``), a config run from its document; the given flags
+replace their fields.  The constructors, and ``harness.workers`` for
+``--threads``, check every flag value too, and a rejected one exits 2 as
+``--reps: must be >= 1, got 0``.  Output (CSV or JSON) embeds a metadata
+block with the package version, the seed, and a config echo that parses
+back to the same scenarios, so a results file fully identifies its run.
+The thread count describes the environment, not the results: it goes to
+stderr, and the results file is the same for any ``--threads``.
 """
 
 from __future__ import annotations
@@ -54,12 +57,16 @@ from .harness import (
 from .misclassify import MisclassModel
 from .randomizer import AllocationRatio, TrialDesign
 
+# replications per scenario of a config run and of ``--suite table1``
+# without ``--paper-scale``
+DESK_REPS = 50_000
+
 _DEFAULTS = {
     "design": {"n": 80, "block_size": 10, "block_sizes": None, "allocation": [1, 2, 2],
                "strata_probs": [0.4, 0.6]},
     "outcome": {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0], "sigma": 1.0},
     "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-    "run": {"reps": 50_000, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05},
+    "run": {"reps": DESK_REPS, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05},
 }
 
 # document key -> library field, by section; two keys are renamed
@@ -72,9 +79,6 @@ _PATHS = {field: f"{section}.{key}"
 # library field -> the flag that sets it
 _FLAGS = {"n_replications": "--reps", "rb_draws": "--rb-draws", "seed": "--seed",
           "threads": "--threads"}
-# replications per scenario of ``--suite table1`` without ``--paper-scale``
-TABLE1_DESK_REPS = 50_000
-
 ROUND_DIGITS = 3
 MIXTURE_ROUND_DIGITS = 2
 
@@ -108,36 +112,14 @@ def _section(doc: dict, name: str) -> dict:
     return {**defaults, **raw}
 
 
-def parse_config(source) -> list[ScenarioConfig]:
-    """Validate one configuration document into scenario configs.
+def parse_config(doc: dict) -> ScenarioConfig:
+    """Validate one decoded configuration document into a scenario config.
 
-    ``source`` may be a dict, a JSON string, or a path to a JSON file.  A
-    string whose text starts with ``{`` or ``[`` is a JSON document; any
-    other string, like a ``Path``, names a file.  Raises
-    ``ConfigParseError`` naming the dotted path of any unknown key or any
-    value the library constructors reject, and the path of a file it
-    cannot read.
+    Raises ``ConfigParseError`` naming the dotted path of any unknown key
+    or any value the library constructors reject.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith(("{", "["))
-    ):
-        try:
-            source = Path(source).read_text()
-        except OSError as exc:
-            raise ConfigParseError(
-                f"{source}: cannot read config file: {exc.strerror}"
-            ) from exc
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(f"document is not valid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise ConfigParseError(f"cannot read a config from {type(source).__name__}")
     if not isinstance(doc, dict):
-        raise ConfigParseError("top level: expected an object")
+        raise ConfigParseError(f"top level: expected an object, got {type(doc).__name__}")
     unknown = set(doc) - set(_DEFAULTS)
     if unknown:
         raise ConfigParseError(f"{sorted(unknown)[0]}: unknown key")
@@ -154,7 +136,7 @@ def parse_config(source) -> list[ScenarioConfig]:
         )
     except ConfigurationError as exc:
         raise ConfigParseError(_renamed(exc, _PATHS) or str(exc)) from exc
-    return [config]
+    return config
 
 
 def _renamed(exc: ConfigurationError, names: dict) -> str | None:
@@ -331,13 +313,21 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
         raise ConfigParseError(f"--out: {args.out} is a directory")
 
     if args.config:
-        suite, base = "custom", parse_config(args.config)
+        try:
+            doc = json.loads(args.config.read_text("utf-8"))
+            suite, base = "custom", [parse_config(doc)]
+        except OSError as exc:
+            raise ConfigParseError(f"--config: cannot read {args.config}: {exc.strerror}") from exc
+        except ConfigParseError as exc:
+            raise ConfigParseError(f"--config: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigParseError(f"--config: {args.config} is not valid JSON: {exc}") from exc
     else:
         suite, base = args.suite, paper_suite(int(args.suite.removeprefix("table")))
     overrides = {field: value for field, value in values.items() if value is not None}
     threads = overrides.pop("threads", 1)
     if suite == "table1" and not args.paper_scale:
-        overrides.setdefault("n_replications", TABLE1_DESK_REPS)
+        overrides.setdefault("n_replications", DESK_REPS)
     # the constructors and ``workers`` check every value; a flag names it
     try:
         workers(threads)

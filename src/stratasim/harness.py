@@ -58,7 +58,7 @@ import numpy as np
 from .cohort import OutcomeModel, cohort_width, draw_cohort, observed_outcomes
 from .errors import ConfigurationError, as_int
 from .inference import fit_batch, t_interval
-from .misclassify import MisclassModel, misclassify
+from .misclassify import KINDS, MisclassModel, misclassify
 from .randomizer import AllocationRatio, TrialDesign, block_width, deal_blocks, draw_blocks
 from .rerandomize import randomization_batch
 
@@ -390,7 +390,6 @@ def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioM
 
 PAPER_RATES = ((0.02, 0.02), (0.15, 0.30))
 PAPER_RHOS = (1.0, 0.5)
-PAPER_KINDS = ("ignorable", "nonignorable1", "nonignorable2")
 
 
 def paper_design() -> TrialDesign:
@@ -435,7 +434,7 @@ def paper_suite(table_id: int, reps: int | None = None) -> list:
                 strata_probs=(0.4, 0.6),
                 label=f"{kind} rho{rho:g}",
             )
-            for kind in PAPER_KINDS
+            for kind in KINDS
             for rho in PAPER_RHOS
         ]
     deltas, default_reps, draws = grids[table_id]
@@ -450,7 +449,7 @@ def paper_suite(table_id: int, reps: int | None = None) -> list:
             label=f"{kind} g{rates[0]:g}/{rates[1]:g} rho{rho:g} d{delta:g}",
         )
         for delta in deltas
-        for kind in PAPER_KINDS
+        for kind in KINDS
         for rates in PAPER_RATES
         for rho in PAPER_RHOS
     ]

@@ -56,7 +56,7 @@ def conditional_moments(counts: SubgroupCounts) -> tuple[float, float]:
     """
     n, k, r = counts.n_stratum, counts.n_treated, counts.n_subgroup
     p = k / n
-    if n == 1 or r == n:
+    if r == n:
         return p, 0.0
     return p, p * (1.0 - p) * (n - r) / (r * (n - 1))
 
@@ -85,7 +85,7 @@ def tau_permuted_block(
     treated = set(as_tuple("treated_arms", treated_arms, as_int))
     k_block = sum(1 for code in pattern if int(code) in treated)
     remainder = stratum_size % block
-    if remainder == 0 or block == 1:
+    if remainder == 0:
         return 0.0
     share = k_block / block
     var_count = remainder * share * (1.0 - share) * (block - remainder) / (block - 1)

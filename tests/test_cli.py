@@ -85,7 +85,7 @@ def scenario_configs(draw):
 
 class TestParseConfig:
     def test_empty_document_takes_defaults(self):
-        (config,) = parse_config({})
+        config = parse_config({})
         assert config.design.n_patients == 80
         assert config.design.block_size == 10
         assert config.design.block_sizes is None
@@ -103,7 +103,7 @@ class TestParseConfig:
         assert config.label == "custom"
 
     def test_overrides_apply(self):
-        (config,) = parse_config(CUSTOM_DOC)
+        config = parse_config(CUSTOM_DOC)
         assert config.design.n_patients == 40
         assert config.design.allocation.weights == (1, 1)
         assert config.design.block_sizes == (2, 4)
@@ -116,17 +116,11 @@ class TestParseConfig:
         assert config.seed == 99
         assert config.alpha == 0.1
 
-    def test_accepts_string_and_path(self, tmp_path):
-        from_dict = parse_config(CUSTOM_DOC)[0]
-        assert parse_config(json.dumps(CUSTOM_DOC))[0] == from_dict
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(CUSTOM_DOC))
-        assert parse_config(path)[0] == from_dict
-        assert parse_config(str(path))[0] == from_dict
-
     @pytest.mark.parametrize(
         "doc,needle",
         [
+            ([1, 2], "top level: expected an object, got list"),
+            ("{}", "top level: expected an object, got str"),
             ({"design": {"m": 3}}, "design.m"),
             ({"run": {"analyze_reported": False}}, "run.analyze_reported: unknown key"),
             ({"desing": {}}, "desing"),
@@ -178,8 +172,8 @@ class TestParseConfig:
             ({"outcome": {"strata_means": [0.0]}}, r"outcome\.strata_means"),
             ({"outcome": {"strata_means": [0.0, "1"]}}, r"outcome\.strata_means\[1\]"),
             ({"outcome": {"sigma": 0}}, "sigma"),
-            ('{"outcome": {"delta": NaN}}', r"outcome\.delta"),
-            ('{"run": {"reps": Infinity}}', r"run\.reps"),
+            ({"outcome": {"delta": float("nan")}}, r"outcome\.delta"),
+            ({"run": {"reps": float("inf")}}, r"run\.reps"),
             ({"run": {"seed": -1}}, r"run\.seed"),
             ({"run": {"alpha": 1.0}}, r"run\.alpha"),
         ],
@@ -188,43 +182,25 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match=needle):
             parse_config(doc)
 
-    def test_long_json_string_is_parsed_not_opened(self):
-        text = json.dumps(CUSTOM_DOC, indent=8)
-        assert len(text) > 255
-        assert parse_config(text)[0] == parse_config(CUSTOM_DOC)[0]
-        assert parse_config("\n  " + text)[0] == parse_config(CUSTOM_DOC)[0]
-
-    def test_missing_file_names_its_path(self, tmp_path):
-        missing = tmp_path / "absent.json"
-        for source in (missing, str(missing)):
-            with pytest.raises(ConfigParseError, match="absent.json"):
-                parse_config(source)
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ConfigParseError, match="JSON"):
-            parse_config("{not json")
-        with pytest.raises(ConfigParseError, match="object"):
-            parse_config("[1, 2]")
-
     def test_roundtrip_through_doc(self):
-        config = parse_config(CUSTOM_DOC)[0]
+        config = parse_config(CUSTOM_DOC)
         assert scenario_to_doc(config) == CUSTOM_DOC
-        assert parse_config(scenario_to_doc(config))[0] == config
-        assert scenario_to_doc(parse_config({})[0]) == DEFAULT_DOC
+        assert parse_config(scenario_to_doc(config)) == config
+        assert scenario_to_doc(parse_config({})) == DEFAULT_DOC
 
     def test_documented_defaults_are_the_parser_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         for text, heading in [(cli.__doc__, "::"), (readme, "## Command line")]:
             start = text.index("{", text.index(heading))
             documented = json.JSONDecoder().raw_decode(text[start:])[0]
-            assert documented == scenario_to_doc(parse_config({})[0])
+            assert documented == scenario_to_doc(parse_config({}))
 
     @settings(max_examples=200, deadline=None)
     @given(config=scenario_configs())
     def test_every_valid_config_roundtrips(self, config):
         doc = scenario_to_doc(config)
-        assert parse_config(doc)[0] == replace(config, label="custom")
-        assert parse_config(json.dumps(doc))[0] == replace(config, label="custom")
+        assert parse_config(doc) == replace(config, label="custom")
+        assert parse_config(json.loads(json.dumps(doc))) == replace(config, label="custom")
 
 
 class TestEmitTable:
@@ -384,8 +360,8 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["meta"]["suite"] == "custom"
         assert doc["meta"]["seed"] == 11
-        echoed = parse_config(doc["meta"]["scenarios"][0])[0]
-        assert echoed == parse_config(str(cfg))[0]
+        echoed = parse_config(doc["meta"]["scenarios"][0])
+        assert echoed == parse_config(json.loads(cfg.read_text()))
         assert [row["strata"] for row in doc["rows"]] == ["corrected", "reported"]
         row = doc["rows"][0]
         assert abs(row["bias"]) < 0.1
@@ -452,8 +428,8 @@ class TestMain:
         }
         picked = by_key[("ignorable rho1", "0", "0")]
         summary = reported_strata_mixture(
-            parse_config({"misclass": {"gamma_low": 0.15, "gamma_high": 0.30}})[0].misclass,
-            parse_config({})[0].outcome,
+            parse_config({"misclass": {"gamma_low": 0.15, "gamma_high": 0.30}}).misclass,
+            parse_config({}).outcome,
         )
         cell = summary.cell(0, 0)
         assert float(picked["mean"]) == pytest.approx(cell.mean, abs=1e-12)
@@ -490,7 +466,30 @@ class TestMain:
         path.write_text('{"design": {"blocks": 9}}')
         assert main(["--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "design.blocks" in err and "Traceback" not in err
+        assert err == "stratasim: --config: design.blocks: unknown key\n"
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read {path}: "),
+        ("directory", "cannot read {path}: "),
+        (b'\xff\xfe{"run": {}}', "{path} is not valid JSON: 'utf-8' codec can't decode"),
+        (b"{not json", "{path} is not valid JSON: Expecting property name"),
+        (b"[" * 100_000, "{path} is not valid JSON: "),
+        (b"[1, 2]", "top level: expected an object, got list"),
+        (b'{"outcome": {"delta": NaN}}', "outcome.delta: must be finite, got nan"),
+    ], ids=["missing", "directory", "not-utf8", "malformed", "too-deep", "array", "nan"])
+    def test_unusable_config_file_exits_2_named_by_its_flag(self, tmp_path, capsys,
+                                                            monkeypatch, content, message):
+        path = tmp_path / "run.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        ran = []
+        monkeypatch.setattr("stratasim.cli.run_suite", lambda *args, **kw: ran.append(args))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stratasim: --config: {message.format(path=path)}")
+        assert "Traceback" not in err and ran == []
 
     def test_strict_mode_fails_on_warnings(self, tmp_path, capsys):
         doc = {
@@ -512,7 +511,7 @@ class TestMain:
         path = tmp_path / "flagged.json"
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--strict", "--out", str(tmp_path / "x.csv")]) == 1
-        metrics = run_scenario(parse_config(doc)[0])
+        metrics = run_scenario(parse_config(doc))
         assert metrics.n_invalid == 0 and metrics.corrected.rb_flagged > 0
         line = ("stratasim: warning: custom: 0 of 300 replications invalid; "
                 f"corrected rb_flagged={metrics.corrected.rb_flagged} "
@@ -543,7 +542,7 @@ class TestMain:
         body = [ln for ln in plain.read_text().splitlines() if not ln.startswith("# ")]
         assert {row["reps"] for row in csv.DictReader(body)} == ({"0"} if all_invalid else {"30"})
         err = capsys.readouterr().err
-        reasons = run_scenario(parse_config(doc)[0]).invalid_reasons
+        reasons = run_scenario(parse_config(doc)).invalid_reasons
         if all_invalid:
             assert sum(count for _, count in reasons) == 30
             assert "30 of 30 replications invalid" in err

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import pickle
 import re
 import tracemalloc
@@ -242,6 +243,23 @@ def test_suite_tasks_are_whole_chunks_reduced_in_turn(monkeypatch):
     assert repr(harness.run_suite(configs, threads=2)) == repr(serial)
     assert events == want
     assert (_InlinePool.max_workers, _InlinePool.chunksizes) == ([2], [harness.TASK_CHUNKS])
+
+
+def test_runtime_warning_in_a_pool_worker_fails_the_test(monkeypatch):
+    # the shared scenario fixture runs on two workers, so a RuntimeWarning
+    # raised in a forked worker must still be an error under the suite's
+    # ``error::RuntimeWarning`` filter, as it is in the parent
+    t_interval = harness.t_interval
+
+    def warn(*args):
+        warnings.warn(f"raised in process {os.getpid()}", RuntimeWarning)
+        return t_interval(*args)
+
+    monkeypatch.setattr(harness, "t_interval", warn)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeWarning, match="raised in process") as raised:
+        harness.run_suite([_config(reps=4)], threads=2)
+    assert str(raised.value) != f"raised in process {os.getpid()}"
 
 
 class TestMcSeRate:
