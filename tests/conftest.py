@@ -52,7 +52,7 @@ def scenario_metrics():
 
     def get(name: str):
         if name not in _cache:
-            # the thread count never changes results; two workers halve the wait
+            # the thread count never changes results; two workers cut the wait
             _cache[name] = run_scenario(SCENARIOS[name], threads=2)
         return _cache[name]
 
