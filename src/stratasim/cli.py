@@ -266,6 +266,17 @@ def emit_table(rows: list[dict], meta: dict, fmt: str = "csv") -> str:
     return buf.getvalue()
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object, rejecting a repeated key that ``json`` would
+    silently read as its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def build_run_spec(argv: list[str] | None = None) -> RunSpec:
     parser = argparse.ArgumentParser(
         prog="stratasim",
@@ -314,7 +325,7 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
 
     if args.config:
         try:
-            doc = json.loads(args.config.read_text("utf-8"))
+            doc = json.loads(args.config.read_text("utf-8"), object_pairs_hook=_unique_keys)
             suite, base = "custom", [parse_config(doc)]
         except OSError as exc:
             raise ConfigParseError(f"--config: cannot read {args.config}: {exc.strerror}") from exc
@@ -379,7 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     if spec.out is None:
         sys.stdout.write(text)
     else:
-        spec.out.write_text(text)
+        try:
+            spec.out.write_text(text)
+        except OSError as exc:
+            print(f"stratasim: --out: cannot write {spec.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     if warnings and spec.strict:
         print(f"{warnings} scenario(s) carried warnings", file=sys.stderr)
         return 1

@@ -109,17 +109,6 @@ def potential_outcomes(strata: np.ndarray, model: OutcomeModel,
     return np.moveaxis(planes, 0, -1)
 
 
-def sample_potential_outcomes(
-    strata: np.ndarray,
-    model: OutcomeModel,
-    rng: np.random.Generator,
-    n_arms: int = 3,
-) -> np.ndarray:
-    """Draw the (n_patients, n_arms) matrix of potential outcomes."""
-    normals = rng.standard_normal((np.shape(strata)[0], 1 + n_arms))
-    return potential_outcomes(strata, model, normals)
-
-
 def cohort_width(design: TrialDesign) -> int:
     """Uniforms per cohort: one per patient for the stratum, then ``1 +
     n_arms`` per patient for the standard normals."""

@@ -122,11 +122,13 @@ def fit_batch(
     shrink one), or a pivot is not positive.
 
     The 0/1 arm masks behind the counts are built for one slice of groups
-    at a time, at most ``MASK_CELLS`` assignments per arm, and lane
-    temporaries are dropped once dead, so memory stays bounded for any
-    batch.  Counts are exact and every floating-point sum runs in a fixed
-    order per row, so a row's numbers depend on neither the other rows,
-    the other groups, the other variants nor the slicing.
+    at a time, and lane temporaries are dropped once dead.  A slice holds
+    at most ``MASK_CELLS`` assignments per arm, or one whole group where a
+    group alone holds more: a group is never split, so its size bounds
+    memory, and the harness caps it at ``MAX_REPLICATION_CELLS``.
+    Counts are exact and every floating-point sum runs in a fixed order
+    per row, so a row's numbers depend on neither the other rows, the
+    other groups, the other variants nor the slicing.
     """
     y = np.asarray(y, dtype=float)
     draws = np.asarray(treatment_draws)
@@ -159,7 +161,7 @@ def fit_batch(
     indicators = indicators.reshape(n_groups, n, n_cols)
 
     # 0/1 arm masks of one slice of groups at a time, at most MASK_CELLS
-    # assignments per arm.  One matmul per group of masks against its
+    # assignments per arm or one whole group.  One matmul per group of masks against its
     # indicators counts patients per arm, row and column exactly; einsum
     # sums each row's outcomes per arm in the same order for any slice
     count = np.empty((n_free, n_groups, n_rows, n_cols))

@@ -17,6 +17,11 @@ closed-form mixture in :mod:`.analytic` conditions on the same
 intervals.  Reported labels depend only on strata and potential
 outcomes, never on treatment assignment: they are computed before
 randomization.
+
+One function, ``misclassify``, flips labels for every model, on a stack
+of cohorts and with the ignorable uniforms passed in.
+``reported_strata`` applies it to one ``Cohort``, drawing those
+uniforms from an rng.
 """
 
 from __future__ import annotations
@@ -54,19 +59,6 @@ class MisclassModel:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {rate}")
 
 
-def apply_ignorable(
-    strata: np.ndarray, model: MisclassModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Flip labels at the nominal rates, independently of outcomes."""
-    return _flip_ignorable(strata, model, rng.random(np.shape(strata)[0]))
-
-
-def _flip_ignorable(strata: np.ndarray, model: MisclassModel, uniforms: np.ndarray) -> np.ndarray:
-    strata = as_codes("stratum", strata, 2)
-    rate = np.where(strata == LOW, model.gamma_low, model.gamma_high)
-    return np.where(uniforms < rate, HIGH - strata, strata).astype(np.int8)
-
-
 def flip_interval(
     model: MisclassModel, outcome: OutcomeModel, stratum: int
 ) -> tuple[float, float]:
@@ -89,22 +81,6 @@ def flip_interval(
     return (cut, inf) if upper_tail else (-inf, cut)
 
 
-def apply_nonignorable(cohort: Cohort, model: MisclassModel) -> np.ndarray:
-    """Flip every patient whose trigger outcome lies in the flip interval
-    of their true stratum."""
-    return _flip_nonignorable(cohort.true_strata, cohort.potentials, model, cohort.outcome)
-
-
-def _flip_nonignorable(strata: np.ndarray, potentials: np.ndarray, model: MisclassModel,
-                       outcome: OutcomeModel) -> np.ndarray:
-    strata = as_codes("stratum", strata, 2)
-    low = strata == LOW
-    (low_lo, low_hi), (high_lo, high_hi) = (flip_interval(model, outcome, s) for s in (LOW, HIGH))
-    y = np.where(low, potentials[..., TRIGGER_ARM[LOW]], potentials[..., TRIGGER_ARM[HIGH]])
-    flip = np.where(low, (low_lo <= y) & (y <= low_hi), (high_lo <= y) & (y <= high_hi))
-    return np.where(flip, HIGH - strata, strata).astype(np.int8)
-
-
 def misclassify(
     model: MisclassModel,
     outcome: OutcomeModel,
@@ -113,14 +89,22 @@ def misclassify(
     uniforms: np.ndarray | None,
 ) -> np.ndarray:
     """Reported labels of a stack of cohorts (any leading shape) from their
-    true strata and potential outcomes.  The ignorable model also takes
-    one uniform per patient, shaped like ``strata``; the others take
-    none."""
-    if model.kind != "ignorable":
-        return _flip_nonignorable(strata, potentials, model, outcome)
-    if uniforms is None:
-        raise ConfigurationError("ignorable misclassification needs an rng")
-    return _flip_ignorable(strata, model, uniforms)
+    true strata and potential outcomes.  An ignorable flip takes one
+    uniform per patient, shaped like ``strata``, and flips where it falls
+    below the stratum's rate; a nonignorable flip takes none and flips
+    where the trigger outcome lies in ``flip_interval``."""
+    strata = as_codes("stratum", strata, 2)
+    low = strata == LOW
+    if model.kind == "ignorable":
+        if uniforms is None:
+            raise ConfigurationError("ignorable misclassification needs an rng")
+        flip = uniforms < np.where(low, model.gamma_low, model.gamma_high)
+    else:
+        (low_lo, low_hi), (high_lo, high_hi) = (flip_interval(model, outcome, s)
+                                                for s in (LOW, HIGH))
+        y = np.where(low, potentials[..., TRIGGER_ARM[LOW]], potentials[..., TRIGGER_ARM[HIGH]])
+        flip = np.where(low, (low_lo <= y) & (y <= low_hi), (high_lo <= y) & (y <= high_hi))
+    return np.where(flip, HIGH - strata, strata).astype(np.int8)
 
 
 def reported_strata(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigurationError, as_int, as_tuple
+from .errors import ConfigurationError, as_int, as_real, as_tuple
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,18 @@ def tau_permuted_block(
     only the final partial block (length ``N_j mod B``) varies.  Its
     treated count is hypergeometric over one permuted block, giving an
     exact closed form.  ``tau = 0`` whenever the stratum size is a
-    multiple of the block length.  The size and each treated arm are
-    integers.
+    multiple of the block length.  The size, each pattern code and each
+    treated arm are integers.
     """
     stratum_size = as_int("stratum_size", stratum_size)
     if stratum_size < 1:
         raise ConfigurationError(f"stratum size must be >= 1, got {stratum_size}")
+    pattern = as_tuple("pattern", pattern, as_int)
     block = len(pattern)
     if block < 1:
         raise ConfigurationError("pattern must be nonempty")
     treated = set(as_tuple("treated_arms", treated_arms, as_int))
-    k_block = sum(1 for code in pattern if int(code) in treated)
+    k_block = sum(1 for code in pattern if code in treated)
     remainder = stratum_size % block
     if remainder == 0:
         return 0.0
@@ -101,9 +102,10 @@ def unconditional_variance(
         pi (1 - pi) / N_Rj + (tau - pi (1 - pi)) / N_j
 
     which never exceeds the binomial benchmark ``pi (1 - pi) / N_Rj``
-    whenever ``tau <= pi (1 - pi)`` — blocking can only tighten it.  Both
-    sizes are integers.
+    whenever ``tau <= pi (1 - pi)`` — blocking can only tighten it.  ``pi``
+    and ``tau`` are numbers, both sizes integers.
     """
+    pi, tau = as_real("pi", pi), as_real("tau", tau)
     n_subgroup, n_stratum = as_int("n_subgroup", n_subgroup), as_int("n_stratum", n_stratum)
     if not 0.0 <= pi <= 1.0:
         raise ConfigurationError(f"pi must lie in [0, 1], got {pi}")

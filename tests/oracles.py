@@ -244,7 +244,7 @@ def mixture_moments_sim(model, outcome, strata_probs, n_draws: int, seed: int,
     ({(reported, arm): (mean, sd, count, fourth_central_moment)},
     reported_low_share); the fourth moment supports exact Monte Carlo
     standard errors for the sd estimates."""
-    from stratasim.cohort import Cohort, sample_potential_outcomes
+    from stratasim.cohort import Cohort, potential_outcomes
     from stratasim.misclassify import reported_strata
 
     rng = np.random.Generator(np.random.Philox(seed))
@@ -254,7 +254,7 @@ def mixture_moments_sim(model, outcome, strata_probs, n_draws: int, seed: int,
         m = min(chunk, left)
         left -= m
         strata = (rng.random(m) >= strata_probs[0]).astype(np.int8)
-        pot = sample_potential_outcomes(strata, outcome, rng)
+        pot = potential_outcomes(strata, outcome, rng.standard_normal((m, 4)))
         cohort = Cohort(true_strata=strata, potentials=pot, outcome=outcome)
         rng_mis = rng if model.kind == "ignorable" else None
         rep = reported_strata(cohort, model, rng_mis)

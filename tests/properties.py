@@ -11,10 +11,9 @@ import math
 
 import numpy as np
 
-from stratasim.cohort import OutcomeModel, sample_potential_outcomes
+from stratasim.cohort import Cohort, OutcomeModel, potential_outcomes
 from stratasim.harness import ScenarioConfig, paper_design, run_scenario
-from stratasim.misclassify import MisclassModel, apply_ignorable, apply_nonignorable
-from stratasim.cohort import Cohort
+from stratasim.misclassify import MisclassModel, reported_strata
 from stratasim.randomizer import (
     AllocationRatio,
     TrialDesign,
@@ -76,7 +75,7 @@ def check_additivity_rho_one(seed: int = 13, n: int = 5000) -> None:
     model = OutcomeModel(rho=1.0, delta=0.5)
     rng = _rng(seed)
     strata = (rng.random(n) >= 0.4).astype(np.int8)
-    pot = sample_potential_outcomes(strata, model, rng)
+    pot = potential_outcomes(strata, model, rng.standard_normal((n, 4)))
     assert np.abs(pot[:, 1] - pot[:, 0] - model.delta).max() < 1e-12
     assert np.abs(pot[:, 2] - pot[:, 0] - model.delta).max() < 1e-12
 
@@ -88,8 +87,9 @@ def check_ignorable_conditional_independence(seed: int = 17, n: int = 400_000) -
     model = MisclassModel("ignorable", 0.15, 0.30)
     rng = _rng(seed)
     strata = (rng.random(n) >= 0.4).astype(np.int8)
-    pot = sample_potential_outcomes(strata, outcome, rng)
-    reported = apply_ignorable(strata, model, rng)
+    pot = potential_outcomes(strata, outcome, rng.standard_normal((n, 4)))
+    cohort = Cohort(true_strata=strata, potentials=pot, outcome=outcome)
+    reported = reported_strata(cohort, model, rng)
     flipped = reported != strata
     for s in (0, 1):
         y = pot[strata == s, 0]
@@ -97,8 +97,7 @@ def check_ignorable_conditional_independence(seed: int = 17, n: int = 400_000) -
         gap = abs(float(y[f].mean()) - float(y[~f].mean()))
         band = Z_BAND * math.sqrt(1.0 / f.sum() + 1.0 / (~f).sum())
         assert gap < band, (s, gap, band)
-    cohort = Cohort(true_strata=strata, potentials=pot, outcome=outcome)
-    rep1 = apply_nonignorable(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
+    rep1 = reported_strata(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
     sel = rep1 != strata
     y_low = pot[strata == 0, 0]
     f_low = sel[strata == 0]

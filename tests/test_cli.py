@@ -417,6 +417,14 @@ class TestMain:
         assert "--out" in err and "Traceback" not in err
         assert ran == []
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_out_write_exits_2_named_by_its_flag(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, reps=3)
+        assert main(["--config", str(cfg), "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert "\nstratasim: --out: cannot write /dev/full: " in err
+        assert "Traceback" not in err
+
     def test_mixture_suite_prints_analytic_cells(self, capsys):
         assert main(["--suite", "table3"]) == 0
         text = capsys.readouterr().out
@@ -476,7 +484,9 @@ class TestMain:
         (b"[" * 100_000, "{path} is not valid JSON: "),
         (b"[1, 2]", "top level: expected an object, got list"),
         (b'{"outcome": {"delta": NaN}}', "outcome.delta: must be finite, got nan"),
-    ], ids=["missing", "directory", "not-utf8", "malformed", "too-deep", "array", "nan"])
+        (b'{"run": {"reps": 10, "reps": 20}}', "duplicate key 'reps'"),
+    ], ids=["missing", "directory", "not-utf8", "malformed", "too-deep", "array", "nan",
+            "duplicate-key"])
     def test_unusable_config_file_exits_2_named_by_its_flag(self, tmp_path, capsys,
                                                             monkeypatch, content, message):
         path = tmp_path / "run.json"

@@ -16,7 +16,6 @@ from stratasim.cohort import (
     draw_cohort,
     observed_outcomes,
     potential_outcomes,
-    sample_potential_outcomes,
 )
 from stratasim.errors import ConfigurationError
 from stratasim.randomizer import AllocationRatio, TrialDesign
@@ -113,7 +112,8 @@ class TestPotentialOutcomes:
         model = OutcomeModel(rho=0.5, delta=0.5)
         rng = _rng(21)
         strata = (rng.random(n) >= 0.4).astype(np.int8)
-        _assert_factor_moments(model, strata, sample_potential_outcomes(strata, model, rng))
+        normals = rng.standard_normal((n, 4))
+        _assert_factor_moments(model, strata, potential_outcomes(strata, model, normals))
 
     def test_cohort_normals_by_inversion_have_the_factor_moments(self):
         model = OutcomeModel(rho=0.5, delta=0.5)
@@ -152,7 +152,7 @@ class TestPotentialOutcomes:
         model = OutcomeModel(rho=0.0, delta=0.5)
         rng = _rng(22)
         strata = np.zeros(n, dtype=np.int8)
-        pot = sample_potential_outcomes(strata, model, rng)
+        pot = potential_outcomes(strata, model, rng.standard_normal((n, 4)))
         got = float(np.corrcoef(pot[:, 0], pot[:, 1])[0, 1])
         assert abs(got) < 4.5 / math.sqrt(n)
 

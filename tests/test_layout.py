@@ -5,9 +5,14 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stratasim"
+# every ``Generator`` method that draws, but ``random``: the engine draws
+# uniforms alone and turns them into normals, strata and picks itself
+SAMPLERS = frozenset(name for name in dir(np.random.Generator) if not name.startswith("_")
+                     and name not in ("random", "bit_generator", "spawn"))
 
 
 def _private(name: str) -> bool:
@@ -34,9 +39,44 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def sampler_calls(source: str) -> list[str]:
+    """The calls in ``source`` of a method named like a ``SAMPLERS`` entry,
+    as written.  A call on an imported module's name, such as
+    ``np.power``, is no draw; ``np.random.normal`` is."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in SAMPLERS
+             and not (isinstance(node.func.value, ast.Name) and node.func.value.id in modules)]
+    return [ast.unparse(node.func) for node in sorted(calls, key=lambda node: node.lineno)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_draws_anything_but_uniforms(path):
+    assert sampler_calls(path.read_text()) == []
+
+
+def test_sampler_calls_are_found():
+    source = "\n".join([
+        "import numpy as np",
+        "rng = np.random.default_rng(1)",
+        "u = rng.random(3)",
+        "z = rng.standard_normal((3, 4))",
+        "x = np.power(u, 2)",
+        "k = np.random.normal(size=2)",
+        "def f(gen):",
+        "    return gen.integers(0, 2, 5), gen.bit_generator.state",
+    ])
+    assert sampler_calls(source) == [
+        "rng.standard_normal", "np.random.normal", "gen.integers",
+    ]
 
 
 def test_private_imports_are_found():

@@ -7,13 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from stratasim.cohort import Cohort, OutcomeModel, sample_potential_outcomes
+from stratasim.cohort import Cohort, OutcomeModel, potential_outcomes
 from stratasim.errors import ConfigurationError
 from stratasim.misclassify import (
     KINDS,
     MisclassModel,
-    apply_ignorable,
-    apply_nonignorable,
     flip_interval,
     misclassify,
     reported_strata,
@@ -30,7 +28,7 @@ def _cohort(n=200_000, rho=1.0, seed=31, sigma=1.0, strata_means=(0.0, 1.0)):
     outcome = OutcomeModel(rho=rho, delta=0.5, sigma=sigma, strata_means=strata_means)
     rng = _rng(seed)
     strata = (rng.random(n) >= 0.4).astype(np.int8)
-    pot = sample_potential_outcomes(strata, outcome, rng)
+    pot = potential_outcomes(strata, outcome, rng.standard_normal((n, 4)))
     return Cohort(true_strata=strata, potentials=pot, outcome=outcome)
 
 
@@ -68,7 +66,7 @@ class TestIgnorable:
     def test_flip_rates_match_nominal(self):
         cohort = _cohort()
         model = MisclassModel("ignorable", 0.15, 0.30)
-        reported = apply_ignorable(cohort.true_strata, model, _rng(32))
+        reported = reported_strata(cohort, model, _rng(32))
         low_rate, high_rate = _flip_rates(cohort.true_strata, reported)
         n_low = int((cohort.true_strata == 0).sum())
         n_high = cohort.n_patients - n_low
@@ -82,7 +80,7 @@ class TestIgnorable:
 class TestNonignorableSelection:
     def test_model1_rates_exact_in_expectation(self):
         cohort = _cohort(seed=33)
-        reported = apply_nonignorable(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
+        reported = reported_strata(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
         low_rate, high_rate = _flip_rates(cohort.true_strata, reported)
         n_low = int((cohort.true_strata == 0).sum())
         n_high = cohort.n_patients - n_low
@@ -92,7 +90,7 @@ class TestNonignorableSelection:
     def test_model1_flips_are_the_extreme_tails(self):
         cohort = _cohort(n=50_000, seed=34)
         strata = cohort.true_strata
-        reported = apply_nonignorable(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
+        reported = reported_strata(cohort, MisclassModel("nonignorable1", 0.15, 0.30))
         flipped = reported != strata
         y0_low = cohort.potentials[strata == 0, 0]
         f_low = flipped[strata == 0]
@@ -106,7 +104,7 @@ class TestNonignorableSelection:
     def test_model2_flips_are_the_opposite_tails(self):
         cohort = _cohort(n=50_000, seed=35)
         strata = cohort.true_strata
-        reported = apply_nonignorable(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
+        reported = reported_strata(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
         flipped = reported != strata
         y0_low = cohort.potentials[strata == 0, 0]
         f_low = flipped[strata == 0]
@@ -117,7 +115,7 @@ class TestNonignorableSelection:
 
     def test_cutoffs_scale_with_sigma_and_means(self):
         cohort = _cohort(n=100_000, seed=36, sigma=2.0)
-        reported = apply_nonignorable(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
+        reported = reported_strata(cohort, MisclassModel("nonignorable2", 0.15, 0.30))
         low_rate, high_rate = _flip_rates(cohort.true_strata, reported)
         n_low = int((cohort.true_strata == 0).sum())
         n_high = cohort.n_patients - n_low
@@ -154,21 +152,27 @@ class TestDispatch:
         a = reported_strata(cohort, model)
         b = reported_strata(cohort, model, _rng(99))
         assert (a == b).all()
+        # all-zero uniforms would flip every patient under the ignorable rule
+        c = misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials,
+                        np.zeros(cohort.n_patients))
+        assert (a == c).all()
 
     def test_rejects_labels_outside_two_strata(self):
         cohort = _cohort(n=100)
         cohort.true_strata = cohort.true_strata.astype(np.int8) + 1
         with pytest.raises(ConfigurationError):
-            apply_ignorable(cohort.true_strata, MisclassModel("ignorable", 0.1, 0.1), _rng())
+            reported_strata(cohort, MisclassModel("ignorable", 0.1, 0.1), _rng())
 
     def test_labels_must_be_stratum_codes(self):
         # a fractional label must not be flipped as if it were stratum 0
         model = MisclassModel("ignorable", 0.5, 0.5)
+        pot, outcome = np.zeros((6, 3)), OutcomeModel()
         with pytest.raises(ConfigurationError, match=r"^stratum 0\.5 outside 0..1"):
-            apply_ignorable(np.full(6, 0.5), model, _rng())
+            reported_strata(Cohort(np.full(6, 0.5), pot, outcome), model, _rng())
         strata = np.array([0, 1, 1, 0, 1, 0], dtype=np.int8)
-        np.testing.assert_array_equal(apply_ignorable(strata.astype(float), model, _rng(5)),
-                                      apply_ignorable(strata, model, _rng(5)))
+        np.testing.assert_array_equal(
+            reported_strata(Cohort(strata.astype(float), pot, outcome), model, _rng(5)),
+            reported_strata(Cohort(strata, pot, outcome), model, _rng(5)))
 
 
 @pytest.mark.parametrize("field,value", [

@@ -133,12 +133,23 @@ class TestUnconditionalVariance:
     (tau_permuted_block, (12.5, [0, 1, 1, 0]), "stratum_size"),
     (tau_permuted_block, (12, [0, 1, 1, 0], ("1",)), "treated_arms[0]"),
     (tau_permuted_block, (12, [0, 1, 1, 0], (1.5,)), "treated_arms[0]"),
+    (tau_permuted_block, (7, [0, 1.5, 2], (1,)), "pattern[1]"),
     (unconditional_variance, (0.4, 0.0, 10.5, 20), "n_subgroup"),
     (unconditional_variance, (0.4, 0.0, 10, False), "n_stratum"),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_counts_must_be_integers(call, args, field):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(field)} must be an integer"):
         call(*args)
+
+
+@pytest.mark.parametrize("args,field", [
+    (("0.5", 0.1, 5, 10), "pi"),
+    ((0.5, None, 5, 10), "tau"),
+    ((True, 0.1, 5, 10), "pi"),
+])
+def test_proportions_must_be_numbers(args, field):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a number"):
+        unconditional_variance(*args)
 
 
 def test_integral_floats_are_read_as_integers():
