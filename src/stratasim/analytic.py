@@ -27,7 +27,7 @@ from scipy.special import nctdtr, ndtr, stdtrit
 from scipy.special._ufuncs import _nct_sf
 
 from .cohort import OutcomeModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int, as_real
 from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
 from .randomizer import TrialDesign
 
@@ -57,6 +57,7 @@ def truncnorm_moments(
     The variance of a one-sided tail beyond 1 sd comes from a continued
     fraction, within 1e-15 relative of mpmath.
     """
+    mu, sigma = as_real("mu", mu), as_real("sigma", sigma)
     if sigma <= 0.0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
     if not lower < upper:
@@ -188,6 +189,7 @@ def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
     With residual scale ``sigma`` and arm sizes ``n_a = N w_a / sum(w)``,
     the arm-1-versus-control coefficient has SE sigma * sqrt(1/n_0 + 1/n_1).
     """
+    sigma = as_real("sigma", sigma)
     alloc = design.allocation
     n0 = design.n_patients * alloc.target_share(0)
     n1 = design.n_patients * alloc.target_share(1)
@@ -221,8 +223,10 @@ def noncentral_t_power(
     Power is even in the noncentrality; at ``-|effect / se|`` neither tail
     comes back NaN, as ``nctdtr``'s lower tail can at a large positive one.
     """
-    if se <= 0.0 or df < 1:
-        raise ConfigurationError("power needs a positive SE and df >= 1")
+    effect, se, alpha = as_real("effect", effect), as_real("se", se), as_real("alpha", alpha)
+    df = as_int("df", df, 1)
+    if se <= 0.0:
+        raise ConfigurationError(f"se must be positive, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     crit = float(stdtrit(df, 1.0 - alpha / 2.0))

@@ -43,14 +43,10 @@ class OutcomeModel:
             object.__setattr__(self, field, as_real(field, getattr(self, field)))
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must lie in [0, 1], got {self.rho}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.delta):
-            raise ConfigurationError(f"delta must be finite, got {self.delta}")
-        means = as_tuple("strata_means", self.strata_means, as_real)
-        if not all(map(math.isfinite, means)):
-            raise ConfigurationError(f"strata_means must be finite, got {means!r}")
-        object.__setattr__(self, "strata_means", means)
+        if not self.sigma > 0.0:
+            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "strata_means",
+                           as_tuple("strata_means", self.strata_means, as_real))
 
     def mean(self, stratum: int, arm: int) -> float:
         """Mean outcome for a stratum/arm cell."""

@@ -1,8 +1,10 @@
-"""Exception types, and the integer, number and list checks of config
-fields and the code check of label arrays, shared across the package."""
+"""Exception types, and the readers of config fields and label arrays
+shared across the package: integers and their lower bounds, finite
+numbers, lists and codes, each message led by the field it names."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Iterable
 
@@ -24,24 +26,30 @@ class DegenerateDesignError(ValueError):
     """A fitted design matrix lost identifiability (empty arm, rank drop)."""
 
 
-def as_int(field: str, value) -> int:
+def as_int(field: str, value, least: int | None = None) -> int:
     """``value`` as an ``int``: Python and numpy integers, and floats with an
     integral value such as ``10.0``.  Anything else, booleans included,
-    raises a ``ConfigurationError`` naming ``field``."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
+    raises a ``ConfigurationError`` naming ``field``, and so does a value
+    below ``least`` when that is given."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())):
+        number = int(value)
+        if least is not None and number < least:
+            raise ConfigurationError(f"{field} must be >= {least}, got {number}")
+        return number
     raise ConfigurationError(f"{field} must be an integer, got {value!r}")
 
 
 def as_real(field: str, value) -> float:
-    """``value`` as a ``float``: Python and numpy reals.  Anything else,
-    booleans and numeric strings included, raises a
-    ``ConfigurationError`` naming ``field``."""
+    """``value`` as a finite ``float``: Python and numpy reals.  Anything
+    else, booleans and numeric strings included, raises a
+    ``ConfigurationError`` naming ``field``, and so do NaN and the
+    infinities."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ConfigurationError(f"{field} must be finite, got {number}")
+        return number
     raise ConfigurationError(f"{field} must be a number, got {value!r}")
 
 

@@ -45,7 +45,6 @@ that returns its replication's ``Outcomes``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +55,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .cohort import OutcomeModel, cohort_width, draw_cohort, observed_outcomes
-from .errors import ConfigurationError, as_int
+from .errors import ConfigurationError, as_int, as_real
 from .inference import fit_batch, t_interval
 from .misclassify import KINDS, MisclassModel, misclassify
 from .randomizer import AllocationRatio, TrialDesign, block_width, deal_blocks, draw_blocks
@@ -88,11 +87,13 @@ class ScenarioConfig:
     and run sizes.  The design has exactly two strata, since
     misclassification flips between two, and the outcome one mean per
     stratum.  ``n_replications`` must be at least 1 and ``seed``
-    nonnegative, all three counts integers; ``rb_draws = 0`` leaves the
-    null batch empty and reports no RB rate; ``alpha`` lies in (0, 1).  One
-    replication holds at most ``MAX_REPLICATION_CELLS`` cells, a bound on
-    ``rb_draws``, or on ``n_patients`` without draws.  Every run analyzes
-    both the corrected and the reported strata."""
+    nonnegative, all three counts integers; ``alpha`` lies in (0, 1);
+    ``rb_draws = 0`` leaves the null batch empty and reports no RB rate,
+    and more draws give ``(1 + rb_draws) * alpha >= 1``, as the add-one
+    p-value must to reach ``alpha``.  One replication holds at most
+    ``MAX_REPLICATION_CELLS`` cells, a bound on ``rb_draws``, or on
+    ``n_patients`` without draws.  Every run analyzes both the corrected
+    and the reported strata."""
 
     design: TrialDesign
     outcome: OutcomeModel
@@ -105,12 +106,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for field, least in (("n_replications", 1), ("rb_draws", 0), ("seed", 0)):
-            value = as_int(field, getattr(self, field))
-            if value < least:
-                raise ConfigurationError(f"{field} must be >= {least}, got {value}")
-            object.__setattr__(self, field, value)
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            object.__setattr__(self, field, as_int(field, getattr(self, field), least))
+        object.__setattr__(self, "alpha", as_real("alpha", self.alpha))
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.rb_draws and (1 + self.rb_draws) * self.alpha < 1.0:
+            raise ConfigurationError(f"rb_draws must be 0 or at least 1 / alpha - 1 = "
+                                     f"{1.0 / self.alpha - 1.0:g}, got {self.rb_draws}")
         if self.design.n_strata != 2:
             raise ConfigurationError(
                 f"strata_probs must list exactly two strata, got {self.design.n_strata}"
@@ -359,10 +361,7 @@ def workers(threads: int) -> int:
     """Processes that run a suite's replications: one per thread, at most
     one per CPU.  ``threads`` must be an integer of at least 1, else a
     ``ConfigurationError`` names it."""
-    threads = as_int("threads", threads)
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    return min(threads, os.cpu_count() or 1)
+    return min(as_int("threads", threads, 1), os.cpu_count() or 1)
 
 
 def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioMetrics]:

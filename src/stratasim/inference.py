@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int
 
 # normal equations whose Hadamard ratio is at most this count as singular
 RANK_TOL = 1e-10
@@ -134,8 +134,7 @@ def fit_batch(
     draws = np.asarray(treatment_draws)
     if draws.ndim != 3:
         raise ConfigurationError("treatment draws must be a (groups, rows, patients) array")
-    if n_arms < 2:
-        raise ConfigurationError(f"n_arms must be >= 2, got {n_arms}")
+    n_arms = as_int("n_arms", n_arms, 2)
     n_groups, n_rows, n = draws.shape
     if y.shape != (n_groups, n):
         raise ConfigurationError("y length does not match treatment draws")

@@ -9,10 +9,11 @@ partially used, which is the only source of imbalance.
 
 One sampler draws every assignment in two steps.  ``draw_blocks`` turns
 a fixed number of uniforms per assignment, ``block_width``, into one
-cohort's blocks: a uniformly permuted block is a uniform pick among the
-distinct arrangements of its pattern, so each block is one integer index
-into a cached table of those arrangements.
-``deal_blocks`` then deals the blocks of any stack of cohorts at once.
+cohort's blocks, as padded codes: a uniformly permuted block is a uniform
+pick among the distinct arrangements of its pattern, so each block is one
+row of a cached table of those arrangements, which only ``draw_blocks``
+reads.  ``deal_blocks`` then deals the codes of any stack of cohorts at
+once.
 The observed assignment is a batch of one (``randomize_cohort``) and the
 re-randomization null draws a larger batch
 (``batch_block_assignments``).
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -49,12 +50,9 @@ class AllocationRatio:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        weights = as_tuple("allocation", self.weights, as_int)
+        weights = as_tuple("allocation", self.weights, partial(as_int, least=1))
         if len(weights) < 2:
             raise ConfigurationError(f"allocation must list at least two arms, got {weights!r}")
-        for i, w in enumerate(weights):
-            if w < 1:
-                raise ConfigurationError(f"allocation[{i}] must be >= 1, got {w}")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -86,15 +84,11 @@ class TrialDesign:
     block_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_patients", as_int("n_patients", self.n_patients))
+        object.__setattr__(self, "n_patients", as_int("n_patients", self.n_patients, 1))
         object.__setattr__(self, "block_size", as_int("block_size", self.block_size))
-        if self.n_patients < 1:
-            raise ConfigurationError(f"n_patients must be >= 1, got {self.n_patients}")
         probs = as_tuple("strata_probs", self.strata_probs, as_real)
-        if len(probs) < 1 or not all(math.isfinite(p) and p >= 0 for p in probs):
-            raise ConfigurationError(
-                f"strata_probs must be nonnegative and finite, got {probs!r}"
-            )
+        if not all(p >= 0 for p in probs):
+            raise ConfigurationError(f"strata_probs must be nonnegative, got {probs!r}")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ConfigurationError(
                 f"strata_probs must sum to 1 within 1e-12, got sum {sum(probs)!r}"
@@ -168,13 +162,13 @@ def _orderings(counts: list[int]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _arrangement_table(
     weights: tuple[int, ...], sizes: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The distinct orderings of a block of each admissible length, stacked.
 
-    Returns ``(table, first_row, n_rows, length)``: the ``n_rows[i]`` rows
-    from ``first_row[i]`` on are the orderings of length ``sizes[i]``,
-    padded to the longest length, and ``length`` holds each row's length.
-    None when a length has more than ``MAX_TABLE_ROWS`` orderings.
+    Returns ``(table, first_row, n_rows)``: the ``n_rows[i]`` rows from
+    ``first_row[i]`` on are the orderings of length ``sizes[i]``, padded to
+    the longest length.  None when a length has more than
+    ``MAX_TABLE_ROWS`` orderings.
     """
     parts = []
     for size in sizes:
@@ -192,10 +186,9 @@ def _arrangement_table(
     table = np.full((n_rows.sum(), max(sizes)), _PAD, dtype=np.int8)
     for part, start in zip(parts, first_row):
         table[start:start + len(part), :part.shape[1]] = part
-    length = np.repeat(sizes, n_rows)
-    for array in (table, first_row, n_rows, length):
+    for array in (table, first_row, n_rows):
         array.flags.writeable = False
-    return table, first_row, n_rows, length
+    return table, first_row, n_rows
 
 
 def _padded_patterns(allocation: AllocationRatio, sizes: tuple[int, ...]) -> np.ndarray:
@@ -233,10 +226,10 @@ def draw_blocks(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
     ``design.block_sizes`` (always ``block_size`` when that is unset) and
     its ordering uniformly.
 
-    Returns the ``(..., n_blocks)`` arrangement-table rows of the blocks
-    or, when a length has more than ``MAX_TABLE_ROWS`` orderings, their
-    ``(..., n_blocks, longest length)`` padded codes: each padded pattern
-    permuted by the argsort of its uniform sort keys.
+    Returns the blocks' ``(..., n_blocks, longest length)`` padded codes:
+    each block's row of the arrangement tables or, when a length has more
+    than ``MAX_TABLE_ROWS`` orderings, its padded pattern permuted by the
+    argsort of its uniform sort keys.
 
     Row layout: with tables, one length pick ``floor(u * len(sizes))``
     per block when there is a length menu, then one row pick ``floor(u *
@@ -246,11 +239,12 @@ def draw_blocks(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
     sizes, n_blocks, tables = _block_layout(design)
     menu = len(sizes) > 1
     if tables is not None:
-        _, first_row, n_rows, _ = tables
+        table, first_row, n_rows = tables
         if not menu:
-            return (uniforms * n_rows[0]).astype(np.intp)
+            return np.take(table, (uniforms * n_rows[0]).astype(np.intp), axis=0)
         lengths = (uniforms[..., :n_blocks] * len(sizes)).astype(np.intp)
-        return first_row[lengths] + (uniforms[..., n_blocks:] * n_rows[lengths]).astype(np.intp)
+        rows = first_row[lengths] + (uniforms[..., n_blocks:] * n_rows[lengths]).astype(np.intp)
+        return np.take(table, rows, axis=0)
     # argsort of iid uniforms along the last axis is a uniform permutation
     shape, longest = (*uniforms.shape[:-1], n_blocks), max(sizes)
     order = np.argsort(uniforms[..., :n_blocks * longest].reshape(*shape, longest), axis=-1)
@@ -264,30 +258,28 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     """Deal drawn blocks to cohorts: ``(..., n_draws, n_patients)`` codes.
 
     ``reported`` holds ``(..., n_patients)`` stratum labels and ``blocks``
-    the matching ``(..., n_draws, ...)`` stack of ``draw_blocks`` output.
-    Stratum ``s`` of ``m_s`` patients takes the next ``ceil(m_s / shortest
-    length)`` blocks of the sequence and deals their codes, padding struck
-    out, to its patients in enrollment order: with a fixed length ``B``,
-    the patient of rank ``k`` within stratum ``s`` gets code
-    ``table[blocks[..., first_s + k // B], k % B]``, where ``first_s`` sums
-    the blocks of the strata before ``s``.  With a length menu one boolean
-    compress strikes the padding of every block at once: the kept codes
-    run one (draw, cohort) stream after another, so that patient gets
-    ``kept[stream_start + before[first_s] + k]``, where ``stream_start``
-    counts the kept codes of the earlier streams and ``before[b]`` those
-    of the stream's blocks before ``b``.  Striking the padding from a
+    the matching ``(..., n_draws, n_blocks, longest)`` stack of padded
+    ``draw_blocks`` codes.  Stratum ``s`` of ``m_s`` patients takes the
+    next ``ceil(m_s / shortest length)`` blocks of the sequence and deals
+    their codes, padding struck out, to its patients in enrollment order:
+    with a fixed length ``B``, the patient of rank ``k`` within stratum
+    ``s`` gets code ``blocks[..., first_s + k // B, k % B]``, where
+    ``first_s`` sums the blocks of the strata before ``s``.  With a length
+    menu one boolean compress strikes the padding of every block at once:
+    the kept codes run one (draw, cohort) stream after another, so that
+    patient gets ``kept[stream_start + before[first_s] + k]``, where
+    ``stream_start`` counts the kept codes of the earlier streams and
+    ``before[b]`` those of the stream's blocks before ``b``, each block's
+    length counted from its padding.  Striking the padding from a
     uniformly ordered padded block leaves a uniform ordering of its
     pattern, so that is the law of opening a fresh block, of a random
     length, whenever the current one runs out.
     """
     reported = as_codes("reported stratum", reported, design.n_strata)
-    sizes, _, tables = _block_layout(design)
+    sizes = design.block_sizes or (design.block_size,)
     cohorts = reported.reshape(-1, design.n_patients)
-    n_cohorts, n_draws = len(cohorts), blocks.shape[reported.ndim - 1]
-    # draws outermost, so one index along the last axis serves every draw
-    blocks = blocks.reshape(n_cohorts, n_draws, *blocks.shape[reported.ndim:]).swapaxes(0, 1)
-    codes = blocks if tables is None else np.take(tables[0], blocks, axis=0)
-    n_blocks, longest = codes.shape[2:]
+    n_cohorts = len(cohorts)
+    n_draws, n_blocks, longest = blocks.shape[reported.ndim - 1:]
     # each patient's rank within its stratum, and its stratum's first block:
     # a (strata, cohorts, patients) membership stack summed over strata
     member = cohorts == np.arange(design.n_strata)[:, None, None]
@@ -295,8 +287,9 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     rank = (member * counted).sum(axis=0) - 1
     opened = -(-counted[..., -1] // min(sizes))
     first = (member * (opened.cumsum(axis=0) - opened)[..., None]).sum(axis=0)
-    # one code stream per (draw, cohort)
-    codes = codes.reshape(n_draws, n_cohorts * n_blocks * longest)
+    # one code stream per (draw, cohort), draws outermost, so one index
+    # along the last axis serves every draw
+    codes = blocks.reshape(n_cohorts, n_draws, -1).swapaxes(0, 1).reshape(n_draws, -1)
     cohort_start = np.arange(n_cohorts)[:, None] * (n_blocks * longest)
     if len(sizes) == 1:
         dealt = codes.take((cohort_start + first * longest + rank).ravel(), axis=1)
@@ -304,8 +297,9 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
         # strike the padding with one compress: a block's kept codes start at
         # the exclusive cumsum of the kept lengths of every block before it
         keep = codes != _PAD
-        length = (keep.reshape(n_draws, n_cohorts * n_blocks, longest).sum(axis=-1)
-                  if tables is None else tables[3].take(blocks).reshape(n_draws, -1))
+        # an einsum sums a short last axis several times faster than sum()
+        length = np.einsum("dbl->db", keep.reshape(n_draws, -1, longest).view(np.int8),
+                           dtype=np.intp)
         start = length.cumsum().reshape(length.shape) - length
         skipped = start.take((np.arange(n_cohorts)[:, None] * n_blocks + first).ravel(), axis=1)
         dealt = codes[keep].take(skipped + rank.ravel())

@@ -27,10 +27,8 @@ class SubgroupCounts:
     n_subgroup: int
 
     def __post_init__(self) -> None:
-        for field in ("n_stratum", "n_treated", "n_subgroup"):
-            object.__setattr__(self, field, as_int(field, getattr(self, field)))
-        if self.n_stratum < 1:
-            raise ConfigurationError(f"stratum size must be >= 1, got {self.n_stratum}")
+        for field, least in (("n_stratum", 1), ("n_treated", None), ("n_subgroup", None)):
+            object.__setattr__(self, field, as_int(field, getattr(self, field), least))
         if not 0 <= self.n_treated <= self.n_stratum:
             raise ConfigurationError(
                 f"treated count {self.n_treated} outside 0..{self.n_stratum}"
@@ -76,9 +74,7 @@ def tau_permuted_block(
     multiple of the block length.  The size, each pattern code and each
     treated arm are integers.
     """
-    stratum_size = as_int("stratum_size", stratum_size)
-    if stratum_size < 1:
-        raise ConfigurationError(f"stratum size must be >= 1, got {stratum_size}")
+    stratum_size = as_int("stratum_size", stratum_size, 1)
     pattern = as_tuple("pattern", pattern, as_int)
     block = len(pattern)
     if block < 1:
@@ -103,17 +99,13 @@ def unconditional_variance(
 
     which never exceeds the binomial benchmark ``pi (1 - pi) / N_Rj``
     whenever ``tau <= pi (1 - pi)`` — blocking can only tighten it.  ``pi``
-    and ``tau`` are numbers, both sizes integers.
+    and ``tau`` are numbers; the sizes are checked as ``SubgroupCounts``.
     """
     pi, tau = as_real("pi", pi), as_real("tau", tau)
-    n_subgroup, n_stratum = as_int("n_subgroup", n_subgroup), as_int("n_stratum", n_stratum)
     if not 0.0 <= pi <= 1.0:
         raise ConfigurationError(f"pi must lie in [0, 1], got {pi}")
     if tau < 0.0:
         raise ConfigurationError(f"tau must be nonnegative, got {tau}")
-    if not 1 <= n_subgroup <= n_stratum:
-        raise ConfigurationError(
-            f"subgroup size {n_subgroup} outside 1..{n_stratum}"
-        )
+    sizes = SubgroupCounts(n_stratum, 0, n_subgroup)
     base = pi * (1.0 - pi)
-    return base / n_subgroup + (tau - base) / n_stratum
+    return base / sizes.n_subgroup + (tau - base) / sizes.n_stratum

@@ -133,18 +133,19 @@ class TestTruncnormMoments:
         got = truncnorm_moments(0.0, 1.0, -1.5, 1.5)
         assert got.var < 1.0
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="sigma"):
-            truncnorm_moments(0.0, 0.0, -1.0, 1.0)
-        with pytest.raises(ConfigurationError, match="interval"):
-            truncnorm_moments(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ConfigurationError, match="interval"):
-            truncnorm_moments(0.0, 1.0, 2.0, -2.0)
-        with pytest.raises(ConfigurationError, match="mass"):
-            truncnorm_moments(0.0, 1.0, 40.0, 41.0)
+    @pytest.mark.parametrize("args,match", [
+        ((0.0, 0.0, -1.0, 1.0), "^sigma must be positive"),
+        ((0.0, 1.0, 1.0, 1.0), "interval"),
+        ((0.0, 1.0, 2.0, -2.0), "interval"),
+        ((0.0, 1.0, 40.0, 41.0), "mass"),
         # an upper tail past about 7.03 sigma carries less than 1e-12
-        with pytest.raises(ConfigurationError, match="mass"):
-            truncnorm_moments(0.0, 1.0, 7.1)
+        ((0.0, 1.0, 7.1), "mass"),
+        ((math.nan, 1.0, -1.0, 1.0), "^mu must be finite"),
+        ((0.0, math.nan, -1.0, 1.0), "^sigma must be finite"),
+    ])
+    def test_validation(self, args, match):
+        with pytest.raises(ConfigurationError, match=match):
+            truncnorm_moments(*args)
 
 
 class TestMixtureCells:
@@ -344,11 +345,15 @@ class TestNoncentralTPower:
             assert noncentral_t_power(-effect, 0.1, df) == power
             assert 0.05 < power <= 1.0
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="positive"):
-            noncentral_t_power(0.5, 0.0, 76)
-        with pytest.raises(ConfigurationError, match="df"):
-            noncentral_t_power(0.5, 0.3, 0)
+    @pytest.mark.parametrize("args,match", [
+        ((0.5, 0.0, 76), "^se must be positive"),
+        ((0.5, 0.3, 0), "^df must be >= 1"),
+        ((math.nan, 0.3, 76), "^effect must be finite"),
+        ((0.5, math.nan, 76), "^se must be finite"),
+    ])
+    def test_validation(self, args, match):
+        with pytest.raises(ConfigurationError, match=match):
+            noncentral_t_power(*args)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):

@@ -71,14 +71,17 @@ def scenario_configs(draw):
         strata_means=(draw(_finite), draw(_finite)),
         sigma=draw(st.floats(1e-6, 1e6)),
     )
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # a count too small for a randomization test to reject at alpha is no draws
+    rb_draws = draw(st.integers(0, 10**4).map(lambda k: k if (1 + k) * alpha >= 1.0 else 0))
     return ScenarioConfig(
         design=design,
         outcome=outcome,
         misclass=MisclassModel(draw(st.sampled_from(KINDS)), draw(_unit), draw(_unit)),
         n_replications=draw(st.integers(1, 10**6)),
-        rb_draws=draw(st.integers(0, 10**4)),
+        rb_draws=rb_draws,
         seed=draw(st.integers(0, 2**63)),
-        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        alpha=alpha,
         label=draw(st.text(max_size=8)),
     )
 
@@ -285,12 +288,12 @@ class TestBuildRunSpec:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(CUSTOM_DOC))
         assert build_run_spec(["--config", str(path)]).scenarios[0].rb_draws == 20
-        spec = build_run_spec(["--config", str(path), "--rb-draws", "7"])
-        assert spec.scenarios[0].rb_draws == 7
+        spec = build_run_spec(["--config", str(path), "--rb-draws", "25"])
+        assert spec.scenarios[0].rb_draws == 25
         assert spec.scenarios[0].n_replications == 250
         path.write_text("{}")
-        spec = build_run_spec(["--config", str(path), "--rb-draws", "7"])
-        assert spec.scenarios[0].rb_draws == 7
+        spec = build_run_spec(["--config", str(path), "--rb-draws", "25"])
+        assert spec.scenarios[0].rb_draws == 25
 
     @pytest.mark.parametrize("flags", [["--reps", "0"], ["--rb-draws", "-1"], ["--seed", "-3"],
                                        ["--threads", "0"]])
@@ -514,10 +517,11 @@ class TestMain:
         assert "warning" in capsys.readouterr().err
 
     def test_warning_line_gives_flags_and_discards(self, tmp_path, capsys):
-        # every replication is valid, but single-draw randomization tests
-        # degenerate where their one null draw empties an arm
+        # every replication is valid, but single-draw randomization tests,
+        # which can reject at alpha 0.5, degenerate where their one null
+        # draw empties an arm
         doc = {"design": {"n": 5, "block_size": 3, "allocation": [1, 1, 1]},
-               "run": {"reps": 300, "rb_draws": 1, "seed": 5}}
+               "run": {"reps": 300, "rb_draws": 1, "seed": 5, "alpha": 0.5}}
         path = tmp_path / "flagged.json"
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--strict", "--out", str(tmp_path / "x.csv")]) == 1
@@ -539,7 +543,7 @@ class TestMain:
         ({"n": 3, "block_size": 3, "allocation": [1, 1, 1]}, True),
     ])
     def test_degenerate_designs_as_inputs(self, tmp_path, capsys, design, all_invalid):
-        doc = {"design": design, "run": {"reps": 30, "rb_draws": 5, "seed": 3}}
+        doc = {"design": design, "run": {"reps": 30, "rb_draws": 19, "seed": 3}}
         path = tmp_path / "degenerate.json"
         path.write_text(json.dumps(doc))
         strict, plain = tmp_path / "strict.csv", tmp_path / "plain.csv"

@@ -127,6 +127,9 @@ def _scenario(**fields):
     (_scenario, {"alpha": 1.5}, "alpha"),
     (_scenario, {"alpha": 0.0}, "alpha"),
     (_scenario, {"alpha": "0.05"}, "alpha"),
+    # at alpha 0.05 the add-one p-value reaches alpha from 19 draws on
+    (_scenario, {"rb_draws": 18}, "rb_draws"),
+    (_scenario, {"rb_draws": 19}, None),
     # scenarios no run can finish: one stratum, three, and a mean short or over
     (_scenario, {"design": TrialDesign(20, (1.0,), (1, 2, 2), 5),
                  "outcome": OutcomeModel(strata_means=(0.0,)),
@@ -432,7 +435,7 @@ def test_chunk_size_bounds_cells(monkeypatch):
     big = TrialDesign(8000, (0.4, 0.6), AllocationRatio((1, 2, 2)), 10)
     cases = [
         (replace(_config(reps=25), design=big), 6, [6, 6, 6, 6, 1]),
-        (replace(_config(reps=25, rb_draws=4), design=big), 4, [4] * 6 + [1]),
+        (replace(_config(reps=25, rb_draws=4, alpha=0.2), design=big), 4, [4] * 6 + [1]),
         # a table1 scenario: 80 + 400 cells per replication
         (_config(reps=1100), 682, [682, 418]),
         # a table2 scenario: 1,001 * 80 + 400 cells per replication
@@ -467,7 +470,7 @@ def _varblock_design():
 
 @pytest.mark.parametrize("design,kind,rb_draws", [
     *[(paper_design(), kind, 0) for kind in KINDS],
-    (_mixed_validity_design(), "ignorable", 5),
+    (_mixed_validity_design(), "ignorable", 19),
     (_varblock_design(), "nonignorable1", 30),
     # no arrangement table for the block of 20: the sort-key branch
     (TrialDesign(20, (0.2, 0.8), (1, 2, 2), 10, block_sizes=(10, 20)), "ignorable", 30),
@@ -531,10 +534,10 @@ def _chunk_fit_inputs(monkeypatch, config, reps):
 @pytest.mark.parametrize("design,rb_draws,reps,seed,rows", [
     (paper_design(), 20, 7, 31, "valid"),
     (_varblock_design(), 30, 11, 31, "valid"),
-    (_mixed_validity_design(), 5, 13, 31, "mixed"),
-    (_tiny_design(), 5, 13, 31, "all invalid"),
+    (_mixed_validity_design(), 19, 13, 31, "mixed"),
+    (_tiny_design(), 19, 13, 31, "all invalid"),
     # 3 patients cannot identify 4 columns: df < 0 where both strata show
-    (TrialDesign(3, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3), 4, 10, 8, "df < 0"),
+    (TrialDesign(3, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3), 19, 10, 8, "df < 0"),
 ])
 def test_mask_slices_never_change_a_fit(monkeypatch, design, rb_draws, reps, seed, rows):
     config = ScenarioConfig(
@@ -684,8 +687,9 @@ class TestAggregation:
         assert not any("rb_discarded" in row or "invalid_reasons" in row for row in rows)
 
     def test_degenerate_null_batch_finishes_the_scenario(self):
-        # one null draw per replication: where it degenerates the test has
-        # no usable draw, gets p = 1 and is flagged, and the run goes on
+        # one null draw per replication, which can reject at alpha 0.5: where
+        # it degenerates the test has no usable draw, gets p = 1 and is
+        # flagged, and the run goes on
         config = ScenarioConfig(
             design=TrialDesign(5, (0.4, 0.6), AllocationRatio((1, 1, 1)), 3),
             outcome=OutcomeModel(rho=1.0, delta=0.5),
@@ -693,6 +697,7 @@ class TestAggregation:
             n_replications=300,
             rb_draws=1,
             seed=5,
+            alpha=0.5,
         )
         metrics = run_scenario(config)
         assert metrics.n_invalid == 0 and metrics.warning
@@ -703,7 +708,7 @@ class TestAggregation:
         assert (out.rb_p[0, hits] == 1.0).all() and out.rb_flagged[0, hits].all()
 
     def test_invalid_replications_tallied_by_reason(self):
-        config = _scenario(design=_tiny_design(), n_replications=200, rb_draws=5, seed=7)
+        config = _scenario(design=_tiny_design(), n_replications=200, rb_draws=19, seed=7)
         metrics = run_scenario(config)
         out = _replications(config, range(200))
         valid = out.error == ""
@@ -716,7 +721,7 @@ class TestAggregation:
         assert run_scenario(_config(reps=5)).invalid_reasons == ()
 
     def test_metrics_hold_no_instance_dict_and_pickle(self):
-        metrics = run_scenario(_config(reps=5, rb_draws=10))
+        metrics = run_scenario(_config(reps=5, rb_draws=19))
         for obj in (metrics, metrics.config, metrics.corrected):
             assert not hasattr(obj, "__dict__")
         assert pickle.loads(pickle.dumps(metrics)) == metrics

@@ -158,9 +158,11 @@ class TestFitModel:
         fit = _fit_one(np.ones(3), np.array([0, 1, 2]), np.array([0, 1, 1]))
         assert fit.faults().tolist() == [[["3 observations cannot identify 4 columns"]]]
 
-    def test_single_arm_rejected(self):
-        with pytest.raises(ConfigurationError, match="n_arms"):
-            _fit_one(Y, np.zeros(12, dtype=int), STRATA, n_arms=1)
+    @pytest.mark.parametrize("n_arms,match", [(1, "^n_arms must be >= 2"),
+                                              (1.5, "^n_arms must be an integer")])
+    def test_arm_count_rejected(self, n_arms, match):
+        with pytest.raises(ConfigurationError, match=match):
+            _fit_one(Y, np.zeros(12, dtype=int), STRATA, n_arms=n_arms)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError, match="length"):

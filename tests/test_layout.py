@@ -14,6 +14,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "stratasim"
 SAMPLERS = frozenset(name for name in dir(np.random.Generator) if not name.startswith("_")
                      and name not in ("random", "bit_generator", "spawn"))
 
+# the value rules that only the readers of ``errors`` state
+READER_RULES = ("must be >=", "must be finite")
+
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
@@ -53,6 +56,22 @@ def sampler_calls(source: str) -> list[str]:
     return [ast.unparse(node.func) for node in sorted(calls, key=lambda node: node.lineno)]
 
 
+def reader_rules(source: str) -> list[str]:
+    """The ``ConfigurationError`` and ``ConfigParseError`` calls in
+    ``source`` whose message states a ``READER_RULES`` rule, as written."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        text = "".join(part.value for arg in node.args for part in ast.walk(arg)
+                       if isinstance(part, ast.Constant) and isinstance(part.value, str))
+        if (name in ("ConfigurationError", "ConfigParseError")
+                and any(rule in text for rule in READER_RULES)):
+            found.append(ast.unparse(node))
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text()) == []
@@ -61,6 +80,31 @@ def test_no_module_imports_another_modules_private_name(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_draws_anything_but_uniforms(path):
     assert sampler_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "errors.py"}),
+                         ids=lambda p: p.name)
+def test_only_the_readers_state_bounds_and_finiteness(path):
+    # ``errors.as_int`` holds every lower bound, ``errors.as_real`` every
+    # finiteness check
+    assert reader_rules(path.read_text()) == []
+
+
+def test_reader_rules_are_found():
+    source = "\n".join([
+        "from . import errors",
+        "def f(n, x):",
+        "    if n < 1:",
+        "        raise ConfigurationError(f'n must be >= 1, got {n}')",
+        "    if x != x:",
+        "        raise errors.ConfigParseError('x ' 'must be finite')",
+        "    raise ConfigurationError(f'n must be positive, got {n}')",
+        "    print('x must be finite')",
+    ])
+    assert reader_rules(source) == [
+        "ConfigurationError(f'n must be >= 1, got {n}')",
+        "errors.ConfigParseError('x must be finite')",
+    ]
 
 
 def test_sampler_calls_are_found():

@@ -122,7 +122,7 @@ class TestArrangementTable:
         for count in counts:
             multinomial //= math.factorial(int(count))
         assert multinomial == rows
-        table, first_row, n_rows, _ = _arrangement_table(weights, (size,))
+        table, first_row, n_rows = _arrangement_table(weights, (size,))
         assert table.shape == (rows, size)
         assert (first_row.tolist(), n_rows.tolist()) == ([0], [rows])
         assert len(np.unique(table, axis=0)) == rows
@@ -139,7 +139,7 @@ class TestArrangementTable:
         assert _arrangement_table((1, 2, 2), (MAX_BLOCK_SIZE,)) is None
 
     def test_lengths_stack_padded(self):
-        table, first_row, n_rows, _ = _arrangement_table((1, 2, 2), (5, 10))
+        table, first_row, n_rows = _arrangement_table((1, 2, 2), (5, 10))
         assert (first_row.tolist(), n_rows.tolist()) == ([0, 30], [30, 3150])
         assert (table[:30, 5:] == -1).all() and (table[30:] >= 0).all()
 
@@ -149,10 +149,11 @@ class TestArrangementTable:
         ((1, 1), (2,)), ((1, 1), (6,)), ((1, 1), (2, 4)), ((1, 1), (2, 4, 6)),
         ((2, 1, 1), (8,)),
     ])
-    def test_cached_lengths_count_each_rows_codes(self, weights, sizes):
-        table, _, _, length = _arrangement_table(weights, sizes)
-        np.testing.assert_array_equal(length, (table != -1).sum(axis=1))
-        assert not length.flags.writeable
+    def test_padding_marks_each_rows_length(self, weights, sizes):
+        # deal_blocks counts a block's length from its padding
+        table, first_row, n_rows = _arrangement_table(weights, sizes)
+        np.testing.assert_array_equal(first_row, np.cumsum(n_rows) - n_rows)
+        np.testing.assert_array_equal((table != -1).sum(axis=1), np.repeat(sizes, n_rows))
 
     def test_every_row_equally_likely(self):
         design = _design(n=5, probs=(1.0, 0.0), block=5)
@@ -325,15 +326,13 @@ class TestBatchAssignments:
 
 
 def _dealt_by_loop(design, reported, blocks):
-    """Deal ``(n_cohorts, n_draws, ...)`` drawn blocks one cohort and one
-    draw at a time: drop the padding, then give each stratum's blocks to
-    its patients in enrollment order."""
+    """Deal ``(n_cohorts, n_draws, n_blocks, longest)`` drawn blocks one
+    cohort and one draw at a time: drop the padding, then give each
+    stratum's blocks to its patients in enrollment order."""
     sizes = design.block_sizes or (design.block_size,)
-    tables = _arrangement_table(design.allocation.weights, sizes)
-    codes = blocks if tables is None else tables[0][blocks]
     dealt = np.empty((*blocks.shape[:2], design.n_patients), dtype=np.int8)
     for c, labels in enumerate(reported):
-        for d, drawn in enumerate(codes[c]):
+        for d, drawn in enumerate(blocks[c]):
             opened = 0
             for stratum in range(design.n_strata):
                 members = np.flatnonzero(labels == stratum)
@@ -380,12 +379,15 @@ class TestDrawBlocks:
         (_design(n=20, block=10, block_sizes=(5, 10)), [30, 3150]),
     ])
     def test_extreme_uniforms_pick_the_first_and_last_rows(self, design, rows):
-        shortest = min(design.block_sizes or (design.block_size,))
+        sizes = design.block_sizes or (design.block_size,)
+        table, _, n_rows = _arrangement_table(design.allocation.weights, sizes)
+        assert n_rows.tolist() == rows
         width = block_width(design)
-        assert width == (-(-design.n_patients // shortest) + 1) * len(rows)
-        assert (draw_blocks(design, np.zeros((2, width))) == 0).all()
+        assert width == (-(-design.n_patients // min(sizes)) + 1) * len(rows)
+        low = draw_blocks(design, np.zeros((2, width)))
+        assert low.shape == (2, width // len(rows), max(sizes)) and (low == table[0]).all()
         # the largest uniform picks the last length and its last ordering
-        assert (draw_blocks(design, np.full(width, LARGEST_UNIFORM)) == sum(rows) - 1).all()
+        assert (draw_blocks(design, np.full(width, LARGEST_UNIFORM)) == table[-1]).all()
 
     def test_extreme_uniforms_without_tables(self):
         # no table for the block of 20: one sort key per slot, then a length pick

@@ -142,13 +142,15 @@ def test_counts_must_be_integers(call, args, field):
         call(*args)
 
 
-@pytest.mark.parametrize("args,field", [
-    (("0.5", 0.1, 5, 10), "pi"),
-    ((0.5, None, 5, 10), "tau"),
-    ((True, 0.1, 5, 10), "pi"),
+@pytest.mark.parametrize("args,message", [
+    (("0.5", 0.1, 5, 10), "pi must be a number"),
+    ((0.5, None, 5, 10), "tau must be a number"),
+    ((True, 0.1, 5, 10), "pi must be a number"),
+    ((0.4, math.nan, 10, 20), "tau must be finite"),
+    ((0.4, math.inf, 10, 20), "tau must be finite"),
 ])
-def test_proportions_must_be_numbers(args, field):
-    with pytest.raises(ConfigurationError, match=f"^{field} must be a number"):
+def test_proportions_must_be_numbers(args, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
         unconditional_variance(*args)
 
 
