@@ -25,13 +25,16 @@ from .randomizer import TrialDesign
 
 # the smallest positive value of ``Generator.random``
 _SMALLEST_UNIFORM = 2.0**-53
+# the largest |mean| / sigma of an outcome model: one ulp of it is 2**-12 sigma
+MAX_MEAN_TO_SIGMA = 2.0**40
 
 
 @dataclass(frozen=True)
 class OutcomeModel:
     """Normal outcome model: control-arm means by stratum, shift ``delta``
     for every active arm, common scale ``sigma``, pairwise correlation
-    ``rho`` between arms."""
+    ``rho`` between arms.  No mean nor ``delta`` passes
+    ``MAX_MEAN_TO_SIGMA * sigma`` in size."""
 
     rho: float = 1.0
     delta: float = 0.5
@@ -47,6 +50,10 @@ class OutcomeModel:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "strata_means",
                            as_tuple("strata_means", self.strata_means, as_real))
+        means = {f"strata_means[{i}]": mean for i, mean in enumerate(self.strata_means)}
+        for field, value in {"delta": self.delta, **means}.items():
+            if abs(value) > MAX_MEAN_TO_SIGMA * self.sigma:
+                raise ConfigurationError(f"{field} must lie within 2**40 sigma of 0, got {value:g}")
 
     def mean(self, stratum: int, arm: int) -> float:
         """Mean outcome for a stratum/arm cell."""

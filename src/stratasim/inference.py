@@ -112,9 +112,11 @@ def fit_batch(
     of its exact arm-by-stratum counts ``C`` (arm totals ``c``), factored
     as ``L L'`` in loops over arms on vectors laid out draws-last, with arm
     1 pivoted last.  One forward substitution ``z = L^-1 r`` of the arm
-    cross-products ``r`` then gives arm 1's coefficient ``z_last / L_last``
-    and its entry ``1 / L_last^2`` of ``S^-1``, with ``L_last`` the last
-    pivot, and the residual sum of squares ``within - z'z``.  A row is
+    sums ``r`` of the residuals, the outcomes less their cell means, then
+    gives arm 1's coefficient ``z_last / L_last`` and its entry ``1 /
+    L_last^2`` of ``S^-1``, with ``L_last`` the last pivot, and the
+    residual sum of squares ``within - z'z``, ``within`` the residuals'
+    own.  Sums of residuals cancel no close terms at any location.  A row is
     invalid when the Hadamard ratio ``det(X'X) / prod(diag(X'X))`` of the
     original normal equations, which equals ``(n_0 / n) prod(L_jj^2) /
     prod(c_j)`` with ``n_0`` the size of the first present stratum, is at
@@ -150,9 +152,11 @@ def fit_batch(
     # bins in (variant, group, patient) order: bincount adds each bin's
     # outcomes in patient order
     bins = (column + (np.arange(n_groups) * n_cols)[:, None]).ravel()
-    n_s = np.bincount(bins, minlength=n_groups * n_cols).reshape(n_groups, n_var, n_lev)
+    n_s = np.bincount(bins, minlength=n_groups * n_cols)
     col_y = np.bincount(bins, np.broadcast_to(y, (n_var, *y.shape)).ravel(), n_groups * n_cols)
-    col_y = col_y.reshape(n_groups, n_var, n_lev)
+    # (variant, group, patient) outcomes less their cells' means; no cell read is empty
+    resid = y - (col_y / np.maximum(n_s, 1))[bins].reshape(n_var, n_groups, n)
+    n_s = n_s.reshape(n_groups, n_var, n_lev)
     # the (groups, n, columns) 0/1 matmul operand, written along patients:
     # one index write puts each patient's 1 in its column of every variant
     indicators = np.zeros((n_groups * n, n_cols))
@@ -162,9 +166,9 @@ def fit_batch(
     # 0/1 arm masks of one slice of groups at a time, at most MASK_CELLS
     # assignments per arm or one whole group.  One matmul per group of masks against its
     # indicators counts patients per arm, row and column exactly; einsum
-    # sums each row's outcomes per arm in the same order for any slice
+    # sums each row's residuals per arm in the same order for any slice
     count = np.empty((n_free, n_groups, n_rows, n_cols))
-    arm_y = np.empty((n_free, n_groups, n_rows))
+    arm_xy = np.empty((n_free, n_var, n_groups, n_rows))
     step = max(1, MASK_CELLS // max(1, n_rows * n))
     for a in range(0, n_groups, step):
         b = min(a + step, n_groups)
@@ -172,7 +176,7 @@ def fit_batch(
         for j in range(n_free):
             np.equal(draws[a:b], j + 1, out=masks[j], casting="unsafe")
         np.matmul(masks, indicators[None, a:b], out=count[:, a:b])
-        np.einsum("jgrn,gn->jgr", masks, y[a:b], out=arm_y[:, a:b])
+        np.einsum("jgrn,vgn->jvgr", masks, resid[:, a:b], out=arm_xy[:, :, a:b])
         del masks
 
     # lanes (variant, group, row), draws last: count is (level, arm, lane);
@@ -181,20 +185,16 @@ def fit_batch(
     count = np.ascontiguousarray(count.transpose(4, 0, 3, 1, 2))
     inv_n = np.divide(1.0, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
     inv_n = inv_n.transpose(2, 1, 0)[..., None]
-    sum_y = col_y.transpose(2, 1, 0)[..., None]
     arm_total = count.sum(axis=0)
     share = count * inv_n[:, None]  # C_js / n_s
 
-    within = np.einsum("gn,gn->g", y, y)[:, None] - sum_y[0] * sum_y[0] * inv_n[0]
+    within = np.einsum("vgn,vgn->vg", resid, resid)[..., None]
     schur = -(count[0][:, None] * share[0])
-    arm_xy = arm_y[:, None] - share[0] * sum_y[0]
     for s in range(1, n_lev):
-        within -= sum_y[s] * sum_y[s] * inv_n[s]
         schur -= count[s][:, None] * share[s]
-        arm_xy -= share[s] * sum_y[s]
     for j in range(n_free):
         schur[j, j] += arm_total[j]
-    del count, share, sum_y
+    del count, share, resid
 
     # P S P' = L L' with arm 1 pivoted last, and z = L^-1 P r in the same
     # loop.  A pivot that is not positive zeroes the product of pivots, so

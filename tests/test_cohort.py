@@ -69,6 +69,14 @@ class TestOutcomeModel:
         with pytest.raises(ConfigurationError, match=f"^{field}.* must be finite"):
             OutcomeModel(**{field: value})
 
+    def test_means_lie_within_2_to_the_40_sigma(self):
+        edge = OutcomeModel(delta=-(2.0**40), strata_means=(0.0, 2.0**41), sigma=2.0)
+        assert edge.strata_means == (0.0, 2.0**41)
+        with pytest.raises(ConfigurationError, match=r"^strata_means\[1\] must lie within"):
+            OutcomeModel(strata_means=(0.0, np.nextafter(2.0**41, np.inf)), sigma=2.0)
+        with pytest.raises(ConfigurationError, match="^delta must lie within"):
+            OutcomeModel(delta=-1e13)
+
     @pytest.mark.parametrize("field,value", [
         ("rho", "0.5"), ("delta", None), ("sigma", True), ("sigma", [1.0]),
         ("strata_means[0]", ("0", "1")), ("strata_means[1]", (0.0, True)),

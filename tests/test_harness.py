@@ -14,6 +14,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratasim
 from stratasim import harness, inference
@@ -521,6 +523,34 @@ def test_rb_draws_never_change_the_model_outcomes(design, kind):
         assert 0 < (without.error != "").sum() < 24
 
 
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(KINDS), shift=st.floats(-1e8, 1e8), scale=st.floats(1e-6, 1e6),
+       seed=st.integers(0, 2**32))
+def test_corrected_results_follow_the_outcomes_location_and_scale(kind, shift, scale, seed):
+    # the intercept absorbs a common shift and the stratum term a gap, and
+    # the flips are cut relative to each stratum's mean, so the corrected
+    # analysis moves with neither; a scale k scales the estimate and SE
+    config = ScenarioConfig(
+        design=paper_design(), outcome=OutcomeModel(rho=0.5, delta=0.5),
+        misclass=MisclassModel(kind, 0.15, 0.30), n_replications=20, seed=seed,
+    )
+    base = harness._run_chunk(config, 0, 20)
+    shifted = harness._run_chunk(
+        replace(config, outcome=OutcomeModel(0.5, 0.5, (shift, shift + 1.0))), 0, 20)
+    scaled = harness._run_chunk(
+        replace(config, outcome=OutcomeModel(0.5, 0.5 * scale, (0.0, scale), scale)), 0, 20)
+    assert (base.error == "").all()
+    # y carries the rounding of its mean, about 2**-52 |shift|
+    rounding = 256 * np.finfo(float).eps * (1.0 + abs(shift))
+    for got, factor, atol in ((shifted, 1.0, rounding), (scaled, scale, 1e-12 * scale)):
+        assert (got.error == base.error).all()
+        for name in ("estimate", "se"):
+            np.testing.assert_allclose(getattr(got, name)[0], factor * getattr(base, name)[0],
+                                       rtol=1e-11, atol=atol, err_msg=name)
+        for name in ("covered", "rejected"):
+            assert (getattr(got, name)[0] == getattr(base, name)[0]).all(), name
+
+
 def _chunk_fit_inputs(monkeypatch, config, reps):
     """A chunk of ``reps`` replications and the arguments of its one
     ``fit_batch`` call."""
@@ -848,11 +878,11 @@ def _varblock_suite(reps, rb_draws):
 # on purpose may update one, and says why.
 SUITE_DIGESTS = {
     "table1": (lambda: paper_suite(1, reps=300),
-               "5773d4fd2a311c05d1cfb55be4dabe64be041509a71176981def010c39a6585c"),
+               "bcc37371d37effe7bb02760712346e2661660681e8f0ac29ad16b42804f86a6d"),
     "table2": (lambda: [replace(c, rb_draws=50) for c in paper_suite(2, reps=4)],
-               "ffd2d491ff6085ff203999aa71f3e536669418d934cef8bd7946cda03703dc9a"),
+               "e8eaa498fc5ff64c5db95633e85c0efd7cd0820ad6a6ff50cbecd5d1485c7f26"),
     "varblock": (lambda: _varblock_suite(4, 50),
-                 "90616dd24d0896eea0b4cf69962ae9ec1600f42199b208f482bbddd29c058953"),
+                 "565b9b55e6ec1297a3f6ac6d847eb60ef27099fa981ee84d543e8ca691811774"),
 }
 
 
