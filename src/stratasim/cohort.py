@@ -33,7 +33,7 @@ MAX_MEAN_TO_SIGMA = 2.0**40
 class OutcomeModel:
     """Normal outcome model: control-arm means by stratum, shift ``delta``
     for every active arm, common scale ``sigma``, pairwise correlation
-    ``rho`` between arms.  No mean nor ``delta`` passes
+    ``rho`` between arms.  Neither a mean nor ``delta`` exceeds
     ``MAX_MEAN_TO_SIGMA * sigma`` in size."""
 
     rho: float = 1.0
@@ -46,7 +46,7 @@ class OutcomeModel:
             object.__setattr__(self, field, as_real(field, getattr(self, field)))
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must lie in [0, 1], got {self.rho}")
-        if not self.sigma > 0.0:
+        if self.sigma <= 0.0:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "strata_means",
                            as_tuple("strata_means", self.strata_means, as_real))

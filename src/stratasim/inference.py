@@ -115,8 +115,8 @@ def fit_batch(
     sums ``r`` of the residuals, the outcomes less their cell means, then
     gives arm 1's coefficient ``z_last / L_last`` and its entry ``1 /
     L_last^2`` of ``S^-1``, with ``L_last`` the last pivot, and the
-    residual sum of squares ``within - z'z``, ``within`` the residuals'
-    own.  Sums of residuals cancel no close terms at any location.  A row is
+    residual sum of squares ``within - z'z``, ``within`` summing squared
+    residuals.  Sums of residuals cancel no close terms at any location.  A row is
     invalid when the Hadamard ratio ``det(X'X) / prod(diag(X'X))`` of the
     original normal equations, which equals ``(n_0 / n) prod(L_jj^2) /
     prod(c_j)`` with ``n_0`` the size of the first present stratum, is at
