@@ -188,8 +188,11 @@ def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
 
     With residual scale ``sigma`` and arm sizes ``n_a = N w_a / sum(w)``,
     the arm-1-versus-control coefficient has SE sigma * sqrt(1/n_0 + 1/n_1).
+    ``sigma`` must be positive.
     """
     sigma = as_real("sigma", sigma)
+    if sigma <= 0.0:
+        raise ConfigurationError(f"sigma must be positive, got {sigma}")
     alloc = design.allocation
     n0 = design.n_patients * alloc.target_share(0)
     n1 = design.n_patients * alloc.target_share(1)

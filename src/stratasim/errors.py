@@ -44,9 +44,13 @@ def as_real(field: str, value) -> float:
     """``value`` as a finite ``float``: Python and numpy reals.  Anything
     else, booleans and numeric strings included, raises a
     ``ConfigurationError`` naming ``field``, and so do NaN and the
-    infinities."""
+    infinities, and an integer too large for a float."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        number = float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"{field} must be finite, got an integer too large for a float") from None
         if not math.isfinite(number):
             raise ConfigurationError(f"{field} must be finite, got {number}")
         return number

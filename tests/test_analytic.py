@@ -275,6 +275,15 @@ class TestExpectedSe:
         # arm 1's 20 patients, not arm 2's 40
         assert expected_se(design) == pytest.approx(math.sqrt(1.0 / 20 + 1.0 / 20), abs=1e-15)
 
+    @pytest.mark.parametrize("sigma,match", [
+        (0.0, "^sigma must be positive"),
+        (-1.0, "^sigma must be positive"),
+        (math.nan, "^sigma must be finite"),
+    ])
+    def test_validation(self, sigma, match):
+        with pytest.raises(ConfigurationError, match=match):
+            expected_se(_design(), sigma)
+
 
 class TestPooledResidualSd:
     @pytest.mark.parametrize("kind", sorted(KINDS))

@@ -491,8 +491,10 @@ class TestMain:
         (b"[1, 2]", "top level: expected an object, got list"),
         (b'{"outcome": {"delta": NaN}}', "outcome.delta: must be finite, got nan"),
         (b'{"run": {"reps": 10, "reps": 20}}', "duplicate key 'reps'"),
+        (b'{"outcome": {"delta": 1' + b"0" * 400 + b"}}",
+         "outcome.delta: must be finite, got an integer too large for a float\n"),
     ], ids=["missing", "directory", "not-utf8", "malformed", "too-deep", "array", "nan",
-            "duplicate-key"])
+            "duplicate-key", "past-float"])
     def test_unusable_config_file_exits_2_named_by_its_flag(self, tmp_path, capsys,
                                                             monkeypatch, content, message):
         path = tmp_path / "run.json"

@@ -63,7 +63,7 @@ class TestOutcomeModel:
     @pytest.mark.parametrize("field,value", [
         ("delta", math.nan), ("delta", math.inf), ("sigma", math.nan),
         ("sigma", math.inf), ("strata_means", (0.0, math.nan)),
-        ("strata_means", (-math.inf, 1.0)),
+        ("strata_means", (-math.inf, 1.0)), ("delta", 10**400),
     ])
     def test_non_finite_values_name_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field}.* must be finite"):

@@ -3,14 +3,20 @@ accounting in the scenario runner."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
 import pickle
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+import types
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -605,6 +611,70 @@ def test_table2_chunk_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+# minor page faults of the second of two table2 cells in a fresh process
+_WARM_CELL_FAULTS = """
+import resource
+from stratasim.harness import paper_suite, run_scenario
+config = paper_suite(2, reps=10)[0]
+run_scenario(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_scenario(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_a_warm_table2_cell_takes_few_page_faults():
+    # at glibc's defaults the heap top is trimmed after each chunk and the
+    # cell faults 590-1,390 pages back in; a fresh process, since this
+    # one's heap has long grown past a chunk
+    src = str(Path(stratasim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", _WARM_CELL_FAULTS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert int(run.stdout) < 50
+
+
+def _no_mallopt(name):
+    return types.SimpleNamespace()  # a C library without one, as on macOS
+
+
+def _no_library(name):
+    raise TypeError("expected a path")  # CDLL(None) on Windows
+
+
+@pytest.mark.parametrize("library", [_no_mallopt, _no_library])
+def test_without_mallopt_a_scenario_runs_the_same(monkeypatch, library):
+    config = replace(paper_suite(2, reps=5)[0], rb_draws=50)
+    want = repr(run_scenario(config))
+    monkeypatch.setattr(ctypes, "CDLL", library)
+    harness._keep_chunk_memory.cache_clear()
+    try:
+        harness._keep_chunk_memory()  # raises nothing
+        assert repr(run_scenario(config)) == want
+    finally:
+        harness._keep_chunk_memory.cache_clear()
+
+
+def test_thresholds_are_set_once_per_process(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    harness._keep_chunk_memory.cache_clear()
+    try:
+        config = paper_suite(2, reps=8)[0]
+        assert harness._chunk_size(config) == 4
+        run_scenario(config)  # two chunks
+    finally:
+        harness._keep_chunk_memory.cache_clear()
+    assert calls == [(harness.M_TRIM_THRESHOLD, harness.TRIM_THRESHOLD),
+                     (harness.M_MMAP_THRESHOLD, 32 * 2**20)]
 
 
 def test_stage_uniforms_reset_a_used_generator():

@@ -72,6 +72,22 @@ def reader_rules(source: str) -> list[str]:
     return found
 
 
+def module_imports(source: str, module: str) -> list[str]:
+    """The import statements in ``source`` that load ``module`` or one of
+    its submodules, as written; relative imports load none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == module for name in names):
+            found.append(ast.unparse(node))
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text()) == []
@@ -88,6 +104,31 @@ def test_only_the_readers_state_bounds_and_finiteness(path):
     # ``errors.as_int`` holds every lower bound, ``errors.as_real`` every
     # finiteness check
     assert reader_rules(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_harness_imports_ctypes(path):
+    # the process-wide allocator policy has one home
+    want = ["import ctypes"] if path.name == "harness.py" else []
+    assert module_imports(path.read_text(), "ctypes") == want
+
+
+def test_module_imports_are_found():
+    source = "\n".join([
+        "import os, ctypes",
+        "import ctypes.util as util",
+        "from ctypes import CDLL",
+        "from numpy import ctypeslib",
+        "import ctypeslib",
+        "from . import ctypes",
+        "from .ctypes import mallopt",
+        "def f():",
+        "    from ctypes.util import find_library",
+    ])
+    assert module_imports(source, "ctypes") == [
+        "import os, ctypes", "import ctypes.util as util", "from ctypes import CDLL",
+        "from ctypes.util import find_library",
+    ]
 
 
 def test_reader_rules_are_found():
