@@ -21,13 +21,14 @@ and the assignment picks are common across misclassification kinds.  The
 key is derived once per seed and process; a chunk draws every stage from
 one generator whose state is set per stage.
 
-Chunks: ``_chunk_size`` gives ``CHUNK_CELLS`` over what one replication
-holds, its ``1 + rb_draws`` assignments of ``max(n_patients,
-block_width)`` cells each plus its ``cohort_width`` uniforms (at least one
-replication), so a chunk's arrays stay the same size whatever the design:
-682 replications of a table1 scenario, 4 of a table2 one.  A replication
-is never split, so ``ScenarioConfig`` bounds it at
-``MAX_REPLICATION_CELLS`` cells.  Every stage runs once per chunk on
+Chunks: ``_chunk_size`` gives ``CHUNK_BYTES`` over the bytes a chunk holds
+for one replication (at least one): for each of its ``1 + rb_draws``
+assignment rows the int8 codes, the kernel's arm counts and the
+``block_width`` uniforms, plus its ``cohort_width`` uniforms.  So every
+design's full chunk peaks near the same memory, 3.6-7.6 MiB traced: 690
+replications of a table1 scenario, 10 of a table2 one.  A replication is
+never split, so ``ScenarioConfig`` bounds it at ``MAX_REPLICATION_CELLS``
+cells.  Every stage runs once per chunk on
 ``(replications, ...)`` arrays, with no loop over replications, and one
 kernel call fits every row of the chunk.  A replication's numbers do not
 depend on its chunk, so results are independent of chunking and thread
@@ -80,21 +81,23 @@ REPORTED = "reported"
 # of one variant's randomization tests discarded too many null draws
 WARN_SHARE = 0.001
 
-# what a chunk holds: patient assignments, observed and null, plus cohort
-# uniforms; four table2 replications
-CHUNK_CELLS = 4 * 1024 * 80
+# what a chunk holds, in the bytes that ``_replication_bytes`` counts (2.25
+# MiB): 690 table1 replications, 10 of table2; a full chunk of either, or of
+# the tested block-length menus, peaks at 3.6-7.6 MiB traced
+CHUNK_BYTES = 9 * 2**18
 # chunks per pool work item; at one chunk an item, pool traffic ate table2's gain
 TASK_CHUNKS = 12
 # the most cells one replication may hold: a replication is never split, and
-# a chunk takes about 19-24 bytes per cell, so this caps one near 0.6-0.8 GiB
+# one that large peaks at about 18-22 bytes per cell (its kernel masks are
+# not sliced), so this caps one near 0.6-0.7 GiB
 MAX_REPLICATION_CELLS = 2**25
 # the stages, by Philox counter word 2
 COHORT, MISCLASSIFICATION, RANDOMIZATION, NULL_BATCH = range(4)
 # glibc's mallopt parameters, from malloc.h
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-# free heap top that glibc keeps: four chunks at 24 bytes a cell, so what a
-# chunk frees stays for the next one
-TRIM_THRESHOLD = 4 * 24 * CHUNK_CELLS
+# free heap top that glibc keeps: four full chunks, each peaking below 3.5
+# times CHUNK_BYTES, so what a chunk frees stays for the next one
+TRIM_THRESHOLD = 14 * CHUNK_BYTES
 # the 64-bit ceiling of glibc's own sliding threshold: every chunk array comes
 # from the heap, and a replication near MAX_REPLICATION_CELLS is still mapped
 # and handed back to the OS when it is freed
@@ -232,10 +235,20 @@ def _replication_cells(config: ScenarioConfig) -> int:
     return (1 + config.rb_draws) * per_assignment + cohort_width(design)
 
 
+def _replication_bytes(config: ScenarioConfig) -> int:
+    """The bytes a chunk holds for one replication: per assignment row, its
+    int8 codes, the kernel's ``4 * (n_arms - 1)`` arm counts (one per
+    variant, stratum and arm after the first) and its ``block_width``
+    uniforms; then its cohort uniforms."""
+    design = config.design
+    lanes = 4 * (design.allocation.n_arms - 1) + block_width(design)
+    return (1 + config.rb_draws) * (design.n_patients + 8 * lanes) + 8 * cohort_width(design)
+
+
 def _chunk_size(config: ScenarioConfig) -> int:
-    """Replications per chunk: ``CHUNK_CELLS`` over what one replication
+    """Replications per chunk: ``CHUNK_BYTES`` over what one replication
     holds; at least one."""
-    return max(1, CHUNK_CELLS // _replication_cells(config))
+    return max(1, CHUNK_BYTES // _replication_bytes(config))
 
 
 @lru_cache(maxsize=64)
@@ -303,8 +316,10 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     reported = misclassify(config.misclass, outcome, strata, potentials, flips)
     width = block_width(design)
     picks = np.hstack([draw(RANDOMIZATION, width), draw(NULL_BATCH, config.rb_draws * width)])
-    picks = picks.reshape(stop - start, 1 + config.rb_draws, width)
-    rows = deal_blocks(design, reported, draw_blocks(design, picks))
+    blocks = draw_blocks(design, picks.reshape(stop - start, 1 + config.rb_draws, width))
+    del picks  # dead before the blocks are dealt
+    rows = deal_blocks(design, reported, blocks)
+    del blocks
     y = observed_outcomes(potentials, rows[:, 0])
     fit = fit_batch(y, [strata, reported], rows, design.allocation.n_arms)
     stats, usable = fit.tstats()

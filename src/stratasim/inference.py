@@ -186,15 +186,15 @@ def fit_batch(
     inv_n = np.divide(1.0, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
     inv_n = inv_n.transpose(2, 1, 0)[..., None]
     arm_total = count.sum(axis=0)
-    share = count * inv_n[:, None]  # C_js / n_s
 
     within = np.einsum("vgn,vgn->vg", resid, resid)[..., None]
-    schur = -(count[0][:, None] * share[0])
+    # C_js C_ks / n_s, one stratum's share C_js / n_s at a time
+    schur = -(count[0][:, None] * (count[0] * inv_n[0]))
     for s in range(1, n_lev):
-        schur -= count[s][:, None] * share[s]
+        schur -= count[s][:, None] * (count[s] * inv_n[s])
     for j in range(n_free):
         schur[j, j] += arm_total[j]
-    del count, share, resid
+    del count, resid
 
     # P S P' = L L' with arm 1 pivoted last, and z = L^-1 P r in the same
     # loop.  A pivot that is not positive zeroes the product of pivots, so

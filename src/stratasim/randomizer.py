@@ -302,7 +302,8 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
                            dtype=np.intp)
         start = length.cumsum().reshape(length.shape) - length
         skipped = start.take((np.arange(n_cohorts)[:, None] * n_blocks + first).ravel(), axis=1)
-        dealt = codes[keep].take(skipped + rank.ravel())
+        skipped += rank.ravel()
+        dealt = codes[keep].take(skipped)
     dealt = dealt.reshape(n_draws, n_cohorts, design.n_patients).swapaxes(0, 1)
     return dealt.reshape(*reported.shape[:-1], n_draws, design.n_patients)
 

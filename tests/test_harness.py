@@ -429,9 +429,9 @@ def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
 
 
 def test_chunk_size_bounds_cells(monkeypatch):
-    # a chunk holds about CHUNK_CELLS assignment cells and cohort uniforms
-    # whatever the design: (1 + rb_draws) * max(N, block_width) + (2 +
-    # n_arms) * N per replication
+    # a chunk holds about CHUNK_BYTES whatever the design: per replication,
+    # (1 + rb_draws) * (N + 8 * (4 * (n_arms - 1) + block_width)) + 8 * (2 +
+    # n_arms) * N bytes
     sizes = []
     run_chunk = harness._run_chunk
 
@@ -442,18 +442,18 @@ def test_chunk_size_bounds_cells(monkeypatch):
     monkeypatch.setattr(harness, "_run_chunk", recording)
     big = TrialDesign(8000, (0.4, 0.6), AllocationRatio((1, 2, 2)), 10)
     cases = [
-        (replace(_config(reps=25), design=big), 6, [6, 6, 6, 6, 1]),
-        (replace(_config(reps=25, rb_draws=4, alpha=0.2), design=big), 4, [4] * 6 + [1]),
-        # a table1 scenario: 80 + 400 cells per replication
-        (_config(reps=1100), 682, [682, 418]),
-        # a table2 scenario: 1,001 * 80 + 400 cells per replication
-        (_config(reps=10, rb_draws=1000), 4, [4, 4, 2]),
-        # the varblock design: 201 * 20 + 100 cells per replication
-        (replace(_config(reps=4, rb_draws=200), design=_varblock_design()), 79, [4]),
+        # 801 blocks: 8,000 + 8 * 809 bytes per row, 320,000 of cohort uniforms
+        (replace(_config(reps=25), design=big), 7, [7, 7, 7, 4]),
+        (replace(_config(reps=25, rb_draws=4, alpha=0.2), design=big), 6, [6] * 4 + [1]),
+        # a table1 scenario: 216 + 3,200 bytes per replication
+        (_config(reps=1100), 690, [690, 410]),
+        # a table2 scenario: 1,001 * 216 + 3,200 bytes per replication
+        (_config(reps=23, rb_draws=1000), 10, [10, 10, 3]),
+        # the varblock design: 201 * (20 + 8 * 18) + 800 bytes per replication
+        (replace(_config(reps=4, rb_draws=200), design=_varblock_design()), 69, [4]),
         # a length menu with a long block: 17 blocks of 1,000 sort keys and
         # a length pick each, 17,017 uniforms per assignment, outweigh N
-        (replace(_config(reps=40), design=replace(paper_design(), block_sizes=(5, 1000))),
-         18, [18, 18, 4]),
+        (replace(_config(reps=40), design=_sort_key_design()), 16, [16, 16, 8]),
     ]
     for config, chunk, want in cases:
         sizes.clear()
@@ -474,6 +474,11 @@ def _mixed_validity_design():
 
 def _varblock_design():
     return TrialDesign(20, (0.2, 0.8), AllocationRatio((1, 2, 2)), 10, block_sizes=(5, 10))
+
+
+def _sort_key_design():
+    # no arrangement table for the block of 1,000: one sort key per slot
+    return replace(paper_design(), block_sizes=(5, 1000))
 
 
 @pytest.mark.parametrize("design,kind,rb_draws", [
@@ -598,19 +603,36 @@ def test_mask_slices_never_change_a_fit(monkeypatch, design, rb_draws, reps, see
             "df < 0": (whole.df < 0).any() and (whole.df >= 0).any()}[rows]
 
 
-def test_table2_chunk_memory_budget():
-    # four table2 replications in one chunk hold the arm masks of one group
-    # at a time; the whole mask tensor alone would take about 5 MiB
-    config = paper_suite(2, reps=4)[0]
-    assert (config.rb_draws, harness._chunk_size(config)) == (1000, 4)
-    harness._run_chunk(config, 0, 4)  # warm the sampler tables and the key
+@pytest.mark.parametrize("config,fewest", [
+    # table1 stays within 10% of the 682 replications a chunk held at a
+    # budget in cells
+    (paper_suite(1, reps=1)[0], 614),
+    (paper_suite(2, reps=1)[0], 10),
+    (replace(paper_suite(2, reps=1)[0], design=_varblock_design(), rb_draws=200), 1),
+    (replace(paper_suite(1, reps=1)[0], design=_sort_key_design()), 1),
+], ids=["table1", "table2", "varblock", "sort-key"])
+def test_a_full_chunk_stays_within_the_memory_budget(config, fewest):
+    # every design's full chunk peaks near the same traced memory; at a
+    # budget in cells, 79 varblock replications peaked at 10.5 MiB and 4 of
+    # table2 at 2.2 MiB
+    reps = harness._chunk_size(config)
+    harness._run_chunk(config, 0, reps)  # warm the sampler tables and the key
     tracemalloc.start()
     try:
-        harness._run_chunk(config, 0, 4)
+        harness._run_chunk(config, 0, reps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2**20
+    assert reps >= fewest and peak <= 8 * 2**20
+
+
+def test_the_old_chunk_size_gives_the_same_results(monkeypatch):
+    # 23 replications are a multiple of neither table2 chunk, 4 cells' worth
+    # or 10 bytes' worth
+    config = paper_suite(2, reps=23)[-1]
+    want = repr(run_scenario(config))
+    monkeypatch.setattr(harness, "_chunk_size", lambda config: 4)
+    assert repr(run_scenario(config)) == want
 
 
 # minor page faults of the second of two table2 cells in a fresh process
@@ -668,8 +690,8 @@ def test_thresholds_are_set_once_per_process(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     harness._keep_chunk_memory.cache_clear()
     try:
-        config = paper_suite(2, reps=8)[0]
-        assert harness._chunk_size(config) == 4
+        config = paper_suite(2, reps=12)[0]
+        assert harness._chunk_size(config) == 10
         run_scenario(config)  # two chunks
     finally:
         harness._keep_chunk_memory.cache_clear()

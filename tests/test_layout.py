@@ -88,6 +88,26 @@ def module_imports(source: str, module: str) -> list[str]:
     return found
 
 
+def name_readers(source: str, name: str) -> list[str]:
+    """The top-level statements of ``source`` that read the global
+    ``name``, as a load, an attribute or an import: each function or class
+    by its name, an assignment by its targets, any other statement as
+    written.  Text that only mentions ``name`` reads nothing."""
+    found = []
+    for node in ast.parse(source).body:
+        if not any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   or isinstance(n, ast.alias) and n.name == name for n in ast.walk(node)):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign):
+            found.append(", ".join(ast.unparse(target) for target in node.targets))
+        else:
+            found.append(ast.unparse(node))
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text()) == []
@@ -111,6 +131,39 @@ def test_only_harness_imports_ctypes(path):
     # the process-wide allocator policy has one home
     want = ["import ctypes"] if path.name == "harness.py" else []
     assert module_imports(path.read_text(), "ctypes") == want
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_chunk_size_reads_the_chunk_budget(path):
+    # one chunk rule; the trim threshold is a multiple of the budget
+    want = ["TRIM_THRESHOLD", "_chunk_size"] if path.name == "harness.py" else []
+    assert name_readers(path.read_text(), "CHUNK_BYTES") == want
+
+
+def test_name_readers_are_found():
+    source = "\n".join([
+        '"""CHUNK_BYTES in a docstring is no read."""',
+        "CHUNK_BYTES = 10",
+        "TRIM = 4 * CHUNK_BYTES  # a read",
+        "def size(config):",
+        "    return CHUNK_BYTES // config",
+        "def other():",
+        "    CHUNK_BYTES_2 = 3  # CHUNK_BYTES",
+        "    return CHUNK_BYTES_2",
+        "class Holder:",
+        "    def method(self):",
+        "        return harness.CHUNK_BYTES",
+        "from .harness import CHUNK_BYTES as budget",
+        "if budget:",
+        "    print(CHUNK_BYTES)",
+        "def store():",
+        "    global CHUNK_BYTES",
+        "    CHUNK_BYTES = 5",
+    ])
+    assert name_readers(source, "CHUNK_BYTES") == [
+        "TRIM", "size", "Holder", "from .harness import CHUNK_BYTES as budget",
+        "if budget:\n    print(CHUNK_BYTES)",
+    ]
 
 
 def test_module_imports_are_found():
