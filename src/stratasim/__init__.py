@@ -23,9 +23,9 @@ from .analytic import (
 )
 from .cohort import Cohort, OutcomeModel
 from .errors import ConfigParseError, ConfigurationError, DegenerateDesignError
-from .harness import ScenarioConfig, ScenarioMetrics, paper_design, paper_suite, run_scenario
+from .harness import ScenarioConfig, ScenarioMetrics, paper_suite, run_scenario
 from .misclassify import MisclassModel, reported_strata
-from .randomizer import AllocationRatio, TrialDesign, randomize_cohort
+from .randomizer import AllocationRatio, TrialDesign, paper_design, randomize_cohort
 from .rerandomize import RandTestResult, randomization_pvalue
 from .subgroup import (
     SubgroupCounts,

@@ -29,12 +29,14 @@ from scipy.special._ufuncs import _nct_sf
 from .cohort import OutcomeModel
 from .errors import ConfigurationError, as_int, as_real
 from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
-from .randomizer import TrialDesign
+from .randomizer import TrialDesign, paper_design
 
 _MIN_MASS = 1e-12
 # continued-fraction terms of a tail variance; they converge slowest at 1 sd
 _TAIL_TERMS = 400
 _SQRT_2PI = sqrt(2.0 * pi)
+# the design of every closed form not given one
+_PAPER_DESIGN = paper_design()
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,11 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class StrataMixtureSummary:
-    """Reported-strata weights plus per-(stratum, arm) mixture moments."""
+    """Reported-strata weights and per-(stratum, arm) mixture moments of ``design``."""
 
     weights: tuple[float, float]
     cells: dict[tuple[int, int], CellSummary]
+    design: TrialDesign
 
     def cell(self, reported: int, arm: int) -> CellSummary:
         return self.cells[(reported, arm)]
@@ -129,21 +132,21 @@ def _component_moments(
 
 
 def cell_table(
-    model: MisclassModel, outcome: OutcomeModel, strata_probs: tuple[float, float] = (0.4, 0.6)
+    model: MisclassModel, outcome: OutcomeModel, design: TrialDesign = _PAPER_DESIGN
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(weight, mean, var)`` of every (true ``s``, reported ``r``, arm ``a``)
-    cell, indexed by codes: ``weight[s, r]`` is the share of true stratum
-    ``s`` reported as ``r``, ``p_s * gamma_s`` when ``r != s``, else
-    ``p_s * (1 - gamma_s)``; ``mean[s, r, a]`` and ``var[s, r, a]`` are the
-    moments of arm ``a``'s potential outcome there, for arms 0 and 1.  A
+    cell of ``design``, indexed by codes: ``weight[s, r]`` is the share of
+    true stratum ``s`` reported as ``r``, ``p_s * gamma_s`` when ``r != s``,
+    else ``p_s * (1 - gamma_s)``; ``mean[s, r, a]`` and ``var[s, r, a]`` are
+    the moments of arm ``a``'s potential outcome there, for arms 0 and 1.  A
     nonignorable model truncates a flipped cell to ``flip_interval`` and a
     kept cell to its complement.  A cell whose share is below ``_MIN_MASS``
     has no moments: NaN."""
-    if len(strata_probs) != 2:
+    if design.n_strata != 2:
         raise ConfigurationError("mixture summaries require exactly two strata")
     rates = (model.gamma_low, model.gamma_high)
     weight = np.array([[p * (1.0 - g) if r == s else p * g for r in (LOW, HIGH)]
-                       for s, (p, g) in enumerate(zip(strata_probs, rates))])
+                       for s, (p, g) in enumerate(zip(design.strata_probs, rates))])
     mean, var = np.full((2, 2, 2), np.nan), np.full((2, 2, 2), np.nan)
     for s, r in itertools.product((LOW, HIGH), repeat=2):
         if weight[s, r] < _MIN_MASS:
@@ -161,14 +164,14 @@ def cell_table(
 def reported_strata_mixture(
     model: MisclassModel,
     outcome: OutcomeModel,
-    strata_probs: tuple[float, float] = (0.4, 0.6),
+    design: TrialDesign = _PAPER_DESIGN,
 ) -> StrataMixtureSummary:
-    """Mixture moments of the potential outcomes within reported strata,
-    reduced from ``cell_table``: reported stratum ``r`` weighs
+    """Mixture moments of the potential outcomes within the reported strata
+    of ``design``, reduced from ``cell_table``: reported stratum ``r`` weighs
     ``weight[r, r] + weight[1 - r, r]``, and each (``r``, arm) cell mixes
     the table cells of ``r`` that have moments, kept patients first.  Every
     model flips the same shares, so only the cell shapes differ by kind."""
-    weight, mean, var = cell_table(model, outcome, strata_probs)
+    weight, mean, var = cell_table(model, outcome, design)
     weights = tuple(float(weight[r, r] + weight[HIGH - r, r]) for r in (LOW, HIGH))
     cells: dict[tuple[int, int], CellSummary] = {}
     for r in (LOW, HIGH):
@@ -180,7 +183,7 @@ def reported_strata_mixture(
             m, v = mean[origins, r, arm], var[origins, r, arm]
             mu, second = (w * m).sum() / w.sum(), (w * (v + m**2)).sum() / w.sum()
             cells[(r, arm)] = CellSummary(float(mu), sqrt(max(second - mu * mu, 0.0)))
-    return StrataMixtureSummary(weights=weights, cells=cells)
+    return StrataMixtureSummary(weights=weights, cells=cells, design=design)
 
 
 def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
@@ -199,20 +202,20 @@ def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
     return sigma * sqrt(1.0 / n0 + 1.0 / n1)
 
 
-def pooled_residual_sd(
-    summary: StrataMixtureSummary, allocation_shares: tuple[float, ...] = (0.2, 0.4, 0.4)
-) -> float:
+def pooled_residual_sd(summary: StrataMixtureSummary) -> float:
     """Residual scale implied by the mixture cells under the additive model.
 
     Weighted average of the within-cell variances over reported strata and
-    arms; arms beyond those summarized reuse the arm-1 cell (active arms
-    share a distribution).
+    the arms of the summary's design, each at its target share; arms
+    beyond those summarized reuse the arm-1 cell (active arms share a
+    distribution).
     """
+    alloc = summary.design.allocation
     total = 0.0
     for reported, w in zip((LOW, HIGH), summary.weights):
-        for arm, share in enumerate(allocation_shares):
+        for arm in range(alloc.n_arms):
             cell = summary.cells[(reported, min(arm, 1))]
-            total += w * share * cell.sd**2
+            total += w * alloc.target_share(arm) * cell.sd**2
     return sqrt(total)
 
 

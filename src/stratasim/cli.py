@@ -47,6 +47,7 @@ from .cohort import OutcomeModel
 from .errors import ConfigParseError, ConfigurationError
 from .harness import (
     DEFAULT_SEED,
+    PAPER_RATES,
     MixtureCase,
     ScenarioConfig,
     ScenarioMetrics,
@@ -55,24 +56,21 @@ from .harness import (
     workers,
 )
 from .misclassify import MisclassModel
-from .randomizer import AllocationRatio, TrialDesign
+from .randomizer import AllocationRatio, TrialDesign, paper_design
 
 # replications per scenario of a config run and of ``--suite table1``
 # without ``--paper-scale``
 DESK_REPS = 50_000
 
-_DEFAULTS = {
-    "design": {"n": 80, "block_size": 10, "block_sizes": None, "allocation": [1, 2, 2],
-               "strata_probs": [0.4, 0.6]},
-    "outcome": {"rho": 1.0, "delta": 0.5, "strata_means": [0.0, 1.0], "sigma": 1.0},
-    "misclass": {"kind": "ignorable", "gamma_low": 0.02, "gamma_high": 0.02},
-    "run": {"reps": DESK_REPS, "rb_draws": 0, "seed": DEFAULT_SEED, "alpha": 0.05},
-}
-
-# document key -> library field, by section; two keys are renamed
+# document key -> library field, by section: the one key layout the CLI
+# reads and writes; two keys are renamed
 _FIELDS = {section: {key: {"n": "n_patients", "reps": "n_replications"}.get(key, key)
                      for key in keys}
-           for section, keys in _DEFAULTS.items()}
+           for section, keys in {
+               "design": ("n", "block_size", "block_sizes", "allocation", "strata_probs"),
+               "outcome": ("rho", "delta", "strata_means", "sigma"),
+               "misclass": ("kind", "gamma_low", "gamma_high"),
+               "run": ("reps", "rb_draws", "seed", "alpha")}.items()}
 # library field -> dotted path of its document key
 _PATHS = {field: f"{section}.{key}"
           for section, keys in _FIELDS.items() for key, field in keys.items()}
@@ -164,6 +162,11 @@ def _doc_value(value):
     if isinstance(value, AllocationRatio):
         value = value.weights
     return list(value) if isinstance(value, tuple) else value
+
+
+# a missing key's value: the paper design's low-rate ignorable scenario
+_DEFAULTS = scenario_to_doc(ScenarioConfig(
+    paper_design(), OutcomeModel(), MisclassModel("ignorable", *PAPER_RATES[0]), DESK_REPS))
 
 
 def _rounded(value: float | None, digits: int) -> float | None:
@@ -370,10 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     warnings = 0
     if spec.mixtures:
-        summaries = [
-            reported_strata_mixture(case.misclass, case.outcome, case.strata_probs)
-            for case in spec.mixtures
-        ]
+        summaries = [reported_strata_mixture(case.misclass, case.outcome)
+                     for case in spec.mixtures]
         rows = mixture_rows(spec.mixtures, summaries)
         meta["cases"] = [case.label for case in spec.mixtures]
     else:

@@ -70,7 +70,7 @@ from .cohort import OutcomeModel, cohort_width, draw_cohort, observed_outcomes
 from .errors import ConfigurationError, as_int, as_real
 from .inference import fit_batch, t_interval
 from .misclassify import KINDS, MisclassModel, misclassify
-from .randomizer import AllocationRatio, TrialDesign, block_width, deal_blocks, draw_blocks
+from .randomizer import TrialDesign, block_width, deal_blocks, draw_blocks, paper_design
 from .rerandomize import randomization_batch
 
 DEFAULT_SEED = 2014
@@ -443,23 +443,12 @@ PAPER_RATES = ((0.02, 0.02), (0.15, 0.30))
 PAPER_RHOS = (1.0, 0.5)
 
 
-def paper_design() -> TrialDesign:
-    """N = 80, strata mix 0.4/0.6, 1:2:2 allocation in blocks of 10."""
-    return TrialDesign(
-        n_patients=80,
-        strata_probs=(0.4, 0.6),
-        allocation=AllocationRatio((1, 2, 2)),
-        block_size=10,
-    )
-
-
 @dataclass(frozen=True)
 class MixtureCase:
-    """One analytic reported-strata summary request."""
+    """One analytic reported-strata summary request, at the paper design."""
 
     misclass: MisclassModel
     outcome: OutcomeModel
-    strata_probs: tuple[float, float]
     label: str = ""
 
 
@@ -471,18 +460,20 @@ def paper_suite(table_id: int, reps: int | None = None) -> list:
     randomization tests, 400k replications unless ``reps`` overrides.
     Table 2: the same grid at effect 0 (level) and 0.5 (power) with 1000
     randomization-test draws, 4000 replications default.
-    Table 3: analytic mixture cases at the high misclassification rates.
+    Table 3: analytic mixture cases at the high misclassification rates;
+    it has no replications, so ``reps`` must stay None.
     """
     # table -> (effects, default replications, randomization-test draws)
     grids = {1: ((0.5,), 400_000, 0), 2: ((0.0, 0.5), 4000, 1000)}
     if isinstance(table_id, bool) or table_id not in (1, 2, 3):
         raise ConfigurationError(f"table_id must be 1, 2 or 3, got {table_id!r}")
     if table_id == 3:
+        if reps is not None:
+            raise ConfigurationError(f"reps must be None for table 3, got {reps!r}")
         return [
             MixtureCase(
-                misclass=MisclassModel(kind, 0.15, 0.30),
+                misclass=MisclassModel(kind, *PAPER_RATES[1]),
                 outcome=OutcomeModel(rho=rho, delta=0.5),
-                strata_probs=(0.4, 0.6),
                 label=f"{kind} rho{rho:g}",
             )
             for kind in KINDS

@@ -13,10 +13,10 @@ cohort's blocks, as padded codes: a uniformly permuted block is a uniform
 pick among the distinct arrangements of its pattern, so each block is one
 row of a cached table of those arrangements, which only ``draw_blocks``
 reads.  ``deal_blocks`` then deals the codes of any stack of cohorts at
-once.
-The observed assignment is a batch of one (``randomize_cohort``) and the
-re-randomization null draws a larger batch
-(``batch_block_assignments``).
+once.  A replication's observed assignment and its re-randomization null
+draws share one ``draw_blocks`` and one ``deal_blocks`` call, with row 0
+the observed assignment; ``randomize_cohort`` and
+``batch_block_assignments`` draw a lone cohort's rows the same way.
 """
 
 from __future__ import annotations
@@ -107,6 +107,11 @@ class TrialDesign:
     @property
     def n_strata(self) -> int:
         return len(self.strata_probs)
+
+
+def paper_design() -> TrialDesign:
+    """N = 80, strata mix 0.4/0.6, 1:2:2 allocation in blocks of 10."""
+    return TrialDesign(80, (0.4, 0.6), AllocationRatio((1, 2, 2)), 10)
 
 
 def _coerce_allocation(allocation) -> AllocationRatio:

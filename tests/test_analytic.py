@@ -3,11 +3,13 @@ standard errors, and exact t-test power."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -28,7 +30,7 @@ from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigurationError
 from stratasim.inference import t_interval
 from stratasim.misclassify import HIGH, KINDS, LOW, MisclassModel, flip_interval
-from stratasim.randomizer import AllocationRatio, TrialDesign
+from stratasim.randomizer import AllocationRatio, TrialDesign, paper_design
 from oracles import (
     mixture_moments_sim,
     noncentral_t_power_sim,
@@ -231,7 +233,8 @@ class TestMixtureCells:
         cut = 7.034483825301131  # -ndtri(1e-12)
         assert flip_interval(model, OutcomeModel(), LOW) == (cut, math.inf)
         assert norm.sf(cut) >= 1e-12
-        summary = reported_strata_mixture(model, OutcomeModel(), (1.0, 0.0))
+        design = replace(paper_design(), strata_probs=(1.0, 0.0))
+        summary = reported_strata_mixture(model, OutcomeModel(), design)
         assert summary.weights[HIGH] == pytest.approx(1e-12, rel=1e-9)
         assert summary.cell(HIGH, 0).mean > cut
 
@@ -239,9 +242,24 @@ class TestMixtureCells:
         outcome = OutcomeModel(rho=1.0, delta=0.5)
         model = MisclassModel("ignorable", 0.0, 0.3)
         with pytest.raises(ConfigurationError, match="two strata"):
-            reported_strata_mixture(model, outcome, strata_probs=(0.2, 0.3, 0.5))
+            reported_strata_mixture(
+                model, outcome, replace(paper_design(), strata_probs=(0.2, 0.3, 0.5)))
         with pytest.raises(ConfigurationError, match="weight"):
-            reported_strata_mixture(model, outcome, strata_probs=(1.0, 0.0))
+            reported_strata_mixture(
+                model, outcome, replace(paper_design(), strata_probs=(1.0, 0.0)))
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.6), (-0.2, 1.2), ("a", "b"), (math.nan, 0.5)])
+    def test_strata_mix_is_checked_as_a_design(self, probs):
+        # a mix reaches the closed forms only inside a design, whose checks
+        # reject it; as a bare tuple (0.5, 0.6) gave weights summing to 1.1
+        with pytest.raises(ConfigurationError, match="^strata_probs"):
+            reported_strata_mixture(MisclassModel("ignorable", *HIGH_RATES), OutcomeModel(),
+                                    replace(paper_design(), strata_probs=probs))
+
+    def test_closed_forms_take_no_loose_tuples(self):
+        for closed_form in (cell_table, reported_strata_mixture, pooled_residual_sd):
+            params = set(inspect.signature(closed_form).parameters)
+            assert not params & {"strata_probs", "allocation_shares"}, closed_form
 
 
 class TestMixtureAgainstSimulation:
@@ -301,9 +319,22 @@ class TestPooledResidualSd:
             for reported, w in zip((LOW, HIGH), summary.weights)
             for arm, share in enumerate(shares)
         )
-        assert pooled_residual_sd(summary, shares) == pytest.approx(
+        assert pooled_residual_sd(summary) == pytest.approx(
             math.sqrt(total), abs=1e-12
         )
+
+    def test_pools_over_the_summarized_design(self):
+        # the shares are the summary's own design's: 1:1:2 gives 1/4, 1/4, 1/2
+        model, outcome = MisclassModel("nonignorable1", *HIGH_RATES), OutcomeModel(rho=0.5)
+        summary = reported_strata_mixture(model, outcome, _design(weights=(1, 1, 2), block=4))
+        total = sum(
+            w * share * summary.cell(reported, min(arm, 1)).sd ** 2
+            for reported, w in zip((LOW, HIGH), summary.weights)
+            for arm, share in enumerate((0.25, 0.25, 0.5))
+        )
+        assert pooled_residual_sd(summary) == pytest.approx(math.sqrt(total), abs=1e-12)
+        assert pooled_residual_sd(summary) != pooled_residual_sd(reported_strata_mixture(
+            model, outcome))
 
     def test_random_flips_inflate_scale(self):
         assert pooled_residual_sd(_summary("ignorable", rho=1.0)) > 1.0

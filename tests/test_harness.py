@@ -945,6 +945,11 @@ class TestPaperSuite:
         assert all(c.misclass.gamma_high == 0.30 for c in cases)
         assert {c.outcome.rho for c in cases} == {1.0, 0.5}
 
+    def test_mixture_grid_takes_no_reps(self):
+        # table 3 has no replications: a count would be silently ignored
+        with pytest.raises(ConfigurationError, match="^reps must be None for table 3"):
+            paper_suite(3, reps=7)
+
     def test_design_is_shared(self):
         for config in paper_suite(2):
             assert config.design == paper_design()

@@ -88,6 +88,26 @@ def module_imports(source: str, module: str) -> list[str]:
     return found
 
 
+def package_imports(source: str) -> list[str]:
+    """The stratasim modules that ``source`` imports, by name, in the order
+    written: ``from .harness import x``, ``from . import harness``,
+    ``from stratasim.harness import x`` and ``import stratasim.harness``
+    each load ``harness``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level <= 1:
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "stratasim":
+                    continue
+                parts = parts[1:]
+            found += [parts[0]] if parts and parts[0] else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("stratasim.")]
+    return found
+
+
 def name_readers(source: str, name: str) -> list[str]:
     """The top-level statements of ``source`` that read the global
     ``name``, as a load, an attribute or an import: each function or class
@@ -138,6 +158,32 @@ def test_only_chunk_size_reads_the_chunk_budget(path):
     # one chunk rule; the trim threshold is a multiple of the budget
     want = ["TRIM_THRESHOLD", "_chunk_size"] if path.name == "harness.py" else []
     assert name_readers(path.read_text(), "CHUNK_BYTES") == want
+
+
+@pytest.mark.parametrize("name", ["analytic", "subgroup"])
+def test_closed_forms_import_no_runner(name):
+    # the closed forms sit below the runner and the CLI, which read them
+    imported = package_imports((SRC / f"{name}.py").read_text())
+    assert not set(imported) & {"harness", "cli"}, imported
+
+
+def test_package_imports_are_found():
+    source = "\n".join([
+        "import numpy as np",
+        "import stratasim",
+        "import stratasim.harness as h, os",
+        "from stratasim.cli import main",
+        "from stratasim import cohort, errors",
+        "from .randomizer import TrialDesign",
+        "from . import harness",
+        "from ..other import thing",
+        "from scipy.special import ndtr",
+        "def f():",
+        "    from .cli import main",
+    ])
+    assert package_imports(source) == [
+        "harness", "cli", "cohort", "errors", "randomizer", "harness", "cli",
+    ]
 
 
 def test_name_readers_are_found():
