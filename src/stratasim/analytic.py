@@ -110,6 +110,14 @@ class StrataMixtureSummary:
         return self.cells[(reported, arm)]
 
 
+def _as_design(design) -> TrialDesign:
+    """``design`` when it is a ``TrialDesign``; anything else raises a
+    ``ConfigurationError`` naming ``design``."""
+    if not isinstance(design, TrialDesign):
+        raise ConfigurationError(f"design must be a TrialDesign, got {design!r}")
+    return design
+
+
 def _component_moments(
     origin: int,
     arm: int,
@@ -142,8 +150,9 @@ def cell_table(
     nonignorable model truncates a flipped cell to ``flip_interval`` and a
     kept cell to its complement.  A cell whose share is below ``_MIN_MASS``
     has no moments: NaN."""
-    if design.n_strata != 2:
-        raise ConfigurationError("mixture summaries require exactly two strata")
+    if _as_design(design).n_strata != 2:
+        raise ConfigurationError(
+            f"strata_probs must list exactly two strata, got {design.n_strata}")
     rates = (model.gamma_low, model.gamma_high)
     weight = np.array([[p * (1.0 - g) if r == s else p * g for r in (LOW, HIGH)]
                        for s, (p, g) in enumerate(zip(design.strata_probs, rates))])
@@ -196,7 +205,7 @@ def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
     sigma = as_real("sigma", sigma)
     if sigma <= 0.0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    alloc = design.allocation
+    alloc = _as_design(design).allocation
     n0 = design.n_patients * alloc.target_share(0)
     n1 = design.n_patients * alloc.target_share(1)
     return sigma * sqrt(1.0 / n0 + 1.0 / n1)

@@ -21,11 +21,19 @@ and the assignment picks are common across misclassification kinds.  The
 key is derived once per seed and process; a chunk draws every stage from
 one generator whose state is set per stage.
 
+Outcomes: a chunk builds no potential-outcome planes.  Of its cohort
+uniforms it keeps each patient's true stratum, the shared factor ``sqrt(rho)
+* u`` and, below ``rho = 1``, the arm-noise uniforms, and frees the rest.
+From these ``cohort.drawn_outcomes`` computes, one arm per patient, the
+trigger outcome (nonignorable kinds only) and, once the observed assignment
+is dealt, the observed outcome, inverting only the noise uniform of the arm
+it reads.  Each value is the one ``cohort.potential_outcomes`` gives.
+
 Chunks: ``_chunk_size`` gives ``CHUNK_BYTES`` over the bytes a chunk holds
 for one replication (at least one): for each of its ``1 + rb_draws``
 assignment rows the int8 codes, the kernel's arm counts and the
 ``block_width`` uniforms, plus its ``cohort_width`` uniforms.  So every
-design's full chunk peaks near the same memory, 3.6-7.6 MiB traced: 690
+design's full chunk peaks near the same memory, 3.6-6.0 MiB traced: 690
 replications of a table1 scenario, 10 of a table2 one.  A replication is
 never split, so ``ScenarioConfig`` bounds it at ``MAX_REPLICATION_CELLS``
 cells.  Every stage runs once per chunk on
@@ -66,10 +74,10 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .cohort import OutcomeModel, cohort_width, draw_cohort, observed_outcomes
+from .cohort import OutcomeModel, cohort_factors, cohort_width, drawn_outcomes
 from .errors import ConfigurationError, as_int, as_real
 from .inference import fit_batch, t_interval
-from .misclassify import KINDS, MisclassModel, misclassify
+from .misclassify import KINDS, TRIGGER_ARM, MisclassModel, misclassify
 from .randomizer import TrialDesign, block_width, deal_blocks, draw_blocks, paper_design
 from .rerandomize import randomization_batch
 
@@ -83,7 +91,7 @@ WARN_SHARE = 0.001
 
 # what a chunk holds, in the bytes that ``_replication_bytes`` counts (2.25
 # MiB): 690 table1 replications, 10 of table2; a full chunk of either, or of
-# the tested block-length menus, peaks at 3.6-7.6 MiB traced
+# the tested block-length menus, peaks at 3.6-6.0 MiB traced
 CHUNK_BYTES = 9 * 2**18
 # chunks per pool work item; at one chunk an item, pool traffic ate table2's gain
 TASK_CHUNKS = 12
@@ -215,6 +223,9 @@ class Outcomes:
 
     @classmethod
     def concat(cls, parts: list[Outcomes]) -> Outcomes:
+        """The parts joined in order; a lone part as it is."""
+        if len(parts) == 1:
+            return parts[0]
         return cls(*(np.concatenate([getattr(part, f.name) for part in parts], axis=-1)
                      for f in fields(cls)))
 
@@ -310,17 +321,23 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     def draw(stage: int, width: int) -> np.ndarray:
         return _stage_uniforms(rng, key, stage, width, start, stop)
 
-    strata, potentials = draw_cohort(design, outcome, draw(COHORT, cohort_width(design)))
-    ignorable = config.misclass.kind == "ignorable"
-    flips = draw(MISCLASSIFICATION, design.n_patients) if ignorable else None
-    reported = misclassify(config.misclass, outcome, strata, potentials, flips)
+    # the cohort uniforms are freed here; only the arms a stage reads are built
+    strata, shared, noise = cohort_factors(design, outcome, draw(COHORT, cohort_width(design)))
+    if config.misclass.kind == "ignorable":
+        trigger, flips = None, draw(MISCLASSIFICATION, design.n_patients)
+    else:
+        trigger = drawn_outcomes(outcome, strata, np.take(TRIGGER_ARM, strata), shared, noise)
+        flips = None
+    reported = misclassify(config.misclass, outcome, strata, trigger, flips)
+    del trigger, flips
     width = block_width(design)
     picks = np.hstack([draw(RANDOMIZATION, width), draw(NULL_BATCH, config.rb_draws * width)])
     blocks = draw_blocks(design, picks.reshape(stop - start, 1 + config.rb_draws, width))
     del picks  # dead before the blocks are dealt
     rows = deal_blocks(design, reported, blocks)
     del blocks
-    y = observed_outcomes(potentials, rows[:, 0])
+    y = drawn_outcomes(outcome, strata, rows[:, 0], shared, noise)
+    del shared, noise
     fit = fit_batch(y, [strata, reported], rows, design.allocation.n_arms)
     stats, usable = fit.tstats()
 
@@ -351,22 +368,28 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else float("nan")
 
 
+def _rate(hits: np.ndarray) -> float:
+    """Share of true entries of ``hits``, NaN when there are none: the mean
+    of them as 0/1 floats, since a count is exact."""
+    return int(np.count_nonzero(hits)) / hits.size if hits.size else float("nan")
+
+
 def _aggregate_variant(
     config: ScenarioConfig, name: str, outcomes: Outcomes, v: int, valid: np.ndarray
 ) -> VariantMetrics:
     est = outcomes.estimate[v, valid]
     n = est.size
-    coverage = _mean(outcomes.covered[v, valid].astype(float))
-    reject_rate = _mean(outcomes.rejected[v, valid].astype(float))
+    mean_estimate = _mean(est)
+    coverage = _rate(outcomes.covered[v, valid])
+    reject_rate = _rate(outcomes.rejected[v, valid])
     sd_est = float(est.std(ddof=1)) if n > 1 else float("nan")
     # with no null draws every p is 1: no rate to report
-    rb_reject_rate = (_mean((outcomes.rb_p[v, valid] <= config.alpha).astype(float))
-                      if config.rb_enabled else None)
+    rb_reject_rate = _rate(outcomes.rb_p[v, valid] <= config.alpha) if config.rb_enabled else None
     return VariantMetrics(
         strata_used=name,
         n=n,
-        bias=_mean(est) - config.outcome.delta,
-        mean_estimate=_mean(est),
+        bias=mean_estimate - config.outcome.delta,
+        mean_estimate=mean_estimate,
         sd_estimate=sd_est,
         coverage=coverage,
         mean_se=_mean(outcomes.se[v, valid]),
@@ -397,7 +420,7 @@ def _summarize(config: ScenarioConfig, outcomes: Outcomes) -> ScenarioMetrics:
         warning=warning,
         corrected=corrected,
         reported=reported,
-        invalid_reasons=tuple(sorted(Counter(outcomes.error[~valid]).items())),
+        invalid_reasons=tuple(sorted(Counter(outcomes.error[~valid]).items())) if n_invalid else (),
     )
 
 
@@ -410,7 +433,8 @@ def workers(threads: int) -> int:
     """Processes that run a suite's replications: one per thread, at most
     one per CPU.  ``threads`` must be an integer of at least 1, else a
     ``ConfigurationError`` names it."""
-    return min(as_int("threads", threads, 1), os.cpu_count() or 1)
+    threads = as_int("threads", threads, 1)
+    return 1 if threads == 1 else min(threads, os.cpu_count() or 1)
 
 
 def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioMetrics]:

@@ -19,9 +19,10 @@ outcomes, never on treatment assignment: they are computed before
 randomization.
 
 One function, ``misclassify``, flips labels for every model, on a stack
-of cohorts and with the ignorable uniforms passed in.
-``reported_strata`` applies it to one ``Cohort``, drawing those
-uniforms from an rng.
+of cohorts, with the ignorable uniforms or the trigger outcomes passed
+in.  ``reported_strata`` applies it to one ``Cohort``, drawing those
+uniforms from an rng or reading the trigger outcomes from its potential
+outcomes.
 """
 
 from __future__ import annotations
@@ -85,14 +86,16 @@ def misclassify(
     model: MisclassModel,
     outcome: OutcomeModel,
     strata: np.ndarray,
-    potentials: np.ndarray,
+    trigger: np.ndarray | None,
     uniforms: np.ndarray | None,
 ) -> np.ndarray:
     """Reported labels of a stack of cohorts (any leading shape) from their
-    true strata and potential outcomes.  An ignorable flip takes one
-    uniform per patient, shaped like ``strata``, and flips where it falls
-    below the stratum's rate; a nonignorable flip takes none and flips
-    where the trigger outcome lies in ``flip_interval``."""
+    true strata.  An ignorable flip takes one uniform per patient, shaped
+    like ``strata``, and flips where it falls below the stratum's rate; a
+    nonignorable flip takes each patient's trigger outcome, its outcome
+    under arm ``TRIGGER_ARM[true stratum]`` shaped like ``strata``, and
+    flips where it lies in ``flip_interval``.  Each model reads only its
+    own input; the other may be None."""
     strata = as_codes("stratum", strata, 2)
     low = strata == LOW
     if model.kind == "ignorable":
@@ -102,8 +105,8 @@ def misclassify(
     else:
         (low_lo, low_hi), (high_lo, high_hi) = (flip_interval(model, outcome, s)
                                                 for s in (LOW, HIGH))
-        y = np.where(low, potentials[..., TRIGGER_ARM[LOW]], potentials[..., TRIGGER_ARM[HIGH]])
-        flip = np.where(low, (low_lo <= y) & (y <= low_hi), (high_lo <= y) & (y <= high_hi))
+        flip = np.where(low, (low_lo <= trigger) & (trigger <= low_hi),
+                        (high_lo <= trigger) & (trigger <= high_hi))
     return np.where(flip, HIGH - strata, strata).astype(np.int8)
 
 
@@ -112,7 +115,10 @@ def reported_strata(
 ) -> np.ndarray:
     """Reported labels: ignorable flips draw exactly one uniform per
     patient from ``rng``; nonignorable flips draw nothing, a deterministic
-    function of the cohort."""
-    ignorable = rng is not None and model.kind == "ignorable"
-    uniforms = rng.random(cohort.n_patients) if ignorable else None
-    return misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials, uniforms)
+    function of the cohort's trigger outcomes."""
+    if model.kind == "ignorable":
+        uniforms = rng.random(cohort.n_patients) if rng is not None else None
+        return misclassify(model, cohort.outcome, cohort.true_strata, None, uniforms)
+    potentials, low = cohort.potentials, cohort.true_strata == LOW
+    trigger = np.where(low, potentials[..., TRIGGER_ARM[LOW]], potentials[..., TRIGGER_ARM[HIGH]])
+    return misclassify(model, cohort.outcome, cohort.true_strata, trigger, None)

@@ -285,13 +285,16 @@ def deal_blocks(design: TrialDesign, reported: np.ndarray, blocks: np.ndarray) -
     cohorts = reported.reshape(-1, design.n_patients)
     n_cohorts = len(cohorts)
     n_draws, n_blocks, longest = blocks.shape[reported.ndim - 1:]
-    # each patient's rank within its stratum, and its stratum's first block:
-    # a (strata, cohorts, patients) membership stack summed over strata
-    member = cohorts == np.arange(design.n_strata)[:, None, None]
-    counted = member.cumsum(axis=-1)
-    rank = (member * counted).sum(axis=0) - 1
+    # each patient's rank within its stratum, and its stratum's first block,
+    # read at the patient's (cohort, stratum) cell of one int32 cumsum of
+    # (cohorts, strata, patients) memberships; the cumsum runs faster from
+    # int8 than from bool
+    cell = np.arange(0, n_cohorts * design.n_strata, design.n_strata)[:, None] + cohorts
+    member = cohorts[:, None, :] == np.arange(design.n_strata)[:, None]
+    counted = member.view(np.int8).cumsum(axis=-1, dtype=np.int32)
+    rank = counted.reshape(-1).take(cell * design.n_patients + np.arange(design.n_patients)) - 1
     opened = -(-counted[..., -1] // min(sizes))
-    first = (member * (opened.cumsum(axis=0) - opened)[..., None]).sum(axis=0)
+    first = (opened.cumsum(axis=-1) - opened).reshape(-1).take(cell)
     # one code stream per (draw, cohort), draws outermost, so one index
     # along the last axis serves every draw
     codes = blocks.reshape(n_cohorts, n_draws, -1).swapaxes(0, 1).reshape(n_draws, -1)

@@ -256,6 +256,41 @@ class TestMixtureCells:
             reported_strata_mixture(MisclassModel("ignorable", *HIGH_RATES), OutcomeModel(),
                                     replace(paper_design(), strata_probs=probs))
 
+    def test_three_strata_are_named_by_strata_probs(self):
+        # the message ScenarioConfig gives the same design
+        with pytest.raises(ConfigurationError,
+                           match=r"^strata_probs must list exactly two strata, got 3$"):
+            reported_strata_mixture(MisclassModel("ignorable", *HIGH_RATES), OutcomeModel(),
+                                    replace(paper_design(), strata_probs=(0.2, 0.3, 0.5)))
+
+    @pytest.mark.parametrize("call", [
+        lambda design: reported_strata_mixture(
+            MisclassModel("nonignorable1", *HIGH_RATES), OutcomeModel(), design),
+        lambda design: cell_table(MisclassModel("ignorable", *HIGH_RATES), OutcomeModel(),
+                                  design),
+        expected_se,
+    ], ids=["reported_strata_mixture", "cell_table", "expected_se"])
+    def test_a_bare_strata_mix_is_named_as_the_design(self, call):
+        # the call shape of the old strata_probs parameter raised AttributeError
+        with pytest.raises(ConfigurationError, match=r"^design must be a TrialDesign, got \(0\.4"):
+            call((0.4, 0.6))
+
+    @pytest.mark.parametrize("exponent", [400, -400])
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_cells_scale_exactly_at_the_sigma_range_edges(self, kind, rho, exponent):
+        # a power-of-two scale is exact, so the edges of OutcomeModel's sigma
+        # range give the unit-scale cells times sigma, bit for bit
+        sigma, model = 2.0**exponent, MisclassModel(kind, *HIGH_RATES)
+        unit = reported_strata_mixture(model, OutcomeModel(rho=rho, delta=0.5))
+        scaled = reported_strata_mixture(model, OutcomeModel(
+            rho=rho, delta=sigma / 2, strata_means=(0.0, sigma), sigma=sigma))
+        assert scaled.weights == unit.weights
+        for key, cell in unit.cells.items():
+            assert (scaled.cell(*key).mean, scaled.cell(*key).sd) == (sigma * cell.mean,
+                                                                      sigma * cell.sd)
+        assert pooled_residual_sd(scaled) == sigma * pooled_residual_sd(unit)
+
     def test_closed_forms_take_no_loose_tuples(self):
         for closed_form in (cell_table, reported_strata_mixture, pooled_residual_sd):
             params = set(inspect.signature(closed_form).parameters)

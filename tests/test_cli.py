@@ -145,7 +145,7 @@ class TestParseConfig:
             ({"design": {"strata_probs": [0.5, 0.6]}}, "design.strata_probs:"),
             # past 2**40 sigma the kernel's squared residuals lose sigma or overflow
             ({"outcome": {"strata_means": [0, 1e300]}}, "outcome.strata_means[1]: must lie within"),
-            ({"outcome": {"delta": 1e-3, "sigma": 1e-300}}, "outcome.delta: must lie within"),
+            ({"outcome": {"delta": 1e-3, "sigma": 1e-100}}, "outcome.delta: must lie within"),
         ],
     )
     def test_bad_fields_name_their_path(self, doc, needle):
@@ -493,8 +493,10 @@ class TestMain:
         (b'{"run": {"reps": 10, "reps": 20}}', "duplicate key 'reps'"),
         (b'{"outcome": {"delta": 1' + b"0" * 400 + b"}}",
          "outcome.delta: must be finite, got an integer too large for a float\n"),
+        (b'{"outcome": {"sigma": 1e200}}',
+         "outcome.sigma: must lie in [2**-400, 2**400], got 1e+200\n"),
     ], ids=["missing", "directory", "not-utf8", "malformed", "too-deep", "array", "nan",
-            "duplicate-key", "past-float"])
+            "duplicate-key", "past-float", "sigma-past-squares"])
     def test_unusable_config_file_exits_2_named_by_its_flag(self, tmp_path, capsys,
                                                             monkeypatch, content, message):
         path = tmp_path / "run.json"

@@ -12,9 +12,9 @@ from scipy.special import ndtri
 from stratasim.cohort import (
     Cohort,
     OutcomeModel,
+    cohort_factors,
     cohort_width,
-    draw_cohort,
-    observed_outcomes,
+    drawn_outcomes,
     potential_outcomes,
 )
 from stratasim.errors import ConfigurationError
@@ -26,10 +26,18 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _drawn(design, model, uniforms):
+    """True strata and every arm's drawn outcomes of the cohorts of ``(...,
+    cohort_width(design))`` uniforms, one arm at a time."""
+    strata, shared, noise = cohort_factors(design, model, uniforms)
+    return strata, np.stack([drawn_outcomes(model, strata, arm, shared, noise)
+                             for arm in range(design.allocation.n_arms)], axis=-1)
+
+
 def _cohort(design, model, rng):
     """True strata and potential outcomes of one cohort, from exactly
     ``cohort_width(design)`` uniforms of ``rng``."""
-    return draw_cohort(design, model, rng.random(cohort_width(design)))
+    return _drawn(design, model, rng.random(cohort_width(design)))
 
 
 def _design(n=2000):
@@ -68,6 +76,18 @@ class TestOutcomeModel:
     def test_non_finite_values_name_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field}.* must be finite"):
             OutcomeModel(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [
+        1e200, 1e-170, 0.0, -1.0, np.nextafter(2.0**400, np.inf), np.nextafter(2.0**-400, 0.0),
+    ])
+    def test_sigma_keeps_squares_in_the_float_range(self, sigma):
+        # at 1e200 the kernel's sums of squares overflowed into NaN metrics,
+        # and the closed forms raised a bare OverflowError; at 1e-170 every
+        # replication's squares underflowed into a degenerate fit
+        with pytest.raises(ConfigurationError, match=r"^sigma must lie in \[2\*\*-400, 2\*\*400\]"):
+            OutcomeModel(sigma=sigma)
+        for edge in (2.0**400, 2.0**-400):
+            assert OutcomeModel(delta=edge, strata_means=(0.0, edge), sigma=edge).sigma == edge
 
     def test_means_lie_within_2_to_the_40_sigma(self):
         edge = OutcomeModel(delta=-(2.0**40), strata_means=(0.0, 2.0**41), sigma=2.0)
@@ -181,14 +201,15 @@ class TestSampling:
         assert cohort.n_patients == 500
 
 
-class TestDrawCohort:
-    """``draw_cohort`` is a transform of ``cohort_width`` uniforms per cohort."""
+class TestCohortFactors:
+    """``cohort_factors`` keeps what a replication reads of ``cohort_width``
+    uniforms per cohort, and ``drawn_outcomes`` builds outcomes from it."""
 
     def test_extreme_uniforms_give_finite_normals(self):
         # Generator.random can return 0, where inversion gives -inf unclamped
         design, model = _design(3), OutcomeModel(rho=0.5)
-        low = draw_cohort(design, model, np.zeros((2, cohort_width(design))))
-        high = draw_cohort(design, model, np.full(cohort_width(design), np.nextafter(1.0, 0.0)))
+        low = _drawn(design, model, np.zeros((2, cohort_width(design))))
+        high = _drawn(design, model, np.full(cohort_width(design), np.nextafter(1.0, 0.0)))
         assert (low[0] == 0).all() and (high[0] == 1).all()
         means = np.array([[model.mean(s, arm) for arm in range(3)] for s in (0, 1)])
         noise_low, noise_high = low[1] - means[0], high[1] - means[1]
@@ -200,43 +221,57 @@ class TestDrawCohort:
         design, model = _design(30), OutcomeModel(rho=0.5)
         rng = _rng(26)
         alone = [_cohort(design, model, rng) for _ in range(2)]
-        strata, potentials = draw_cohort(design, model, _rng(26).random((2, cohort_width(design))))
+        strata, potentials = _drawn(design, model, _rng(26).random((2, cohort_width(design))))
         for i, (own_strata, own_potentials) in enumerate(alone):
             np.testing.assert_array_equal(own_strata, strata[i])
             np.testing.assert_array_equal(own_potentials, potentials[i])
 
-
-    @pytest.mark.parametrize("rho", [1.0, 0.5])
-    def test_potentials_equal_inverting_every_normal(self, rho):
-        # at rho = 1 the e_a uniforms are consumed but not inverted; the
-        # potentials equal the full formula bit for bit, also where u = 0
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 0.0])
+    def test_outcomes_equal_inverting_every_normal(self, rho):
+        # at rho = 1 the e_a uniforms are consumed but neither kept nor
+        # inverted; the outcomes equal the full formula bit for bit, also
+        # where u = 0
         design, model = _design(40), OutcomeModel(rho=rho, delta=0.5, sigma=1.5)
         uniforms = _rng(27).random((3, cohort_width(design)))
         uniforms[0, 40:46] = [0.0, 0.5, 0.5, 0.0, 1e-300, np.nextafter(1.0, 0.0)]
-        strata, potentials = draw_cohort(design, model, uniforms)
+        strata, potentials = _drawn(design, model, uniforms)
         normals = ndtri(np.maximum(uniforms[:, 40:], 2.0**-53)).reshape(3, 40, 4)
         noise = math.sqrt(rho) * normals[..., :1] + math.sqrt(1.0 - rho) * normals[..., 1:]
         means = np.array([[model.mean(s, arm) for arm in range(3)] for s in (0, 1)])
-        assert np.array_equal(potentials, means[strata] + model.sigma * noise)
-        assert np.array_equal(strata, draw_cohort(design, OutcomeModel(rho=0.3), uniforms)[0])
+        assert potentials.tobytes() == (means[strata] + model.sigma * noise).tobytes()
+        assert potentials.tobytes() == potential_outcomes(strata, model, normals).tobytes()
+        assert np.array_equal(strata, cohort_factors(design, OutcomeModel(rho=0.3), uniforms)[0])
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_factors_keep_no_view_of_the_uniforms(self, rho):
+        # the uniform block is freed once a chunk has read its factors
+        design, model = _design(5), OutcomeModel(rho=rho)
+        uniforms = _rng(31).random((2, cohort_width(design)))
+        strata, shared, noise = cohort_factors(design, model, uniforms)
+        assert strata.shape == shared.shape == (2, 5)
+        for array in (strata, shared, noise):
+            assert array is None or not np.shares_memory(array, uniforms)
+        if rho == 1.0:
+            assert noise is None
+        else:
+            assert np.array_equal(noise, uniforms[:, 5:].reshape(2, 5, 4)[..., 1:])
 
 
-class TestObservedOutcomes:
-    def test_gathers_assigned_column(self):
-        potentials = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-        treatments = np.array([2, 0, 1])
-        assert observed_outcomes(potentials, treatments).tolist() == [3.0, 4.0, 8.0]
-
-    def test_any_leading_shape_and_layout(self):
-        # arm planes as draw_cohort lays them out, and a plain C-ordered copy
+class TestDrawnOutcomes:
+    def test_any_leading_shape_and_arm(self):
+        # one arm per patient reads that arm's column of every arm's outcomes
         design, model = _design(7), OutcomeModel(rho=0.5)
-        _, potentials = draw_cohort(design, model, _rng(29).random((2, 3, cohort_width(design))))
+        uniforms = _rng(29).random((2, 3, cohort_width(design)))
+        strata, potentials = _drawn(design, model, uniforms)
+        factors = cohort_factors(design, model, uniforms)
         treatments = _rng(30).integers(0, 3, (2, 3, 7)).astype(np.int8)
         want = np.take_along_axis(potentials, treatments[..., None].astype(np.intp), axis=-1)
-        for layout in (potentials, np.ascontiguousarray(potentials)):
-            got = observed_outcomes(layout, treatments)
-            assert got.tobytes() == want[..., 0].tobytes()
+        got = drawn_outcomes(model, strata, treatments, *factors[1:])
+        assert got.tobytes() == want[..., 0].tobytes()
+        assert drawn_outcomes(model, strata, 2, *factors[1:]).tobytes() == \
+            np.ascontiguousarray(potentials[..., 2]).tobytes()
 
     def test_shapes_must_match(self):
-        with pytest.raises(ConfigurationError, match="treatments have shape"):
-            observed_outcomes(np.zeros((2, 5, 3)), np.zeros(5, dtype=np.int8))
+        strata, shared = np.zeros((2, 5), dtype=np.int8), np.zeros((2, 5))
+        with pytest.raises(ConfigurationError, match="arms have shape"):
+            drawn_outcomes(OutcomeModel(), strata, np.zeros(5, dtype=np.int8), shared, None)

@@ -22,11 +22,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import stratasim
 from stratasim import harness, inference
 from stratasim.cli import metrics_rows
-from stratasim.cohort import Cohort, OutcomeModel, cohort_width, draw_cohort, observed_outcomes
+from stratasim.cohort import (
+    Cohort,
+    OutcomeModel,
+    cohort_factors,
+    cohort_width,
+    drawn_outcomes,
+    potential_outcomes,
+    strata_labels,
+)
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
     MixtureCase,
@@ -40,7 +49,13 @@ from stratasim.harness import (
     run_scenario,
 )
 from stratasim.inference import fit_batch
-from stratasim.misclassify import KINDS, MisclassModel, reported_strata
+from stratasim.misclassify import (
+    KINDS,
+    TRIGGER_ARM,
+    MisclassModel,
+    misclassify,
+    reported_strata,
+)
 from stratasim.randomizer import (
     AllocationRatio,
     TrialDesign,
@@ -343,6 +358,21 @@ def _stage_rng(config, rep, stage, width):
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
+def _planes_cohort(design, outcome, uniforms):
+    """The cohorts of ``(..., cohort_width(design))`` uniforms with every
+    potential outcome built: strata from the first ``n_patients`` uniforms,
+    every normal inverted from the rest."""
+    n = design.n_patients
+    strata = strata_labels(design, uniforms[..., :n])
+    normals = ndtri(np.maximum(uniforms[..., n:], 2.0**-53)).reshape(*strata.shape, -1)
+    return Cohort(strata, potential_outcomes(strata, outcome, normals), outcome)
+
+
+def _observed(potentials, arms):
+    """Each patient's potential outcome under its arm."""
+    return np.take_along_axis(potentials, arms[..., None].astype(np.intp), axis=-1)[..., 0]
+
+
 # the first replication whose cohort draws carry into counter word 1
 CARRY_REP = 2**64 // -(-cohort_width(paper_design()) // 4)
 
@@ -359,12 +389,12 @@ def test_variants_share_one_null_batch():
     for rep in (0, 1, 2, 3, 2**32, CARRY_REP, 2**70 + 5):
         uniforms = _stage_rng(config, rep, harness.COHORT, cohort_width(design)).random(
             cohort_width(design))
-        cohort = Cohort(*draw_cohort(design, config.outcome, uniforms), outcome=config.outcome)
+        cohort = _planes_cohort(design, config.outcome, uniforms)
         reported = reported_strata(cohort, config.misclass, _stage_rng(
             config, rep, harness.MISCLASSIFICATION, design.n_patients))
         treatments = randomize_cohort(design, reported,
                                       _stage_rng(config, rep, harness.RANDOMIZATION, width))
-        y = observed_outcomes(cohort.potentials, treatments)
+        y = _observed(cohort.potentials, treatments)
         nulls = batch_block_assignments(design, reported, config.rb_draws, _stage_rng(
             config, rep, harness.NULL_BATCH, config.rb_draws * width))
         out = run_replication(config, rep)
@@ -401,19 +431,19 @@ def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
         for other in outcomes[1:]:
             _assert_same(other, outcomes[0])
     # at the paper's high rates the kinds still share each replication's true
-    # strata, potential outcomes and block picks
+    # strata, shared factor, noise uniforms and block picks
     drawn, seen = [], {}
-    misclassify, deal_blocks = harness.misclassify, harness.deal_blocks
+    factors, deal_blocks = harness.cohort_factors, harness.deal_blocks
 
-    def record_cohort(model, outcome, strata, potentials, uniforms):
-        drawn.extend([strata, potentials])
-        return misclassify(model, outcome, strata, potentials, uniforms)
+    def record_cohort(design, outcome, uniforms):
+        drawn.extend(factors(design, outcome, uniforms))
+        return drawn[-3:]
 
     def record_picks(design, reported, blocks):
         drawn.append(blocks)
         return deal_blocks(design, reported, blocks)
 
-    monkeypatch.setattr(harness, "misclassify", record_cohort)
+    monkeypatch.setattr(harness, "cohort_factors", record_cohort)
     monkeypatch.setattr(harness, "deal_blocks", record_picks)
     for kind in KINDS:
         config = replace(_config(reps=12, rb_draws=30, rho=0.5),
@@ -421,8 +451,12 @@ def test_misclassification_kinds_share_common_random_numbers(monkeypatch):
         harness._run_chunk(config, 5, 12)
         seen[kind], drawn[:] = list(drawn), []
     # the two nonignorable kinds flip different patients of the same cohorts
+    strata, shared, noise = seen["ignorable"][:3]
+    assert noise is not None
+    trigger = drawn_outcomes(config.outcome, strata, np.take(TRIGGER_ARM, strata), shared,
+                             noise)
     assert not np.array_equal(*(misclassify(MisclassModel(kind, 0.15, 0.30), config.outcome,
-                                            *seen[kind][:2], None) for kind in KINDS[1:]))
+                                            strata, trigger, None) for kind in KINDS[1:]))
     for kind in KINDS[1:]:
         for want, got in zip(seen["ignorable"], seen[kind], strict=True):
             np.testing.assert_array_equal(got, want)
@@ -479,6 +513,79 @@ def _varblock_design():
 def _sort_key_design():
     # no arrangement table for the block of 1,000: one sort key per slot
     return replace(paper_design(), block_sizes=(5, 1000))
+
+
+@pytest.mark.parametrize("design", [paper_design(), _varblock_design()], ids=["paper", "varblock"])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_chunk_outcomes_equal_the_potential_outcome_planes(monkeypatch, kind, rho, design):
+    # a chunk builds only the outcomes it reads; on the same uniforms they
+    # equal, bit for bit, those read off every arm's potential outcomes
+    outcome = OutcomeModel(rho=rho, delta=0.7, strata_means=(0.3, -1.2), sigma=1.7)
+    config = ScenarioConfig(design, outcome, MisclassModel(kind, 0.15, 0.30),
+                            n_replications=40, rb_draws=19)
+    seen = []
+    fit = harness.fit_batch
+
+    def record(y, variants, rows, n_arms):
+        seen.append((y, *variants, rows))
+        return fit(y, variants, rows, n_arms)
+
+    monkeypatch.setattr(harness, "fit_batch", record)
+    start, stop, n = 3, 40, design.n_patients
+    harness._run_chunk(config, start, stop)
+    [(y, strata, reported, rows)] = seen
+    key = harness._scenario_key(config.seed)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    cohort = _planes_cohort(design, outcome, harness._stage_uniforms(
+        rng, key, harness.COHORT, cohort_width(design), start, stop))
+    flips = (harness._stage_uniforms(rng, key, harness.MISCLASSIFICATION, n, start, stop)
+             if kind == "ignorable" else None)
+    trigger = _observed(cohort.potentials, np.take(TRIGGER_ARM, cohort.true_strata))
+    want = misclassify(config.misclass, outcome, cohort.true_strata, trigger, flips)
+    assert strata.tobytes() == cohort.true_strata.tobytes()
+    assert reported.dtype == want.dtype and reported.tobytes() == want.tobytes()
+    assert y.tobytes() == _observed(cohort.potentials, rows[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("exponent", [400, -400])
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_the_sigma_range_edges_give_the_unit_scale_results(rho, exponent):
+    # a power-of-two scale is exact: at either edge of OutcomeModel's sigma
+    # range every replication gives its unit-scale estimate and SE times
+    # sigma and the same decisions, with no squares out of the float range
+    def config(sigma):
+        outcome = OutcomeModel(rho=rho, delta=sigma / 2, strata_means=(0.0, sigma), sigma=sigma)
+        return ScenarioConfig(paper_design(), outcome, MisclassModel("nonignorable2", 0.15, 0.30),
+                              n_replications=50, rb_draws=19)
+
+    sigma = 2.0**exponent
+    unit, scaled = (harness._run_chunk(config(s), 0, 50) for s in (1.0, sigma))
+    assert (unit.error == "").all()
+    for f in fields(Outcomes):
+        got = getattr(scaled, f.name)
+        if f.name in ("estimate", "se"):
+            got = got / sigma
+        assert np.array_equal(got, getattr(unit, f.name)), f.name
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_chunk_inverts_only_the_normals_it_reads(monkeypatch, kind, rho):
+    # the shared factor of every patient, then one normal per patient for
+    # each outcome read below rho = 1: the trigger (nonignorable kinds) and
+    # the observed outcome; never every arm's
+    sizes, invert = [], stratasim.cohort.ndtri
+
+    def counting(uniforms):
+        sizes.append(uniforms.size)
+        return invert(uniforms)
+
+    monkeypatch.setattr(stratasim.cohort, "ndtri", counting)
+    config = replace(_config(reps=7, rho=rho), misclass=MisclassModel(kind, 0.15, 0.30))
+    harness._run_chunk(config, 0, 7)
+    reads = 1 + (rho < 1.0) * (1 + (kind != "ignorable"))
+    assert sizes == [7 * config.design.n_patients] * reads
 
 
 @pytest.mark.parametrize("design,kind,rb_draws", [

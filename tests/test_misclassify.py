@@ -11,6 +11,7 @@ from stratasim.cohort import Cohort, OutcomeModel, potential_outcomes
 from stratasim.errors import ConfigurationError
 from stratasim.misclassify import (
     KINDS,
+    TRIGGER_ARM,
     MisclassModel,
     flip_interval,
     misclassify,
@@ -30,6 +31,12 @@ def _cohort(n=200_000, rho=1.0, seed=31, sigma=1.0, strata_means=(0.0, 1.0)):
     strata = (rng.random(n) >= 0.4).astype(np.int8)
     pot = potential_outcomes(strata, outcome, rng.standard_normal((n, 4)))
     return Cohort(true_strata=strata, potentials=pot, outcome=outcome)
+
+
+def _trigger(cohort):
+    """Each patient's outcome under the trigger arm of its true stratum."""
+    arms = np.take(TRIGGER_ARM, cohort.true_strata)[:, None]
+    return np.take_along_axis(cohort.potentials, arms, axis=-1)[:, 0]
 
 
 def _flip_rates(strata, reported):
@@ -153,7 +160,7 @@ class TestDispatch:
         b = reported_strata(cohort, model, _rng(99))
         assert (a == b).all()
         # all-zero uniforms would flip every patient under the ignorable rule
-        c = misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials,
+        c = misclassify(model, cohort.outcome, cohort.true_strata, _trigger(cohort),
                         np.zeros(cohort.n_patients))
         assert (a == c).all()
 
@@ -194,6 +201,6 @@ def test_reported_strata_draws_exactly_its_width(kind):
     uniforms = _rng(7).random(2 * width + 1)
     assert rng.random() == uniforms[-1]
     for got, row in zip((first, second), uniforms[:-1].reshape(2, width)):
-        want = misclassify(model, cohort.outcome, cohort.true_strata, cohort.potentials,
-                           row if width else None)
+        want = misclassify(model, cohort.outcome, cohort.true_strata,
+                           None if width else _trigger(cohort), row if width else None)
         np.testing.assert_array_equal(got, want)
