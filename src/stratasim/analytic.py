@@ -27,8 +27,8 @@ from scipy.special import nctdtr, ndtr, stdtrit
 from scipy.special._ufuncs import _nct_sf
 
 from .cohort import OutcomeModel
-from .errors import ConfigurationError, as_int, as_real
-from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, flip_interval
+from .errors import ConfigurationError, as_instance, as_int, as_real
+from .misclassify import HIGH, LOW, TRIGGER_ARM, MisclassModel, check_two_strata, flip_interval
 from .randomizer import TrialDesign, paper_design
 
 _MIN_MASS = 1e-12
@@ -110,14 +110,6 @@ class StrataMixtureSummary:
         return self.cells[(reported, arm)]
 
 
-def _as_design(design) -> TrialDesign:
-    """``design`` when it is a ``TrialDesign``; anything else raises a
-    ``ConfigurationError`` naming ``design``."""
-    if not isinstance(design, TrialDesign):
-        raise ConfigurationError(f"design must be a TrialDesign, got {design!r}")
-    return design
-
-
 def _component_moments(
     origin: int,
     arm: int,
@@ -149,10 +141,10 @@ def cell_table(
     the moments of arm ``a``'s potential outcome there, for arms 0 and 1.  A
     nonignorable model truncates a flipped cell to ``flip_interval`` and a
     kept cell to its complement.  A cell whose share is below ``_MIN_MASS``
-    has no moments: NaN."""
-    if _as_design(design).n_strata != 2:
-        raise ConfigurationError(
-            f"strata_probs must list exactly two strata, got {design.n_strata}")
+    has no moments: NaN.  ``model`` must be a ``MisclassModel``, and the
+    design and outcome pass ``check_two_strata``."""
+    as_instance("model", model, MisclassModel)
+    check_two_strata(design, outcome)
     rates = (model.gamma_low, model.gamma_high)
     weight = np.array([[p * (1.0 - g) if r == s else p * g for r in (LOW, HIGH)]
                        for s, (p, g) in enumerate(zip(design.strata_probs, rates))])
@@ -205,7 +197,7 @@ def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
     sigma = as_real("sigma", sigma)
     if sigma <= 0.0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    alloc = _as_design(design).allocation
+    alloc = as_instance("design", design, TrialDesign).allocation
     n0 = design.n_patients * alloc.target_share(0)
     n1 = design.n_patients * alloc.target_share(1)
     return sigma * sqrt(1.0 / n0 + 1.0 / n1)

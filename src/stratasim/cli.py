@@ -23,9 +23,11 @@ as UTF-8 JSON, and any fault in it exits 2 led by the flag
 ``--paper-scale``), a config run from its document; the given flags
 replace their fields.  The constructors, and ``harness.workers`` for
 ``--threads``, check every flag value too, and a rejected one exits 2 as
-``--reps: must be >= 1, got 0``.  Output (CSV or JSON) embeds a metadata
-block with the package version, the seed, and a config echo that parses
-back to the same scenarios, so a results file fully identifies its run.
+``--reps: must be >= 1, got 0``.  Table 3 runs nothing: it reads table 1's
+high-rate scenarios through ``analytic.reported_strata_mixture``.  Output
+(CSV or JSON) embeds a metadata block with the package version, the seed,
+and a config echo that parses back to the same scenarios (table 3's
+labels), so a results file fully identifies its run.
 The thread count describes the environment, not the results: it goes to
 stderr, and the results file is the same for any ``--threads``.
 """
@@ -42,13 +44,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .analytic import StrataMixtureSummary, reported_strata_mixture
+from .analytic import reported_strata_mixture
 from .cohort import OutcomeModel
 from .errors import ConfigParseError, ConfigurationError
 from .harness import (
-    DEFAULT_SEED,
     PAPER_RATES,
-    MixtureCase,
     ScenarioConfig,
     ScenarioMetrics,
     paper_suite,
@@ -86,8 +86,7 @@ class RunSpec:
     """Everything one invocation will execute."""
 
     suite: str
-    scenarios: list
-    mixtures: list
+    scenarios: list[ScenarioConfig]
     out: Path | None
     fmt: str
     threads: int
@@ -95,8 +94,8 @@ class RunSpec:
 
     @property
     def seed(self) -> int:
-        """The scenarios' seed; the default for a mixture suite."""
-        return self.scenarios[0].seed if self.scenarios else DEFAULT_SEED
+        """The scenarios' seed."""
+        return self.scenarios[0].seed
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -173,22 +172,23 @@ def _rounded(value: float | None, digits: int) -> float | None:
     return None if value is None else round(value, digits)
 
 
+def _scenario_columns(config: ScenarioConfig) -> dict:
+    """The leading columns of every row: what names the scenario."""
+    model, outcome = config.misclass, config.outcome
+    return {"label": config.label, "model": model.kind, "gamma_low": model.gamma_low,
+            "gamma_high": model.gamma_high, "corr": outcome.rho, "delta": outcome.delta}
+
+
 def metrics_rows(results: list[ScenarioMetrics]) -> list[dict]:
     """Flatten scenario metrics into one row per strata variant."""
     rows = []
     for res in results:
-        cfg = res.config
-        is_level = cfg.outcome.delta == 0.0
+        is_level = res.config.outcome.delta == 0.0
         for variant in (res.corrected, res.reported):
             reject = variant.reject_rate
             rb = variant.rb_reject_rate
             row = {
-                "label": cfg.label,
-                "model": cfg.misclass.kind,
-                "gamma_low": cfg.misclass.gamma_low,
-                "gamma_high": cfg.misclass.gamma_high,
-                "corr": cfg.outcome.rho,
-                "delta": cfg.outcome.delta,
+                **_scenario_columns(res.config),
                 "strata": variant.strata_used,
                 "reps": res.n_valid,
                 "bias": variant.bias,
@@ -223,19 +223,15 @@ def _warning_line(res: ScenarioMetrics) -> str:
             f"{res.config.n_replications} replications invalid{reasons}{variants}")
 
 
-def mixture_rows(cases: list[MixtureCase],
-                 summaries: list[StrataMixtureSummary]) -> list[dict]:
-    """One row per (case, reported stratum, arm) with mixture moments."""
+def mixture_rows(configs: list[ScenarioConfig]) -> list[dict]:
+    """One row per (scenario, reported stratum, arm) with the closed-form
+    mixture moments of ``reported_strata_mixture``; nothing is simulated."""
     rows = []
-    for case, summary in zip(cases, summaries):
+    for config in configs:
+        summary = reported_strata_mixture(config.misclass, config.outcome, config.design)
         for (reported, arm), cell in sorted(summary.cells.items()):
-            row = {
-                "label": case.label,
-                "model": case.misclass.kind,
-                "gamma_low": case.misclass.gamma_low,
-                "gamma_high": case.misclass.gamma_high,
-                "corr": case.outcome.rho,
-                "delta": case.outcome.delta,
+            rows.append({
+                **_scenario_columns(config),
                 "reported_stratum": reported,
                 "arm": arm,
                 "stratum_weight": summary.weights[reported],
@@ -243,8 +239,7 @@ def mixture_rows(cases: list[MixtureCase],
                 "sd": cell.sd,
                 "mean_rounded": _rounded(cell.mean, MIXTURE_ROUND_DIGITS),
                 "sd_rounded": _rounded(cell.sd, MIXTURE_ROUND_DIGITS),
-            }
-            rows.append(row)
+            })
     return rows
 
 
@@ -336,6 +331,10 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
             raise ConfigParseError(f"--config: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             raise ConfigParseError(f"--config: {args.config} is not valid JSON: {exc}") from exc
+    elif args.suite == "table3":  # table 1's high-rate scenarios, by kind and correlation
+        suite, base = args.suite, [
+            replace(c, label=f"{c.misclass.kind} rho{c.outcome.rho:g}") for c in paper_suite(1)
+            if (c.misclass.gamma_low, c.misclass.gamma_high) == PAPER_RATES[1]]
     else:
         suite, base = args.suite, paper_suite(int(args.suite.removeprefix("table")))
     overrides = {field: value for field, value in values.items() if value is not None}
@@ -350,8 +349,7 @@ def build_run_spec(argv: list[str] | None = None) -> RunSpec:
         parser.error(_renamed(exc, _FLAGS))
     return RunSpec(
         suite=suite,
-        scenarios=[] if suite == "table3" else runs,
-        mixtures=runs if suite == "table3" else [],
+        scenarios=runs,
         out=args.out,
         fmt=args.format,
         threads=threads,
@@ -372,11 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         "seed": spec.seed,
     }
     warnings = 0
-    if spec.mixtures:
-        summaries = [reported_strata_mixture(case.misclass, case.outcome)
-                     for case in spec.mixtures]
-        rows = mixture_rows(spec.mixtures, summaries)
-        meta["cases"] = [case.label for case in spec.mixtures]
+    if spec.suite == "table3":
+        rows = mixture_rows(spec.scenarios)
+        meta["cases"] = [cfg.label for cfg in spec.scenarios]
     else:
         print(f"stratasim: threads={spec.threads} workers={workers(spec.threads)}",
               file=sys.stderr)

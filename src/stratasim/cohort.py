@@ -85,10 +85,12 @@ class Cohort:
 
 
 def strata_labels(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
-    """True stratum labels from one uniform per patient, any leading shape."""
-    cum = np.cumsum(design.strata_probs)
-    labels = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(labels, design.n_strata - 1).astype(np.int8)
+    """True stratum labels from one uniform per patient, any leading shape:
+    the count of inner cumulative edges at or below each uniform."""
+    labels = np.zeros(uniforms.shape, np.int8)
+    for edge in np.cumsum(design.strata_probs)[:-1]:
+        labels += uniforms >= edge
+    return labels
 
 
 def outcome_values(model: OutcomeModel, strata: np.ndarray, arms, shared: np.ndarray,

@@ -1,6 +1,6 @@
 """Exception types, and the readers of config fields and label arrays
 shared across the package: integers and their lower bounds, finite
-numbers, lists and codes, each message led by the field it names."""
+numbers, lists, codes and types, each message led by the field it names."""
 
 from __future__ import annotations
 
@@ -55,6 +55,15 @@ def as_real(field: str, value) -> float:
             raise ConfigurationError(f"{field} must be finite, got {number}")
         return number
     raise ConfigurationError(f"{field} must be a number, got {value!r}")
+
+
+def as_instance(field: str, value, cls: type):
+    """``value`` when it is a ``cls``; anything else raises a
+    ``ConfigurationError`` naming ``field``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ConfigurationError(f"{field} must be {article} {cls.__name__}, got {value!r}")
+    return value
 
 
 def as_tuple(field: str, values, read) -> tuple:

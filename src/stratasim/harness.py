@@ -75,9 +75,9 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from .cohort import OutcomeModel, cohort_factors, cohort_width, drawn_outcomes
-from .errors import ConfigurationError, as_int, as_real
+from .errors import ConfigurationError, as_instance, as_int, as_real
 from .inference import fit_batch, t_interval
-from .misclassify import KINDS, TRIGGER_ARM, MisclassModel, misclassify
+from .misclassify import KINDS, TRIGGER_ARM, MisclassModel, check_two_strata, misclassify
 from .randomizer import TrialDesign, block_width, deal_blocks, draw_blocks, paper_design
 from .rerandomize import randomization_batch
 
@@ -115,14 +115,13 @@ MMAP_THRESHOLD = 32 * 1024 * 1024
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """One simulation scenario: design, outcome law, misclassification,
-    and run sizes.  The design has exactly two strata, since
-    misclassification flips between two, and the outcome one mean per
-    stratum.  ``n_replications`` must be at least 1 and ``seed``
-    nonnegative, all three counts integers; ``alpha`` lies in (0, 1);
-    ``rb_draws = 0`` leaves the null batch empty and reports no RB rate,
-    and more draws give ``(1 + rb_draws) * alpha >= 1``, as the add-one
-    p-value must to reach ``alpha``.  One replication holds at most
-    ``MAX_REPLICATION_CELLS`` cells, a bound on ``rb_draws``, or on
+    and run sizes.  The design and outcome pass ``check_two_strata``, and
+    ``misclass`` is a ``MisclassModel``.  ``n_replications`` is at least 1
+    and ``seed`` nonnegative, all three counts integers; ``alpha`` lies in
+    (0, 1); ``rb_draws = 0`` leaves the null batch empty and reports no
+    RB rate, and more draws give ``(1 + rb_draws) * alpha >= 1``, as the
+    add-one p-value must to reach ``alpha``.  One replication holds at
+    most ``MAX_REPLICATION_CELLS`` cells, a bound on ``rb_draws``, or on
     ``n_patients`` without draws.  Every run analyzes both the corrected
     and the reported strata."""
 
@@ -136,6 +135,8 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        check_two_strata(self.design, self.outcome)
+        as_instance("misclass", self.misclass, MisclassModel)
         for field, least in (("n_replications", 1), ("rb_draws", 0), ("seed", 0)):
             object.__setattr__(self, field, as_int(field, getattr(self, field), least))
         object.__setattr__(self, "alpha", as_real("alpha", self.alpha))
@@ -144,15 +145,6 @@ class ScenarioConfig:
         if self.rb_draws and (1 + self.rb_draws) * self.alpha < 1.0:
             raise ConfigurationError(f"rb_draws must be 0 or at least 1 / alpha - 1 = "
                                      f"{1.0 / self.alpha - 1.0:g}, got {self.rb_draws}")
-        if self.design.n_strata != 2:
-            raise ConfigurationError(
-                f"strata_probs must list exactly two strata, got {self.design.n_strata}"
-            )
-        if len(self.outcome.strata_means) != 2:
-            raise ConfigurationError(
-                f"strata_means must hold two means, one per stratum, "
-                f"got {len(self.outcome.strata_means)}"
-            )
         cells = _replication_cells(self)
         if cells > MAX_REPLICATION_CELLS:
             field, value = (("rb_draws", self.rb_draws) if self.rb_draws
@@ -467,16 +459,7 @@ PAPER_RATES = ((0.02, 0.02), (0.15, 0.30))
 PAPER_RHOS = (1.0, 0.5)
 
 
-@dataclass(frozen=True)
-class MixtureCase:
-    """One analytic reported-strata summary request, at the paper design."""
-
-    misclass: MisclassModel
-    outcome: OutcomeModel
-    label: str = ""
-
-
-def paper_suite(table_id: int, reps: int | None = None) -> list:
+def paper_suite(table_id: int, reps: int | None = None) -> list[ScenarioConfig]:
     """Scenario grids matching the published simulation layout, at seed
     ``DEFAULT_SEED``; ``dataclasses.replace`` changes any other field.
 
@@ -484,25 +467,13 @@ def paper_suite(table_id: int, reps: int | None = None) -> list:
     randomization tests, 400k replications unless ``reps`` overrides.
     Table 2: the same grid at effect 0 (level) and 0.5 (power) with 1000
     randomization-test draws, 4000 replications default.
-    Table 3: analytic mixture cases at the high misclassification rates;
-    it has no replications, so ``reps`` must stay None.
+    The paper's table 3 is no grid of its own: it reads table 1's
+    high-rate scenarios through the closed form (``cli.mixture_rows``).
     """
     # table -> (effects, default replications, randomization-test draws)
     grids = {1: ((0.5,), 400_000, 0), 2: ((0.0, 0.5), 4000, 1000)}
-    if isinstance(table_id, bool) or table_id not in (1, 2, 3):
-        raise ConfigurationError(f"table_id must be 1, 2 or 3, got {table_id!r}")
-    if table_id == 3:
-        if reps is not None:
-            raise ConfigurationError(f"reps must be None for table 3, got {reps!r}")
-        return [
-            MixtureCase(
-                misclass=MisclassModel(kind, *PAPER_RATES[1]),
-                outcome=OutcomeModel(rho=rho, delta=0.5),
-                label=f"{kind} rho{rho:g}",
-            )
-            for kind in KINDS
-            for rho in PAPER_RHOS
-        ]
+    if isinstance(table_id, bool) or table_id not in (1, 2):
+        raise ConfigurationError(f"table_id must be 1 or 2, got {table_id!r}")
     deltas, default_reps, draws = grids[table_id]
     design = paper_design()
     return [

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cohort import Cohort, OutcomeModel
-from .errors import ConfigurationError, as_codes, as_real
+from .errors import ConfigurationError, as_codes, as_instance, as_real
+from .randomizer import TrialDesign
 
 KINDS = ("ignorable", "nonignorable1", "nonignorable2")
 LOW, HIGH = 0, 1
@@ -58,6 +59,20 @@ class MisclassModel:
             object.__setattr__(self, name, rate)
             if not 0.0 <= rate < 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {rate}")
+
+
+def check_two_strata(design: TrialDesign, outcome: OutcomeModel) -> None:
+    """Misclassification flips between two strata: unless ``design`` is a
+    ``TrialDesign`` of two strata and ``outcome`` an ``OutcomeModel`` of one
+    mean per stratum, a ``ConfigurationError`` names the field."""
+    as_instance("design", design, TrialDesign)
+    as_instance("outcome", outcome, OutcomeModel)
+    if design.n_strata != 2:
+        raise ConfigurationError(
+            f"strata_probs must list exactly two strata, got {design.n_strata}")
+    if len(outcome.strata_means) != 2:
+        raise ConfigurationError(f"strata_means must hold two means, one per stratum, "
+                                 f"got {len(outcome.strata_means)}")
 
 
 def flip_interval(

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -262,6 +263,26 @@ class TestMixtureCells:
                            match=r"^strata_probs must list exactly two strata, got 3$"):
             reported_strata_mixture(MisclassModel("ignorable", *HIGH_RATES), OutcomeModel(),
                                     replace(paper_design(), strata_probs=(0.2, 0.3, 0.5)))
+
+    @pytest.mark.parametrize("means", [(0.0,), (0.0, 1.0, 2.0)])
+    def test_one_mean_per_stratum_is_named_by_strata_means(self, means):
+        # the rule and message ScenarioConfig gives: a short list raised
+        # IndexError, and a third mean was silently ignored
+        with pytest.raises(ConfigurationError, match=(
+                rf"^strata_means must hold two means, one per stratum, got {len(means)}$")):
+            reported_strata_mixture(MisclassModel("ignorable", *HIGH_RATES),
+                                    OutcomeModel(strata_means=means))
+
+    @pytest.mark.parametrize("model,outcome,message", [
+        ("ignorable", OutcomeModel(), "model must be a MisclassModel, got 'ignorable'"),
+        (MisclassModel("nonignorable1"), None, "outcome must be an OutcomeModel, got None"),
+        (MisclassModel("ignorable"), {"rho": 1.0}, "outcome must be an OutcomeModel, got {"),
+    ])
+    def test_a_component_of_another_type_is_named_by_its_field(self, model, outcome, message):
+        # each raised AttributeError from inside the closed form
+        for closed_form in (cell_table, reported_strata_mixture):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+                closed_form(model, outcome)
 
     @pytest.mark.parametrize("call", [
         lambda design: reported_strata_mixture(

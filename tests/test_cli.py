@@ -26,7 +26,7 @@ from stratasim.cli import (
 from stratasim.analytic import reported_strata_mixture
 from stratasim.cohort import OutcomeModel
 from stratasim.errors import ConfigParseError, ConfigurationError
-from stratasim.harness import DEFAULT_SEED, ScenarioConfig, run_scenario
+from stratasim.harness import DEFAULT_SEED, ScenarioConfig, paper_suite, run_scenario
 from stratasim.misclassify import KINDS, MisclassModel
 from stratasim.randomizer import AllocationRatio, TrialDesign
 
@@ -252,7 +252,6 @@ class TestBuildRunSpec:
         spec = build_run_spec(["--suite", "table1"])
         assert spec.suite == "table1"
         assert len(spec.scenarios) == 12
-        assert spec.mixtures == []
         assert all(c.n_replications == 50_000 for c in spec.scenarios)
         spec2 = build_run_spec(["--suite", "table2"])
         assert len(spec2.scenarios) == 24
@@ -274,9 +273,16 @@ class TestBuildRunSpec:
 
     def test_mixture_suite(self):
         spec = build_run_spec(["--suite", "table3", "--format", "json"])
-        assert len(spec.mixtures) == 6
-        assert spec.scenarios == []
         assert spec.fmt == "json"
+        assert all(isinstance(c, ScenarioConfig) for c in spec.scenarios)
+        # table 1's high-rate scenarios, relabelled
+        high = [c for c in paper_suite(1) if (c.misclass.gamma_low, c.misclass.gamma_high)
+                == (0.15, 0.30)]
+        assert [(c.design, c.misclass, c.outcome) for c in spec.scenarios] == [
+            (c.design, c.misclass, c.outcome) for c in high]
+        assert [c.label for c in spec.scenarios] == [
+            f"{kind} rho{rho}" for kind in KINDS for rho in ("1", "0.5")]
+        assert spec.seed == DEFAULT_SEED
 
     def test_config_mode(self, tmp_path):
         path = tmp_path / "run.json"

@@ -16,6 +16,7 @@ from stratasim.cohort import (
     cohort_width,
     drawn_outcomes,
     potential_outcomes,
+    strata_labels,
 )
 from stratasim.errors import ConfigurationError
 from stratasim.randomizer import AllocationRatio, TrialDesign
@@ -199,6 +200,20 @@ class TestSampling:
         assert (strata.shape, potentials.shape) == ((500,), (500, 3))
         cohort = Cohort(true_strata=strata, potentials=potentials, outcome=model)
         assert cohort.n_patients == 500
+
+    @pytest.mark.parametrize("probs", [(0.4, 0.6), (0.0, 1.0), (1.0, 0.0), (0.2, 0.3, 0.5),
+                                       (0.1,) * 10])
+    def test_strata_labels_match_a_sorted_search(self, probs):
+        # counting the inner edges at or below a uniform gives, bit for bit,
+        # the clamped ``searchsorted`` it replaced, on and just below each edge
+        design = TrialDesign(10, probs, AllocationRatio((1, 1)), 2)
+        cum = np.cumsum(probs)
+        uniforms = np.concatenate([_rng(25).random(1000), cum, np.nextafter(cum, 0.0),
+                                   [0.0, 1.0 - 2.0**-53]]).reshape(2, -1)
+        want = np.minimum(np.searchsorted(cum, uniforms, side="right"), len(probs) - 1)
+        labels = strata_labels(design, uniforms)
+        assert labels.dtype == np.int8
+        assert np.array_equal(labels, want)
 
 
 class TestCohortFactors:

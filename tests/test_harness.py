@@ -38,7 +38,6 @@ from stratasim.cohort import (
 )
 from stratasim.errors import ConfigurationError
 from stratasim.harness import (
-    MixtureCase,
     ScenarioConfig,
     Outcomes,
     VariantMetrics,
@@ -160,6 +159,10 @@ def _scenario(**fields):
     (_scenario, {"design": _design(strata_probs=(0.2, 0.3, 0.5))}, "strata_probs"),
     (_scenario, {"outcome": OutcomeModel(strata_means=(0.0,))}, "strata_means"),
     (_scenario, {"outcome": OutcomeModel(strata_means=(0.0, 1.0, 2.0))}, "strata_means"),
+    # components of another type: the string ran until a chunk read its kind
+    (_scenario, {"misclass": "ignorable"}, "misclass"),
+    (_scenario, {"design": (80, (0.4, 0.6))}, "design"),
+    (_scenario, {"outcome": None}, "outcome"),
     (_design, {"n_patients": np.int64(20), "block_size": 10.0,
                "block_sizes": (np.int32(5), 10.0)}, None),
     (_scenario, {"n_replications": 2.0, "rb_draws": np.int64(20), "seed": np.uint8(7),
@@ -1044,26 +1047,14 @@ class TestPaperSuite:
         assert {c.outcome.delta for c in configs} == {0.0, 0.5}
         assert len({c.label for c in configs}) == 24
 
-    def test_mixture_grid(self):
-        cases = paper_suite(3)
-        assert len(cases) == 6
-        assert all(isinstance(c, MixtureCase) for c in cases)
-        assert all(c.misclass.gamma_low == 0.15 for c in cases)
-        assert all(c.misclass.gamma_high == 0.30 for c in cases)
-        assert {c.outcome.rho for c in cases} == {1.0, 0.5}
-
-    def test_mixture_grid_takes_no_reps(self):
-        # table 3 has no replications: a count would be silently ignored
-        with pytest.raises(ConfigurationError, match="^reps must be None for table 3"):
-            paper_suite(3, reps=7)
-
     def test_design_is_shared(self):
         for config in paper_suite(2):
             assert config.design == paper_design()
 
     def test_unknown_table_rejected(self):
-        for table_id in (0, 4, "1", True):
-            with pytest.raises(ConfigurationError, match="^table_id must be 1, 2 or 3"):
+        # table 3 is table 1's high-rate scenarios read through the closed form
+        for table_id in (0, 3, 4, "1", True):
+            with pytest.raises(ConfigurationError, match="^table_id must be 1 or 2"):
                 paper_suite(table_id)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "stratasim"
 SAMPLERS = frozenset(name for name in dir(np.random.Generator) if not name.startswith("_")
                      and name not in ("random", "bit_generator", "spawn"))
 
-# the value rules that only the readers of ``errors`` state
-READER_RULES = ("must be >=", "must be finite")
+# the value rules that only the readers of ``errors`` state, as patterns: a
+# lower bound, finiteness, and a component's type (``design must be a
+# TrialDesign, got ...``), but not a value rule such as ``must be a positive
+# multiple``
+READER_RULES = ("must be >=", "must be finite", r"must be an? \w*, got")
 
 
 def _private(name: str) -> bool:
@@ -58,7 +62,8 @@ def sampler_calls(source: str) -> list[str]:
 
 def reader_rules(source: str) -> list[str]:
     """The ``ConfigurationError`` and ``ConfigParseError`` calls in
-    ``source`` whose message states a ``READER_RULES`` rule, as written."""
+    ``source`` whose message states a ``READER_RULES`` rule, as written;
+    the constant parts of an f-string are read joined."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -67,7 +72,7 @@ def reader_rules(source: str) -> list[str]:
         text = "".join(part.value for arg in node.args for part in ast.walk(arg)
                        if isinstance(part, ast.Constant) and isinstance(part.value, str))
         if (name in ("ConfigurationError", "ConfigParseError")
-                and any(rule in text for rule in READER_RULES)):
+                and any(re.search(rule, text) for rule in READER_RULES)):
             found.append(ast.unparse(node))
     return found
 
@@ -142,7 +147,7 @@ def test_no_module_draws_anything_but_uniforms(path):
                          ids=lambda p: p.name)
 def test_only_the_readers_state_bounds_and_finiteness(path):
     # ``errors.as_int`` holds every lower bound, ``errors.as_real`` every
-    # finiteness check
+    # finiteness check, ``errors.as_instance`` every type check
     assert reader_rules(path.read_text()) == []
 
 
@@ -240,8 +245,14 @@ def test_reader_rules_are_found():
         "        raise errors.ConfigParseError('x ' 'must be finite')",
         "    raise ConfigurationError(f'n must be positive, got {n}')",
         "    print('x must be finite')",
+        "    raise ConfigurationError(f'design must be a TrialDesign, got {d!r}')",
+        "    raise ConfigurationError(f'{field} must be an {name}, got {value!r}')",
+        "    raise ConfigurationError(f'{field} must be a positive multiple of {k}, got {n}')",
     ])
+    # in ``ast.walk`` order: the calls in the function body before those in its ifs
     assert reader_rules(source) == [
+        "ConfigurationError(f'design must be a TrialDesign, got {d!r}')",
+        "ConfigurationError(f'{field} must be an {name}, got {value!r}')",
         "ConfigurationError(f'n must be >= 1, got {n}')",
         "errors.ConfigParseError('x must be finite')",
     ]
