@@ -59,9 +59,9 @@ def truncnorm_moments(
     The variance of a one-sided tail beyond 1 sd comes from a continued
     fraction, within 1e-15 relative of mpmath.
     """
-    mu, sigma = as_real("mu", mu), as_real("sigma", sigma)
-    if sigma <= 0.0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
+    mu, sigma = as_real("mu", mu), as_real("sigma", sigma, 0.0)
+    lower = as_real("lower", lower, -inf, inf, "[]")
+    upper = as_real("upper", upper, -inf, inf, "[]")
     if not lower < upper:
         raise ConfigurationError(f"empty truncation interval ({lower}, {upper})")
     a = (lower - mu) / sigma
@@ -192,11 +192,9 @@ def expected_se(design: TrialDesign, sigma: float = 1.0) -> float:
 
     With residual scale ``sigma`` and arm sizes ``n_a = N w_a / sum(w)``,
     the arm-1-versus-control coefficient has SE sigma * sqrt(1/n_0 + 1/n_1).
-    ``sigma`` must be positive.
+    ``sigma`` is a real above 0.
     """
-    sigma = as_real("sigma", sigma)
-    if sigma <= 0.0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
+    sigma = as_real("sigma", sigma, 0.0)
     alloc = as_instance("design", design, TrialDesign).allocation
     n0 = design.n_patients * alloc.target_share(0)
     n1 = design.n_patients * alloc.target_share(1)
@@ -211,7 +209,7 @@ def pooled_residual_sd(summary: StrataMixtureSummary) -> float:
     beyond those summarized reuse the arm-1 cell (active arms share a
     distribution).
     """
-    alloc = summary.design.allocation
+    alloc = as_instance("summary", summary, StrataMixtureSummary).design.allocation
     total = 0.0
     for reported, w in zip((LOW, HIGH), summary.weights):
         for arm in range(alloc.n_arms):
@@ -230,12 +228,8 @@ def noncentral_t_power(
     Power is even in the noncentrality; at ``-|effect / se|`` neither tail
     comes back NaN, as ``nctdtr``'s lower tail can at a large positive one.
     """
-    effect, se, alpha = as_real("effect", effect), as_real("se", se), as_real("alpha", alpha)
-    df = as_int("df", df, 1)
-    if se <= 0.0:
-        raise ConfigurationError(f"se must be positive, got {se}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    effect, se = as_real("effect", effect), as_real("se", se, 0.0)
+    alpha, df = as_real("alpha", alpha, 0.0, 1.0), as_int("df", df, 1)
     crit = float(stdtrit(df, 1.0 - alpha / 2.0))
     ncp = -abs(effect / se)
     return float(_nct_sf(crit, df, ncp) + nctdtr(df, ncp, -crit))

@@ -51,12 +51,9 @@ class OutcomeModel:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        for field in ("rho", "delta", "sigma"):
-            object.__setattr__(self, field, as_real(field, getattr(self, field)))
-        if not 0.0 <= self.rho <= 1.0:
-            raise ConfigurationError(f"rho must lie in [0, 1], got {self.rho}")
-        if not SIGMA_RANGE[0] <= self.sigma <= SIGMA_RANGE[1]:
-            raise ConfigurationError(f"sigma must lie in [2**-400, 2**400], got {self.sigma:g}")
+        object.__setattr__(self, "rho", as_real("rho", self.rho, 0.0, 1.0, "[]"))
+        object.__setattr__(self, "delta", as_real("delta", self.delta))
+        object.__setattr__(self, "sigma", as_real("sigma", self.sigma, *SIGMA_RANGE, "[]"))
         object.__setattr__(self, "strata_means",
                            as_tuple("strata_means", self.strata_means, as_real))
         means = {f"strata_means[{i}]": mean for i, mean in enumerate(self.strata_means)}

@@ -1,6 +1,6 @@
 """Exception types, and the readers of config fields and label arrays
-shared across the package: integers and their lower bounds, finite
-numbers, lists, codes and types, each message led by the field it names."""
+shared across the package: integers, reals and their intervals, lists,
+codes and types, each message led by the field it names."""
 
 from __future__ import annotations
 
@@ -26,34 +26,42 @@ class DegenerateDesignError(ValueError):
     """A fitted design matrix lost identifiability (empty arm, rank drop)."""
 
 
-def as_int(field: str, value, least: int | None = None) -> int:
+def as_int(field: str, value, least: int | None = None, most: int | None = None) -> int:
     """``value`` as an ``int``: Python and numpy integers, and floats with an
     integral value such as ``10.0``.  Anything else, booleans included,
     raises a ``ConfigurationError`` naming ``field``, and so does a value
-    below ``least`` when that is given."""
+    below ``least`` or above ``most`` when that is given."""
     if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
             isinstance(value, numbers.Real) and float(value).is_integer())):
         number = int(value)
         if least is not None and number < least:
             raise ConfigurationError(f"{field} must be >= {least}, got {number}")
+        if most is not None and number > most:
+            raise ConfigurationError(f"{field} must be <= {most}, got {number}")
         return number
     raise ConfigurationError(f"{field} must be an integer, got {value!r}")
 
 
-def as_real(field: str, value) -> float:
-    """``value`` as a finite ``float``: Python and numpy reals.  Anything
-    else, booleans and numeric strings included, raises a
-    ``ConfigurationError`` naming ``field``, and so do NaN and the
-    infinities, and an integer too large for a float."""
+def as_real(field: str, value, low: float = -math.inf, high: float = math.inf,
+            ends: str = "()") -> float:
+    """``value``, a Python or numpy real, as a ``float`` in the interval from
+    ``low`` to ``high``, each end open or closed as ``ends`` says: ``"[)"``
+    holds ``low`` only.  Anything else, booleans and numeric strings too,
+    raises a ``ConfigurationError`` naming ``field``, NaN as not finite."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:
             raise ConfigurationError(
                 f"{field} must be finite, got an integer too large for a float") from None
+        # one comparison per end, false at NaN
+        if ((low < number if ends[0] == "(" else low <= number)
+                and (number < high if ends[1] == ")" else number <= high)):
+            return number
         if not math.isfinite(number):
             raise ConfigurationError(f"{field} must be finite, got {number}")
-        return number
+        raise ConfigurationError(
+            f"{field} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {number}")
     raise ConfigurationError(f"{field} must be a number, got {value!r}")
 
 

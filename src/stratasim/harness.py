@@ -75,7 +75,7 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from .cohort import OutcomeModel, cohort_factors, cohort_width, drawn_outcomes
-from .errors import ConfigurationError, as_instance, as_int, as_real
+from .errors import ConfigurationError, as_instance, as_int, as_real, as_tuple
 from .inference import fit_batch, t_interval
 from .misclassify import KINDS, TRIGGER_ARM, MisclassModel, check_two_strata, misclassify
 from .randomizer import TrialDesign, block_width, deal_blocks, draw_blocks, paper_design
@@ -139,9 +139,7 @@ class ScenarioConfig:
         as_instance("misclass", self.misclass, MisclassModel)
         for field, least in (("n_replications", 1), ("rb_draws", 0), ("seed", 0)):
             object.__setattr__(self, field, as_int(field, getattr(self, field), least))
-        object.__setattr__(self, "alpha", as_real("alpha", self.alpha))
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", as_real("alpha", self.alpha, 0.0, 1.0))
         if self.rb_draws and (1 + self.rb_draws) * self.alpha < 1.0:
             raise ConfigurationError(f"rb_draws must be 0 or at least 1 / alpha - 1 = "
                                      f"{1.0 / self.alpha - 1.0:g}, got {self.rb_draws}")
@@ -418,7 +416,7 @@ def _summarize(config: ScenarioConfig, outcomes: Outcomes) -> ScenarioMetrics:
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     """Run every replication of a scenario and aggregate: a suite of one."""
-    return run_suite([config], threads)[0]
+    return run_suite([as_instance("config", config, ScenarioConfig)], threads)[0]
 
 
 def workers(threads: int) -> int:
@@ -444,6 +442,7 @@ def run_suite(configs: list[ScenarioConfig], threads: int = 1) -> list[ScenarioM
     ``threads`` is checked by ``workers``; an empty suite gives ``[]`` and
     starts no pool."""
     n_workers = workers(threads)
+    configs = as_tuple("configs", configs, partial(as_instance, cls=ScenarioConfig))
     if not configs:
         return []
     starts = [range(0, c.n_replications, _chunk_size(c)) for c in configs]
@@ -472,9 +471,7 @@ def paper_suite(table_id: int, reps: int | None = None) -> list[ScenarioConfig]:
     """
     # table -> (effects, default replications, randomization-test draws)
     grids = {1: ((0.5,), 400_000, 0), 2: ((0.0, 0.5), 4000, 1000)}
-    if isinstance(table_id, bool) or table_id not in (1, 2):
-        raise ConfigurationError(f"table_id must be 1 or 2, got {table_id!r}")
-    deltas, default_reps, draws = grids[table_id]
+    deltas, default_reps, draws = grids[as_int("table_id", table_id, 1, 2)]
     design = paper_design()
     return [
         ScenarioConfig(

@@ -55,10 +55,7 @@ class MisclassModel:
                 f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}"
             )
         for name in ("gamma_low", "gamma_high"):
-            rate = as_real(name, getattr(self, name))
-            object.__setattr__(self, name, rate)
-            if not 0.0 <= rate < 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1), got {rate}")
+            object.__setattr__(self, name, as_real(name, getattr(self, name), 0.0, 1.0, "[)"))
 
 
 def check_two_strata(design: TrialDesign, outcome: OutcomeModel) -> None:
@@ -131,6 +128,8 @@ def reported_strata(
     """Reported labels: ignorable flips draw exactly one uniform per
     patient from ``rng``; nonignorable flips draw nothing, a deterministic
     function of the cohort's trigger outcomes."""
+    cohort = as_instance("cohort", cohort, Cohort)
+    model = as_instance("model", model, MisclassModel)
     if model.kind == "ignorable":
         uniforms = rng.random(cohort.n_patients) if rng is not None else None
         return misclassify(model, cohort.outcome, cohort.true_strata, None, uniforms)

@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigurationError, as_codes, as_int, as_real, as_tuple
+from .errors import ConfigurationError, as_codes, as_instance, as_int, as_real, as_tuple
 
 # fills the slots of a block shorter than the longest admissible length
 _PAD = -1
@@ -86,9 +86,8 @@ class TrialDesign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_patients", as_int("n_patients", self.n_patients, 1))
         object.__setattr__(self, "block_size", as_int("block_size", self.block_size))
-        probs = as_tuple("strata_probs", self.strata_probs, as_real)
-        if not all(p >= 0 for p in probs):
-            raise ConfigurationError(f"strata_probs must be nonnegative, got {probs!r}")
+        probs = as_tuple("strata_probs", self.strata_probs,
+                         partial(as_real, low=0.0, ends="[)"))
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ConfigurationError(
                 f"strata_probs must sum to 1 within 1e-12, got sum {sum(probs)!r}"
@@ -125,13 +124,12 @@ def _block_counts(allocation: AllocationRatio, block_size: int,
     """Copies of each arm ``a`` in one block, ``block_size * w_a / sum(w)``,
     so ``block_size`` must be a multiple of the weight total of at most
     ``MAX_BLOCK_SIZE``; an error names the length by ``field``."""
+    block_size = as_int(field, block_size, most=MAX_BLOCK_SIZE)
     if block_size < 1 or block_size % allocation.total != 0:
         raise ConfigurationError(
             f"{field} must be a positive multiple of the allocation weight "
             f"total {allocation.total}, got {block_size}"
         )
-    if block_size > MAX_BLOCK_SIZE:
-        raise ConfigurationError(f"{field} must be at most {MAX_BLOCK_SIZE}, got {block_size}")
     return [w * (block_size // allocation.total) for w in allocation.weights]
 
 
@@ -245,10 +243,9 @@ def draw_blocks(design: TrialDesign, uniforms: np.ndarray) -> np.ndarray:
     menu = len(sizes) > 1
     if tables is not None:
         table, first_row, n_rows = tables
-        if not menu:
-            return np.take(table, (uniforms * n_rows[0]).astype(np.intp), axis=0)
-        lengths = (uniforms[..., :n_blocks] * len(sizes)).astype(np.intp)
-        rows = first_row[lengths] + (uniforms[..., n_blocks:] * n_rows[lengths]).astype(np.intp)
+        lengths = (uniforms[..., :n_blocks] * len(sizes)).astype(np.intp) if menu else 0
+        picks = uniforms[..., n_blocks * menu:]
+        rows = first_row[lengths] + (picks * n_rows[lengths]).astype(np.intp)
         return np.take(table, rows, axis=0)
     # argsort of iid uniforms along the last axis is a uniform permutation
     shape, longest = (*uniforms.shape[:-1], n_blocks), max(sizes)
@@ -325,6 +322,7 @@ def batch_block_assignments(
     """Draw ``n_draws`` independent stratified block assignments of one
     cohort: ``draw_blocks`` on exactly ``n_draws * block_width(design)``
     uniforms from ``rng``, then ``deal_blocks``."""
+    design, n_draws = as_instance("design", design, TrialDesign), as_int("n_draws", n_draws, 1)
     reported = np.asarray(reported_strata)
     if reported.shape != (design.n_patients,):
         raise ConfigurationError(

@@ -14,29 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigurationError, as_int, as_real, as_tuple
+from .errors import ConfigurationError, as_instance, as_int, as_real, as_tuple
 
 
 @dataclass(frozen=True)
 class SubgroupCounts:
-    """Stratum size, treated count within it, and subgroup size, each an
-    integer."""
+    """Stratum size, at least 1; treated count within it, 0 to the stratum
+    size; subgroup size, 1 to the stratum size.  Each is an integer."""
 
     n_stratum: int
     n_treated: int
     n_subgroup: int
 
     def __post_init__(self) -> None:
-        for field, least in (("n_stratum", 1), ("n_treated", None), ("n_subgroup", None)):
-            object.__setattr__(self, field, as_int(field, getattr(self, field), least))
-        if not 0 <= self.n_treated <= self.n_stratum:
-            raise ConfigurationError(
-                f"treated count {self.n_treated} outside 0..{self.n_stratum}"
-            )
-        if not 1 <= self.n_subgroup <= self.n_stratum:
-            raise ConfigurationError(
-                f"subgroup size {self.n_subgroup} outside 1..{self.n_stratum}"
-            )
+        object.__setattr__(self, "n_stratum", as_int("n_stratum", self.n_stratum, 1))
+        for field, least in (("n_treated", 0), ("n_subgroup", 1)):
+            object.__setattr__(self, field,
+                               as_int(field, getattr(self, field), least, self.n_stratum))
 
 
 def conditional_moments(counts: SubgroupCounts) -> tuple[float, float]:
@@ -52,6 +46,7 @@ def conditional_moments(counts: SubgroupCounts) -> tuple[float, float]:
     and the variance is zero when the subgroup is the whole stratum or
     the stratum proportion is degenerate.
     """
+    counts = as_instance("counts", counts, SubgroupCounts)
     n, k, r = counts.n_stratum, counts.n_treated, counts.n_subgroup
     p = k / n
     if r == n:
@@ -99,13 +94,9 @@ def unconditional_variance(
 
     which never exceeds the binomial benchmark ``pi (1 - pi) / N_Rj``
     whenever ``tau <= pi (1 - pi)`` — blocking can only tighten it.  ``pi``
-    and ``tau`` are numbers; the sizes are checked as ``SubgroupCounts``.
+    lies in [0, 1] and ``tau`` in [0, inf); ``SubgroupCounts`` checks the sizes.
     """
-    pi, tau = as_real("pi", pi), as_real("tau", tau)
-    if not 0.0 <= pi <= 1.0:
-        raise ConfigurationError(f"pi must lie in [0, 1], got {pi}")
-    if tau < 0.0:
-        raise ConfigurationError(f"tau must be nonnegative, got {tau}")
+    pi, tau = as_real("pi", pi, 0.0, 1.0, "[]"), as_real("tau", tau, 0.0, ends="[)")
     sizes = SubgroupCounts(n_stratum, 0, n_subgroup)
     base = pi * (1.0 - pi)
     return base / sizes.n_subgroup + (tau - base) / sizes.n_stratum

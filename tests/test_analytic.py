@@ -137,7 +137,7 @@ class TestTruncnormMoments:
         assert got.var < 1.0
 
     @pytest.mark.parametrize("args,match", [
-        ((0.0, 0.0, -1.0, 1.0), "^sigma must be positive"),
+        ((0.0, 0.0, -1.0, 1.0), r"^sigma must lie in \(0, inf\), got 0\.0"),
         ((0.0, 1.0, 1.0, 1.0), "interval"),
         ((0.0, 1.0, 2.0, -2.0), "interval"),
         ((0.0, 1.0, 40.0, 41.0), "mass"),
@@ -145,6 +145,13 @@ class TestTruncnormMoments:
         ((0.0, 1.0, 7.1), "mass"),
         ((math.nan, 1.0, -1.0, 1.0), "^mu must be finite"),
         ((0.0, math.nan, -1.0, 1.0), "^sigma must be finite"),
+        # each bound is read as a number; these raised a bare TypeError
+        ((0.0, 1.0, "a", 1.0), "^lower must be a number, got 'a'$"),
+        ((0.0, 1.0, None, 1.0), "^lower must be a number, got None$"),
+        ((0.0, 1.0, -1.0, [1.0]), r"^upper must be a number, got \[1\.0\]$"),
+        ((0.0, 1.0, math.nan, 1.0), "^lower must be finite, got nan$"),
+        ((0.0, 1.0, -1.0, math.nan), "^upper must be finite, got nan$"),
+        ((0.0, 1.0, -1.0, 10**400), "^upper must be finite, got an integer too large"),
     ])
     def test_validation(self, args, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -312,6 +319,13 @@ class TestMixtureCells:
                                                                       sigma * cell.sd)
         assert pooled_residual_sd(scaled) == sigma * pooled_residual_sd(unit)
 
+    @pytest.mark.parametrize("summary", [None, (0.4, 0.6)])
+    def test_a_summary_of_another_type_is_named(self, summary):
+        # each raised AttributeError on design
+        message = f"summary must be a StrataMixtureSummary, got {summary!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            pooled_residual_sd(summary)
+
     def test_closed_forms_take_no_loose_tuples(self):
         for closed_form in (cell_table, reported_strata_mixture, pooled_residual_sd):
             params = set(inspect.signature(closed_form).parameters)
@@ -350,8 +364,8 @@ class TestExpectedSe:
         assert expected_se(design) == pytest.approx(math.sqrt(1.0 / 20 + 1.0 / 20), abs=1e-15)
 
     @pytest.mark.parametrize("sigma,match", [
-        (0.0, "^sigma must be positive"),
-        (-1.0, "^sigma must be positive"),
+        (0.0, r"^sigma must lie in \(0, inf\), got 0\.0"),
+        (-1.0, r"^sigma must lie in \(0, inf\), got -1\.0"),
         (math.nan, "^sigma must be finite"),
     ])
     def test_validation(self, sigma, match):
@@ -442,7 +456,7 @@ class TestNoncentralTPower:
             assert 0.05 < power <= 1.0
 
     @pytest.mark.parametrize("args,match", [
-        ((0.5, 0.0, 76), "^se must be positive"),
+        ((0.5, 0.0, 76), r"^se must lie in \(0, inf\), got 0\.0"),
         ((0.5, 0.3, 0), "^df must be >= 1"),
         ((math.nan, 0.3, 76), "^effect must be finite"),
         ((0.5, math.nan, 76), "^se must be finite"),

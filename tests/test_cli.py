@@ -500,7 +500,7 @@ class TestMain:
         (b'{"outcome": {"delta": 1' + b"0" * 400 + b"}}",
          "outcome.delta: must be finite, got an integer too large for a float\n"),
         (b'{"outcome": {"sigma": 1e200}}',
-         "outcome.sigma: must lie in [2**-400, 2**400], got 1e+200\n"),
+         "outcome.sigma: must lie in [3.87259e-121, 2.58225e+120], got 1e+200\n"),
     ], ids=["missing", "directory", "not-utf8", "malformed", "too-deep", "array", "nan",
             "duplicate-key", "past-float", "sigma-past-squares"])
     def test_unusable_config_file_exits_2_named_by_its_flag(self, tmp_path, capsys,

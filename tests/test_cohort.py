@@ -10,6 +10,7 @@ import pytest
 from scipy.special import ndtri
 
 from stratasim.cohort import (
+    SIGMA_RANGE,
     Cohort,
     OutcomeModel,
     cohort_factors,
@@ -85,7 +86,9 @@ class TestOutcomeModel:
         # at 1e200 the kernel's sums of squares overflowed into NaN metrics,
         # and the closed forms raised a bare OverflowError; at 1e-170 every
         # replication's squares underflowed into a degenerate fit
-        with pytest.raises(ConfigurationError, match=r"^sigma must lie in \[2\*\*-400, 2\*\*400\]"):
+        low, high = SIGMA_RANGE
+        with pytest.raises(ConfigurationError,
+                           match="^" + re.escape(f"sigma must lie in [{low:g}, {high:g}], got")):
             OutcomeModel(sigma=sigma)
         for edge in (2.0**400, 2.0**-400):
             assert OutcomeModel(delta=edge, strata_means=(0.0, edge), sigma=edge).sigma == edge

@@ -183,6 +183,20 @@ def test_config_counts_coerced_or_rejected_by_field(build, fields, rejected):
     assert run_scenario(config).n_valid == config.n_replications
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: harness.run_suite(["x"]), "configs[0] must be a ScenarioConfig, got 'x'"),
+    (lambda: harness.run_suite([_config(reps=2), None]),
+     "configs[1] must be a ScenarioConfig, got None"),
+    (lambda: harness.run_suite(None), "configs must be a list, got None"),
+    (lambda: run_scenario(None), "config must be a ScenarioConfig, got None"),
+], ids=["string", "second", "none", "scenario"])
+def test_runners_name_a_scenario_of_another_type(call, message):
+    # an entry of another type raised AttributeError on n_replications, and
+    # None ran as an empty suite
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class _InlinePool:
     """Stands in for ``ProcessPoolExecutor``: records the worker count and
     each ``map``'s chunksize, and runs each chunk in this process."""
@@ -1054,7 +1068,8 @@ class TestPaperSuite:
     def test_unknown_table_rejected(self):
         # table 3 is table 1's high-rate scenarios read through the closed form
         for table_id in (0, 3, 4, "1", True):
-            with pytest.raises(ConfigurationError, match="^table_id must be 1 or 2"):
+            with pytest.raises(ConfigurationError,
+                               match=r"^table_id must be (an integer|>= 1|<= 2), got"):
                 paper_suite(table_id)
 
 

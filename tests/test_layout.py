@@ -16,10 +16,13 @@ SAMPLERS = frozenset(name for name in dir(np.random.Generator) if not name.start
                      and name not in ("random", "bit_generator", "spawn"))
 
 # the value rules that only the readers of ``errors`` state, as patterns: a
-# lower bound, finiteness, and a component's type (``design must be a
-# TrialDesign, got ...``), but not a value rule such as ``must be a positive
-# multiple``
-READER_RULES = ("must be >=", "must be finite", r"must be an? \w*, got")
+# bound, finiteness, an interval, and a component's type (``design must be a
+# TrialDesign, got ...``), with the old wordings of a range (``must be
+# positive``, ``outside 0..4``), but not a value rule such as ``must be a
+# positive multiple`` or ``must lie within 2**40 sigma``
+READER_RULES = ("must be >=", "must be <=", "must be finite", r"must be an? \w*, got",
+                r"must lie in [\[(]", "must be at most", "must be positive",
+                "must be nonnegative", r"outside \d*\.\.")
 
 
 def _private(name: str) -> bool:
@@ -146,8 +149,8 @@ def test_no_module_draws_anything_but_uniforms(path):
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "errors.py"}),
                          ids=lambda p: p.name)
 def test_only_the_readers_state_bounds_and_finiteness(path):
-    # ``errors.as_int`` holds every lower bound, ``errors.as_real`` every
-    # finiteness check, ``errors.as_instance`` every type check
+    # ``errors.as_int`` holds every integer bound, ``errors.as_real`` every
+    # interval and finiteness check, ``errors.as_instance`` every type check
     assert reader_rules(path.read_text()) == []
 
 
@@ -248,11 +251,28 @@ def test_reader_rules_are_found():
         "    raise ConfigurationError(f'design must be a TrialDesign, got {d!r}')",
         "    raise ConfigurationError(f'{field} must be an {name}, got {value!r}')",
         "    raise ConfigurationError(f'{field} must be a positive multiple of {k}, got {n}')",
+        "    raise ConfigurationError(f'rho must lie in [0, 1], got {rho}')",
+        "    raise ConfigurationError(f'alpha must lie in (0, 1), got {alpha}')",
+        "    raise ConfigurationError(f'{field} must lie within 2**40 sigma of 0, got {v:g}')",
+        "    raise ConfigurationError(f'n must be <= {most}, got {n}')",
+        "    raise ConfigurationError(f'size must be at most {top}, got {n}')",
+        "    raise ConfigurationError(f'tau must be nonnegative, got {tau}')",
+        "    raise ConfigurationError(f'count {k} outside 0..{n}')",
+        "    raise ConfigurationError(f'size {r} outside {low}..{n}')",
+        "    raise ConfigurationError(f'label {k} outside the strata')",
     ])
     # in ``ast.walk`` order: the calls in the function body before those in its ifs
     assert reader_rules(source) == [
+        "ConfigurationError(f'n must be positive, got {n}')",
         "ConfigurationError(f'design must be a TrialDesign, got {d!r}')",
         "ConfigurationError(f'{field} must be an {name}, got {value!r}')",
+        "ConfigurationError(f'rho must lie in [0, 1], got {rho}')",
+        "ConfigurationError(f'alpha must lie in (0, 1), got {alpha}')",
+        "ConfigurationError(f'n must be <= {most}, got {n}')",
+        "ConfigurationError(f'size must be at most {top}, got {n}')",
+        "ConfigurationError(f'tau must be nonnegative, got {tau}')",
+        "ConfigurationError(f'count {k} outside 0..{n}')",
+        "ConfigurationError(f'size {r} outside {low}..{n}')",
         "ConfigurationError(f'n must be >= 1, got {n}')",
         "errors.ConfigParseError('x must be finite')",
     ]

@@ -182,6 +182,16 @@ class TestDispatch:
             reported_strata(Cohort(strata, pot, outcome), model, _rng(5)))
 
 
+def test_reported_strata_names_an_argument_of_another_type():
+    # a kind where the model belongs raised AttributeError on kind
+    cohort, model = _cohort(n=20), MisclassModel("ignorable", 0.1, 0.1)
+    with pytest.raises(ConfigurationError,
+                       match="^model must be a MisclassModel, got 'ignorable'$"):
+        reported_strata(cohort, "ignorable", _rng())
+    with pytest.raises(ConfigurationError, match="^cohort must be a Cohort, got None$"):
+        reported_strata(None, model, _rng())
+
+
 @pytest.mark.parametrize("field,value", [
     ("gamma_low", "0.1"), ("gamma_high", None), ("gamma_low", False), ("gamma_high", [0.1]),
 ])

@@ -5,6 +5,7 @@ in law against the sequential dealer in ``oracles``."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestBlockPattern:
                                           ({"block": MAX_BLOCK_SIZE + 5}, "block_size")])
     def test_overlong_block_rejected_before_it_is_built(self, kw, field):
         # a block of 10**15 codes would need 909 TiB
-        with pytest.raises(ConfigurationError, match=f"^{field} must be at most {MAX_BLOCK_SIZE},"):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be <= {MAX_BLOCK_SIZE},"):
             _design(**kw)
 
     def test_design_validation(self):
@@ -100,6 +101,11 @@ class TestBlockPattern:
             TrialDesign(80, 0.5, (1, 2, 2), 10)
         with pytest.raises(ConfigurationError, match="^allocation must be a list"):
             TrialDesign(80, (0.4, 0.6), 5, 10)
+
+    def test_a_negative_share_is_named_by_its_index(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^strata_probs\[0\] must lie in \[0, inf\), got -0\.1$"):
+            _design(probs=(-0.1, 1.1))
 
     @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan),
                                        (math.inf, -math.inf)])
@@ -316,6 +322,25 @@ class TestBatchAssignments:
 
     def test_propensities_constant_across_positions(self):
         check_propensity_constancy()
+
+    @pytest.mark.parametrize("n_draws,message", [
+        (0, "must be >= 1, got 0"), (-1, "must be >= 1, got -1"),
+        (2.5, "must be an integer, got 2.5"), ("5", "must be an integer, got '5'"),
+    ])
+    def test_draw_count_is_named(self, n_draws, message):
+        # numpy raised "cannot reshape array of size 0", "negative dimensions"
+        # and a TypeError
+        with pytest.raises(ConfigurationError, match=f"^n_draws {re.escape(message)}$"):
+            batch_block_assignments(_design(), np.zeros(20, dtype=np.int8), n_draws, _rng())
+
+    def test_a_bare_design_tuple_is_named_as_the_design(self):
+        # each raised AttributeError on n_patients
+        reported = np.zeros(80, dtype=np.int8)
+        message = r"^design must be a TrialDesign, got \(80,\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            randomize_cohort((80,), reported, _rng())
+        with pytest.raises(ConfigurationError, match=message):
+            batch_block_assignments((80,), reported, 5, _rng())
 
     def test_rejects_wrong_strata_shape(self):
         design = _design()

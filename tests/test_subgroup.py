@@ -154,6 +154,22 @@ def test_proportions_must_be_numbers(args, message):
         unconditional_variance(*args)
 
 
+@pytest.mark.parametrize("call,args,message", [
+    (SubgroupCounts, (4, 5, 2), "n_treated must be <= 4, got 5"),
+    (SubgroupCounts, (4, -1, 2), "n_treated must be >= 0, got -1"),
+    (SubgroupCounts, (4, 2, 5), "n_subgroup must be <= 4, got 5"),
+    (SubgroupCounts, (4, 2, 0), "n_subgroup must be >= 1, got 0"),
+    (unconditional_variance, (1.2, 0.0, 10, 20), "pi must lie in [0, 1], got 1.2"),
+    (unconditional_variance, (0.4, -0.01, 10, 20), "tau must lie in [0, inf), got -0.01"),
+    (conditional_moments, ((10, 3, 4),), "counts must be a SubgroupCounts, got (10, 3, 4)"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_out_of_range_values_name_the_field(call, args, message):
+    # the counts read "treated count 5 outside 0..4"; a bare tuple raised
+    # AttributeError on n_stratum
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call(*args)
+
+
 def test_integral_floats_are_read_as_integers():
     counts = SubgroupCounts(10.0, 3.0, np.int64(4))
     assert [type(n) for n in (counts.n_stratum, counts.n_treated, counts.n_subgroup)] == [int] * 3
