@@ -19,7 +19,7 @@ gives four uniforms), a 128-bit offset in counter words 0 and 1, with
 chunk, replication ``r`` depends only on ``(seed, r)``, and the cohort
 and the assignment picks are common across misclassification kinds.  The
 key is derived once per seed and process; a chunk draws every stage from
-one generator whose state is set per stage.
+its thread's one generator, whose state is set per stage.
 
 Outcomes: a chunk builds no potential-outcome planes.  Of its cohort
 uniforms it keeps each patient's true stratum, the shared factor ``sqrt(rho)
@@ -66,6 +66,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -252,6 +253,10 @@ def _chunk_size(config: ScenarioConfig) -> int:
     return max(1, CHUNK_BYTES // _replication_bytes(config))
 
 
+# this thread's one chunk generator, ``_generator``
+_THREAD = threading.local()
+
+
 @lru_cache(maxsize=64)
 def _scenario_key(seed: int) -> np.ndarray:
     """The scenario's ``Philox`` key, read-only."""
@@ -273,12 +278,22 @@ def _keep_chunk_memory() -> None:
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
+def _generator() -> np.random.Generator:
+    """This thread's ``Philox`` generator, built on its first call: every
+    draw sets its whole state first (``_stage_uniforms``), and a new one
+    would seed a throwaway ``SeedSequence`` from OS entropy.  One per
+    thread, so callers on several threads share no state."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    return rng
+
+
 def _stage_uniforms(rng: np.random.Generator, key: np.ndarray, stage: int, width: int,
                     start: int, stop: int) -> np.ndarray:
     """The ``(stop - start, width)`` uniforms of one stage for replications
     ``start`` to ``stop``, from one draw call on ``rng``, a ``Philox``
-    generator whose state is set here: a fresh one would seed a throwaway
-    ``SeedSequence`` from OS entropy."""
+    generator whose state is set here."""
     blocks = -(-width // 4)  # a Philox4x64 block gives four uniforms
     if start < 0 or stop * blocks >= 1 << 128:
         raise ConfigurationError(
@@ -305,8 +320,7 @@ def _run_chunk(config: ScenarioConfig, start: int, stop: int) -> Outcomes:
     """
     _keep_chunk_memory()
     design, outcome = config.design, config.outcome
-    key = _scenario_key(config.seed)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    key, rng = _scenario_key(config.seed), _generator()
 
     def draw(stage: int, width: int) -> np.ndarray:
         return _stage_uniforms(rng, key, stage, width, start, stop)

@@ -10,7 +10,9 @@ the arm-1 coefficient (treatment effect versus control).  One kernel,
 ``fit_batch``, fits many assignment rows of many trials at once, one
 trial being a batch of one; its ``BatchFit`` carries only that
 coefficient and its SE, and names why each invalid row failed.  Its
-exact counts come from 0/1 operands laid out patients-last.
+counts and its arm sums of residuals, rounded to a grid on which every
+sum is exact, come from one contraction: a bincount with one row per
+group, else a matmul of 0/1 arm masks laid out patients-last.
 ``t_interval`` gives t intervals on the residual degrees of freedom over
 whole arrays; the test of a zero effect rejects where the interval
 excludes 0.
@@ -123,14 +125,30 @@ def fit_batch(
     most ``RANK_TOL`` (an empty arm zeroes a pivot, collinear columns
     shrink one), or a pivot is not positive.
 
-    The 0/1 arm masks behind the counts are built for one slice of groups
-    at a time, and lane temporaries are dropped once dead.  A slice holds
-    at most ``MASK_CELLS`` assignments per arm, or one whole group where a
+    Exact sums: each (variant, group)'s residuals are first rounded to
+    the power-of-two grid ``q = 2^(e + 1 + b - 53)``, where ``sqrt(within)
+    < 2^e``, ``n < 2^b`` and ``b >= 2``; the spare bit covers the rounding
+    of ``within`` and of its root.  A residual moves by at most ``q / 2 <=
+    2^(b - 52) sqrt(within)``, about 2e-13 sigma at ``n = 80``, and every
+    partial sum of at most ``n`` of them is a multiple of ``q`` below
+    ``2^53 q``: exact in any order, BLAS build or FMA.  The bound holds
+    wherever ``within`` is finite and normal.  It is not only for outcomes
+    whose squares overflow or underflow, and only the caller of
+    ``rerandomize.randomization_pvalue`` can pass those.
+
+    So the contraction is chosen by cost alone.  With one row per group,
+    one ``bincount`` by (arm, group, column) gives the counts and the
+    residual sums, with no masks.  With more rows, one matmul per group of
+    0/1 arm masks against ``[stratum indicators | rounded residuals]``
+    gives both; the masks are built for one slice of groups at a time, at
+    most ``MASK_CELLS`` assignments per arm, or one whole group where a
     group alone holds more: a group is never split, so its size bounds
-    memory, and the harness caps it at ``MAX_REPLICATION_CELLS``.
-    Counts are exact and every floating-point sum runs in a fixed order
-    per row, so a row's numbers depend on neither the other rows, the
-    other groups, the other variants nor the slicing.
+    memory, and the harness caps it at ``MAX_REPLICATION_CELLS``.  Lane
+    temporaries are dropped once dead.  Counts and residual sums are
+    exact and all other arithmetic is per lane, so a row's numbers depend
+    on neither the other rows, the other groups, the other variants, the
+    slicing nor the contraction: bit-identity across chunk sizes and
+    thread counts rests on exact sums, not on a fixed order.
     """
     y = np.asarray(y, dtype=float)
     draws = np.asarray(treatment_draws)
@@ -145,56 +163,89 @@ def fit_batch(
         raise ConfigurationError("y, treatments, and strata must have equal length")
     n_lev, n_var, n_free = int(codes.max()) + 1, len(codes), n_arms - 1
 
-    # column v * n_lev + s of a group is level s of variant v; a level
-    # absent from a group has n_s = 0 there, and inv_n = 0
-    n_cols = n_var * n_lev
-    column = codes + (np.arange(n_var) * n_lev)[:, None, None]
-    # bins in (variant, group, patient) order: bincount adds each bin's
-    # outcomes in patient order
-    bins = (column + (np.arange(n_groups) * n_cols)[:, None]).ravel()
-    n_s = np.bincount(bins, minlength=n_groups * n_cols)
+    # column v * width + s of a group is level s of variant v, and column v
+    # * width + n_lev its residuals; a level absent from a group has n_s = 0
+    # there, and inv_n = 0
+    width = n_lev + 1
+    n_cols = n_var * width
+    # bins group by group, each (variant, group)'s from ``first``, and in
+    # (variant, group, patient) order: bincount adds each bin's outcomes in
+    # patient order
+    first = (np.arange(n_var) * width)[:, None] + np.arange(n_groups) * n_cols
+    bins = codes + first[..., None]
+    if n_rows == 1:
+        # one row per group: one count by (arm, group, column), arm a's
+        # patients in slab a, and n_s its sum over arms; codes outside the
+        # arms fall in slab 0 when negative, else in an extra slab n_arms
+        arm = draws[:, 0].astype(np.intp)
+        slab = np.clip(arm, 0, n_arms, out=arm) * (n_groups * n_cols)
+        tally = np.bincount((bins + slab).ravel(), minlength=(n_arms + 1) * n_groups * n_cols)
+        n_s = tally.reshape(n_arms + 1, -1).sum(axis=0)
+    else:
+        n_s = np.bincount(bins.ravel(), minlength=n_groups * n_cols)
+    bins = bins.ravel()
     col_y = np.bincount(bins, np.broadcast_to(y, (n_var, *y.shape)).ravel(), n_groups * n_cols)
     # (variant, group, patient) outcomes less their cells' means; no cell read is empty
     resid = y - (col_y / np.maximum(n_s, 1))[bins].reshape(n_var, n_groups, n)
-    n_s = n_s.reshape(n_groups, n_var, n_lev)
-    # the (groups, n, columns) 0/1 matmul operand, written along patients:
-    # one index write puts each patient's 1 in its column of every variant
-    indicators = np.zeros((n_groups * n, n_cols))
-    indicators[np.arange(n_groups * n), column.reshape(n_var, -1)] = 1.0
-    indicators = indicators.reshape(n_groups, n, n_cols)
+    n_s = n_s.reshape(n_groups, n_var, width)[..., :n_lev]
+    within = np.einsum("vgn,vgn->vg", resid, resid)[..., None]
+    # each (variant, group)'s residuals on the grid q = 2^(e + 1 + b - 53),
+    # sqrt(within) < 2^e and n < 2^b: any sum of them is exact.  Adding and
+    # taking away 1.5 * 2^52 q rounds to the grid, as |resid| < 2^51 q
+    grid = np.ldexp(1.5 * 2.0**52, np.frexp(np.sqrt(within))[1] + max(2, n.bit_length()) - 52)
+    resid += grid
+    resid -= grid
 
-    # 0/1 arm masks of one slice of groups at a time, at most MASK_CELLS
-    # assignments per arm or one whole group.  One matmul per group of masks against its
-    # indicators counts patients per arm, row and column exactly; einsum
-    # sums each row's residuals per arm in the same order for any slice
-    count = np.empty((n_free, n_groups, n_rows, n_cols))
-    arm_xy = np.empty((n_free, n_var, n_groups, n_rows))
-    step = max(1, MASK_CELLS // max(1, n_rows * n))
-    for a in range(0, n_groups, step):
-        b = min(a + step, n_groups)
-        masks = np.empty((n_free, b - a, n_rows, n))
-        for j in range(n_free):
-            np.equal(draws[a:b], j + 1, out=masks[j], casting="unsafe")
-        np.matmul(masks, indicators[None, a:b], out=count[:, a:b])
-        np.einsum("jgrn,vgn->jvgr", masks, resid[:, a:b], out=arm_xy[:, :, a:b])
-        del masks
+    # sums[j, g, r, c]: the column-c entries of arm j + 1's patients in row
+    # r of group g, counts and residual sums alike, each exact
+    if n_rows == 1:
+        # the residual sums by (arm, group, variant) land in the tally's
+        # residual columns
+        sums = np.bincount((first[..., None] + (n_lev + slab)).ravel(), resid.ravel(), len(tally))
+        sums += tally
+        sums = sums[n_groups * n_cols:n_arms * n_groups * n_cols]
+        sums = sums.reshape(n_free, n_groups, 1, n_cols)
+    else:
+        # the (groups, n, columns) matmul operand, written along patients:
+        # one index write puts each patient's 1 in its column of every
+        # variant, one more its residuals
+        column = codes + (np.arange(n_var) * width)[:, None, None]
+        operand = np.zeros((n_groups * n, n_cols))
+        operand[np.arange(n_groups * n), column.reshape(n_var, -1)] = 1.0
+        operand = operand.reshape(n_groups, n, n_var, width)
+        operand[..., n_lev] = resid.transpose(1, 2, 0)
+        operand = operand.reshape(n_groups, n, n_cols)
+        # 0/1 arm masks of one slice of groups at a time, at most
+        # MASK_CELLS assignments per arm or one whole group, and one matmul
+        # per group of masks against its operand
+        sums = np.empty((n_free, n_groups, n_rows, n_cols))
+        step = max(1, MASK_CELLS // max(1, n_rows * n))
+        for a in range(0, n_groups, step):
+            b = min(a + step, n_groups)
+            masks = np.empty((n_free, b - a, n_rows, n))
+            for j in range(n_free):
+                np.equal(draws[a:b], j + 1, out=masks[j], casting="unsafe")
+            np.matmul(masks, operand[None, a:b], out=sums[:, a:b])
+            del masks
+    del resid
 
-    # lanes (variant, group, row), draws last: count is (level, arm, lane);
-    # per-(variant, group) constants broadcast over rows
-    count = count.reshape(n_free, n_groups, n_rows, n_var, n_lev)
-    count = np.ascontiguousarray(count.transpose(4, 0, 3, 1, 2))
+    # lanes (variant, group, row), draws last: count is (level, arm, lane)
+    # and arm_xy (arm, lane); per-(variant, group) constants broadcast over rows
+    sums = sums.reshape(n_free, n_groups, n_rows, n_var, width)
+    count = np.ascontiguousarray(sums[..., :n_lev].transpose(4, 0, 3, 1, 2))
+    arm_xy = np.ascontiguousarray(sums[..., n_lev].transpose(0, 3, 1, 2))
+    del sums
     inv_n = np.divide(1.0, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
     inv_n = inv_n.transpose(2, 1, 0)[..., None]
     arm_total = count.sum(axis=0)
 
-    within = np.einsum("vgn,vgn->vg", resid, resid)[..., None]
     # C_js C_ks / n_s, one stratum's share C_js / n_s at a time
     schur = -(count[0][:, None] * (count[0] * inv_n[0]))
     for s in range(1, n_lev):
         schur -= count[s][:, None] * (count[s] * inv_n[s])
     for j in range(n_free):
         schur[j, j] += arm_total[j]
-    del count, resid
+    del count
 
     # P S P' = L L' with arm 1 pivoted last, and z = L^-1 P r in the same
     # loop.  A pivot that is not positive zeroes the product of pivots, so
@@ -243,7 +294,7 @@ def t_interval(
     """Two-sided ``1 - alpha`` t intervals, elementwise over broadcast
     arrays or floats: ``(ci_low, ci_high)``.  Entries with ``df <= 0`` are
     NaN.  One critical value is computed per distinct ``df``."""
-    levels, index = np.unique(df, return_inverse=True)
+    levels = np.unique(df)
     # stdtrit is NaN at df <= 0, without a warning
-    crit = stdtrit(levels, 1.0 - alpha / 2.0)[index].reshape(np.shape(df))
+    crit = stdtrit(levels, 1.0 - alpha / 2.0)[np.searchsorted(levels, df)]
     return estimate - crit * se, estimate + crit * se

@@ -126,10 +126,12 @@ def reported_strata(
     cohort: Cohort, model: MisclassModel, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Reported labels: ignorable flips draw exactly one uniform per
-    patient from ``rng``; nonignorable flips draw nothing, a deterministic
-    function of the cohort's trigger outcomes."""
+    patient from ``rng``, a ``np.random.Generator``; nonignorable flips draw
+    nothing, a deterministic function of the cohort's trigger outcomes."""
     cohort = as_instance("cohort", cohort, Cohort)
     model = as_instance("model", model, MisclassModel)
+    if rng is not None:
+        rng = as_instance("rng", rng, np.random.Generator)
     if model.kind == "ignorable":
         uniforms = rng.random(cohort.n_patients) if rng is not None else None
         return misclassify(model, cohort.outcome, cohort.true_strata, None, uniforms)

@@ -321,8 +321,9 @@ def batch_block_assignments(
 ) -> np.ndarray:
     """Draw ``n_draws`` independent stratified block assignments of one
     cohort: ``draw_blocks`` on exactly ``n_draws * block_width(design)``
-    uniforms from ``rng``, then ``deal_blocks``."""
+    uniforms from ``rng``, a ``np.random.Generator``, then ``deal_blocks``."""
     design, n_draws = as_instance("design", design, TrialDesign), as_int("n_draws", n_draws, 1)
+    rng = as_instance("rng", rng, np.random.Generator)
     reported = np.asarray(reported_strata)
     if reported.shape != (design.n_patients,):
         raise ConfigurationError(

@@ -12,6 +12,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import warnings
@@ -836,6 +837,38 @@ def test_stage_uniforms_reset_a_used_generator():
     assert np.array_equal(got, want[:, :10])
 
 
+def test_each_thread_draws_every_chunk_from_one_generator_of_its_own(monkeypatch):
+    # a new generator per chunk seeded a throwaway SeedSequence from OS
+    # entropy; one generator shared by threads would mix their stage states
+    config = _config(reps=6, rb_draws=19)
+    want = [harness._run_chunk(config, a, a + 2) for a in (0, 2, 4)]
+    built, seen, got = [], {}, {}
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args: built.append(args) or philox(*args))
+
+    def run(name):
+        got[name] = [harness._run_chunk(config, a, a + 2) for _ in range(3) for a in (0, 2, 4)]
+        seen[name] = harness._generator()
+
+    # more threads than cores, switching often
+    threads = [threading.Thread(target=run, args=(name,))
+               for name in range((os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == len(threads) == len({id(rng) for rng in seen.values()})
+    for chunks in got.values():
+        for chunk, expected in zip(chunks, 3 * want, strict=True):
+            _assert_same(chunk, expected)
+
+
 class TestAggregation:
     def test_matches_manual_reduction(self):
         config = _config(reps=40, delta=0.5)
@@ -1088,11 +1121,11 @@ def _varblock_suite(reps, rb_draws):
 # on purpose may update one, and says why.
 SUITE_DIGESTS = {
     "table1": (lambda: paper_suite(1, reps=300),
-               "bcc37371d37effe7bb02760712346e2661660681e8f0ac29ad16b42804f86a6d"),
+               "60e06abaddd0a971990fa17f9d54b3ba2c29a778c42e2567017f8311a5dd39f4"),
     "table2": (lambda: [replace(c, rb_draws=50) for c in paper_suite(2, reps=4)],
-               "e8eaa498fc5ff64c5db95633e85c0efd7cd0820ad6a6ff50cbecd5d1485c7f26"),
+               "76dbd2156b3f29a2374b4f8fff30fbf6eae8ab366c1e741f669e07ccec4e0f31"),
     "varblock": (lambda: _varblock_suite(4, 50),
-                 "565b9b55e6ec1297a3f6ac6d847eb60ef27099fa981ee84d543e8ca691811774"),
+                 "f8a77de2a2f627066da5fd515482efec37d600b27617496c0fc1afa3660a4018"),
 }
 
 

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import stdtrit
 
+from stratasim import inference
 from stratasim.errors import ConfigurationError
 from stratasim.inference import (
     DEGENERATE_OBSERVED,
@@ -428,6 +434,76 @@ class TestGroupAxis:
         for v, g, r in ((0, 0, 0), (1, 3, 4)):
             one = t_interval(fit.coef[v, g, r], fit.se[v, g, r], fit.df[v, g], 0.1)
             assert whole[:, v, g, r].tolist() == [float(x) for x in one]
+
+
+@cache
+def _paper_rows():
+    """True and reported strata of one paper-design cohort, 80 patients,
+    and 1,001 of its block assignments."""
+    design = TrialDesign(80, (0.4, 0.6), AllocationRatio((1, 2, 2)), 10)
+    rng = _rng(91)
+    reported = (rng.random(80) >= 0.4).astype(np.int8)
+    true = np.where(rng.random(80) < 0.15, 1 - reported, reported).astype(np.int8)
+    return true, reported, batch_block_assignments(design, reported, 1001, rng)
+
+
+def _fsum_coef(y, strata, row, n_arms=3):
+    """Arm 1's coefficient from unrounded residual sums: each stratum mean
+    and each arm's sum of residuals by ``math.fsum``, the Schur complement
+    of the counts in fractions."""
+    levels = sorted(set(strata.tolist()))
+    mean = {s: math.fsum(y[strata == s]) / np.count_nonzero(strata == s) for s in levels}
+    resid = y - np.array([mean[s] for s in strata.tolist()])
+    arms = range(1, n_arms)
+    sums = [math.fsum(resid[row == j]) for j in arms]
+    count = {(j, s): np.count_nonzero((row == j) & (strata == s)) for j in arms for s in levels}
+    schur = [[float((j == k) * sum(count[j, s] for s in levels)
+                    - sum(Fraction(count[j, s] * count[k, s], int(np.count_nonzero(strata == s)))
+                          for s in levels)) for k in arms] for j in arms]
+    return np.linalg.solve(np.array(schur), np.array(sums))[0]
+
+
+class TestExactSums:
+    """Residual sums on each (variant, group)'s grid are exact, so whichever
+    contraction sums them, one-row bincount or matmul, in whatever order,
+    a row's numbers keep their bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-400, 400), shift=st.floats(-2.0**40, 2.0**40), seed=st.integers(0, 999))
+    def test_a_row_keeps_its_bits_in_every_contraction(self, k, shift, seed):
+        true, reported, rows = _paper_rows()
+        y = np.ldexp(_rng(seed).standard_normal(80) + shift, k)
+        variants = [true, reported]
+        whole = fit_batch(y[None], [v[None] for v in variants], rows[None], 3)
+        assert whole.valid.any()
+        # one row per group: the bincount contraction
+        alone = fit_batch(np.tile(y, (1001, 1)), [np.tile(v, (1001, 1)) for v in variants],
+                          rows[:, None], 3)
+        # seven groups of 143 rows in one mask slice, then one slice a group
+        tiled = (np.tile(y, (7, 1)), [np.tile(v, (7, 1)) for v in variants],
+                 rows.reshape(7, 143, 80))
+        one_slice = fit_batch(*tiled, 3)
+        with patch.object(inference, "MASK_CELLS", 143 * 80):
+            sliced = fit_batch(*tiled, 3)
+        own = [fit_batch(y[None], [v[None]], rows[None], 3) for v in variants]
+        for name in ("coef", "se", "valid"):
+            want = getattr(whole, name).reshape(2, 1001).tobytes()
+            for fit in (alone, one_slice, sliced):
+                assert getattr(fit, name).reshape(2, 1001).tobytes() == want, name
+            assert b"".join(getattr(fit, name).tobytes() for fit in own) == want, name
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(-400, 400), seed=st.integers(0, 999))
+    def test_coefficients_match_unrounded_residual_sums(self, k, seed):
+        true, reported, rows = _paper_rows()
+        y = np.ldexp(_rng(seed).standard_normal(80), k)
+        fit = fit_batch(y[None], [true[None], reported[None]], rows[None], 3)
+        for v, strata in enumerate((true, reported)):
+            for r in (0, 1, 500, 1000):
+                assert fit.valid[v, 0, r]
+                want = _fsum_coef(y, strata, rows[r])
+                got, se = fit.coef[v, 0, r], fit.se[v, 0, r]
+                assert abs(got - want) <= 1e-11 * max(abs(want), se), (v, r)
 
 
 class TestEstimand:

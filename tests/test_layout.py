@@ -24,6 +24,13 @@ READER_RULES = ("must be >=", "must be <=", "must be finite", r"must be an? \w*,
                 r"must lie in [\[(]", "must be at most", "must be positive",
                 "must be nonnegative", r"outside \d*\.\.")
 
+# the calls that build a bit generator: each ``BitGenerator`` class, and the
+# ``default_rng`` and ``RandomState`` that build one
+BIT_GENERATORS = frozenset(
+    [name for name, value in vars(np.random).items()
+     if isinstance(value, type) and issubclass(value, np.random.BitGenerator)]
+    + ["default_rng", "RandomState"])
+
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
@@ -60,6 +67,14 @@ def sampler_calls(source: str) -> list[str]:
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr in SAMPLERS
              and not (isinstance(node.func.value, ast.Name) and node.func.value.id in modules)]
+    return [ast.unparse(node.func) for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def bit_generator_calls(source: str) -> list[str]:
+    """The calls in ``source`` of a ``BIT_GENERATORS`` name, bare or as an
+    attribute, as written."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in BIT_GENERATORS]
     return [ast.unparse(node.func) for node in sorted(calls, key=lambda node: node.lineno)]
 
 
@@ -144,6 +159,14 @@ def test_no_module_imports_another_modules_private_name(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_draws_anything_but_uniforms(path):
     assert sampler_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_harness_builds_a_bit_generator(path):
+    # the chunk streams have one home; every other module draws from an rng
+    # its caller passes
+    want = ["np.random.Philox"] if path.name == "harness.py" else []
+    assert bit_generator_calls(path.read_text()) == want
 
 
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "errors.py"}),
@@ -291,6 +314,23 @@ def test_sampler_calls_are_found():
     ])
     assert sampler_calls(source) == [
         "rng.standard_normal", "np.random.normal", "gen.integers",
+    ]
+
+
+def test_bit_generator_calls_are_found():
+    source = "\n".join([
+        "import numpy as np",
+        "from numpy.random import PCG64",
+        "rng = np.random.Generator(np.random.Philox(key=key))",
+        "other = np.random.default_rng(1)",
+        "legacy = np.random.RandomState(2)",
+        "bits = PCG64(3)",
+        "u = rng.random(3)",
+        "state = rng.bit_generator.state",
+        "child = np.random.SeedSequence(4)",
+    ])
+    assert bit_generator_calls(source) == [
+        "np.random.Philox", "np.random.default_rng", "np.random.RandomState", "PCG64",
     ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ def test_reported_strata_names_an_argument_of_another_type():
         reported_strata(cohort, "ignorable", _rng())
     with pytest.raises(ConfigurationError, match="^cohort must be a Cohort, got None$"):
         reported_strata(None, model, _rng())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("rng", [42, np.random.Philox(0)], ids=["int", "bit_generator"])
+def test_reported_strata_names_an_rng_that_is_no_generator(kind, rng):
+    # an ignorable flip raised AttributeError on random, a nonignorable one
+    # took the rng without a look
+    with pytest.raises(ConfigurationError,
+                       match=f"^rng must be a Generator, got {re.escape(repr(rng))}$"):
+        reported_strata(_cohort(n=20), MisclassModel(kind, 0.1, 0.1), rng)
+
+
+def test_ignorable_flips_without_an_rng_say_so():
+    with pytest.raises(ConfigurationError, match="^ignorable misclassification needs an rng$"):
+        reported_strata(_cohort(n=20), MisclassModel("ignorable", 0.1, 0.1), None)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -342,6 +342,17 @@ class TestBatchAssignments:
         with pytest.raises(ConfigurationError, match=message):
             batch_block_assignments((80,), reported, 5, _rng())
 
+    @pytest.mark.parametrize("rng", [None, 42, np.random.Philox(0)],
+                             ids=["none", "int", "bit_generator"])
+    def test_an_rng_that_is_no_generator_is_named(self, rng):
+        # each raised AttributeError on random
+        reported = np.zeros(20, dtype=np.int8)
+        message = f"^rng must be a Generator, got {re.escape(repr(rng))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            randomize_cohort(_design(), reported, rng)
+        with pytest.raises(ConfigurationError, match=message):
+            batch_block_assignments(_design(), reported, 5, rng)
+
     def test_rejects_wrong_strata_shape(self):
         design = _design()
         with pytest.raises(ConfigurationError, match="shape"):
